@@ -181,6 +181,10 @@ fn build_with_model(
         ..SystemConfig::default()
     };
     config.platform.dram.model = model;
+    build_with_config(config, mvcc)
+}
+
+fn build_with_config(config: SystemConfig, mvcc: MvccConfig) -> (System, RowTable) {
     let mut sys = System::with_config(config);
     let schema = Schema::benchmark(4, 4, 64);
     let mut table = sys.create_table(schema, ROWS, mvcc).unwrap();
@@ -289,6 +293,56 @@ fn golden_scan_columnar_1core() {
 #[test]
 fn golden_scan_ephemeral_1core() {
     golden_scan("scan_ephemeral_1core", "ephemeral", 1);
+}
+
+/// Appends the RME engine's counters to a snapshot. Rendered only by the
+/// multi-frame fixture, so every older fixture stays byte-identical.
+fn render_rme(out: &mut String, rme: &relational_memory::rme::RmeStats) {
+    put(out, "rme.frames_fetched", rme.frames_fetched);
+    put(out, "rme.descriptors", rme.descriptors);
+    put(out, "rme.buffer_hits", rme.buffer_hits);
+    put(out, "rme.buffer_misses", rme.buffer_misses);
+    put(out, "rme.dram_beats", rme.dram_beats);
+    put(out, "rme.useful_bytes", rme.useful_bytes);
+    put(out, "rme.rows_filtered", rme.rows_filtered);
+    put(out, "rme.epoch_resets", rme.epoch_resets);
+}
+
+/// An RME-cold scan whose projection spans several Data SPM frames, with
+/// MVCC snapshot filtering dropping every seventh row: the 4 KiB SPM holds
+/// 512 packed rows of the 8-byte projection, so the 2571 visible rows
+/// take six frames.
+#[test]
+fn golden_scan_ephemeral_multiframe_mvcc_1core() {
+    let mut config = SystemConfig {
+        cores: 1,
+        mem_bytes: 16 << 20,
+        ..SystemConfig::default()
+    };
+    config.platform.rme.data_spm_bytes = 4 * 1024;
+    let (mut sys, table) = build_with_config(config, MvccConfig::Enabled);
+    for row in (0..ROWS).step_by(7) {
+        table.mark_deleted(sys.mem_mut(), row, 5).unwrap();
+    }
+    let var = sys
+        .register_ephemeral(
+            &table,
+            ColumnGroup::new(vec![0, 2]).unwrap(),
+            Some(Snapshot::at(7)),
+        )
+        .unwrap();
+    sys.begin_measurement(AccessPath::RmeCold);
+    let (end, cpu, rows) = sys.scan(
+        &ScanSource::Ephemeral { var: &var },
+        SimTime::ZERO,
+        |_, _| RowEffect::default(),
+    );
+    let rme = sys.engine().stats();
+    assert!(rme.frames_fetched >= 3, "the scan must cross several frames");
+    assert!(rme.rows_filtered > 0, "the snapshot must drop rows");
+    let mut snapshot = render_snapshot(&sys, end, cpu, rows);
+    render_rme(&mut snapshot, &rme);
+    check_golden("scan_ephemeral_multiframe_mvcc_1core", &snapshot);
 }
 
 #[test]
