@@ -17,16 +17,21 @@
 //! uses the single-cycle epoch reset (Section 5, "RME Scales with Data
 //! Size" / Figure 13).
 
+use std::sync::Arc;
+
 use relmem_dram::{DramModel, PhysicalMemory};
 use relmem_sim::{
     CdcConfig, ClockDomain, RmeHwConfig, SimTime, TraceEvent, TraceEventKind, Tracer, Track,
 };
 
 use crate::config_port::ConfigPort;
-use crate::fetch_unit::FetchUnit;
+use crate::descriptor::Descriptor;
+use crate::fetch_unit::{least_loaded, FetchUnit};
 use crate::geometry::TableGeometry;
 use crate::monitor::{Lookup, MonitorBypass};
-use crate::requestor::{DispatchedDescriptor, Requestor};
+use crate::requestor::{
+    DescriptorCursor, DispatchedDescriptor, FrameRows, ProjectionPlan, Requestor,
+};
 use crate::revision::HwRevision;
 use crate::stats::RmeStats;
 use crate::trapper::Trapper;
@@ -52,10 +57,12 @@ pub struct RmeEngine {
     /// frame in one step. Off (the synchronous whole-frame fetch) by
     /// default.
     incremental: bool,
-    /// Booking cursor of the activated frame (incremental mode only):
-    /// descriptors `[next..]` have been generated — with their dispatch
-    /// anchors frozen at activation, so booking order is the only thing
-    /// laziness changes — but not yet presented to the fetch units.
+    /// Booking state of the activated frame, dropped once the frame is
+    /// fully booked (so between calls it is only set in incremental mode):
+    /// the descriptors its cursor has not yielded yet have been generated —
+    /// with their dispatch anchors frozen at activation, so booking order
+    /// is the only thing laziness changes — but not yet presented to the
+    /// fetch units.
     progress: Option<FrameProgress>,
     stats: RmeStats,
     /// Line requests served per CPU core (indexed by core, grown on
@@ -77,34 +84,32 @@ pub struct RmeEngine {
 #[derive(Debug, Clone)]
 struct Programmed {
     geometry: TableGeometry,
-    /// Visible source rows in order (None ⇒ every row is visible).
-    visible_rows: Option<Vec<u64>>,
+    /// Per-column offsets of `geometry`, resolved once at configuration.
+    plan: ProjectionPlan,
+    /// Visible source rows in order (None ⇒ every row is visible), shared
+    /// with the cursor of the active frame.
+    visible_rows: Option<Arc<Vec<u64>>>,
     /// Rows per frame (how many packed rows fit in the Data SPM).
     rows_per_frame: u64,
 }
 
-/// Lazy-booking state of the frame most recently activated in incremental
-/// mode. The full descriptor stream exists from activation (the hardware
-/// Requestor emits one descriptor per PL cycle regardless of demand); what
-/// is deferred is presenting descriptors to the Fetch Units — i.e. booking
-/// their DRAM traffic — which happens in stream order as the demand cursor
-/// advances, and is completed wholesale on frame turnover or at
-/// [`RmeEngine::finish_pending_fetch`] so the traffic totals of a run are
-/// identical to the synchronous whole-frame fetch.
+/// Booking state of an activated frame. The full descriptor stream exists
+/// from activation (the hardware Requestor emits one descriptor per PL
+/// cycle regardless of demand, and each descriptor's dispatch anchor is
+/// fixed by its position); what is deferred is presenting descriptors to
+/// the Fetch Units — i.e. booking their DRAM traffic. The synchronous fetch
+/// books the whole stream at once. In incremental mode booking happens in
+/// stream order as the demand cursor advances, and is completed wholesale
+/// on frame turnover or at [`RmeEngine::finish_pending_fetch`] so the
+/// traffic totals of a run are identical to the synchronous fetch.
 #[derive(Debug, Clone)]
 struct FrameProgress {
     frame: u64,
-    descriptors: Vec<DispatchedDescriptor>,
-    /// Index of the first descriptor not yet booked.
-    next: usize,
+    /// The frame's descriptor stream; what it has yielded is booked.
+    cursor: DescriptorCursor,
     /// Latest buffer-write completion among booked descriptors (the tail
-    /// force-complete time, as in the synchronous fetch).
+    /// force-complete time).
     latest: SimTime,
-    packed_row: usize,
-    rows_in_frame: usize,
-    tail_done: bool,
-    /// When the frame was activated (the fetch window's trace anchor).
-    activated: SimTime,
 }
 
 impl Programmed {
@@ -116,7 +121,7 @@ impl Programmed {
     }
 
     fn packed_row_bytes(&self) -> usize {
-        self.geometry.packed_row_bytes()
+        self.plan.packed_row_bytes()
     }
 
     /// Packed bytes covered by one full frame.
@@ -135,15 +140,25 @@ impl Programmed {
     }
 
     /// Source rows (and their packed indices) belonging to a frame.
-    fn frame_rows(&self, frame: u64) -> Vec<u64> {
-        let start = frame * self.rows_per_frame;
-        let end = (start + self.rows_per_frame).min(self.visible_count());
-        if start >= end {
-            return Vec::new();
-        }
+    fn frame_rows(&self, frame: u64) -> FrameRows {
+        let count = self.visible_count();
+        let start = (frame * self.rows_per_frame).min(count);
+        let end = (start + self.rows_per_frame).min(count);
         match &self.visible_rows {
-            Some(v) => v[start as usize..end as usize].to_vec(),
-            None => (start..end).collect(),
+            Some(visible) => FrameRows::Visible {
+                visible: Arc::clone(visible),
+                start: start as usize,
+                end: end as usize,
+            },
+            None => FrameRows::Range { start, end },
+        }
+    }
+
+    /// The source row at packed index `packed_idx` of the projection.
+    fn source_row(&self, packed_idx: u64) -> u64 {
+        match &self.visible_rows {
+            Some(v) => v[packed_idx as usize],
+            None => packed_idx,
         }
     }
 }
@@ -169,7 +184,7 @@ impl RmeEngine {
             .collect();
         RmeEngine {
             monitor: MonitorBypass::new(hw.data_spm_bytes, line_bytes),
-            requestor: Requestor::new(bus_bytes, pl.cycles(hw.descriptor_cycles)),
+            requestor: Requestor::new(pl.cycles(hw.descriptor_cycles)),
             trapper: Trapper::new(cdc),
             fetch_units,
             port: ConfigPort::new(),
@@ -242,8 +257,9 @@ impl RmeEngine {
         self.monitor.software_reset();
         self.progress = None;
         self.programmed = Some(Programmed {
+            plan: ProjectionPlan::new(&geometry, self.bus_bytes),
             geometry,
-            visible_rows,
+            visible_rows: visible_rows.map(Arc::new),
             rows_per_frame,
         });
         Ok(())
@@ -362,7 +378,9 @@ impl RmeEngine {
                     }
                     self.advance_booking(frame, line_in_frame, mem, dram);
                 } else if self.monitor.frame_miss(frame) {
-                    self.fetch_frame(frame, at_pl, mem, dram);
+                    // The synchronous fetch books the whole frame at once.
+                    self.activate_frame(frame, at_pl, mem, dram);
+                    self.finish_frame_remainder(mem, dram);
                 }
                 let completed_at = match self.monitor.lookup(frame, line_in_frame) {
                     Lookup::Hit(t) => t,
@@ -398,7 +416,9 @@ impl RmeEngine {
                 return self.monitor.buffer().read_bytes(in_frame, len).to_vec();
             }
         }
-        self.pack_from_memory(offset, len, mem)
+        let mut out = vec![0; len];
+        self.pack_from_memory(offset, &mut out, mem);
+        out
     }
 
     /// Whether every buffer line covering `len` bytes at frame-local offset
@@ -434,8 +454,7 @@ impl RmeEngine {
                 return u64::from_le_bytes(buf);
             }
         }
-        let bytes = self.pack_from_memory(offset, width, mem);
-        buf[..width].copy_from_slice(&bytes);
+        self.pack_from_memory(offset, &mut buf[..width], mem);
         u64::from_le_bytes(buf)
     }
 
@@ -445,23 +464,20 @@ impl RmeEngine {
         let Some(p) = self.programmed.as_ref() else {
             return;
         };
+        // Walks the frame's descriptors without the Requestor: a prewarm is
+        // not a fetch, so it generates nothing.
         let rows = p.frame_rows(frame);
-        let geometry = p.geometry.clone();
-        let packed_row = geometry.packed_row_bytes();
+        let cursor = DescriptorCursor::new(p.plan.clone(), rows, SimTime::ZERO, SimTime::ZERO);
+        let (rows, packed_row) = (cursor.rows().len(), p.packed_row_bytes());
         self.progress = None; // prewarm materializes everything at once
         self.monitor.frame_miss(frame);
-        for (packed_idx, &row) in rows.iter().enumerate() {
-            for j in 0..geometry.num_columns() {
-                let src = geometry.p(row, j);
-                let width = geometry.column_width(j);
-                let waddr = packed_idx * packed_row + geometry.packed_column_offset(j);
-                let bytes = mem.read(src, width).to_vec();
-                self.monitor
-                    .buffer_mut()
-                    .write_chunk(waddr, &bytes, SimTime::ZERO);
-            }
+        for DispatchedDescriptor { descriptor: d, .. } in cursor {
+            let bytes = mem.read(d.raddr + d.es as u64, d.len);
+            self.monitor
+                .buffer_mut()
+                .write_chunk(d.waddr as usize, bytes, SimTime::ZERO);
         }
-        self.finish_partial_tail(rows.len(), packed_row, SimTime::ZERO);
+        self.finish_partial_tail(rows, packed_row, SimTime::ZERO);
     }
 
     /// Clears all timing state (resource occupancy, counters) while keeping
@@ -503,34 +519,6 @@ impl RmeEngine {
         self.progress = None;
     }
 
-    fn fetch_frame(
-        &mut self,
-        frame: u64,
-        start_pl: SimTime,
-        mem: &PhysicalMemory,
-        dram: &mut DramModel,
-    ) {
-        let p = self.programmed.as_ref().expect("engine configured");
-        let rows = p.frame_rows(frame);
-        let geometry = p.geometry.clone();
-        let packed_row = geometry.packed_row_bytes();
-        self.stats.frames_fetched += 1;
-        self.charge_mvcc_headers(&geometry, &rows, start_pl, mem, dram);
-        let dispatched = self.requestor.generate_frame(&geometry, &rows, start_pl);
-        let mut latest = start_pl;
-        for d in dispatched {
-            latest = latest.max(self.book_descriptor(&d, mem, dram));
-        }
-        self.finish_partial_tail(rows.len(), packed_row, latest);
-        let lines = (rows.len() * packed_row).div_ceil(self.line_bytes) as u64;
-        self.tracer.emit(|| {
-            TraceEvent::instant(Track::Rme, TraceEventKind::FrameActivate, start_pl, frame, 0)
-        });
-        self.tracer.emit(|| {
-            TraceEvent::span(Track::Rme, TraceEventKind::FrameFetch, start_pl, latest, frame, lines)
-        });
-    }
-
     /// MVCC visibility filtering must inspect the version header of every
     /// source row in the frame's span, including the rows it ends up
     /// skipping. Charged eagerly at frame activation on both fetch paths:
@@ -538,30 +526,31 @@ impl RmeEngine {
     /// not demand-elidable.
     fn charge_mvcc_headers(
         &mut self,
-        geometry: &TableGeometry,
-        rows: &[u64],
+        rows: &FrameRows,
         start_pl: SimTime,
         mem: &PhysicalMemory,
         dram: &mut DramModel,
     ) {
+        let geometry = &self.programmed.as_ref().expect("engine configured").geometry;
         if !geometry.needs_visibility_filter() {
             return;
         }
-        if let (Some(&first), Some(&last)) = (rows.first(), rows.last()) {
+        if let Some((first, last)) = rows.bounds() {
             let span = last - first + 1;
             self.stats.rows_filtered += span - rows.len() as u64;
+            let rburst = geometry.mvcc_header_bytes.div_ceil(self.bus_bytes);
+            let units = self.fetch_units.len();
             for (k, row) in (first..=last).enumerate() {
-                let header = crate::descriptor::Descriptor {
+                let header = Descriptor {
                     row,
                     column: 0,
                     raddr: geometry.source_base + row * geometry.row_bytes as u64,
-                    rburst: geometry.mvcc_header_bytes.div_ceil(self.bus_bytes),
+                    rburst,
                     waddr: 0,
                     es: 0,
                     len: 0,
                 };
-                let unit = k % self.fetch_units.len();
-                let chunk = self.fetch_units[unit].process(&header, start_pl, mem, dram);
+                let chunk = self.fetch_units[k % units].process(&header, start_pl, mem, dram);
                 self.stats.dram_beats += chunk.beats as u64;
             }
         }
@@ -575,31 +564,22 @@ impl RmeEngine {
         mem: &PhysicalMemory,
         dram: &mut DramModel,
     ) -> SimTime {
-        // Round-robin would ignore load imbalance from variable bursts;
-        // picking the unit whose reader frees first mirrors the
-        // "any idle Fetch Unit" dispatch of the paper.
-        let unit = self
-            .fetch_units
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, fu)| fu.earliest_slot())
-            .map(|(i, _)| i)
-            .expect("at least one fetch unit");
+        let unit = least_loaded(&self.fetch_units);
         let chunk = self.fetch_units[unit].process(&d.descriptor, d.dispatch_at, mem, dram);
         self.stats.dram_beats += chunk.beats as u64;
         self.stats.useful_bytes += chunk.data.len() as u64;
-        self.monitor.buffer_mut().write_chunk(
-            d.descriptor.waddr as usize,
-            &chunk.data,
-            chunk.written_at,
-        );
+        self.monitor
+            .buffer_mut()
+            .write_chunk(d.descriptor.waddr as usize, chunk.data, chunk.written_at);
         chunk.written_at
     }
 
-    /// Activates `frame` for incremental fetching: charges the eager MVCC
-    /// header traffic, generates the full descriptor stream with dispatch
-    /// anchors frozen at `start_pl`, and books *nothing* — booking follows
-    /// the demand cursor through [`advance_booking`](Self::advance_booking).
+    /// Activates `frame`: charges the eager MVCC header traffic, starts the
+    /// Requestor's descriptor cursor with dispatch anchors frozen at
+    /// `start_pl`, and books *nothing*. The synchronous fetch then books the
+    /// whole frame through [`finish_frame_remainder`](Self::finish_frame_remainder);
+    /// incremental booking follows the demand cursor through
+    /// [`advance_booking`](Self::advance_booking).
     fn activate_frame(
         &mut self,
         frame: u64,
@@ -608,24 +588,16 @@ impl RmeEngine {
         dram: &mut DramModel,
     ) {
         let p = self.programmed.as_ref().expect("engine configured");
-        let rows = p.frame_rows(frame);
-        let geometry = p.geometry.clone();
-        let packed_row = geometry.packed_row_bytes();
+        let cursor = self.requestor.activate(&p.plan, p.frame_rows(frame), start_pl);
         self.stats.frames_fetched += 1;
-        self.charge_mvcc_headers(&geometry, &rows, start_pl, mem, dram);
-        let descriptors = self.requestor.generate_frame(&geometry, &rows, start_pl);
+        self.charge_mvcc_headers(cursor.rows(), start_pl, mem, dram);
         self.tracer.emit(|| {
             TraceEvent::instant(Track::Rme, TraceEventKind::FrameActivate, start_pl, frame, 0)
         });
         self.progress = Some(FrameProgress {
             frame,
-            descriptors,
-            next: 0,
+            cursor,
             latest: start_pl,
-            packed_row,
-            rows_in_frame: rows.len(),
-            tail_done: false,
-            activated: start_pl,
         });
     }
 
@@ -650,54 +622,47 @@ impl RmeEngine {
             self.progress = Some(progress);
             return;
         }
-        while progress.next < progress.descriptors.len()
-            && matches!(self.monitor.lookup(frame, line_in_frame), Lookup::Miss)
-        {
-            let written = self.book_descriptor(&progress.descriptors[progress.next], mem, dram);
+        while matches!(self.monitor.lookup(frame, line_in_frame), Lookup::Miss) {
+            let Some(d) = progress.cursor.next() else {
+                break;
+            };
+            let written = self.book_descriptor(&d, mem, dram);
             progress.latest = progress.latest.max(written);
-            progress.next += 1;
         }
-        if progress.next < progress.descriptors.len() {
-            self.progress = Some(progress);
-        } else {
-            if !progress.tail_done {
-                self.finish_partial_tail(
-                    progress.rows_in_frame,
-                    progress.packed_row,
-                    progress.latest,
-                );
-            }
+        if progress.cursor.is_done() {
             // A fully booked frame needs no progress state: drop it,
             // closing its fetch window in the trace.
-            self.emit_frame_fetch(&progress);
+            self.close_frame(&progress);
+        } else {
+            self.progress = Some(progress);
         }
     }
 
     /// Books every remaining descriptor of the activated frame at its
-    /// frozen anchor (the frame is being evicted, or the run is ending),
-    /// making the frame's total DRAM traffic identical to the synchronous
-    /// whole-frame fetch.
+    /// frozen anchor (the whole frame on the synchronous path; on the
+    /// incremental path the frame is being evicted, or the run is ending),
+    /// making the frame's total DRAM traffic identical on both paths.
     fn finish_frame_remainder(&mut self, mem: &PhysicalMemory, dram: &mut DramModel) {
         let Some(mut progress) = self.progress.take() else {
             return;
         };
-        while progress.next < progress.descriptors.len() {
-            let written = self.book_descriptor(&progress.descriptors[progress.next], mem, dram);
+        for d in progress.cursor.by_ref() {
+            let written = self.book_descriptor(&d, mem, dram);
             progress.latest = progress.latest.max(written);
-            progress.next += 1;
         }
-        if !progress.tail_done {
-            self.finish_partial_tail(progress.rows_in_frame, progress.packed_row, progress.latest);
-        }
-        self.emit_frame_fetch(&progress);
+        self.close_frame(&progress);
     }
 
-    /// Emits the fetch window of a fully booked incremental frame:
-    /// activation → latest buffer-write completion, matching the span the
-    /// synchronous whole-frame fetch records.
-    fn emit_frame_fetch(&mut self, progress: &FrameProgress) {
-        let lines = (progress.rows_in_frame * progress.packed_row).div_ceil(self.line_bytes) as u64;
-        let (frame, activated, latest) = (progress.frame, progress.activated, progress.latest);
+    /// Completes a fully booked frame: force-completes its partial tail
+    /// line and emits its fetch window, activation → latest buffer-write
+    /// completion.
+    fn close_frame(&mut self, progress: &FrameProgress) {
+        let rows = progress.cursor.rows().len();
+        let packed_row = progress.cursor.plan().packed_row_bytes();
+        self.finish_partial_tail(rows, packed_row, progress.latest);
+        let lines = (rows * packed_row).div_ceil(self.line_bytes) as u64;
+        let (frame, activated, latest) =
+            (progress.frame, progress.cursor.activated(), progress.latest);
         self.tracer.emit(|| {
             TraceEvent::span(Track::Rme, TraceEventKind::FrameFetch, activated, latest, frame, lines)
         });
@@ -753,41 +718,34 @@ impl RmeEngine {
         self.programmed.as_ref().map(|p| p.rows_per_frame)
     }
 
-    fn pack_from_memory(&self, offset: u64, len: usize, mem: &PhysicalMemory) -> Vec<u8> {
+    /// Fills `out` with the packed bytes at projection offset `offset`,
+    /// straight from the row-major image in `mem`; bytes past the end of
+    /// the projection read as zero.
+    fn pack_from_memory(&self, offset: u64, out: &mut [u8], mem: &PhysicalMemory) {
         let p = self.programmed.as_ref().expect("engine configured");
-        let geometry = &p.geometry;
-        let packed_row = geometry.packed_row_bytes() as u64;
-        let mut out = Vec::with_capacity(len);
-        let mut cursor = offset;
-        let end = offset + len as u64;
-        while cursor < end {
-            let packed_idx = cursor / packed_row;
+        let packed_row = p.packed_row_bytes() as u64;
+        let mut pos = 0;
+        while pos < out.len() {
+            let at = offset + pos as u64;
+            let packed_idx = at / packed_row;
             if packed_idx >= p.visible_count() {
-                out.push(0);
-                cursor += 1;
-                continue;
+                out[pos..].fill(0);
+                return;
             }
-            let source_row = match &p.visible_rows {
-                Some(v) => v[packed_idx as usize],
-                None => packed_idx,
-            };
-            let within = (cursor % packed_row) as usize;
-            // Find which column of interest the byte belongs to.
-            let mut acc = 0usize;
-            let mut byte = 0u8;
-            for j in 0..geometry.num_columns() {
-                let w = geometry.column_width(j);
-                if within < acc + w {
-                    let src = geometry.p(source_row, j) + (within - acc) as u64;
-                    byte = mem.read(src, 1)[0];
-                    break;
-                }
-                acc += w;
-            }
-            out.push(byte);
-            cursor += 1;
+            // Copy the rest of the column of interest the byte belongs to.
+            let within = (at % packed_row) as usize;
+            let column = p
+                .plan
+                .columns()
+                .iter()
+                .find(|c| within < c.packed_offset + c.width)
+                .expect("a packed row is covered by its columns");
+            let skip = within - column.packed_offset;
+            let n = (column.width - skip).min(out.len() - pos);
+            let src = p.plan.source_address(p.source_row(packed_idx), column) + skip as u64;
+            mem.read_into(src, &mut out[pos..pos + n]);
+            pos += n;
         }
-        out
     }
 }
 
@@ -1140,6 +1098,34 @@ mod tests {
             .serve_line(f.ephemeral_base, SimTime::ZERO, &f.mem, &mut f.dram);
         let packed = f.engine.read_packed(f.ephemeral_base, total as usize, &f.mem);
         assert_eq!(packed, reference_packed(&f, &[1, 3], None));
+    }
+
+    /// With nothing fetched, every `read_packed_u64` packs straight from
+    /// memory: reads that straddle columns, rows and skipped MVCC rows
+    /// match the software projection, and bytes past its end read as zero.
+    #[test]
+    fn packed_u64_reads_fall_back_to_memory_exactly() {
+        let mut f = fixture(60, HwRevision::Mlp, MvccConfig::Enabled);
+        for row in (0..60).step_by(4) {
+            f.table.mark_deleted(&mut f.mem, row, 5).unwrap();
+        }
+        let snapshot = Some(Snapshot::at(10));
+        configure(&mut f, vec![0, 3, 5], snapshot);
+        let mut reference = reference_packed(&f, &[0, 3, 5], snapshot);
+        let total = reference.len();
+        reference.resize(total + 12, 0);
+        for offset in 0..total + 4 {
+            for width in 1..=8 {
+                let mut want = [0u8; 8];
+                want[..width].copy_from_slice(&reference[offset..offset + width]);
+                let addr = f.ephemeral_base + offset as u64;
+                assert_eq!(
+                    f.engine.read_packed_u64(addr, width, &f.mem),
+                    u64::from_le_bytes(want),
+                    "offset {offset} width {width}"
+                );
+            }
+        }
     }
 
     #[test]

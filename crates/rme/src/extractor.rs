@@ -11,14 +11,14 @@
 use crate::descriptor::Descriptor;
 
 /// Extracts the useful bytes described by `descriptor` from the raw burst
-/// payload returned by main memory.
+/// payload returned by main memory, as a slice of that payload.
 ///
 /// `payload` must contain exactly the burst (`rburst × bus_bytes` bytes)
 /// starting at the descriptor's aligned `raddr`.
 ///
 /// # Panics
 /// Panics if the payload is shorter than the burst the descriptor describes.
-pub fn extract(descriptor: &Descriptor, payload: &[u8], bus_bytes: usize) -> Vec<u8> {
+pub fn extract<'p>(descriptor: &Descriptor, payload: &'p [u8], bus_bytes: usize) -> &'p [u8] {
     let burst = descriptor.burst_bytes(bus_bytes);
     assert!(
         payload.len() >= burst,
@@ -26,7 +26,7 @@ pub fn extract(descriptor: &Descriptor, payload: &[u8], bus_bytes: usize) -> Vec
         payload.len(),
         burst
     );
-    payload[descriptor.es..descriptor.es + descriptor.len].to_vec()
+    &payload[descriptor.es..descriptor.es + descriptor.len]
 }
 
 /// Number of bus beats the extractor must inspect for a descriptor — the
@@ -54,7 +54,7 @@ mod tests {
             len: 4,
         };
         let payload: Vec<u8> = (0..16).collect();
-        assert_eq!(extract(&d, &payload, 16), vec![5, 6, 7, 8]);
+        assert_eq!(extract(&d, &payload, 16), &[5, 6, 7, 8]);
         assert_eq!(beats_to_process(&d), 1);
     }
 
@@ -70,7 +70,7 @@ mod tests {
             len: 6,
         };
         let payload: Vec<u8> = (0..32).collect();
-        assert_eq!(extract(&d, &payload, 16), vec![14, 15, 16, 17, 18, 19]);
+        assert_eq!(extract(&d, &payload, 16), &[14, 15, 16, 17, 18, 19]);
     }
 
     #[test]
@@ -114,7 +114,7 @@ mod tests {
             let payload = &mem[d.raddr as usize..d.raddr as usize + d.burst_bytes(16)];
             let extracted = extract(&d, payload, 16);
             let p = g.p(i, 0) as usize;
-            prop_assert_eq!(extracted, mem[p..p + width].to_vec());
+            prop_assert_eq!(extracted, &mem[p..p + width]);
         }
     }
 }

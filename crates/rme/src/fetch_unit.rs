@@ -17,10 +17,11 @@ use crate::extractor::extract;
 use crate::revision::HwRevision;
 
 /// The outcome of processing one descriptor.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ChunkResult {
-    /// The extracted, packed bytes (length = descriptor `len`).
-    pub data: Vec<u8>,
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ChunkResult<'m> {
+    /// The extracted, packed bytes (length = descriptor `len`), borrowed
+    /// from physical memory.
+    pub data: &'m [u8],
     /// Time at which the chunk has been written to the Reorganization
     /// Buffer.
     pub written_at: SimTime,
@@ -33,6 +34,9 @@ pub struct ChunkResult {
 pub struct FetchUnit {
     /// Reader slots: completion times of outstanding read transactions.
     slots: Vec<SimTime>,
+    /// Index and completion time of the earliest-free reader slot (the
+    /// first minimum in slot order), refreshed whenever a slot is written.
+    earliest: (usize, SimTime),
     /// The unit's extract/pack/write pipeline (serial within the unit).
     pipeline: Resource,
     /// PL-side ingest port of this unit (beats cross at one per PL cycle).
@@ -58,6 +62,7 @@ impl FetchUnit {
     ) -> Self {
         FetchUnit {
             slots: vec![SimTime::ZERO; revision.outstanding_reads()],
+            earliest: (0, SimTime::ZERO),
             pipeline: Resource::new("fetch-unit-pipeline"),
             port: Resource::new("fetch-unit-port"),
             pl,
@@ -77,7 +82,7 @@ impl FetchUnit {
     /// The earliest time this unit could accept another descriptor (used by
     /// the engine to pick the least-loaded unit).
     pub fn earliest_slot(&self) -> SimTime {
-        self.slots.iter().copied().min().unwrap_or(SimTime::ZERO)
+        self.earliest.1
     }
 
     /// Processes a descriptor dispatched at `dispatch_at`.
@@ -85,24 +90,18 @@ impl FetchUnit {
     /// Functional effect: reads the burst from `mem` and extracts the useful
     /// bytes. Timing effect: books a Reader slot, the DRAM controller, the
     /// unit's ingest port and its extract/write pipeline.
-    pub fn process(
+    pub fn process<'m>(
         &mut self,
         descriptor: &Descriptor,
         dispatch_at: SimTime,
-        mem: &PhysicalMemory,
+        mem: &'m PhysicalMemory,
         dram: &mut DramModel,
-    ) -> ChunkResult {
+    ) -> ChunkResult<'m> {
         self.processed += 1;
         let burst_bytes = descriptor.burst_bytes(self.bus_bytes);
 
         // 1. Reader: wait for a free outstanding-transaction slot.
-        let (slot_idx, slot_free) = self
-            .slots
-            .iter()
-            .copied()
-            .enumerate()
-            .min_by_key(|&(_, t)| t)
-            .expect("at least one reader slot");
+        let (slot_idx, slot_free) = self.earliest;
         let issue = dispatch_at.max(slot_free);
 
         // 2. Main-memory burst (timing) + payload (functional). A read
@@ -142,10 +141,10 @@ impl FetchUnit {
         // 5. The Reader slot stays occupied until the whole chunk has
         //    retired (this is what serialises BSL/PCK).
         self.slots[slot_idx] = written_at;
+        self.earliest = first_min(&self.slots);
 
-        let data = extract(descriptor, payload, self.bus_bytes);
         ChunkResult {
-            data,
+            data: extract(descriptor, payload, self.bus_bytes),
             written_at,
             beats: descriptor.rburst,
         }
@@ -153,13 +152,35 @@ impl FetchUnit {
 
     /// Clears all timing state (between measured runs).
     pub fn reset(&mut self) {
-        for s in &mut self.slots {
-            *s = SimTime::ZERO;
-        }
+        self.slots.fill(SimTime::ZERO);
+        self.earliest = (0, SimTime::ZERO);
         self.pipeline.reset();
         self.port.reset();
         self.processed = 0;
     }
+}
+
+/// The first minimum of `times` in index order, with its index.
+fn first_min(times: &[SimTime]) -> (usize, SimTime) {
+    times
+        .iter()
+        .copied()
+        .enumerate()
+        .min_by_key(|&(_, t)| t)
+        .expect("at least one reader slot")
+}
+
+/// Index of the unit whose earliest reader slot frees first (the first
+/// such unit on ties). Round-robin would ignore load imbalance from
+/// variable bursts; picking the unit whose reader frees first mirrors the
+/// "any idle Fetch Unit" dispatch of the paper.
+pub fn least_loaded(units: &[FetchUnit]) -> usize {
+    units
+        .iter()
+        .enumerate()
+        .min_by_key(|(_, fu)| fu.earliest_slot())
+        .map(|(i, _)| i)
+        .expect("at least one fetch unit")
 }
 
 #[cfg(test)]
@@ -167,6 +188,7 @@ mod tests {
     use super::*;
     use crate::descriptor::descriptor_for;
     use crate::geometry::{ColumnSpec, TableGeometry};
+    use proptest::prelude::*;
     use relmem_sim::DramConfig;
 
     fn setup(rows: u64) -> (PhysicalMemory, DramModel, TableGeometry) {
@@ -206,7 +228,7 @@ mod tests {
         let d = descriptor_for(&g, 2, 2, 0, 16);
         let chunk = fu.process(&d, SimTime::ZERO, &mem, &mut dram);
         // Row 2, offset 8: source bytes (2*64 + 8 ..) & 0xff.
-        assert_eq!(chunk.data, vec![136, 137, 138, 139]);
+        assert_eq!(chunk.data, &[136, 137, 138, 139]);
         assert_eq!(chunk.beats, 1);
         assert_eq!(fu.processed(), 1);
     }
@@ -247,5 +269,49 @@ mod tests {
         fu.reset();
         assert_eq!(fu.earliest_slot(), SimTime::ZERO);
         assert_eq!(fu.processed(), 0);
+    }
+
+    proptest! {
+        /// The cached `(unit, slot)` choice equals a first-minimum scan over
+        /// every slot of every unit, and the chunks equal those of units
+        /// whose slot comes from that scan, over random descriptor streams
+        /// and dispatch times.
+        #[test]
+        fn cached_dispatch_matches_a_full_scan(
+            revision in 0usize..3,
+            units in 1usize..=4,
+            stream in proptest::collection::vec(
+                (0u64..256, 0usize..64, 1usize..=16, 0u64..3_000),
+                1..200,
+            ),
+        ) {
+            let revision = [HwRevision::Bsl, HwRevision::Pck, HwRevision::Mlp][revision];
+            let (mem, _, g) = setup(256);
+            let mut cached: Vec<FetchUnit> = (0..units).map(|_| unit(revision)).collect();
+            let mut scanned = cached.clone();
+            let mut dram_cached = DramModel::new(DramConfig::default());
+            let mut dram_scanned = DramModel::new(DramConfig::default());
+            for &(row, offset, width, at) in &stream {
+                let mut g = g.clone();
+                g.columns = vec![ColumnSpec { width, oa_delta: offset.min(64 - width) }];
+                let d = descriptor_for(&g, row, row, 0, 16);
+                let at = SimTime::from_nanos(at);
+
+                let (u_ref, s_ref, t_ref) = scanned
+                    .iter()
+                    .enumerate()
+                    .flat_map(|(u, fu)| fu.slots.iter().enumerate().map(move |(s, &t)| (u, s, t)))
+                    .min_by_key(|&(_, _, t)| t)
+                    .unwrap();
+                let u = least_loaded(&cached);
+                prop_assert_eq!((u, cached[u].earliest), (u_ref, (s_ref, t_ref)));
+
+                scanned[u_ref].earliest = (s_ref, t_ref);
+                let want = scanned[u_ref].process(&d, at, &mem, &mut dram_scanned);
+                let got = cached[u].process(&d, at, &mem, &mut dram_cached);
+                prop_assert_eq!(got, want);
+                prop_assert_eq!(&cached[u].slots, &scanned[u_ref].slots);
+            }
+        }
     }
 }

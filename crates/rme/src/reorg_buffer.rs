@@ -89,12 +89,12 @@ impl ReorganizationBuffer {
     }
 
     /// Writes an extracted chunk at `offset` bytes within the buffer,
-    /// arriving at `when`. Returns the indices of lines that became complete
-    /// as a result.
+    /// arriving at `when`. Returns how many lines became complete as a
+    /// result.
     ///
     /// # Panics
     /// Panics if the chunk does not fit in the buffer.
-    pub fn write_chunk(&mut self, offset: usize, bytes: &[u8], when: SimTime) -> Vec<usize> {
+    pub fn write_chunk(&mut self, offset: usize, bytes: &[u8], when: SimTime) -> usize {
         assert!(
             offset + bytes.len() <= self.data.len(),
             "chunk [{offset}, {}) exceeds SPM capacity {}",
@@ -103,7 +103,7 @@ impl ReorganizationBuffer {
         );
         self.data[offset..offset + bytes.len()].copy_from_slice(bytes);
 
-        let mut completed = Vec::new();
+        let mut completed = 0;
         let first_line = offset / self.line_bytes;
         let last_line = (offset + bytes.len() - 1) / self.line_bytes;
         for line in first_line..=last_line {
@@ -127,7 +127,7 @@ impl ReorganizationBuffer {
             );
             if meta.valid_bytes as usize == self.line_bytes {
                 self.lines_completed += 1;
-                completed.push(line);
+                completed += 1;
             }
         }
         completed
@@ -198,10 +198,10 @@ mod tests {
         let mut buf = ReorganizationBuffer::new(256, 64);
         assert!(!buf.is_complete(0));
         let done = buf.write_chunk(0, &[1u8; 32], ns(10));
-        assert!(done.is_empty());
+        assert_eq!(done, 0);
         assert!(!buf.is_complete(0));
         let done = buf.write_chunk(32, &[2u8; 32], ns(25));
-        assert_eq!(done, vec![0]);
+        assert_eq!(done, 1);
         assert!(buf.is_complete(0));
         assert_eq!(buf.completion_time(0), Some(ns(25)));
         assert_eq!(&buf.read_line(0)[..2], &[1, 1]);
@@ -216,7 +216,7 @@ mod tests {
         buf.write_chunk(100, &[8u8; 28], ns(2));
         // Bytes 60..128 complete both line 0 (4 missing bytes) and line 1.
         let done = buf.write_chunk(60, &[9u8; 40], ns(3));
-        assert_eq!(done, vec![0, 1]);
+        assert_eq!(done, 2);
         assert_eq!(buf.completion_time(1), Some(ns(3)));
     }
 
@@ -231,7 +231,7 @@ mod tests {
         assert_eq!(buf.resets(), 1);
         // Writing after the reset starts a fresh count.
         let done = buf.write_chunk(0, &[2u8; 64], ns(50));
-        assert_eq!(done, vec![0]);
+        assert_eq!(done, 1);
         assert_eq!(buf.completion_time(0), Some(ns(50)));
     }
 

@@ -8,10 +8,17 @@
 //! one *row* — every column's descriptor — is evaluated by parallel adders
 //! in a single PL cycle; the dispatch times reported here are therefore
 //! spaced per row, which is the issue-rate bound of the engine.
+//!
+//! Those registers are the [`ProjectionPlan`]: per-column offsets resolved
+//! once at configuration. A frame's descriptor stream is a
+//! [`DescriptorCursor`] that computes descriptor *k* only when it is taken,
+//! so no frame's stream is ever materialised.
+
+use std::sync::Arc;
 
 use relmem_sim::SimTime;
 
-use crate::descriptor::{descriptor_for, Descriptor};
+use crate::descriptor::Descriptor;
 use crate::geometry::TableGeometry;
 
 /// A descriptor together with the earliest time it may be dispatched.
@@ -23,10 +30,239 @@ pub struct DispatchedDescriptor {
     pub dispatch_at: SimTime,
 }
 
+/// One column of interest with the prefix sums of equations (1) and (4)
+/// already taken.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ColumnPlan {
+    /// Offset of the column within a source row (`Σ_{k≤j} OA_k`).
+    pub source_offset: u64,
+    /// Width in bytes (`CA_j`).
+    pub width: usize,
+    /// Offset of the column within a packed row (`Σ_{k<j} CA_k`).
+    pub packed_offset: usize,
+}
+
+/// The register-file view of a programmed projection: everything the
+/// Requestor needs to turn a (row, column) pair into a descriptor with a
+/// handful of adds.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ProjectionPlan {
+    source_base: u64,
+    row_bytes: u64,
+    packed_row_bytes: usize,
+    bus_bytes: u64,
+    columns: Arc<[ColumnPlan]>,
+}
+
+impl ProjectionPlan {
+    /// Resolves the per-column offsets of `geometry` for a `bus_bytes`-wide
+    /// main-memory bus.
+    pub fn new(geometry: &TableGeometry, bus_bytes: usize) -> Self {
+        let mut source_offset = 0u64;
+        let mut packed_offset = 0usize;
+        let columns = geometry
+            .columns
+            .iter()
+            .map(|c| {
+                source_offset += c.oa_delta as u64;
+                let plan = ColumnPlan {
+                    source_offset,
+                    width: c.width,
+                    packed_offset,
+                };
+                packed_offset += c.width;
+                plan
+            })
+            .collect();
+        ProjectionPlan {
+            source_base: geometry.source_base,
+            row_bytes: geometry.row_bytes as u64,
+            packed_row_bytes: packed_offset,
+            bus_bytes: bus_bytes as u64,
+            columns,
+        }
+    }
+
+    /// The columns of interest, in projection order.
+    pub fn columns(&self) -> &[ColumnPlan] {
+        &self.columns
+    }
+
+    /// Width of one packed row in bytes.
+    pub fn packed_row_bytes(&self) -> usize {
+        self.packed_row_bytes
+    }
+
+    /// Source address of `column` in source row `row` (`P_{i,j}`).
+    pub fn source_address(&self, row: u64, column: &ColumnPlan) -> u64 {
+        self.source_base + self.row_bytes * row + column.source_offset
+    }
+}
+
+/// The source rows of one frame, in packed order, borrowed rather than
+/// copied.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum FrameRows {
+    /// Every row is visible: the frame is source rows `start..end`.
+    Range {
+        /// First source row of the frame.
+        start: u64,
+        /// One past the last source row of the frame.
+        end: u64,
+    },
+    /// MVCC filtering is active: the frame is `visible[start..end]`.
+    Visible {
+        /// The projection's visible source rows, in order.
+        visible: Arc<Vec<u64>>,
+        /// Index of the frame's first row in `visible`.
+        start: usize,
+        /// One past the index of the frame's last row in `visible`.
+        end: usize,
+    },
+}
+
+impl FrameRows {
+    /// Number of rows in the frame.
+    pub fn len(&self) -> usize {
+        match self {
+            FrameRows::Range { start, end } => (end - start) as usize,
+            FrameRows::Visible { start, end, .. } => end - start,
+        }
+    }
+
+    /// Whether the frame has no rows.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The source row at packed position `i` within the frame.
+    pub fn get(&self, i: usize) -> u64 {
+        match self {
+            FrameRows::Range { start, .. } => start + i as u64,
+            FrameRows::Visible { visible, start, .. } => visible[start + i],
+        }
+    }
+
+    /// The first and last source rows of the frame, if it has any.
+    pub fn bounds(&self) -> Option<(u64, u64)> {
+        (!self.is_empty()).then(|| (self.get(0), self.get(self.len() - 1)))
+    }
+}
+
+/// The descriptor stream of one frame, in row-major order: packed row 0's
+/// columns, then packed row 1's, and so on. Descriptor *k* is computed when
+/// it is taken, with its dispatch anchor frozen at
+/// `activated + period · (k / q)` for `q` columns of interest.
+#[derive(Debug, Clone)]
+pub struct DescriptorCursor {
+    plan: ProjectionPlan,
+    rows: FrameRows,
+    activated: SimTime,
+    period: SimTime,
+    /// Packed index within the frame of the row being emitted.
+    row_idx: usize,
+    /// Column of that row emitted next.
+    column: usize,
+    /// Per-row values, refreshed when `column` wraps to 0.
+    row: u64,
+    row_base: u64,
+    waddr_base: u64,
+    dispatch_at: SimTime,
+}
+
+impl DescriptorCursor {
+    /// A cursor over `rows`, emitting one row per `period` from `activated`.
+    pub fn new(plan: ProjectionPlan, rows: FrameRows, activated: SimTime, period: SimTime) -> Self {
+        DescriptorCursor {
+            plan,
+            rows,
+            activated,
+            period,
+            row_idx: 0,
+            column: 0,
+            row: 0,
+            row_base: 0,
+            waddr_base: 0,
+            dispatch_at: activated,
+        }
+    }
+
+    /// The projection the cursor walks.
+    pub fn plan(&self) -> &ProjectionPlan {
+        &self.plan
+    }
+
+    /// The frame's rows.
+    pub fn rows(&self) -> &FrameRows {
+        &self.rows
+    }
+
+    /// When the frame was activated (the anchor of descriptor 0).
+    pub fn activated(&self) -> SimTime {
+        self.activated
+    }
+
+    /// Total descriptors of the frame, taken or not.
+    pub fn total(&self) -> u64 {
+        (self.rows.len() * self.plan.columns.len()) as u64
+    }
+
+    /// Whether every descriptor has been taken.
+    pub fn is_done(&self) -> bool {
+        self.row_idx >= self.rows.len()
+    }
+}
+
+impl Iterator for DescriptorCursor {
+    type Item = DispatchedDescriptor;
+
+    fn next(&mut self) -> Option<DispatchedDescriptor> {
+        if self.column == 0 {
+            if self.is_done() {
+                return None;
+            }
+            // One PL cycle per source row: all of the row's column
+            // descriptors are produced by parallel adders in that cycle.
+            self.row = self.rows.get(self.row_idx);
+            self.row_base = self.plan.source_base + self.plan.row_bytes * self.row;
+            self.waddr_base = self.row_idx as u64 * self.plan.packed_row_bytes as u64;
+            self.dispatch_at = self.activated + self.period * self.row_idx as u64;
+        }
+        let column = self.column;
+        let c = self.plan.columns[column];
+        let p = self.row_base + c.source_offset;
+        let es = (p % self.plan.bus_bytes) as usize;
+        let descriptor = Descriptor {
+            row: self.row,
+            column,
+            raddr: p - es as u64,
+            rburst: (es + c.width).div_ceil(self.plan.bus_bytes as usize),
+            waddr: self.waddr_base + c.packed_offset as u64,
+            es,
+            len: c.width,
+        };
+        self.column += 1;
+        if self.column == self.plan.columns.len() {
+            self.column = 0;
+            self.row_idx += 1;
+        }
+        Some(DispatchedDescriptor {
+            descriptor,
+            dispatch_at: self.dispatch_at,
+        })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = (self.rows.len() - self.row_idx) * self.plan.columns.len() - self.column;
+        (left, Some(left))
+    }
+}
+
+impl ExactSizeIterator for DescriptorCursor {}
+
 /// The Requestor module.
 #[derive(Debug, Clone)]
 pub struct Requestor {
-    bus_bytes: usize,
     descriptor_period: SimTime,
     generated: u64,
 }
@@ -34,60 +270,46 @@ pub struct Requestor {
 impl Requestor {
     /// Creates a Requestor. `descriptor_period` is the time between two
     /// consecutive descriptor emissions (one per PL cycle in the prototype).
-    pub fn new(bus_bytes: usize, descriptor_period: SimTime) -> Self {
+    pub fn new(descriptor_period: SimTime) -> Self {
         Requestor {
-            bus_bytes,
             descriptor_period,
             generated: 0,
         }
     }
 
-    /// Descriptors generated so far.
+    /// Descriptors generated so far (a frame counts whole at activation).
     pub fn generated(&self) -> u64 {
         self.generated
     }
 
-    /// Generates the descriptor stream for a frame.
+    /// Activates the Requestor for a frame.
     ///
-    /// * `rows` — the source-row indices belonging to the frame, in order.
-    ///   When MVCC filtering is active this is the list of *visible* rows;
-    ///   their position in the slice is the packed row index **within the
-    ///   frame**.
+    /// * `rows` — the source rows belonging to the frame, in order. When
+    ///   MVCC filtering is active these are the *visible* rows; a row's
+    ///   position is its packed row index **within the frame**.
     /// * `start` — when the Requestor is activated (first miss of the frame
     ///   reaching the PL).
     ///
-    /// The returned descriptors use frame-relative `waddr` (packed offsets
+    /// The cursor's descriptors use frame-relative `waddr` (packed offsets
     /// starting at zero for the first row of the frame).
-    pub fn generate_frame(
+    pub fn activate(
         &mut self,
-        geometry: &TableGeometry,
-        rows: &[u64],
+        plan: &ProjectionPlan,
+        rows: FrameRows,
         start: SimTime,
-    ) -> Vec<DispatchedDescriptor> {
-        let q = geometry.num_columns();
-        let mut out = Vec::with_capacity(rows.len() * q);
-        for (packed_idx, &row) in rows.iter().enumerate() {
-            // One PL cycle per source row: all of the row's column
-            // descriptors are produced by parallel adders in that cycle.
-            let dispatch_at = start + self.descriptor_period * packed_idx as u64;
-            for j in 0..q {
-                let descriptor =
-                    descriptor_for(geometry, row, packed_idx as u64, j, self.bus_bytes);
-                out.push(DispatchedDescriptor {
-                    descriptor,
-                    dispatch_at,
-                });
-            }
-        }
-        self.generated += out.len() as u64;
-        out
+    ) -> DescriptorCursor {
+        let cursor = DescriptorCursor::new(plan.clone(), rows, start, self.descriptor_period);
+        self.generated += cursor.total();
+        cursor
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::descriptor::descriptor_for;
     use crate::geometry::ColumnSpec;
+    use proptest::prelude::*;
 
     fn geometry(rows: u64) -> TableGeometry {
         TableGeometry {
@@ -104,13 +326,26 @@ mod tests {
         }
     }
 
+    fn visible(rows: &[u64]) -> FrameRows {
+        FrameRows::Visible {
+            visible: Arc::new(rows.to_vec()),
+            start: 0,
+            end: rows.len(),
+        }
+    }
+
     #[test]
     fn generates_q_descriptors_per_row_at_one_per_period() {
         let g = geometry(100);
-        let mut r = Requestor::new(16, SimTime::from_nanos(10));
-        let ds = r.generate_frame(&g, &[0, 1, 2], SimTime::from_nanos(100));
-        assert_eq!(ds.len(), 6);
+        let plan = ProjectionPlan::new(&g, 16);
+        let mut r = Requestor::new(SimTime::from_nanos(10));
+        let rows = FrameRows::Range { start: 0, end: 3 };
+        let cursor = r.activate(&plan, rows, SimTime::from_nanos(100));
+        // The whole frame counts as generated at activation.
         assert_eq!(r.generated(), 6);
+        assert_eq!(cursor.len(), 6);
+        let ds: Vec<_> = cursor.collect();
+        assert_eq!(ds.len(), 6);
         // Dispatch times are spaced by one descriptor period per *row*; both
         // columns of a row are produced in the same cycle.
         assert_eq!(ds[0].dispatch_at, SimTime::from_nanos(100));
@@ -126,9 +361,10 @@ mod tests {
     #[test]
     fn filtered_rows_pack_densely() {
         let g = geometry(100);
-        let mut r = Requestor::new(16, SimTime::from_nanos(10));
+        let plan = ProjectionPlan::new(&g, 16);
+        let mut r = Requestor::new(SimTime::from_nanos(10));
         // Only rows 5 and 9 are visible: they become packed rows 0 and 1.
-        let ds = r.generate_frame(&g, &[5, 9], SimTime::ZERO);
+        let ds: Vec<_> = r.activate(&plan, visible(&[5, 9]), SimTime::ZERO).collect();
         let packed_row = g.packed_row_bytes() as u64;
         assert_eq!(ds[0].descriptor.waddr, 0);
         assert_eq!(ds[2].descriptor.waddr, packed_row);
@@ -138,8 +374,91 @@ mod tests {
     #[test]
     fn empty_frame_produces_nothing() {
         let g = geometry(10);
-        let mut r = Requestor::new(16, SimTime::from_nanos(10));
-        assert!(r.generate_frame(&g, &[], SimTime::ZERO).is_empty());
+        let plan = ProjectionPlan::new(&g, 16);
+        let mut r = Requestor::new(SimTime::from_nanos(10));
+        let mut cursor = r.activate(&plan, FrameRows::Range { start: 4, end: 4 }, SimTime::ZERO);
+        assert!(cursor.is_done());
+        assert_eq!(cursor.next(), None);
+        assert!(r.activate(&plan, visible(&[]), SimTime::ZERO).next().is_none());
         assert_eq!(r.generated(), 0);
+    }
+
+    #[test]
+    fn frame_rows_index_into_the_visible_list() {
+        let rows = FrameRows::Visible {
+            visible: Arc::new(vec![1, 4, 6, 9, 12]),
+            start: 1,
+            end: 4,
+        };
+        assert_eq!(rows.len(), 3);
+        assert_eq!(rows.get(0), 4);
+        assert_eq!(rows.bounds(), Some((4, 9)));
+        assert_eq!(FrameRows::Range { start: 7, end: 7 }.bounds(), None);
+    }
+
+    proptest! {
+        /// The cursor yields exactly the row-major `descriptor_for`
+        /// sequence, with frame-relative packed indices and anchors
+        /// `start + period · packed_row`, over random geometries and
+        /// visible-row lists.
+        #[test]
+        fn cursor_matches_descriptor_for(
+            specs in proptest::collection::vec((1usize..=16, 0usize..24), 1..6),
+            slack in 0usize..40,
+            source_base in 0u64..4096,
+            bus_pow in 2u32..6,
+            keep in proptest::collection::vec(any::<bool>(), 0..60),
+            filtered in any::<bool>(),
+            frame_start in 0usize..20,
+            start_ns in 0u64..10_000,
+            period_ps in 1u64..5_000,
+        ) {
+            let columns: Vec<ColumnSpec> = specs
+                .iter()
+                .map(|&(width, oa_delta)| ColumnSpec { width, oa_delta })
+                .collect();
+            let reach: usize = specs.iter().map(|&(_, oa)| oa).sum::<usize>()
+                + specs.last().map(|&(w, _)| w).unwrap_or(0);
+            let g = TableGeometry {
+                row_bytes: reach + slack,
+                row_count: keep.len() as u64,
+                columns,
+                source_base,
+                ephemeral_base: 0,
+                mvcc_header_bytes: 0,
+                snapshot: None,
+            };
+            let bus = 1usize << bus_pow;
+            let all: Vec<u64> = (0..keep.len() as u64)
+                .filter(|&r| !filtered || keep[r as usize])
+                .collect();
+            let from = frame_start.min(all.len());
+            let rows = if filtered {
+                FrameRows::Visible { visible: Arc::new(all.clone()), start: from, end: all.len() }
+            } else {
+                FrameRows::Range { start: from as u64, end: all.len() as u64 }
+            };
+            let frame = &all[from..];
+            let start = SimTime::from_nanos(start_ns);
+            let period = SimTime::from_picos(period_ps);
+            let mut r = Requestor::new(period);
+            let cursor = r.activate(&ProjectionPlan::new(&g, bus), rows, start);
+            let q = g.num_columns();
+            prop_assert_eq!(r.generated(), (frame.len() * q) as u64);
+            prop_assert_eq!(cursor.len(), frame.len() * q);
+            let got: Vec<_> = cursor.collect();
+            let want: Vec<_> = frame
+                .iter()
+                .enumerate()
+                .flat_map(|(packed, &row)| {
+                    let g = &g;
+                    (0..q).map(move |j| DispatchedDescriptor {
+                        descriptor: descriptor_for(g, row, packed as u64, j, bus),
+                        dispatch_at: start + period * packed as u64,
+                    })
+                })
+                .collect();
+            prop_assert_eq!(got, want);
+        }
     }
 }
