@@ -174,7 +174,7 @@ fn first_min(times: &[SimTime]) -> (usize, SimTime) {
 /// such unit on ties). Round-robin would ignore load imbalance from
 /// variable bursts; picking the unit whose reader frees first mirrors the
 /// "any idle Fetch Unit" dispatch of the paper.
-pub fn least_loaded(units: &[FetchUnit]) -> usize {
+pub(crate) fn least_loaded(units: &[FetchUnit]) -> usize {
     units
         .iter()
         .enumerate()

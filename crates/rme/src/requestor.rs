@@ -202,11 +202,6 @@ impl DescriptorCursor {
         self.activated
     }
 
-    /// Total descriptors of the frame, taken or not.
-    pub fn total(&self) -> u64 {
-        (self.rows.len() * self.plan.columns.len()) as u64
-    }
-
     /// Whether every descriptor has been taken.
     pub fn is_done(&self) -> bool {
         self.row_idx >= self.rows.len()
@@ -299,7 +294,7 @@ impl Requestor {
         start: SimTime,
     ) -> DescriptorCursor {
         let cursor = DescriptorCursor::new(plan.clone(), rows, start, self.descriptor_period);
-        self.generated += cursor.total();
+        self.generated += cursor.len() as u64;
         cursor
     }
 }
