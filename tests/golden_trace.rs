@@ -3,7 +3,7 @@
 //! Every simulator counter is deterministic: identical inputs produce
 //! bit-identical statistics. This suite pins that behaviour down as data —
 //! it runs a fixed seed matrix of `scan` / `scan_sharded` / `run_workload`
-//! measurements and compares the end-of-run counter snapshots
+//! / `run_open_loop` measurements and compares the end-of-run counter snapshots
 //! (`HierarchyStats` per core, `SharedL2Stats`, `DramStats`, timing) against
 //! checked-in fixtures under `tests/golden/`.
 //!
@@ -635,4 +635,133 @@ fn golden_workload_single_stream_1core() {
         "workload_single_stream_1core",
         &render_snapshot(&sys, run.end, run.cpu, run.rows),
     );
+}
+
+/// Appends an open-loop run's admission-control accounting — every
+/// [`OverloadStats`](relmem_sim::OverloadStats) field, each degradation
+/// transition — and the per-core end/cpu/rows.
+fn render_open_loop(out: &mut String, run: &OpenLoopRun) {
+    let o = &run.overload;
+    put(out, "overload.arrivals", o.arrivals);
+    put(out, "overload.retries", o.retries);
+    put(out, "overload.admitted", o.admitted);
+    put(out, "overload.shed_queue_full", o.shed_queue_full);
+    put(out, "overload.shed_deadline", o.shed_deadline);
+    put(out, "overload.timed_out", o.timed_out);
+    put(out, "overload.completed", o.completed);
+    put(out, "overload.degraded_ops", o.degraded_ops);
+    put(out, "overload.max_queue_depth", o.max_queue_depth);
+    put(out, "overload.transitions", o.transitions.len());
+    for (i, t) in o.transitions.iter().enumerate() {
+        put_time(out, &format!("overload.transition{i}.at"), t.at);
+        put(out, &format!("overload.transition{i}.degraded"), t.degraded);
+    }
+    for s in &run.streams {
+        put_time(out, &format!("stream{}.end", s.core), s.end);
+        put_time(out, &format!("stream{}.cpu", s.core), s.cpu);
+        put(out, &format!("stream{}.rows", s.core), s.rows);
+        put(out, &format!("stream{}.completed", s.core), s.outcomes.len());
+    }
+}
+
+/// Open-loop traffic past the saturation knee on two cores. Core 0 takes
+/// point lookups and read-read-update transactions on eight hot keys;
+/// core 1 takes direct row scans whose degraded alternative is the same
+/// projection through the RME (cold). A small admission queue, a delay
+/// budget below a client timeout with one retry, and a degradation policy
+/// make every overload path fire: queue-full and deadline sheds,
+/// timeouts, retries and degraded (RME) scans. The degraded scan runs
+/// while core 0 is still busy, so the interleaver arbitrates between an
+/// ephemeral and a plain stream.
+#[test]
+fn golden_openloop_overload_2core() {
+    use relational_memory::core::{TxnOp, TxnSpec};
+
+    let (mut sys, table) = build(2, MvccConfig::Enabled);
+    let var = sys
+        .register_ephemeral(&table, ColumnGroup::new(vec![0, 2]).unwrap(), None)
+        .unwrap();
+    let hot = |i: u64| (i % 8).wrapping_mul(2654435761) % ROWS;
+    let oltp_columns = [1usize, 3];
+    let scan_columns = [0usize, 2];
+    let specs: Vec<TxnSpec> = (0..4u64)
+        .map(|i| {
+            TxnSpec::new(vec![
+                TxnOp::Read {
+                    table: &table,
+                    columns: &oltp_columns,
+                    row: hot(i),
+                },
+                TxnOp::Read {
+                    table: &table,
+                    columns: &oltp_columns,
+                    row: hot(i + 3),
+                },
+                TxnOp::Update {
+                    table: &table,
+                    row: hot(i),
+                    column: 1,
+                    value: i,
+                },
+            ])
+        })
+        .collect();
+    let mut oltp: Vec<OpenLoopOp> = Vec::new();
+    for i in 0..8u64 {
+        oltp.push(OpenLoopOp::new(WorkloadOp::PointLookup {
+            table: &table,
+            columns: &oltp_columns,
+            row: hot(i),
+        }));
+        if i % 2 == 1 {
+            oltp.push(OpenLoopOp::new(WorkloadOp::Txn {
+                spec: &specs[(i / 2) as usize],
+            }));
+        }
+    }
+    let scan = vec![OpenLoopOp::with_degraded(
+        WorkloadOp::olap(ScanSource::Rows {
+            table: &table,
+            columns: &scan_columns,
+            snapshot: None,
+        }),
+        WorkloadOp::olap(ScanSource::Ephemeral { var: &var }),
+    )];
+    let workload = OpenLoopWorkload::new(vec![
+        OpenLoopStream::new(oltp, 1.5e7, 1_500),
+        OpenLoopStream::new(scan, 2.0e5, 16),
+    ]);
+    let cfg = AdmissionConfig {
+        seed: SEED,
+        queue_capacity: 4,
+        delay_budget: Some(SimTime::from_nanos(20_000)),
+        timeout: Some(SimTime::from_nanos(36_000)),
+        max_retries: 1,
+        retry_backoff: SimTime::from_nanos(2_000),
+        degrade: Some(DegradePolicy {
+            high_watermark: 4,
+            low_watermark: 1,
+            trigger_after: 3,
+            clear_after: 16,
+        }),
+    };
+    sys.begin_measurement(AccessPath::RmeCold);
+    let run = sys
+        .run_open_loop(&workload, &cfg, SimTime::ZERO, |_, _, row, _| RowEffect {
+            cpu: SimTime::from_nanos(row % 3),
+            touch: None,
+        })
+        .expect("valid open-loop workload");
+    let o = &run.overload;
+    assert!(o.shed_queue_full > 0, "queue-full sheds: {o:?}");
+    assert!(o.shed_deadline > 0, "deadline sheds: {o:?}");
+    assert!(o.timed_out > 0, "timeouts: {o:?}");
+    assert!(o.retries > 0, "retries: {o:?}");
+    assert!(o.degraded_ops > 0, "degraded ops: {o:?}");
+    assert!(run.txn.is_consistent());
+    let mut snapshot = render_snapshot(&sys, run.end, run.cpu, run.rows);
+    render_open_loop(&mut snapshot, &run);
+    render_txn(&mut snapshot, &run.txn);
+    render_rme(&mut snapshot, &sys.engine().stats());
+    check_golden("openloop_overload_2core", &snapshot);
 }
