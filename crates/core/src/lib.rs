@@ -25,6 +25,7 @@ pub mod benchmark;
 pub mod cost;
 pub mod ephemeral;
 pub mod hashtbl;
+mod interleave;
 pub mod measure;
 pub mod openloop;
 pub mod queries;

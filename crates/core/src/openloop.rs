@@ -49,9 +49,9 @@
 //! # Determinism
 //!
 //! Everything is deterministic: arrivals come from a seeded generator, the
-//! interleaver is the same frame-aware min-clock rule as the closed-loop
-//! scheduler (an idle core's key is its next arrival time), and ties break
-//! to the lowest core index. Identical seeds and configuration produce
+//! interleaver is the closed-loop scheduler's own frame-aware min-clock
+//! loop (an idle core's key is its next arrival time), and ties break to
+//! the lowest core index. Identical seeds and configuration produce
 //! identical [`OverloadStats`], latency profiles and data-path counters.
 //! At low rates (queues never fill, nothing sheds or times out) an
 //! open-loop stream executes the *same op sequence* as the equivalent
@@ -67,6 +67,7 @@ use relmem_sim::{
     Track, TxnStats,
 };
 
+use crate::interleave::Lane;
 use crate::system::{RowEffect, System};
 use crate::txn::TxnAbort;
 use crate::workload::{OpKind, StreamState, WorkloadError, WorkloadOp};
@@ -441,6 +442,22 @@ struct CoreState<'a, 'w> {
     outcomes: Vec<OpenLoopOutcome>,
 }
 
+impl Lane for CoreState<'_, '_> {
+    /// The core's clock while it has work, its next arrival while idle,
+    /// `None` once fully drained.
+    fn ready_at(&self) -> Option<SimTime> {
+        if self.st.active.is_some() || self.st.active_txn.is_some() || !self.queue.is_empty() {
+            Some(self.st.now)
+        } else {
+            self.next_event_time().map(|t| self.st.now.max(t))
+        }
+    }
+
+    fn stream(&self) -> &StreamState<'_, '_> {
+        &self.st
+    }
+}
+
 impl CoreState<'_, '_> {
     /// Arrival time of the next un-admitted event (first arrival or
     /// retry), or `None` when the source has drained.
@@ -450,16 +467,6 @@ impl CoreState<'_, '_> {
         match (first, retry) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
-        }
-    }
-
-    /// The core's scheduling key: its clock while it has work, its next
-    /// arrival while idle, `None` once fully drained.
-    fn ready_at(&self) -> Option<SimTime> {
-        if self.st.active.is_some() || self.st.active_txn.is_some() || !self.queue.is_empty() {
-            Some(self.st.now)
-        } else {
-            self.next_event_time().map(|t| self.st.now.max(t))
         }
     }
 
@@ -500,12 +507,7 @@ impl System {
     where
         F: FnMut(usize, usize, u64, &[u64]) -> RowEffect,
     {
-        if workload.streams.len() > self.cores.len() {
-            return Err(WorkloadError::TooManyStreams {
-                streams: workload.streams.len(),
-                cores: self.cores.len(),
-            });
-        }
+        self.check_stream_count(workload.streams.len())?;
         if cfg.queue_capacity == 0 {
             return Err(WorkloadError::ZeroQueueCapacity);
         }
@@ -533,7 +535,7 @@ impl System {
         }
 
         self.txn_rt.reset(true);
-        let mut states: Vec<CoreState<'_, '_>> = workload
+        let mut lanes: Vec<CoreState<'_, '_>> = workload
             .streams
             .iter()
             .enumerate()
@@ -560,85 +562,33 @@ impl System {
         let mut stats = OverloadStats::default();
         let mut degrade = DegradeState::new(cfg.degrade);
 
-        loop {
-            // Frame-aware min-clock pick, exactly as in `run_workload`,
-            // except an idle core's key is its next arrival time.
-            let resident = self.engine.resident_frame();
-            let pick_by = |pred: &dyn Fn(&CoreState<'_, '_>) -> bool| {
-                let mut pick: Option<(usize, SimTime)> = None;
-                for (i, cs) in states.iter().enumerate() {
-                    if let Some(k) = cs.ready_at() {
-                        if pred(cs) && pick.is_none_or(|(_, best)| k < best) {
-                            pick = Some((i, k));
-                        }
-                    }
+        let totals = self.interleave(&mut lanes, |sys, core, cs| {
+            sys.step_open_core(core, cs, cfg, &mut stats, &mut degrade, &mut observer)
+        });
+        let streams = lanes
+            .into_iter()
+            .enumerate()
+            .map(|(core, cs)| {
+                debug_assert!(cs.st.outcomes.is_empty(), "every op outcome is consumed");
+                OpenLoopStreamReport {
+                    core,
+                    outcomes: cs.outcomes,
+                    end: cs.st.now,
+                    cpu: cs.st.cpu,
+                    rows: cs.st.rows,
+                    cache: *self.cores[core].stats(),
                 }
-                pick
-            };
-            let plain = pick_by(&|cs| !cs.st.ephemeral_next());
-            let eph = pick_by(&|cs| cs.st.ephemeral_next() && cs.st.in_frame(resident))
-                .or_else(|| pick_by(&|cs| cs.st.ephemeral_next()));
-            let pick = match (plain, eph) {
-                (Some((a, ka)), Some((b, kb))) => {
-                    if kb < ka {
-                        Some(b)
-                    } else if ka < kb {
-                        Some(a)
-                    } else {
-                        Some(a.min(b))
-                    }
-                }
-                (a, b) => a.or(b).map(|(i, _)| i),
-            };
-            let Some(core) = pick else {
-                break;
-            };
-            self.step_open_core(
-                core,
-                &mut states[core],
-                cfg,
-                &mut stats,
-                &mut degrade,
-                &mut observer,
-            );
-            // The stepped core's clock is the scheduler's event horizon:
-            // retire every memory completion it can now observe.
-            let horizon = states[core].st.now;
-            self.dram.drain_completions(horizon);
-        }
-        self.settle_memory();
-
-        let mut end = SimTime::ZERO;
-        let mut cpu = SimTime::ZERO;
-        let mut rows = 0u64;
-        let mut streams = Vec::with_capacity(states.len());
-        for (core, cs) in states.into_iter().enumerate() {
-            debug_assert!(cs.st.outcomes.is_empty(), "every op outcome is consumed");
-            end = end.max(cs.st.now);
-            cpu += cs.st.cpu;
-            rows += cs.st.rows;
-            streams.push(OpenLoopStreamReport {
-                core,
-                outcomes: cs.outcomes,
-                end: cs.st.now,
-                cpu: cs.st.cpu,
-                rows: cs.st.rows,
-                cache: *self.cores[core].stats(),
-            });
-        }
-        debug_assert!(
-            self.txn_rt.stats.is_consistent(),
-            "txn accounting identity violated: {:?}",
-            self.txn_rt.stats
-        );
+            })
+            .collect();
+        let (txn, txn_aborts) = self.txn_rt.take_results();
         Ok(OpenLoopRun {
-            end,
-            cpu,
-            rows,
+            end: totals.end,
+            cpu: totals.cpu,
+            rows: totals.rows,
             streams,
             overload: stats,
-            txn: self.txn_rt.stats.clone(),
-            txn_aborts: std::mem::take(&mut self.txn_rt.aborts),
+            txn,
+            txn_aborts,
         })
     }
 

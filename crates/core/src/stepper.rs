@@ -1,21 +1,20 @@
 //! The reusable per-core scan stepper.
 //!
-//! Multi-core schedulers — [`System::scan_sharded`](crate::System::scan_sharded)
-//! and the workload layer's [`System::run_workload`](crate::System::run_workload)
-//! — both advance cores one *row* at a time under deterministic min-clock
-//! interleaving. [`ScanJob`] is the shared per-row body: it captures the
-//! per-scan precomputation (column cursors, MVCC snapshot, per-row CPU
-//! charge) once and then steps any row on any core. The bodies mirror the
-//! single-core `System::scan_*` loops line for line; the cross-path
-//! equivalence proptests pin the correspondence at one core for both the
-//! sharded and the workload scheduler.
+//! [`ScanJob`] is the per-row body of every scan: it captures the per-scan
+//! precomputation (column cursors, MVCC snapshot, per-row CPU charge, line
+//! plans) once and then steps any row on any core. [`System::scan`] runs
+//! it in a loop on core 0; the multi-core drivers step it one row at a
+//! time under the crate's interleaver. Row and ephemeral layouts share one
+//! field walk (`walk_fields`), generic over the memory backend and the
+//! value reader. The cross-path equivalence proptests pin the single-core
+//! scan, the sharded scan and the workload scheduler to each other.
 //!
 //! [`Parts`] is the split-borrow view of the [`System`] a step works on:
 //! the per-core frontends, the shared L2, the DRAM controller, physical
 //! memory and the RME, borrowed simultaneously the way the scan loops in
 //! `system.rs` destructure the platform.
 
-use relmem_cache::{CoreFrontend, SharedL2};
+use relmem_cache::{CoreFrontend, MemoryBackend, SharedL2};
 use relmem_dram::{DramModel, PhysicalMemory};
 use relmem_rme::RmeEngine;
 use relmem_sim::SimTime;
@@ -35,6 +34,18 @@ pub(crate) struct Parts<'a> {
 }
 
 impl System {
+    /// Captures the per-scan constants of `source` under this system's
+    /// cost model, line size and stepping mode.
+    pub(crate) fn scan_job<'a>(&self, source: &ScanSource<'a>) -> ScanJob<'a> {
+        ScanJob::new(
+            source,
+            &self.cost,
+            &self.engine,
+            self.cfg.l1.line_bytes,
+            self.batched_stepping,
+        )
+    }
+
     /// Splits the platform into the borrows one scheduler step needs.
     pub(crate) fn parts(&mut self) -> Parts<'_> {
         Parts {
@@ -291,9 +302,8 @@ impl<'a> ScanJob<'a> {
     }
 
     /// Simulates row `row` on `core` starting at local time `now`: the
-    /// row's access chain, the per-row closure, its [`RowEffect`], exactly
-    /// as the single-core scan loops do. `values` must hold
-    /// [`num_columns`](Self::num_columns) slots.
+    /// row's access chain, the per-row closure, its [`RowEffect`].
+    /// `values` must hold [`num_columns`](Self::num_columns) slots.
     pub(crate) fn step_row<F>(
         &self,
         p: Parts<'_>,
@@ -314,6 +324,7 @@ impl<'a> ScanJob<'a> {
             engine,
             line_bytes,
         } = p;
+        let front = &mut cores[core];
         let mut cpu = SimTime::ZERO;
         let mut now = now;
         match &self.kind {
@@ -326,9 +337,8 @@ impl<'a> ScanJob<'a> {
                 visibility_cpu,
                 plans,
             } => {
-                let front = &mut cores[core];
                 let mut backend = DramBackend {
-                    dram,
+                    dram: &mut *dram,
                     line_bytes,
                     core,
                 };
@@ -345,71 +355,22 @@ impl<'a> ScanJob<'a> {
                         };
                     }
                 }
-                match plans {
-                    Some(plans) => {
-                        let plan = if plans.len() == 1 {
-                            // The common aligned layout has one plan; skip
-                            // the per-row modulo (an integer divide).
-                            &plans[0]
-                        } else {
-                            &plans[(row % plans.len() as u64) as usize]
-                        };
-                        let aligned = row_base - plan.align;
-                        for step in &plan.steps {
-                            match *step {
-                                PlanStep::Run {
-                                    rel_line,
-                                    fields,
-                                    first_slot,
-                                } => {
-                                    let out = front.access_run(
-                                        aligned + rel_line,
-                                        fields,
-                                        now,
-                                        l2,
-                                        &mut backend,
-                                    );
-                                    now = out.completion;
-                                    // Value reads are pure; replaying them
-                                    // after the run keeps slot order.
-                                    for i in 0..fields as usize {
-                                        let slot = first_slot as usize + i;
-                                        let (offset, width) = cursors[slot];
-                                        values[slot] =
-                                            mem.read_uint(row_base + offset, width.min(8));
-                                    }
-                                }
-                                PlanStep::Field { slot } => {
-                                    let (offset, width) = cursors[slot as usize];
-                                    let addr = row_base + offset;
-                                    let out = front.access(addr, width, now, l2, &mut backend);
-                                    now = out.completion;
-                                    values[slot as usize] = mem.read_uint(addr, width.min(8));
-                                }
-                            }
-                        }
-                    }
-                    None => {
-                        for (slot, &(offset, width)) in cursors.iter().enumerate() {
-                            let addr = row_base + offset;
-                            let out = front.access(addr, width, now, l2, &mut backend);
-                            now = out.completion;
-                            values[slot] = mem.read_uint(addr, width.min(8));
-                        }
-                    }
-                }
-                let effect = per_row(row, values);
-                let row_cpu = self.row_cpu + effect.cpu;
-                now += row_cpu;
-                cpu += row_cpu;
-                if let Some((addr, bytes)) = effect.touch {
-                    now = front.access(addr, bytes, now, l2, &mut backend).completion;
-                }
+                let mem = &*mem;
+                now = walk_fields(
+                    front,
+                    l2,
+                    &mut backend,
+                    |_, addr, width| mem.read_uint(addr, width.min(8)),
+                    cursors,
+                    plan_for(plans, row),
+                    row_base,
+                    now,
+                    values,
+                );
             }
             JobKind::Columnar { cursors } => {
-                let front = &mut cores[core];
                 let mut backend = DramBackend {
-                    dram,
+                    dram: &mut *dram,
                     line_bytes,
                     core,
                 };
@@ -419,13 +380,6 @@ impl<'a> ScanJob<'a> {
                     now = out.completion;
                     values[slot] = mem.read_uint(addr, width.min(8));
                 }
-                let effect = per_row(row, values);
-                let row_cpu = self.row_cpu + effect.cpu;
-                now += row_cpu;
-                cpu += row_cpu;
-                if let Some((addr, bytes)) = effect.touch {
-                    now = front.access(addr, bytes, now, l2, &mut backend).completion;
-                }
             }
             JobKind::Ephemeral {
                 cursors,
@@ -434,118 +388,64 @@ impl<'a> ScanJob<'a> {
                 plans,
                 ..
             } => {
-                let front = &mut cores[core];
-                let row_base = base + row * stride;
-                match plans {
-                    Some(plans) => {
-                        let plan = if plans.len() == 1 {
-                            // The common aligned layout has one plan; skip
-                            // the per-row modulo (an integer divide).
-                            &plans[0]
-                        } else {
-                            &plans[(row % plans.len() as u64) as usize]
-                        };
-                        let aligned = row_base - plan.align;
-                        for step in &plan.steps {
-                            match *step {
-                                PlanStep::Run {
-                                    rel_line,
-                                    fields,
-                                    first_slot,
-                                } => {
-                                    let out = front.access_run(
-                                        aligned + rel_line,
-                                        fields,
-                                        now,
-                                        l2,
-                                        &mut RmeBackend {
-                                            engine: &mut *engine,
-                                            dram: &mut *dram,
-                                            mem,
-                                            line_bytes,
-                                            core,
-                                        },
-                                    );
-                                    now = out.completion;
-                                    for i in 0..fields as usize {
-                                        let slot = first_slot as usize + i;
-                                        let (offset, width) = cursors[slot];
-                                        values[slot] = engine.read_packed_u64(
-                                            row_base + offset,
-                                            width,
-                                            mem,
-                                        );
-                                    }
-                                }
-                                PlanStep::Field { slot } => {
-                                    let (offset, width) = cursors[slot as usize];
-                                    let addr = row_base + offset;
-                                    let out = front.access(
-                                        addr,
-                                        width,
-                                        now,
-                                        l2,
-                                        &mut RmeBackend {
-                                            engine: &mut *engine,
-                                            dram: &mut *dram,
-                                            mem,
-                                            line_bytes,
-                                            core,
-                                        },
-                                    );
-                                    now = out.completion;
-                                    values[slot as usize] =
-                                        engine.read_packed_u64(addr, width, mem);
-                                }
-                            }
-                        }
-                    }
-                    None => {
-                        for (slot, &(offset, width)) in cursors.iter().enumerate() {
-                            let addr = row_base + offset;
-                            let out = front.access(
-                                addr,
-                                width,
-                                now,
-                                l2,
-                                &mut RmeBackend {
-                                    engine: &mut *engine,
-                                    dram: &mut *dram,
-                                    mem,
-                                    line_bytes,
-                                    core,
-                                },
-                            );
-                            now = out.completion;
-                            values[slot] = engine.read_packed_u64(addr, width, mem);
-                        }
-                    }
-                }
-                let effect = per_row(row, values);
-                let row_cpu = self.row_cpu + effect.cpu;
-                now += row_cpu;
-                cpu += row_cpu;
-                if let Some((addr, bytes)) = effect.touch {
-                    let out = front.access(
-                        addr,
-                        bytes,
-                        now,
-                        l2,
-                        &mut DramBackend {
-                            dram: &mut *dram,
-                            line_bytes,
-                            core,
-                        },
-                    );
-                    now = out.completion;
-                }
+                let mut backend = RmeBackend {
+                    engine,
+                    dram: &mut *dram,
+                    mem,
+                    line_bytes,
+                    core,
+                };
+                now = walk_fields(
+                    front,
+                    l2,
+                    &mut backend,
+                    |b, addr, width| b.engine.read_packed_u64(addr, width, b.mem),
+                    cursors,
+                    plan_for(plans, row),
+                    base + row * stride,
+                    now,
+                    values,
+                );
             }
         }
+        let mut backend = DramBackend {
+            dram,
+            line_bytes,
+            core,
+        };
+        let (now, row_cpu) = self.finish_row(front, l2, &mut backend, row, now, values, per_row);
         RowStep {
             now,
-            cpu,
+            cpu: cpu + row_cpu,
             scanned: true,
         }
+    }
+
+    /// Runs the per-row closure over a row's values, charges the row's CPU
+    /// work and applies the closure's extra memory touch. Returns the
+    /// advanced clock and the CPU time charged.
+    #[allow(clippy::too_many_arguments)] // the split-borrowed platform
+    #[inline(always)]
+    fn finish_row<F>(
+        &self,
+        front: &mut CoreFrontend,
+        l2: &mut SharedL2,
+        backend: &mut DramBackend<'_>,
+        row: u64,
+        now: SimTime,
+        values: &[u64],
+        per_row: &mut F,
+    ) -> (SimTime, SimTime)
+    where
+        F: FnMut(u64, &[u64]) -> RowEffect,
+    {
+        let effect = per_row(row, values);
+        let row_cpu = self.row_cpu + effect.cpu;
+        let mut now = now + row_cpu;
+        if let Some((addr, bytes)) = effect.touch {
+            now = front.access(addr, bytes, now, l2, backend).completion;
+        }
+        (now, row_cpu)
     }
 
     /// Whether [`run_rows_fast`](Self::run_rows_fast) covers this job: a
@@ -562,13 +462,11 @@ impl<'a> ScanJob<'a> {
         )
     }
 
-    /// The whole-scan fast loop for the [`fast_rows_shape`](Self::fast_rows_shape)
-    /// case: identical per-row work to [`step_row`](Self::step_row) — the
-    /// same accesses, value reads and CPU charges in the same order — with
-    /// the per-row invariants (kind dispatch, frontend borrow, backend
+    /// The whole-scan loop for the [`fast_rows_shape`](Self::fast_rows_shape)
+    /// case: the same per-row work as [`step_row`](Self::step_row) with the
+    /// per-row invariants (kind dispatch, frontend borrow, backend
     /// construction, plan selection) hoisted out of the loop. Single-core
-    /// scans spend their whole life here, so the loop body must carry no
-    /// rediscovery of what the plan already knows.
+    /// scans spend their whole life here.
     ///
     /// Returns `(end, cpu_total, rows_scanned)` exactly as the caller's
     /// per-row accumulation over `step_row` would.
@@ -608,46 +506,96 @@ impl<'a> ScanJob<'a> {
             line_bytes,
             core,
         };
+        let mem = &*mem;
         let mut now = start;
         let mut cpu_total = SimTime::ZERO;
         for row in 0..self.rows {
-            let row_base = base + row * stride;
-            let aligned = row_base - plan.align;
-            for step in &plan.steps {
-                match *step {
-                    PlanStep::Run {
-                        rel_line,
-                        fields,
-                        first_slot,
-                    } => {
-                        let out =
-                            front.access_run(aligned + rel_line, fields, now, l2, &mut backend);
-                        now = out.completion;
-                        // Value reads are pure; replaying them after the
-                        // run keeps slot order.
-                        for i in 0..fields as usize {
-                            let slot = first_slot as usize + i;
-                            let (offset, width) = cursors[slot];
-                            values[slot] = mem.read_uint(row_base + offset, width.min(8));
-                        }
-                    }
-                    PlanStep::Field { slot } => {
-                        let (offset, width) = cursors[slot as usize];
-                        let addr = row_base + offset;
-                        let out = front.access(addr, width, now, l2, &mut backend);
-                        now = out.completion;
-                        values[slot as usize] = mem.read_uint(addr, width.min(8));
-                    }
-                }
-            }
-            let effect = per_row(row, values);
-            let row_cpu = self.row_cpu + effect.cpu;
-            now += row_cpu;
+            now = walk_fields(
+                front,
+                l2,
+                &mut backend,
+                |_, addr, width| mem.read_uint(addr, width.min(8)),
+                cursors,
+                Some(plan),
+                base + row * stride,
+                now,
+                values,
+            );
+            let (next, row_cpu) =
+                self.finish_row(front, l2, &mut backend, row, now, values, per_row);
+            now = next;
             cpu_total += row_cpu;
-            if let Some((addr, bytes)) = effect.touch {
-                now = front.access(addr, bytes, now, l2, &mut backend).completion;
-            }
         }
         (now, cpu_total, self.rows)
     }
+}
+
+/// The line plan for `row`, or `None` when the job steps per field.
+#[inline(always)]
+fn plan_for(plans: &Option<Vec<LinePlan>>, row: u64) -> Option<&LinePlan> {
+    plans.as_ref().map(|plans| {
+        if plans.len() == 1 {
+            // The common aligned layout has one plan; skip the per-row
+            // modulo (an integer divide).
+            &plans[0]
+        } else {
+            &plans[(row % plans.len() as u64) as usize]
+        }
+    })
+}
+
+/// Accesses one row's projected fields, starting at `now`, and returns the
+/// clock after the last one. With a `plan`, each same-line run of fields
+/// is one [`CoreFrontend::access_run`] and each line-straddling field one
+/// [`CoreFrontend::access`]; without one (the per-field oracle), every
+/// field is its own access. `read` yields a field's value from
+/// `(backend, address, width)`; value reads are pure, so reading a run's
+/// values after its access keeps slot order.
+#[allow(clippy::too_many_arguments)] // the split-borrowed platform
+#[inline(always)]
+fn walk_fields<B: MemoryBackend>(
+    front: &mut CoreFrontend,
+    l2: &mut SharedL2,
+    backend: &mut B,
+    read: impl Fn(&B, u64, usize) -> u64,
+    cursors: &[(u64, usize)],
+    plan: Option<&LinePlan>,
+    row_base: u64,
+    mut now: SimTime,
+    values: &mut [u64],
+) -> SimTime {
+    let Some(plan) = plan else {
+        for (slot, &(offset, width)) in cursors.iter().enumerate() {
+            let addr = row_base + offset;
+            now = front.access(addr, width, now, l2, backend).completion;
+            values[slot] = read(backend, addr, width);
+        }
+        return now;
+    };
+    let aligned = row_base - plan.align;
+    for step in &plan.steps {
+        match *step {
+            PlanStep::Run {
+                rel_line,
+                fields,
+                first_slot,
+            } => {
+                now = front
+                    .access_run(aligned + rel_line, fields, now, l2, backend)
+                    .completion;
+                let first = first_slot as usize;
+                for slot in first..first + fields as usize {
+                    let (offset, width) = cursors[slot];
+                    values[slot] = read(backend, row_base + offset, width);
+                }
+            }
+            PlanStep::Field { slot } => {
+                let (offset, width) = cursors[slot as usize];
+                let addr = row_base + offset;
+                now = front.access(addr, width, now, l2, backend).completion;
+                values[slot as usize] = read(backend, addr, width);
+            }
+        }
+    }
+    now
 }

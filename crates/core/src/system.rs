@@ -19,10 +19,11 @@
 //! A system built with [`SystemConfig`] `{ cores: N }` owns N private L1
 //! frontends in front of one shared, banked L2 ([`relmem_cache::SharedL2`]).
 //! [`System::scan_sharded`] splits a scan's row range into N contiguous
-//! shards and steps the cores deterministically: at every step the core
-//! with the smallest local clock (ties broken by core index) processes its
-//! next *row*, so the whole run is reproducible bit for bit. The
-//! interleaving is conservative at row granularity: a row's whole access
+//! shards, one scan stream per core, and steps the cores through the same
+//! deterministic interleaver as the workload drivers: at every step the
+//! core with the smallest local clock (ties broken by core index)
+//! processes its next *row*, so the whole run is reproducible bit for bit.
+//! The interleaving is conservative at row granularity: a row's whole access
 //! chain is simulated before the next core is stepped, so shared-resource
 //! bookings from one row may land ahead of a slightly earlier-in-time
 //! request of another core's next row — an approximation that is exact at
@@ -49,6 +50,8 @@
 //! assert!(run.end > SimTime::ZERO);
 //! ```
 
+use std::ops::Range;
+
 use relmem_cache::{CoreFrontend, HierarchyStats, MemoryBackend, SharedL2, SharedL2Stats};
 use relmem_dram::{DramModel, MemRequest, PhysicalMemory, Requestor};
 use relmem_rme::{HwRevision, RmeEngine, TableGeometry};
@@ -61,8 +64,8 @@ use crate::access_path::AccessPath;
 use crate::cost::CpuCostModel;
 use crate::ephemeral::EphemeralVariable;
 use crate::measure::QueryMeasurement;
-use crate::stepper::ScanJob;
 use crate::txn::TxnRuntime;
+use crate::workload::StreamState;
 
 /// Base of the (never materialised) ephemeral address region. It is far
 /// above any physical allocation so aliases can never collide with real
@@ -563,7 +566,7 @@ impl System {
     /// single-threaded measurements; `multicore.rs` pins this distinction.
     ///
     /// This is the simulator's hot path, the same per-row stepper the
-    /// multi-core schedulers use (`ScanJob::step_row`): per-column
+    /// multi-core drivers use (`ScanJob::step_row`): per-column
     /// cursors, the per-row CPU charge and — for row layouts — the
     /// line-granular step plans are computed once per scan, and each row
     /// then advances whole-line runs of fields through one hierarchy walk
@@ -580,13 +583,7 @@ impl System {
     where
         F: FnMut(u64, &[u64]) -> RowEffect,
     {
-        let job = ScanJob::new(
-            source,
-            &self.cost,
-            &self.engine,
-            self.cfg.l1.line_bytes,
-            self.batched_stepping,
-        );
+        let job = self.scan_job(source);
         let mut values = vec![0u64; job.num_columns()];
         if job.fast_rows_shape() {
             // The common single-plan row-table shape: run the whole scan
@@ -907,7 +904,7 @@ pub struct ShardedScan {
 /// Splits `rows` into `cores` contiguous shards, the first `rows % cores`
 /// of them one row larger — every row lands in exactly one shard even when
 /// the core count does not divide the row count.
-fn shard_ranges(rows: u64, cores: usize) -> Vec<(u64, u64)> {
+fn shard_ranges(rows: u64, cores: usize) -> Vec<Range<u64>> {
     let n = cores as u64;
     let base = rows / n;
     let extra = rows % n;
@@ -915,83 +912,35 @@ fn shard_ranges(rows: u64, cores: usize) -> Vec<(u64, u64)> {
     let mut lo = 0u64;
     for i in 0..n {
         let len = base + u64::from(i < extra);
-        ranges.push((lo, lo + len));
+        ranges.push(lo..lo + len);
         lo += len;
     }
     ranges
 }
 
-/// Per-core cursor of an in-progress sharded scan.
-struct ShardState {
-    next: u64,
-    end: u64,
-    now: SimTime,
-    cpu: SimTime,
-    rows: u64,
-    values: Vec<u64>,
-}
-
-impl ShardState {
-    fn new(range: (u64, u64), start: SimTime, columns: usize) -> Self {
-        ShardState {
-            next: range.0,
-            end: range.1,
-            now: start,
-            cpu: SimTime::ZERO,
-            rows: 0,
-            values: vec![0; columns],
-        }
-    }
-}
-
-/// The unfinished core with the smallest local clock among those matching
-/// `filter` (ties broken by lowest index), or `None`. The single pick rule
-/// shared by every sharded-scan scheduler — change tie-breaking here and
-/// nowhere else.
-fn pick_min_clock(
-    states: &[ShardState],
-    filter: impl Fn(&ShardState) -> bool,
-) -> Option<usize> {
-    let mut pick: Option<usize> = None;
-    for (i, st) in states.iter().enumerate() {
-        if st.next < st.end
-            && filter(st)
-            && pick.is_none_or(|p| st.now < states[p].now)
-        {
-            pick = Some(i);
-        }
-    }
-    pick
-}
-
 impl System {
     /// Runs a measured scan over `source` sharded across every simulated
-    /// core: the row range is split into `num_cores()` contiguous shards
-    /// and the cores are stepped deterministically in smallest-local-clock
+    /// core: the row range is split into `num_cores()` contiguous shards,
+    /// each core scans its shard as one stream, and the crate's
+    /// interleaver steps the cores one row at a time in smallest-local-clock
     /// order (see the module docs). `per_row` is invoked as
     /// `(core, row, values)` for every visible row.
     ///
     /// With one core this is exactly [`scan`](Self::scan) — same
-    /// timestamps, counters and values — which the cross-path equivalence
-    /// tests assert. With several cores the scans proceed concurrently in
-    /// simulated time and contend on the shared L2 banks, the DRAM
-    /// controller and (for ephemeral sources) the RME.
-    /// The per-row bodies live in the crate-private `stepper::ScanJob`,
-    /// shared with the workload scheduler and deliberately mirroring the single-core
-    /// `scan_*` loops line for line — a timing-model change there must be
-    /// mirrored in the stepper (and in `scan_naive`). The
-    /// `sharded_one_core_scan_is_bit_identical_to_scan` proptest pins the
-    /// correspondence at `cores = 1`.
+    /// timestamps, counters and values — which the
+    /// `sharded_one_core_scan_is_bit_identical_to_scan` proptest asserts.
+    /// With several cores the scans proceed concurrently in simulated time
+    /// and contend on the shared L2 banks, the DRAM controller and (for
+    /// ephemeral sources) the RME. A recording trace sink sees one
+    /// `OpSpan` per non-empty shard.
     ///
-    /// For ephemeral sources the scheduler is *frame-aware*: the cores
+    /// For ephemeral sources the schedule is *frame-aware*: the cores
     /// share one Reorganization Buffer holding a single resident frame, so
     /// each step picks the smallest-clock core whose next row lies in the
     /// resident frame and only falls back to the global minimum-clock core
     /// (forcing a frame turnover) when no core has work left there. This
-    /// bounds frame fetches at O(cores × frames); naive min-clock stepping
-    /// would re-fetch a frame on nearly every access once shards span
-    /// frame boundaries. With one core the schedule degenerates to plain
-    /// row order.
+    /// bounds frame fetches at O(cores × frames). With one core the
+    /// schedule degenerates to plain row order.
     pub fn scan_sharded<F>(
         &mut self,
         source: &ScanSource<'_>,
@@ -1001,85 +950,40 @@ impl System {
     where
         F: FnMut(usize, u64, &[u64]) -> RowEffect,
     {
-        let job = ScanJob::new(
-            source,
-            &self.cost,
-            &self.engine,
-            self.cfg.l1.line_bytes,
-            self.batched_stepping,
-        );
-        let ranges = shard_ranges(job.rows(), self.cores.len());
-        let mut states: Vec<ShardState> = ranges
+        let shards = shard_ranges(self.scan_job(source).rows(), self.cores.len());
+        let mut lanes: Vec<StreamState<'_, '_>> = shards
             .iter()
-            .map(|&r| ShardState::new(r, start, job.num_columns()))
-            .collect();
-
-        loop {
-            // Prefer the min-clock core working in the resident frame
-            // (ephemeral sources only); fall back to the global min-clock
-            // core (frame turnover).
-            let pick = match job.frame_rows() {
-                Some(frame_rows) => {
-                    let resident = self.engine.resident_frame();
-                    pick_min_clock(&states, |st| resident == Some(st.next / frame_rows))
-                        .or_else(|| pick_min_clock(&states, |_| true))
+            .map(|rows| {
+                let mut st = StreamState::fresh(&[], start);
+                if !rows.is_empty() {
+                    st.begin_scan(self.scan_job(source), rows.clone(), 0);
                 }
-                None => pick_min_clock(&states, |_| true),
-            };
-            let Some(core) = pick else {
-                break;
-            };
-            let st = &mut states[core];
-            let row = st.next;
-            st.next += 1;
-            let step = job.step_row(
-                self.parts(),
+                st
+            })
+            .collect();
+        let totals = self.interleave(&mut lanes, |sys, core, st| {
+            sys.step_scan_row(core, st, &mut |core, _op, row, values| {
+                per_row(core, row, values)
+            });
+        });
+        let per_core = lanes
+            .into_iter()
+            .zip(shards)
+            .enumerate()
+            .map(|(core, (st, rows))| CoreScan {
                 core,
-                row,
-                st.now,
-                &mut st.values,
-                &mut |r, v| per_row(core, r, v),
-            );
-            st.now = step.now;
-            st.cpu += step.cpu;
-            if step.scanned {
-                st.rows += 1;
-            }
-            // The stepped core's clock is the interleaver's event horizon:
-            // everything the memory system finished before it is now
-            // observable, so retire it from the completion queue.
-            let horizon = st.now;
-            self.dram.drain_completions(horizon);
-        }
-
-        self.settle_memory();
-        self.collect_sharded(states, &ranges)
-    }
-
-    /// Collects per-core results after the interleaved loop finished.
-    fn collect_sharded(&self, states: Vec<ShardState>, ranges: &[(u64, u64)]) -> ShardedScan {
-        let mut per_core = Vec::with_capacity(states.len());
-        let mut end = SimTime::ZERO;
-        let mut cpu = SimTime::ZERO;
-        let mut rows = 0u64;
-        for (core, st) in states.into_iter().enumerate() {
-            end = end.max(st.now);
-            cpu += st.cpu;
-            rows += st.rows;
-            per_core.push(CoreScan {
-                core,
-                first_row: ranges[core].0,
-                shard_rows: ranges[core].1 - ranges[core].0,
+                first_row: rows.start,
+                shard_rows: rows.end - rows.start,
                 rows: st.rows,
                 end: st.now,
                 cpu: st.cpu,
                 cache: *self.cores[core].stats(),
-            });
-        }
+            })
+            .collect();
         ShardedScan {
-            end,
-            cpu,
-            rows,
+            end: totals.end,
+            cpu: totals.cpu,
+            rows: totals.rows,
             per_core,
         }
     }

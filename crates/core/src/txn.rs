@@ -233,6 +233,16 @@ impl TxnRuntime {
         self.stats = TxnStats::default();
         self.aborts.clear();
     }
+
+    /// The finished run's accounting and its abort log (taken).
+    pub(crate) fn take_results(&mut self) -> (TxnStats, Vec<TxnAbort>) {
+        debug_assert!(
+            self.stats.is_consistent(),
+            "txn accounting identity violated: {:?}",
+            self.stats
+        );
+        (self.stats.clone(), std::mem::take(&mut self.aborts))
+    }
 }
 
 /// A stream's in-progress transaction.

@@ -11,22 +11,24 @@
 //!
 //! # Scheduling
 //!
-//! [`System::run_workload`] reuses the deterministic min-clock interleaver
-//! of [`System::scan_sharded`]: at every step the unfinished stream with
-//! the smallest local clock (ties broken by lowest core index) advances by
-//! one *unit* — one row of an in-progress OLAP scan, or one whole point
-//! operation. Zero-time ops ([`WorkloadOp::TakeSnapshot`], starting a
-//! scan, an empty scan) do not advance the clock. Like the sharded
-//! scheduler it is frame-aware for ephemeral scans: streams whose next row
-//! lies in the RME's resident frame are preferred, so concurrent scans of
-//! a multi-frame variable stay frame-granular instead of thrashing the
-//! Reorganization Buffer.
+//! [`System::run_workload`] runs on the crate's one deterministic
+//! interleaver, the same loop as [`System::scan_sharded`] and
+//! [`System::run_open_loop`](crate::openloop): at every step the
+//! unfinished stream with the smallest local clock (ties broken by lowest
+//! core index) advances by one *unit* — one row of an in-progress OLAP
+//! scan, one whole point operation, or one transaction unit. Zero-time
+//! ops ([`WorkloadOp::TakeSnapshot`], starting a scan, an empty scan) do
+//! not advance the clock. The pick is frame-aware among ephemeral scans:
+//! streams whose next row lies in the RME's resident frame are preferred,
+//! so concurrent scans of a multi-frame variable stay frame-granular
+//! instead of thrashing the Reorganization Buffer, while every other
+//! stream competes purely by clock.
 //!
 //! A workload of **one stream holding one OLAP scan on a 1-core system is
 //! counter-identical to [`System::scan`]** — same timestamps, values and
 //! every cache/DRAM/RME counter — which `tests/cross_path_equivalence.rs`
 //! asserts by proptest. The per-row body is literally the same code: the
-//! crate-private `stepper::ScanJob` shared with `scan_sharded`.
+//! crate-private `stepper::ScanJob`.
 //!
 //! # Open-loop traffic
 //!
@@ -76,6 +78,7 @@
 //! ```
 
 use std::fmt;
+use std::ops::Range;
 
 use relmem_cache::HierarchyStats;
 use relmem_sim::{LatencyProfile, SimTime, TraceEvent, TraceEventKind, Track, TxnStats};
@@ -603,18 +606,21 @@ impl WorkloadRun {
     }
 }
 
-/// A stream's in-progress OLAP scan.
+/// A stream's in-progress OLAP scan over rows `next_row..end_row` of its
+/// job (the whole source, or one core's shard of a sharded scan).
 pub(crate) struct ActiveScan<'a> {
     job: ScanJob<'a>,
     next_row: u64,
+    end_row: u64,
     rows_scanned: u64,
     op: usize,
     start: SimTime,
 }
 
-/// Per-stream scheduler state. Shared with the open-loop driver
-/// ([`crate::openloop`]), which wraps one per core — the data path (clock,
-/// CPU charge, snapshot, active scan) is identical in both modes.
+/// Per-stream scheduler state: one lane of the interleaver. A sharded scan
+/// holds one per core, each scanning its shard; the open-loop driver
+/// ([`crate::openloop`]) wraps one per core. The data path (clock, CPU
+/// charge, snapshot, active scan) is identical in every mode.
 pub(crate) struct StreamState<'a, 'w> {
     pub(crate) ops: &'w [WorkloadOp<'a>],
     /// Next op to start (ops before it are finished or active). The
@@ -649,41 +655,30 @@ impl<'a, 'w> StreamState<'a, 'w> {
         }
     }
 
-    fn finished(&self) -> bool {
+    pub(crate) fn finished(&self) -> bool {
         self.active.is_none() && self.active_txn.is_none() && self.next_op >= self.ops.len()
     }
 
-    /// Whether the stream's next unit is a row of an ephemeral (RME) scan.
-    pub(crate) fn ephemeral_next(&self) -> bool {
-        self.active
-            .as_ref()
-            .is_some_and(|a| a.job.frame_rows().is_some())
+    /// The Reorganization-Buffer frame holding the stream's next unit, if
+    /// that unit is a row of an ephemeral (RME) scan.
+    pub(crate) fn next_frame(&self) -> Option<u64> {
+        let a = self.active.as_ref()?;
+        a.job.frame_rows().map(|fr| a.next_row / fr)
     }
 
-    /// Whether the next ephemeral row lies in the given resident
-    /// Reorganization-Buffer frame.
-    pub(crate) fn in_frame(&self, resident: Option<u64>) -> bool {
-        self.active.as_ref().is_some_and(|a| {
-            a.job
-                .frame_rows()
-                .is_some_and(|fr| resident == Some(a.next_row / fr))
-        })
+    /// Makes `rows` of `job` the stream's active scan, labelled `op`.
+    pub(crate) fn begin_scan(&mut self, job: ScanJob<'a>, rows: Range<u64>, op: usize) {
+        self.values.resize(job.num_columns(), 0);
+        self.values.fill(0);
+        self.active = Some(ActiveScan {
+            job,
+            next_row: rows.start,
+            end_row: rows.end,
+            rows_scanned: 0,
+            op,
+            start: self.now,
+        });
     }
-}
-
-/// The unfinished stream with the smallest local clock among those
-/// matching `filter` (ties broken by lowest core index), or `None`.
-fn pick_stream(
-    states: &[StreamState<'_, '_>],
-    filter: impl Fn(&StreamState<'_, '_>) -> bool,
-) -> Option<usize> {
-    let mut pick: Option<usize> = None;
-    for (i, st) in states.iter().enumerate() {
-        if !st.finished() && filter(st) && pick.is_none_or(|p| st.now < states[p].now) {
-            pick = Some(i);
-        }
-    }
-    pick
 }
 
 impl System {
@@ -714,90 +709,41 @@ impl System {
     where
         F: FnMut(usize, usize, u64, &[u64]) -> RowEffect,
     {
-        if workload.streams.len() > self.cores.len() {
-            return Err(WorkloadError::TooManyStreams {
-                streams: workload.streams.len(),
-                cores: self.cores.len(),
-            });
-        }
+        self.check_stream_count(workload.streams.len())?;
         for (i, stream) in workload.streams.iter().enumerate() {
             for (j, op) in stream.ops.iter().enumerate() {
                 op.validate(i, j)?;
             }
         }
         self.txn_rt.reset(false);
-        let mut states: Vec<StreamState<'_, '_>> = workload
+        let mut lanes: Vec<StreamState<'_, '_>> = workload
             .streams
             .iter()
             .map(|stream| StreamState::fresh(&stream.ops, start))
             .collect();
-
-        loop {
-            // Frame-aware pick, arbitrated like the sharded scheduler but
-            // only *among the streams that use the Reorganization Buffer*:
-            // streams whose next unit is an ephemeral row prefer the RME's
-            // resident frame (bounding frame turnovers), while every other
-            // stream competes purely by local clock — a point-query stream
-            // must never defer a frame turnover it does not participate
-            // in, nor be deferred by one.
-            let resident = self.engine.resident_frame();
-            let plain = pick_stream(&states, |st| !st.ephemeral_next());
-            let eph = pick_stream(&states, |st| st.ephemeral_next() && st.in_frame(resident))
-                .or_else(|| pick_stream(&states, |st| st.ephemeral_next()));
-            let pick = match (plain, eph) {
-                (Some(a), Some(b)) => {
-                    // Smaller local clock wins; ties go to the lower core
-                    // index, matching the global pick rule.
-                    if states[b].now < states[a].now {
-                        Some(b)
-                    } else if states[a].now < states[b].now {
-                        Some(a)
-                    } else {
-                        Some(a.min(b))
-                    }
-                }
-                (a, b) => a.or(b),
-            };
-            let Some(core) = pick else {
-                break;
-            };
-            self.step_stream(core, &mut states[core], &mut observer);
-            // The stepped stream's clock is the scheduler's event horizon:
-            // retire every memory completion it can now observe.
-            let horizon = states[core].now;
-            self.dram.drain_completions(horizon);
-        }
-        self.settle_memory();
-
-        let mut end = SimTime::ZERO;
-        let mut cpu = SimTime::ZERO;
-        let mut rows = 0u64;
-        let mut streams = Vec::with_capacity(states.len());
-        for (core, st) in states.into_iter().enumerate() {
-            end = end.max(st.now);
-            cpu += st.cpu;
-            rows += st.rows;
-            streams.push(StreamReport {
+        let totals = self.interleave(&mut lanes, |sys, core, st| {
+            sys.step_stream(core, st, &mut observer)
+        });
+        let streams = lanes
+            .into_iter()
+            .enumerate()
+            .map(|(core, st)| StreamReport {
                 core,
                 ops: st.outcomes,
                 end: st.now,
                 cpu: st.cpu,
                 rows: st.rows,
                 cache: *self.cores[core].stats(),
-            });
-        }
-        debug_assert!(
-            self.txn_rt.stats.is_consistent(),
-            "txn accounting identity violated: {:?}",
-            self.txn_rt.stats
-        );
+            })
+            .collect();
+        let (txn, txn_aborts) = self.txn_rt.take_results();
         Ok(WorkloadRun {
-            end,
-            cpu,
-            rows,
+            end: totals.end,
+            cpu: totals.cpu,
+            rows: totals.rows,
             streams,
-            txn: self.txn_rt.stats.clone(),
-            txn_aborts: std::mem::take(&mut self.txn_rt.aborts),
+            txn,
+            txn_aborts,
         })
     }
 
@@ -875,7 +821,7 @@ impl System {
             active.rows_scanned += 1;
             st.rows += 1;
         }
-        if active.next_row >= active.job.rows() {
+        if active.next_row >= active.end_row {
             let outcome = OpOutcome {
                 op: active.op,
                 kind: OpKind::OlapScan,
@@ -915,13 +861,7 @@ impl System {
                         *snapshot = st.snapshot;
                     }
                 }
-                let job = ScanJob::new(
-                    &source,
-                    &self.cost,
-                    &self.engine,
-                    self.cfg.l1.line_bytes,
-                    self.batched_stepping,
-                );
+                let job = self.scan_job(&source);
                 if job.rows() == 0 {
                     let outcome = OpOutcome {
                         op: op_idx,
@@ -934,15 +874,8 @@ impl System {
                     st.outcomes.push(outcome);
                     return;
                 }
-                st.values.resize(job.num_columns(), 0);
-                st.values.fill(0);
-                st.active = Some(ActiveScan {
-                    job,
-                    next_row: 0,
-                    rows_scanned: 0,
-                    op: op_idx,
-                    start: st.now,
-                });
+                let rows = 0..job.rows();
+                st.begin_scan(job, rows, op_idx);
             }
             WorkloadOp::PointLookup {
                 table,
