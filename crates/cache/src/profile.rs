@@ -309,10 +309,24 @@ pub use imp::{PhaseGuard, enabled, phase, report, reset, set_enabled};
 
 #[cfg(all(test, feature = "miss-profile"))]
 mod tests {
+    use std::sync::{Mutex, MutexGuard};
+
     use super::*;
+
+    /// Both tests write the process-global recording flag and counters,
+    /// and the harness runs tests in parallel, so each holds this lock.
+    static SERIAL: Mutex<()> = Mutex::new(());
+
+    fn serial() -> MutexGuard<'static, ()> {
+        // A failed test poisons the lock; the other test may still run.
+        SERIAL
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
 
     #[test]
     fn disabled_guards_record_nothing() {
+        let _serial = serial();
         reset();
         set_enabled(false);
         for _ in 0..100 {
@@ -325,6 +339,7 @@ mod tests {
 
     #[test]
     fn nested_phases_attribute_self_time() {
+        let _serial = serial();
         reset();
         set_enabled(true);
         {
