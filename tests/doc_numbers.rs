@@ -31,9 +31,7 @@ fn record_field(record: &Path, key: &str) -> f64 {
         .find(&pattern)
         .unwrap_or_else(|| panic!("{} has no field {key}", record.display()));
     let rest = text[at + pattern.len()..].trim_start();
-    let end = rest
-        .find(|c: char| c == ',' || c == '}')
-        .unwrap_or(rest.len());
+    let end = rest.find([',', '}']).unwrap_or(rest.len());
     rest[..end]
         .trim()
         .parse()

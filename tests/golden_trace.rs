@@ -3,9 +3,9 @@
 //! Every simulator counter is deterministic: identical inputs produce
 //! bit-identical statistics. This suite pins that behaviour down as data —
 //! it runs a fixed seed matrix of `scan` / `scan_sharded` / `run_workload`
-//! / `run_open_loop` measurements and compares the end-of-run counter snapshots
-//! (`HierarchyStats` per core, `SharedL2Stats`, `DramStats`, timing) against
-//! checked-in fixtures under `tests/golden/`.
+//! / `run_open_loop` measurements and compares the end-of-run counter
+//! snapshots (`HierarchyStats` per core, `SharedL2Stats`, `DramStats`,
+//! timing) against checked-in fixtures under `tests/golden/`.
 //!
 //! An *intended* timing-model change will shift these numbers. Regenerate
 //! the fixtures with
@@ -660,7 +660,11 @@ fn render_open_loop(out: &mut String, run: &OpenLoopRun) {
         put_time(out, &format!("stream{}.end", s.core), s.end);
         put_time(out, &format!("stream{}.cpu", s.core), s.cpu);
         put(out, &format!("stream{}.rows", s.core), s.rows);
-        put(out, &format!("stream{}.completed", s.core), s.outcomes.len());
+        put(
+            out,
+            &format!("stream{}.completed", s.core),
+            s.outcomes.len(),
+        );
     }
 }
 
