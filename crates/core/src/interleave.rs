@@ -1,10 +1,10 @@
-//! The one deterministic scheduler loop of the multi-core drivers.
+//! The one deterministic scheduler loop behind every multi-core run.
 //!
 //! [`System::scan_sharded`], [`System::run_workload`] and
 //! [`System::run_open_loop`](crate::openloop) each hold one [`Lane`] per
 //! core and hand it to [`System::interleave`], which owns the pick rule,
 //! the per-step drain of DRAM completions and the closing settle of the
-//! memory system. The drivers differ only in what a lane is and what one
+//! memory system. The callers differ only in what a lane is and what one
 //! step of it does.
 //!
 //! # The pick rule

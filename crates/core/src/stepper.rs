@@ -3,7 +3,7 @@
 //! [`ScanJob`] is the per-row body of every scan: it captures the per-scan
 //! precomputation (column cursors, MVCC snapshot, per-row CPU charge, line
 //! plans) once and then steps any row on any core. [`System::scan`] runs
-//! it in a loop on core 0; the multi-core drivers step it one row at a
+//! it in a loop on core 0; the multi-core schedulers step it one row at a
 //! time under the crate's interleaver. Row and ephemeral layouts share one
 //! field walk (`walk_fields`), generic over the memory backend and the
 //! value reader. The cross-path equivalence proptests pin the single-core

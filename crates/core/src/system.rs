@@ -20,7 +20,7 @@
 //! frontends in front of one shared, banked L2 ([`relmem_cache::SharedL2`]).
 //! [`System::scan_sharded`] splits a scan's row range into N contiguous
 //! shards, one scan stream per core, and steps the cores through the same
-//! deterministic interleaver as the workload drivers: at every step the
+//! deterministic interleaver as the workload schedulers: at every step the
 //! core with the smallest local clock (ties broken by core index)
 //! processes its next *row*, so the whole run is reproducible bit for bit.
 //! The interleaving is conservative at row granularity: a row's whole access
@@ -566,7 +566,7 @@ impl System {
     /// single-threaded measurements; `multicore.rs` pins this distinction.
     ///
     /// This is the simulator's hot path, the same per-row stepper the
-    /// multi-core drivers use (`ScanJob::step_row`): per-column
+    /// multi-core schedulers use (`ScanJob::step_row`): per-column
     /// cursors, the per-row CPU charge and — for row layouts — the
     /// line-granular step plans are computed once per scan, and each row
     /// then advances whole-line runs of fields through one hierarchy walk

@@ -618,7 +618,7 @@ pub(crate) struct ActiveScan<'a> {
 }
 
 /// Per-stream scheduler state: one lane of the interleaver. A sharded scan
-/// holds one per core, each scanning its shard; the open-loop driver
+/// holds one per core, each scanning its shard; the open-loop scheduler
 /// ([`crate::openloop`]) wraps one per core. The data path (clock, CPU
 /// charge, snapshot, active scan) is identical in every mode.
 pub(crate) struct StreamState<'a, 'w> {
