@@ -59,6 +59,16 @@ impl PhysicalMemory {
         &self.bytes[start..start + len]
     }
 
+    /// Mutable view of `len` bytes starting at `addr`, for encoding values
+    /// in place.
+    ///
+    /// # Panics
+    /// Panics if the range is out of bounds.
+    pub fn slice_mut(&mut self, addr: u64, len: usize) -> &mut [u8] {
+        let start = addr as usize;
+        &mut self.bytes[start..start + len]
+    }
+
     /// Copies `len` bytes starting at `addr` into `dst` (which must be at
     /// least `len` long).
     pub fn read_into(&self, addr: u64, dst: &mut [u8]) {
@@ -148,6 +158,8 @@ mod tests {
         let mut buf = [0u8; 2];
         mem.read_into(101, &mut buf);
         assert_eq!(buf, [2, 3]);
+        mem.slice_mut(102, 2).copy_from_slice(&[7, 8]);
+        assert_eq!(mem.read(100, 4), &[1, 2, 7, 8]);
     }
 
     #[test]

@@ -51,38 +51,32 @@ impl ColumnarTable {
         let rows = table.num_rows();
         let capacity_rows = capacity_rows.max(rows);
 
-        // Gather the column bytes first (we cannot read and allocate from
-        // `mem` at the same time without cloning rows anyway).
-        let mut column_data: Vec<Vec<u8>> = Vec::with_capacity(schema.num_columns());
-        for col in 0..schema.num_columns() {
-            let width = schema.width(col)?;
-            let mut data = Vec::with_capacity(width * rows as usize);
-            for row in 0..rows {
-                let addr = table.field_addr(row, col)?;
-                data.extend_from_slice(mem.read(addr, width));
-            }
-            column_data.push(data);
-        }
-
-        let mut column_bases = Vec::with_capacity(schema.num_columns());
-        for (col, data) in column_data.iter().enumerate() {
-            let width = schema.width(col)?;
-            let needed = (width as u64 * capacity_rows).max(data.len() as u64).max(1) as usize;
+        // Allocate every column array, then transpose the rows into them in
+        // one pass. (column base, offset in the row, width) per column:
+        let mut fields = Vec::with_capacity(schema.num_columns());
+        for (col, def) in schema.columns().iter().enumerate() {
+            let width = def.ty.width();
             let available = mem.capacity() - mem.allocated() as usize;
+            let needed = (width as u64).saturating_mul(capacity_rows).max(1) as usize;
             if needed > available {
                 return Err(StorageError::OutOfMemory {
                     requested: needed,
                     available,
                 });
             }
-            let base = mem.alloc(needed, 64);
-            mem.write(base, data);
-            column_bases.push(base);
+            fields.push((mem.alloc(needed, 64), schema.offset(col)?, width));
+        }
+        let mut row = vec![0u8; schema.row_bytes()];
+        for r in 0..rows {
+            mem.read_into(table.row_data_addr(r), &mut row);
+            for &(base, off, width) in &fields {
+                mem.write(base + r * width as u64, &row[off..off + width]);
+            }
         }
 
         Ok(ColumnarTable {
             schema,
-            column_bases,
+            column_bases: fields.iter().map(|&(base, _, _)| base).collect(),
             capacity_rows,
             rows: Cell::new(rows),
         })
@@ -95,9 +89,7 @@ impl ColumnarTable {
         mem: &mut PhysicalMemory,
         values: &[Value],
     ) -> Result<u64, StorageError> {
-        if values.len() != self.schema.num_columns() {
-            return Err(StorageError::ColumnOutOfRange(values.len()));
-        }
+        self.schema.check_values(values)?;
         let idx = self.rows.get();
         if idx == self.capacity_rows {
             return Err(StorageError::OutOfMemory {
@@ -106,16 +98,9 @@ impl ColumnarTable {
             });
         }
         for (col, value) in values.iter().enumerate() {
-            let def = self.schema.column(col)?;
-            if !value.compatible_with(def.ty) {
-                return Err(StorageError::TypeMismatch {
-                    column: def.name.clone(),
-                    expected: def.ty.name(),
-                });
-            }
-            let width = def.ty.width();
+            let width = self.schema.width(col)?;
             let addr = self.column_base(col)? + idx * width as u64;
-            mem.write(addr, &value.encode(width));
+            value.encode_into(mem.slice_mut(addr, width));
         }
         self.rows.set(idx + 1);
         Ok(idx)
@@ -172,9 +157,11 @@ impl ColumnarTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::datagen::tests::{mvcc_of, schema_of};
     use crate::datagen::DataGen;
     use crate::mvcc::MvccConfig;
     use crate::row::Row;
+    use proptest::prelude::*;
 
     #[test]
     fn materialized_columns_match_row_table() {
@@ -234,6 +221,11 @@ mod tests {
         assert_eq!(cols.read_field(&mem, 2, 1).unwrap(), Value::UInt(9));
         // Existing data stays dense and intact.
         assert_eq!(cols.read_field(&mem, 1, 0).unwrap(), Value::UInt(1));
+        // A value of the wrong type fails the append before any column of
+        // the row is written.
+        let bad = [Value::UInt(5), Value::Bytes(vec![1]), Value::UInt(0)];
+        assert!(cols.append(&mut mem, &bad).is_err());
+        assert_eq!(mem.read_uint(cols.column_base(0).unwrap() + 3 * 8, 8), 0);
         cols.append(&mut mem, &[Value::UInt(0), Value::UInt(0), Value::UInt(0)])
             .unwrap();
         assert!(
@@ -243,6 +235,62 @@ mod tests {
         );
         // Arity and type are checked before any byte is written.
         assert!(cols.append(&mut mem, &[Value::UInt(0)]).is_err());
+    }
+
+    #[test]
+    fn oversized_capacity_is_out_of_memory_not_a_wrap() {
+        // 8 B x 2^61 rows wraps to 0 bytes in unchecked u64 arithmetic.
+        let mut mem = PhysicalMemory::new(1 << 16);
+        let table = RowTable::create(
+            &mut mem,
+            Schema::benchmark(1, 8, 8),
+            1,
+            MvccConfig::Disabled,
+        )
+        .unwrap();
+        table.append(&mut mem, &Row::from_u64s(&[1]), 0).unwrap();
+        assert!(matches!(
+            ColumnarTable::materialize_with_capacity(&mut mem, &table, 1 << 61),
+            Err(StorageError::OutOfMemory { .. })
+        ));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+        #[test]
+        fn materialized_copy_equals_a_field_walk_and_appends_after_it(
+            cols in proptest::collection::vec((any::<bool>(), 1usize..=40), 1..8),
+            fill in 0usize..24,
+            mvcc in any::<bool>(),
+            headroom in 1u64..4,
+            rows in 0u64..40,
+            seed in any::<u64>(),
+        ) {
+            let mut mem = PhysicalMemory::new(1 << 16);
+            let schema = schema_of(&cols, fill);
+            let mut table = RowTable::create(&mut mem, schema.clone(), rows, mvcc_of(mvcc)).unwrap();
+            DataGen::new(seed).fill_table(&mut mem, &mut table, rows).unwrap();
+            let columnar =
+                ColumnarTable::materialize_with_capacity(&mut mem, &table, rows + headroom).unwrap();
+            // Values every column type accepts: below 256 fits a 1-byte UInt.
+            let appended: Vec<Value> = (0..schema.num_columns() as u64)
+                .map(|c| Value::UInt((c * 37 + seed % 256) % 256))
+                .collect();
+            prop_assert_eq!(columnar.append(&mut mem, &appended).unwrap(), rows);
+            for (col, value) in appended.iter().enumerate() {
+                for row in 0..rows {
+                    prop_assert_eq!(
+                        columnar.read_field(&mem, row, col).unwrap(),
+                        table.read_field(&mem, row, col).unwrap()
+                    );
+                }
+                let width = schema.width(col).unwrap();
+                let at = columnar.column_base(col).unwrap() + rows * width as u64;
+                let mut expected = vec![0u8; width];
+                value.encode_into(&mut expected);
+                prop_assert_eq!(mem.read(at, width), &expected[..]);
+            }
+        }
     }
 
     #[test]

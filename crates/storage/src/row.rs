@@ -34,30 +34,16 @@ impl Row {
         self.values.get(idx)
     }
 
-    /// Validates the row against a schema and encodes it into the row-major
-    /// byte representation.
-    pub fn encode(&self, schema: &Schema) -> Result<Vec<u8>, StorageError> {
-        if self.values.len() != schema.num_columns() {
-            return Err(StorageError::InvalidColumnGroup(format!(
-                "row has {} values, schema has {} columns",
-                self.values.len(),
-                schema.num_columns()
-            )));
-        }
-        let mut out = vec![0u8; schema.row_bytes()];
+    /// Validates the row against a schema, then encodes it into `out`, its
+    /// row-major byte representation (`schema.row_bytes()` long). Nothing
+    /// is written when validation fails.
+    pub fn encode_into(&self, schema: &Schema, out: &mut [u8]) -> Result<(), StorageError> {
+        schema.check_values(&self.values)?;
         for (idx, value) in self.values.iter().enumerate() {
-            let col = schema.column(idx)?;
-            if !value.compatible_with(col.ty) {
-                return Err(StorageError::TypeMismatch {
-                    column: col.name.clone(),
-                    expected: col.ty.name(),
-                });
-            }
             let off = schema.offset(idx)?;
-            let width = col.ty.width();
-            out[off..off + width].copy_from_slice(&value.encode(width));
+            value.encode_into(&mut out[off..off + schema.width(idx)?]);
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Decodes a row from its byte representation.
@@ -103,25 +89,31 @@ mod tests {
             Value::Bytes(vec![9, 8, 7]),
             Value::UInt(u64::MAX),
         ]);
-        let bytes = row.encode(&s).unwrap();
-        assert_eq!(bytes.len(), s.row_bytes());
+        let mut bytes = vec![0xFF; s.row_bytes()];
+        row.encode_into(&s, &mut bytes).unwrap();
         assert_eq!(Row::decode(&s, &bytes).unwrap(), row);
     }
 
     #[test]
     fn wrong_arity_and_type_rejected() {
         let s = schema();
+        let mut out = vec![0u8; s.row_bytes()];
         let short = Row::from_u64s(&[1, 2]);
-        assert!(short.encode(&s).is_err());
+        assert!(short.encode_into(&s, &mut out).is_err());
         let bad = Row::new(vec![
             Value::UInt(u64::MAX), // does not fit 4 bytes
             Value::Bytes(vec![1, 2, 3]),
             Value::UInt(0),
         ]);
         assert!(matches!(
-            bad.encode(&s),
+            bad.encode_into(&s, &mut out),
             Err(StorageError::TypeMismatch { .. })
         ));
+        assert_eq!(
+            out,
+            vec![0u8; s.row_bytes()],
+            "a rejected row writes nothing"
+        );
     }
 
     #[test]
@@ -135,7 +127,8 @@ mod tests {
         fn roundtrip_random_numeric_rows(a in 0u64..u32::MAX as u64, b in proptest::collection::vec(any::<u8>(), 3), c in any::<u64>()) {
             let s = schema();
             let row = Row::new(vec![Value::UInt(a), Value::Bytes(b), Value::UInt(c)]);
-            let bytes = row.encode(&s).unwrap();
+            let mut bytes = vec![0u8; s.row_bytes()];
+            row.encode_into(&s, &mut bytes).unwrap();
             prop_assert_eq!(Row::decode(&s, &bytes).unwrap(), row);
         }
     }

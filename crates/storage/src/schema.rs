@@ -11,7 +11,7 @@
 //!   relation `S(A1..An)` of the Relational Memory Benchmark.
 
 use crate::error::StorageError;
-use crate::types::ColumnType;
+use crate::types::{ColumnType, Value};
 
 /// One column of a schema.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -144,6 +144,27 @@ impl Schema {
     /// Width in bytes of a column.
     pub fn width(&self, idx: usize) -> Result<usize, StorageError> {
         Ok(self.column(idx)?.ty.width())
+    }
+
+    /// Checks that `values` holds one value per column, each storable in
+    /// its column.
+    pub(crate) fn check_values(&self, values: &[Value]) -> Result<(), StorageError> {
+        if values.len() != self.columns.len() {
+            return Err(StorageError::InvalidColumnGroup(format!(
+                "row has {} values, schema has {} columns",
+                values.len(),
+                self.columns.len()
+            )));
+        }
+        for (value, col) in values.iter().zip(&self.columns) {
+            if !value.compatible_with(col.ty) {
+                return Err(StorageError::TypeMismatch {
+                    column: col.name.clone(),
+                    expected: col.ty.name(),
+                });
+            }
+        }
+        Ok(())
     }
 
     /// Index of the column with the given name.

@@ -38,7 +38,7 @@ impl RowTable {
         mvcc: MvccConfig,
     ) -> Result<Self, StorageError> {
         let phys_row = schema.row_bytes() + mvcc.header_bytes();
-        let needed = phys_row as u64 * capacity_rows;
+        let needed = (phys_row as u64).saturating_mul(capacity_rows);
         let available = mem.capacity() as u64 - mem.allocated();
         if needed > available {
             return Err(StorageError::OutOfMemory {
@@ -116,20 +116,40 @@ impl RowTable {
         row: &Row,
         begin_ts: Timestamp,
     ) -> Result<u64, StorageError> {
-        if self.rows.get() == self.capacity_rows {
+        let idx = self.rows.get();
+        self.append_encoded(mem, 1, begin_ts, |data| row.encode_into(&self.schema, data))?;
+        Ok(idx)
+    }
+
+    /// Appends up to `rows` rows visible from `begin_ts`. `encode` writes
+    /// each row's data bytes into one reused buffer, zeroed once, so bytes
+    /// it never writes stay zero; a row it rejects is not written. When the
+    /// table fills up, the rows that fit stay and the call fails with
+    /// `OutOfMemory`.
+    pub(crate) fn append_encoded(
+        &self,
+        mem: &mut PhysicalMemory,
+        rows: u64,
+        begin_ts: Timestamp,
+        mut encode: impl FnMut(&mut [u8]) -> Result<(), StorageError>,
+    ) -> Result<(), StorageError> {
+        let header = self.mvcc.header_bytes();
+        let mut buf = vec![0u8; self.physical_row_bytes()];
+        buf[..header].copy_from_slice(&encode_header(begin_ts, 0)[..header]);
+        let start = self.rows.get();
+        let room = self.capacity_rows - start;
+        for idx in start..start + rows.min(room) {
+            encode(&mut buf[header..])?;
+            mem.write(self.row_addr(idx), &buf);
+            self.rows.set(idx + 1);
+        }
+        if rows > room {
             return Err(StorageError::OutOfMemory {
                 requested: self.physical_row_bytes(),
                 available: 0,
             });
         }
-        let bytes = row.encode(&self.schema)?;
-        let idx = self.rows.get();
-        if self.mvcc.is_enabled() {
-            mem.write(self.row_addr(idx), &encode_header(begin_ts, 0));
-        }
-        mem.write(self.row_data_addr(idx), &bytes);
-        self.rows.set(idx + 1);
-        Ok(idx)
+        Ok(())
     }
 
     /// Reads a whole row back.
@@ -171,7 +191,7 @@ impl RowTable {
             });
         }
         let addr = self.field_addr(row, col)?;
-        mem.write(addr, &value.encode(def.ty.width()));
+        value.encode_into(mem.slice_mut(addr, def.ty.width()));
         Ok(())
     }
 
@@ -300,6 +320,18 @@ mod tests {
             RowTable::create(&mut small, simple_schema(), 1000, MvccConfig::Disabled),
             Err(StorageError::OutOfMemory { .. })
         ));
+    }
+
+    #[test]
+    fn oversized_capacity_is_out_of_memory_not_a_wrap() {
+        // 64 B x 2^58 rows wraps to 0 bytes in unchecked u64 arithmetic.
+        let mut m = mem();
+        let schema = Schema::new(vec![ColumnDef::new("a", ColumnType::Bytes(64))]).unwrap();
+        assert!(matches!(
+            RowTable::create(&mut m, schema, 1 << 58, MvccConfig::Disabled),
+            Err(StorageError::OutOfMemory { .. })
+        ));
+        assert_eq!(m.allocated(), 0);
     }
 
     #[test]

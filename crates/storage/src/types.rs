@@ -70,23 +70,16 @@ impl Value {
         }
     }
 
-    /// Encodes the value into exactly `width` bytes.
-    pub fn encode(&self, width: usize) -> Vec<u8> {
-        match self {
-            Value::UInt(v) => {
-                let bytes = v.to_le_bytes();
-                let mut out = vec![0u8; width];
-                let n = width.min(8);
-                out[..n].copy_from_slice(&bytes[..n]);
-                out
-            }
-            Value::Bytes(b) => {
-                let mut out = vec![0u8; width];
-                let n = width.min(b.len());
-                out[..n].copy_from_slice(&b[..n]);
-                out
-            }
-        }
+    /// Encodes the value into exactly `out.len()` bytes: the low bytes of an
+    /// integer or the front of a byte string, zero-padded.
+    pub fn encode_into(&self, out: &mut [u8]) {
+        let bytes: &[u8] = match self {
+            Value::UInt(v) => &v.to_le_bytes(),
+            Value::Bytes(b) => b,
+        };
+        let n = out.len().min(bytes.len());
+        out[..n].copy_from_slice(&bytes[..n]);
+        out[n..].fill(0);
     }
 
     /// Decodes a value of the given type from raw bytes.
@@ -149,16 +142,18 @@ mod tests {
     #[test]
     fn encode_decode_uint() {
         let v = Value::UInt(0xABCD);
-        let enc = v.encode(4);
-        assert_eq!(enc, vec![0xCD, 0xAB, 0, 0]);
+        let mut enc = [0xFF; 4];
+        v.encode_into(&mut enc);
+        assert_eq!(enc, [0xCD, 0xAB, 0, 0]);
         assert_eq!(Value::decode(ColumnType::UInt(4), &enc), v);
     }
 
     #[test]
     fn encode_decode_bytes_pads_and_truncates() {
         let v = Value::Bytes(vec![1, 2, 3]);
-        let enc = v.encode(5);
-        assert_eq!(enc, vec![1, 2, 3, 0, 0]);
+        let mut enc = [0xFF; 5];
+        v.encode_into(&mut enc);
+        assert_eq!(enc, [1, 2, 3, 0, 0]);
         assert_eq!(
             Value::decode(ColumnType::Bytes(5), &enc),
             Value::Bytes(vec![1, 2, 3, 0, 0])
@@ -187,7 +182,8 @@ mod tests {
         fn uint_roundtrip(v in 0u64..u64::MAX, w in 1usize..=8) {
             let mask = if w == 8 { u64::MAX } else { (1u64 << (8 * w)) - 1 };
             let val = Value::UInt(v & mask);
-            let enc = val.encode(w);
+            let mut enc = vec![0xFF; w];
+            val.encode_into(&mut enc);
             prop_assert_eq!(enc.len(), w);
             prop_assert_eq!(Value::decode(ColumnType::UInt(w), &enc), val);
         }
@@ -196,7 +192,8 @@ mod tests {
         fn bytes_roundtrip(data in proptest::collection::vec(any::<u8>(), 1..64)) {
             let w = data.len();
             let val = Value::Bytes(data);
-            let enc = val.encode(w);
+            let mut enc = vec![0xFF; w];
+            val.encode_into(&mut enc);
             prop_assert_eq!(Value::decode(ColumnType::Bytes(w), &enc), val);
         }
     }
