@@ -255,15 +255,16 @@ impl Benchmark {
         let prepared = self.prepare(path, &cols, Relation::Outer, None);
         self.system.begin_measurement(path);
         let cost = *self.system.cost_model();
+        let (predicate, out_cost) = (cost.predicate(), cost.output(1));
         let mut checksum = 0u64;
         let mut rows = 0u64;
         let src = scan_source(&prepared, &self.table, self.columnar.as_ref(), None);
         let (end, cpu, _) = self.system.scan(&src, SimTime::ZERO, |_, v| {
-            let mut extra = cost.predicate();
+            let mut extra = predicate;
             if v[1] > Q2_THRESHOLD {
                 checksum = checksum_accumulate(checksum, &[v[0]]);
                 rows += 1;
-                extra += cost.output(1);
+                extra += out_cost;
             }
             RowEffect { cpu: extra, touch: None }
         });
@@ -276,13 +277,14 @@ impl Benchmark {
         let prepared = self.prepare(path, &cols, Relation::Outer, None);
         self.system.begin_measurement(path);
         let cost = *self.system.cost_model();
+        let (predicate, agg) = (cost.predicate(), cost.aggregate());
         let mut sum = 0u64;
         let src = scan_source(&prepared, &self.table, self.columnar.as_ref(), None);
         let (end, cpu, _) = self.system.scan(&src, SimTime::ZERO, |_, v| {
-            let mut extra = cost.predicate();
+            let mut extra = predicate;
             if v[1] < Q3_THRESHOLD {
                 sum = sum.wrapping_add(v[0]);
-                extra += cost.aggregate();
+                extra += agg;
             }
             RowEffect { cpu: extra, touch: None }
         });
@@ -296,6 +298,7 @@ impl Benchmark {
         let group_region = self.ensure_group_region();
         self.system.begin_measurement(path);
         let cost = *self.system.cost_model();
+        let (predicate, group_by) = (cost.predicate(), cost.group_by());
         // The group-by hash table (≤ VALUE_RANGE entries) fits comfortably in
         // the caches, so its maintenance is charged as CPU work; `group_region`
         // documents where it would live.
@@ -303,12 +306,12 @@ impl Benchmark {
         let mut sums: std::collections::HashMap<u64, (u64, u64)> = std::collections::HashMap::new();
         let src = scan_source(&prepared, &self.table, self.columnar.as_ref(), None);
         let (end, cpu, _) = self.system.scan(&src, SimTime::ZERO, |_, v| {
-            let mut extra = cost.predicate();
+            let mut extra = predicate;
             if v[2] < Q3_THRESHOLD {
                 let entry = sums.entry(v[1]).or_insert((0, 0));
                 entry.0 = entry.0.wrapping_add(v[0]);
                 entry.1 += 1;
-                extra += cost.group_by();
+                extra += group_by;
             }
             RowEffect { cpu: extra, touch: None }
         });
@@ -343,6 +346,8 @@ impl Benchmark {
         let prepared_build = self.prepare(path, &build_cols, Relation::Outer, None);
         self.system.begin_measurement(path);
         let cost = *self.system.cost_model();
+        let (build_cost, probe_cost, out_cost) =
+            (cost.hash_build(), cost.hash_probe(), cost.output(2));
         // Hash-table maintenance is charged as CPU work (the build/probe cost
         // constants include the average cache behaviour of a table this
         // size); the paper likewise observes that hashing is a CPU-dominated,
@@ -351,10 +356,7 @@ impl Benchmark {
         let src = scan_source(&prepared_build, &self.table, self.columnar.as_ref(), None);
         let (build_end, build_cpu, _) = self.system.scan(&src, SimTime::ZERO, |_, v| {
             hash.insert(v[1], v[0]);
-            RowEffect {
-                cpu: cost.hash_build(),
-                touch: None,
-            }
+            RowEffect { cpu: build_cost, touch: None }
         });
 
         // Probe side: R.A2 (key) and R.A3 (output).
@@ -365,11 +367,11 @@ impl Benchmark {
         let mut checksum = 0u64;
         let src = scan_source(&prepared_probe, inner, self.inner_columnar.as_ref(), None);
         let (end, probe_cpu, _) = self.system.scan(&src, build_end, |_, v| {
-            let mut extra = cost.hash_probe();
+            let mut extra = probe_cost;
             for &s_a1 in hash.get(v[0]) {
                 matches += 1;
                 checksum = checksum_accumulate(checksum, &[s_a1, v[1]]);
-                extra += cost.output(2);
+                extra += out_cost;
             }
             RowEffect { cpu: extra, touch: None }
         });

@@ -33,6 +33,11 @@ pub struct AxiReadResponse {
 #[derive(Debug, Clone)]
 pub struct CdcModel {
     cfg: CdcConfig,
+    /// One-way crossing latencies and the PL cycle in picoseconds, resolved
+    /// once from the configuration's clock.
+    request_latency: SimTime,
+    response_latency: SimTime,
+    pl_cycle_ps: u64,
     /// The PS–PL high-performance port the responses are streamed over.
     port: Resource,
     crossings: u64,
@@ -43,6 +48,9 @@ impl CdcModel {
     pub fn new(cfg: CdcConfig) -> Self {
         CdcModel {
             cfg,
+            request_latency: cfg.request_latency(),
+            response_latency: cfg.response_latency(),
+            pl_cycle_ps: cfg.pl_clock().cycle().as_picos(),
             port: Resource::new("ps-pl-port"),
             crossings: 0,
         }
@@ -62,7 +70,7 @@ impl CdcModel {
     /// to the PL-side logic.
     pub fn request_into_pl(&mut self, ready: SimTime) -> SimTime {
         self.crossings += 1;
-        ready + self.cfg.request_latency()
+        ready + self.request_latency
     }
 
     /// Time at which a response of `bytes` bytes, ready inside the PL at
@@ -70,9 +78,9 @@ impl CdcModel {
     /// resource, so back-to-back responses serialize on it.
     pub fn response_into_ps(&mut self, ready: SimTime, bytes: usize) -> SimTime {
         self.crossings += 1;
-        let occupancy = self.cfg.port_transfer_time(bytes);
-        let (_, end) = self.port.acquire(ready, occupancy);
-        end + self.cfg.response_latency()
+        let cycles = bytes.div_ceil(self.cfg.port_bytes_per_cycle) as u64;
+        let (_, end) = self.port.acquire(ready, SimTime::from_picos(self.pl_cycle_ps * cycles));
+        end + self.response_latency
     }
 
     /// Resets port occupancy and counters (between measured runs).
@@ -107,6 +115,27 @@ mod tests {
         let b = m.response_into_ps(SimTime::ZERO, 64);
         assert_eq!(a, SimTime::from_nanos(20 + 20));
         assert_eq!(b, SimTime::from_nanos(40 + 20));
+    }
+
+    #[test]
+    fn resolved_constants_match_the_configured_clock() {
+        for (pl_freq_mhz, port_bytes_per_cycle) in [(100.0, 32), (150.0, 16), (333.0, 24)] {
+            let cfg = CdcConfig {
+                pl_freq_mhz,
+                port_bytes_per_cycle,
+                request_pl_cycles: 3,
+                response_pl_cycles: 5,
+                ..CdcConfig::default()
+            };
+            let mut m = CdcModel::new(cfg);
+            let at = SimTime::from_nanos(7);
+            assert_eq!(m.request_into_pl(at), at + cfg.request_latency());
+            for bytes in [1, 16, 64, 100] {
+                m.reset();
+                let want = cfg.port_transfer_time(bytes) + cfg.response_latency();
+                assert_eq!(m.response_into_ps(SimTime::ZERO, bytes), want);
+            }
+        }
     }
 
     #[test]

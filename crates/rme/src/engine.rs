@@ -20,9 +20,7 @@
 use std::sync::Arc;
 
 use relmem_dram::{DramModel, PhysicalMemory};
-use relmem_sim::{
-    CdcConfig, ClockDomain, RmeHwConfig, SimTime, TraceEvent, TraceEventKind, Tracer, Track,
-};
+use relmem_sim::{CdcConfig, RmeHwConfig, SimTime, TraceEvent, TraceEventKind, Tracer, Track};
 
 use crate::config_port::ConfigPort;
 use crate::descriptor::Descriptor;
@@ -40,7 +38,8 @@ use crate::trapper::Trapper;
 #[derive(Debug, Clone)]
 pub struct RmeEngine {
     hw: RmeHwConfig,
-    pl: ClockDomain,
+    /// One Data SPM access (`spm_access_cycles` PL cycles), resolved once.
+    spm_access: SimTime,
     bus_bytes: usize,
     revision: HwRevision,
     port: ConfigPort,
@@ -188,7 +187,7 @@ impl RmeEngine {
             trapper: Trapper::new(cdc),
             fetch_units,
             port: ConfigPort::new(),
-            pl,
+            spm_access: pl.cycles(hw.spm_access_cycles),
             bus_bytes,
             revision,
             hw,
@@ -363,7 +362,7 @@ impl RmeEngine {
         let data_ready_pl = match self.monitor.lookup(frame, line_in_frame) {
             Lookup::Hit(completed_at) => {
                 self.stats.buffer_hits += 1;
-                completed_at.max(at_pl) + self.pl.cycles(self.hw.spm_access_cycles)
+                completed_at.max(at_pl) + self.spm_access
             }
             Lookup::Miss => {
                 self.stats.buffer_misses += 1;
@@ -388,7 +387,7 @@ impl RmeEngine {
                 };
                 self.monitor.buffer_mut().stall(line_in_frame, axi.id);
                 self.monitor.buffer_mut().take_stalled(line_in_frame);
-                completed_at.max(at_pl) + self.pl.cycles(self.hw.spm_access_cycles)
+                completed_at.max(at_pl) + self.spm_access
             }
         };
 

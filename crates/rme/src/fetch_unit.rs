@@ -34,14 +34,19 @@ pub struct ChunkResult<'m> {
 pub struct FetchUnit {
     /// Reader slots: completion times of outstanding read transactions.
     slots: Vec<SimTime>,
-    /// Index and completion time of the earliest-free reader slot (the
-    /// first minimum in slot order), refreshed whenever a slot is written.
-    earliest: (usize, SimTime),
+    /// Ring index of the earliest-free reader slot. Each write stores the
+    /// pipeline's end time, which never decreases, so the slots fill in
+    /// ring order and the oldest write is always the next one to free.
+    next_slot: usize,
     /// The unit's extract/pack/write pipeline (serial within the unit).
     pipeline: Resource,
     /// PL-side ingest port of this unit (beats cross at one per PL cycle).
     port: Resource,
-    pl: ClockDomain,
+    /// PL cycle length in picoseconds, resolved once.
+    cycle_ps: u64,
+    /// Port and pipeline occupancy indexed by burst length, filled on
+    /// first use of each length.
+    burst_times: Vec<(SimTime, SimTime)>,
     revision: HwRevision,
     cfg: RmeHwConfig,
     bus_bytes: usize,
@@ -62,10 +67,11 @@ impl FetchUnit {
     ) -> Self {
         FetchUnit {
             slots: vec![SimTime::ZERO; revision.outstanding_reads()],
-            earliest: (0, SimTime::ZERO),
+            next_slot: 0,
             pipeline: Resource::new("fetch-unit-pipeline"),
             port: Resource::new("fetch-unit-port"),
-            pl,
+            cycle_ps: pl.cycle().as_picos(),
+            burst_times: Vec::new(),
             revision,
             cfg,
             bus_bytes,
@@ -82,7 +88,7 @@ impl FetchUnit {
     /// The earliest time this unit could accept another descriptor (used by
     /// the engine to pick the least-loaded unit).
     pub fn earliest_slot(&self) -> SimTime {
-        self.earliest.1
+        self.slots[self.next_slot]
     }
 
     /// Processes a descriptor dispatched at `dispatch_at`.
@@ -101,8 +107,7 @@ impl FetchUnit {
         let burst_bytes = descriptor.burst_bytes(self.bus_bytes);
 
         // 1. Reader: wait for a free outstanding-transaction slot.
-        let (slot_idx, slot_free) = self.earliest;
-        let issue = dispatch_at.max(slot_free);
+        let issue = dispatch_at.max(self.earliest_slot());
 
         // 2. Main-memory burst (timing) + payload (functional). A read
         //    launched from the PL additionally pays the PS-interconnect
@@ -114,34 +119,17 @@ impl FetchUnit {
         let data_at_unit = completion.finish + self.read_latency;
         let payload = mem.read(descriptor.raddr, burst_bytes);
 
-        // 3. The beats cross the unit's PL-side read-data port; the landing
-        //    FIFO drains `port_beats_per_cycle` beats per PL cycle.
-        let beats_per_cycle = self.cfg.port_beats_per_cycle.max(1);
-        let port_time = SimTime::from_picos(
-            self.pl.cycle().as_picos() * descriptor.rburst as u64 / beats_per_cycle,
-        );
+        // 3. The beats cross the unit's PL-side read-data port, then the
+        //    Column Extractor + Writer occupy the unit's pipeline.
+        let (port_time, pipeline_time) = self.burst_times(descriptor.rburst);
         let (_, port_done) = self.port.acquire(data_at_unit, port_time);
-
-        // 4. Column Extractor + Writer occupy the unit's pipeline. With the
-        //    packer (PCK/MLP) the extractor streams one beat per PL cycle and
-        //    the SPM write is folded into the same pipeline stage, so the
-        //    unit sustains one beat of throughput per cycle. Without it
-        //    (BSL) every chunk performs its own SPM write and the pipeline
-        //    stalls for the write turnaround.
-        let pipeline_cycles = if self.revision.has_packer() {
-            self.cfg.extract_cycles_per_beat * descriptor.rburst as u64
-        } else {
-            self.cfg.extract_cycles_per_beat * descriptor.rburst as u64
-                + self.cfg.spm_access_cycles * descriptor.rburst as u64
-                + 2
-        };
-        let pipeline_time = self.pl.cycles(pipeline_cycles);
         let (_, written_at) = self.pipeline.acquire(port_done, pipeline_time);
 
-        // 5. The Reader slot stays occupied until the whole chunk has
+        // 4. The Reader slot stays occupied until the whole chunk has
         //    retired (this is what serialises BSL/PCK).
-        self.slots[slot_idx] = written_at;
-        self.earliest = first_min(&self.slots);
+        debug_assert!(self.slots.iter().all(|&t| t <= written_at), "write times decreased");
+        self.slots[self.next_slot] = written_at;
+        self.next_slot = if self.next_slot + 1 == self.slots.len() { 0 } else { self.next_slot + 1 };
 
         ChunkResult {
             data: extract(descriptor, payload, self.bus_bytes),
@@ -150,24 +138,35 @@ impl FetchUnit {
         }
     }
 
+    /// Port and pipeline occupancy of a `rburst`-beat chunk. The landing
+    /// FIFO drains `port_beats_per_cycle` beats per PL cycle. With the
+    /// packer (PCK/MLP) the extractor streams one beat per PL cycle and the
+    /// SPM write is folded into the same pipeline stage, so the unit
+    /// sustains one beat of throughput per cycle. Without it (BSL) every
+    /// chunk performs its own SPM write and the pipeline stalls for the
+    /// write turnaround.
+    fn burst_times(&mut self, rburst: usize) -> (SimTime, SimTime) {
+        while self.burst_times.len() <= rburst {
+            let beats = self.burst_times.len() as u64;
+            let port = self.cycle_ps * beats / self.cfg.port_beats_per_cycle.max(1);
+            let mut pipeline_cycles = self.cfg.extract_cycles_per_beat * beats;
+            if !self.revision.has_packer() {
+                pipeline_cycles += self.cfg.spm_access_cycles * beats + 2;
+            }
+            let pipeline = self.cycle_ps * pipeline_cycles;
+            self.burst_times.push((SimTime::from_picos(port), SimTime::from_picos(pipeline)));
+        }
+        self.burst_times[rburst]
+    }
+
     /// Clears all timing state (between measured runs).
     pub fn reset(&mut self) {
         self.slots.fill(SimTime::ZERO);
-        self.earliest = (0, SimTime::ZERO);
+        self.next_slot = 0;
         self.pipeline.reset();
         self.port.reset();
         self.processed = 0;
     }
-}
-
-/// The first minimum of `times` in index order, with its index.
-fn first_min(times: &[SimTime]) -> (usize, SimTime) {
-    times
-        .iter()
-        .copied()
-        .enumerate()
-        .min_by_key(|&(_, t)| t)
-        .expect("at least one reader slot")
 }
 
 /// Index of the unit whose earliest reader slot frees first (the first
@@ -271,25 +270,57 @@ mod tests {
         assert_eq!(fu.processed(), 0);
     }
 
+    /// The first minimum of `times` in index order, with its index: the
+    /// full scan the ring-ordered reader slots replace.
+    fn first_min(times: &[SimTime]) -> (usize, SimTime) {
+        times
+            .iter()
+            .copied()
+            .enumerate()
+            .min_by_key(|&(_, t)| t)
+            .expect("at least one reader slot")
+    }
+
+    fn sorted(times: &[SimTime]) -> Vec<SimTime> {
+        let mut times = times.to_vec();
+        times.sort_unstable();
+        times
+    }
+
     proptest! {
-        /// The cached `(unit, slot)` choice equals a first-minimum scan over
-        /// every slot of every unit, and the chunks equal those of units
-        /// whose slot comes from that scan, over random descriptor streams
-        /// and dispatch times.
+        /// The `(unit, slot)` choice of the ring equals a first-minimum scan
+        /// over every slot of every unit, and the chunks and slot times
+        /// equal those of units whose slot comes from that scan, over random
+        /// hardware configurations, descriptor streams and dispatch times.
         #[test]
         fn cached_dispatch_matches_a_full_scan(
             revision in 0usize..3,
             units in 1usize..=4,
+            extract_cycles_per_beat in 0u64..=2,
+            port_beats_per_cycle in 1u64..=4,
+            spm_access_cycles in 0u64..=2,
             stream in proptest::collection::vec(
                 (0u64..256, 0usize..64, 1usize..=16, 0u64..3_000),
                 1..200,
             ),
         ) {
             let revision = [HwRevision::Bsl, HwRevision::Pck, HwRevision::Mlp][revision];
+            let cfg = RmeHwConfig {
+                extract_cycles_per_beat,
+                port_beats_per_cycle,
+                spm_access_cycles,
+                ..RmeHwConfig::default()
+            };
+            // With zero pipeline occupancy a write can tie the slots still
+            // holding the previous write's time; tied slots hold the same
+            // time, so only which of them is written can differ.
+            let occupied = extract_cycles_per_beat > 0 || !revision.has_packer();
+            let pl = ClockDomain::new("pl", 100.0);
+            let fresh = || FetchUnit::new(cfg, revision, pl, 16, SimTime::from_nanos(200));
             let (mem, _, g) = setup(256);
-            let mut cached: Vec<FetchUnit> = (0..units).map(|_| unit(revision)).collect();
-            let mut scanned = cached.clone();
-            let mut dram_cached = DramModel::new(DramConfig::default());
+            let mut ring: Vec<FetchUnit> = (0..units).map(|_| fresh()).collect();
+            let mut scanned = ring.clone();
+            let mut dram_ring = DramModel::new(DramConfig::default());
             let mut dram_scanned = DramModel::new(DramConfig::default());
             for &(row, offset, width, at) in &stream {
                 let mut g = g.clone();
@@ -303,14 +334,23 @@ mod tests {
                     .flat_map(|(u, fu)| fu.slots.iter().enumerate().map(move |(s, &t)| (u, s, t)))
                     .min_by_key(|&(_, _, t)| t)
                     .unwrap();
-                let u = least_loaded(&cached);
-                prop_assert_eq!((u, cached[u].earliest), (u_ref, (s_ref, t_ref)));
+                let u = least_loaded(&ring);
+                prop_assert_eq!((u, ring[u].earliest_slot()), (u_ref, t_ref));
+                if occupied {
+                    prop_assert_eq!(ring[u].next_slot, s_ref);
+                }
 
-                scanned[u_ref].earliest = (s_ref, t_ref);
+                scanned[u_ref].next_slot = s_ref;
                 let want = scanned[u_ref].process(&d, at, &mem, &mut dram_scanned);
-                let got = cached[u].process(&d, at, &mem, &mut dram_cached);
+                let got = ring[u].process(&d, at, &mem, &mut dram_ring);
                 prop_assert_eq!(got, want);
-                prop_assert_eq!(&cached[u].slots, &scanned[u_ref].slots);
+                for (r, s) in ring.iter().zip(&scanned) {
+                    prop_assert_eq!(r.earliest_slot(), first_min(&s.slots).1);
+                    prop_assert_eq!(sorted(&r.slots), sorted(&s.slots));
+                    if occupied {
+                        prop_assert_eq!(&r.slots, &s.slots);
+                    }
+                }
             }
         }
     }

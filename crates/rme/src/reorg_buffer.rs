@@ -30,6 +30,8 @@ struct LineMeta {
 #[derive(Debug, Clone)]
 pub struct ReorganizationBuffer {
     line_bytes: usize,
+    /// `log2(line_bytes)`: line indices are shifts, not divisions.
+    line_shift: u32,
     data: Vec<u8>,
     meta: Vec<LineMeta>,
     epoch: u64,
@@ -47,6 +49,7 @@ impl ReorganizationBuffer {
         let lines = capacity_bytes / line_bytes;
         ReorganizationBuffer {
             line_bytes,
+            line_shift: line_bytes.trailing_zeros(),
             data: vec![0u8; capacity_bytes],
             meta: vec![LineMeta::default(); lines],
             // Start at epoch 1 so that the all-zero metadata is "stale".
@@ -101,36 +104,43 @@ impl ReorganizationBuffer {
             offset + bytes.len(),
             self.data.len()
         );
-        self.data[offset..offset + bytes.len()].copy_from_slice(bytes);
+        let end = offset + bytes.len();
+        self.data[offset..end].copy_from_slice(bytes);
 
+        let first_line = offset >> self.line_shift;
+        let last_line = (end - 1) >> self.line_shift;
+        if first_line == last_line {
+            // The common case: a column chunk inside one line.
+            return self.credit(first_line, bytes.len(), when);
+        }
         let mut completed = 0;
-        let first_line = offset / self.line_bytes;
-        let last_line = (offset + bytes.len() - 1) / self.line_bytes;
         for line in first_line..=last_line {
-            let line_start = line * self.line_bytes;
-            let line_end = line_start + self.line_bytes;
-            let overlap =
-                (offset + bytes.len()).min(line_end) - offset.max(line_start);
-            let meta = &mut self.meta[line];
-            if meta.epoch != self.epoch {
-                // First write of this epoch: start counting from zero.
-                meta.epoch = self.epoch;
-                meta.valid_bytes = 0;
-                meta.complete_at = SimTime::ZERO;
-                meta.pending_id = meta.pending_id.take();
-            }
-            meta.valid_bytes += overlap as u32;
-            meta.complete_at = meta.complete_at.max(when);
-            debug_assert!(
-                meta.valid_bytes as usize <= self.line_bytes,
-                "line {line} overfilled"
-            );
-            if meta.valid_bytes as usize == self.line_bytes {
-                self.lines_completed += 1;
-                completed += 1;
-            }
+            let line_start = line << self.line_shift;
+            let overlap = end.min(line_start + self.line_bytes) - offset.max(line_start);
+            completed += self.credit(line, overlap, when);
         }
         completed
+    }
+
+    /// Adds `bytes` valid bytes, written at `when`, to `line`. Returns 1 if
+    /// that completes the line, else 0.
+    fn credit(&mut self, line: usize, bytes: usize, when: SimTime) -> usize {
+        let meta = &mut self.meta[line];
+        if meta.epoch != self.epoch {
+            // First write of this epoch: start counting from zero.
+            meta.epoch = self.epoch;
+            meta.valid_bytes = 0;
+            meta.complete_at = SimTime::ZERO;
+        }
+        meta.valid_bytes += bytes as u32;
+        meta.complete_at = meta.complete_at.max(when);
+        debug_assert!(
+            meta.valid_bytes as usize <= self.line_bytes,
+            "line {line} overfilled"
+        );
+        let complete = meta.valid_bytes as usize == self.line_bytes;
+        self.lines_completed += complete as u64;
+        complete as usize
     }
 
     /// Marks a line complete without data movement (used when a line is
@@ -242,6 +252,17 @@ mod tests {
         assert_eq!(buf.stall(1, 9), Some(7));
         assert_eq!(buf.take_stalled(1), Some(9));
         assert_eq!(buf.take_stalled(1), None);
+    }
+
+    #[test]
+    fn a_stalled_id_survives_an_epoch_reset_and_the_next_write() {
+        let mut buf = ReorganizationBuffer::new(128, 64);
+        buf.write_chunk(0, &[1u8; 16], ns(1));
+        assert_eq!(buf.stall(0, 5), None);
+        buf.reset_epoch();
+        buf.write_chunk(0, &[2u8; 16], ns(2));
+        assert_eq!(buf.take_stalled(0), Some(5));
+        assert_eq!(buf.take_stalled(0), None);
     }
 
     #[test]
