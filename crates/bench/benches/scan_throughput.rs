@@ -405,6 +405,26 @@ fn run_model_comparison(rows: u64, reps: usize, quick: bool) {
     write_report(&out, &json, quick, rows);
 }
 
+const USAGE: &str =
+    "usage: scan_throughput [--quick] [--rows N] [--cores N] [--model ca|occupancy]";
+
+/// Reports a malformed command line the way the `figures` binary does:
+/// the problem and the usage on stderr, exit status 2.
+fn usage_error(problem: &str) -> ! {
+    eprintln!("{problem}\n{USAGE}");
+    std::process::exit(2);
+}
+
+/// The number following `flag`, or a usage error.
+fn number_arg<T: std::str::FromStr>(flag: &str, value: Option<String>) -> T {
+    match value {
+        Some(v) => v
+            .parse()
+            .unwrap_or_else(|_| usage_error(&format!("{flag} requires a number, got {v:?}"))),
+        None => usage_error(&format!("{flag} requires a number")),
+    }
+}
+
 fn main() {
     let mut rows: u64 = 1_000_000;
     let mut reps = 3usize;
@@ -419,26 +439,16 @@ fn main() {
                 reps = 2;
                 quick = true;
             }
-            "--rows" => {
-                rows = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--rows requires a number");
-            }
-            "--cores" => {
-                cores = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--cores requires a number");
-            }
-            "--model" => {
-                let m = args.next().expect("--model requires a name");
-                match m.as_str() {
-                    "ca" | "cycle-accurate" => model_ca = true,
-                    "occupancy" => model_ca = false,
-                    other => panic!("unknown model {other} (expected ca|occupancy)"),
-                }
-            }
+            "--rows" => rows = number_arg("--rows", args.next()),
+            "--cores" => cores = number_arg("--cores", args.next()),
+            "--model" => match args.next().as_deref() {
+                Some("ca" | "cycle-accurate") => model_ca = true,
+                Some("occupancy") => model_ca = false,
+                Some(other) => usage_error(&format!(
+                    "unknown model {other:?} (expected ca|occupancy)"
+                )),
+                None => usage_error("--model requires a name"),
+            },
             // `cargo bench` appends harness flags like --bench; ignore them.
             _ => {}
         }

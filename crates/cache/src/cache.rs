@@ -39,7 +39,7 @@
 //! `flat_tags_match_vec_of_vecs_reference` below asserts against a
 //! faithful reimplementation of the old structure.
 
-use relmem_sim::CacheLevelConfig;
+use relmem_sim::{CacheLevelConfig, Shift};
 
 use crate::stats::CacheLevelStats;
 
@@ -687,6 +687,97 @@ impl Cache {
     /// Resets counters to zero (keeps contents).
     pub fn reset_stats(&mut self) {
         self.stats = CacheLevelStats::default();
+    }
+
+    /// The set-relative tag of the line stored as `tag` in the set at
+    /// `base` after moving it by `periods` periods, or `None` if the move
+    /// changes the line's set (the shift is not a multiple of the set span)
+    /// or leaves the tag range.
+    fn moved_tag(&self, base: usize, tag: u32, shift: &Shift, periods: u64) -> Option<u32> {
+        let moved = shift.addr(self.line_of(base, tag), periods) >> self.line_shift;
+        let sets = self.sets as u64;
+        (moved % sets == (base / self.assoc) as u64 && moved / sets < EMPTY as u64)
+            .then(|| (moved / sets) as u32)
+    }
+
+    /// Whether this tag store holds `earlier`'s lines moved by one period
+    /// (see [`relmem_sim::shift`]), with the same recency order and dirty
+    /// bits. The walk memo is a verified hint and the counters are not
+    /// state, so neither is compared.
+    ///
+    /// Which way of a *full* set holds a line is unobservable: lookups
+    /// match tags, replacement picks by rank, and a full set stays full
+    /// (scans never invalidate). Full sets therefore compare way by way in
+    /// recency order, so a stream that advances a set by a fraction of its
+    /// associativity per period still matches; sets with an empty way
+    /// compare way for way, because the lowest empty way is filled next.
+    pub fn same_up_to_shift(&self, earlier: &Cache, shift: &Shift) -> bool {
+        self.same_up_to_shift_with(earlier, shift, |_, _| true)
+    }
+
+    /// [`same_up_to_shift`](Self::same_up_to_shift), also requiring
+    /// `same_slot(now_slot, earlier_slot)` of every matched pair of way
+    /// slots — for owners that keep per-way metadata in slot-indexed
+    /// arrays.
+    pub(crate) fn same_up_to_shift_with(
+        &self,
+        earlier: &Cache,
+        shift: &Shift,
+        mut same_slot: impl FnMut(usize, usize) -> bool,
+    ) -> bool {
+        if self.tags.len() != earlier.tags.len() {
+            return false;
+        }
+        let assoc = self.assoc;
+        let (mut by_rank, mut earlier_by_rank) = (vec![0; assoc], vec![0; assoc]);
+        (0..self.tags.len()).step_by(assoc).all(|base| {
+            let set = base..base + assoc;
+            let full = !self.tags[set.clone()].contains(&EMPTY)
+                && !earlier.tags[set.clone()].contains(&EMPTY);
+            if full {
+                for way in 0..assoc {
+                    by_rank[self.ranks[base + way] as usize] = way;
+                    earlier_by_rank[earlier.ranks[base + way] as usize] = way;
+                }
+            } else if self.ranks[set.clone()] != earlier.ranks[set] {
+                return false;
+            }
+            (0..assoc).all(|i| {
+                let (now, was) = if full {
+                    (base + by_rank[i], base + earlier_by_rank[i])
+                } else {
+                    (base + i, base + i)
+                };
+                let (t, e) = (self.tags[now], earlier.tags[was]);
+                let same_line = if t == EMPTY || e == EMPTY {
+                    t == e
+                } else {
+                    self.moved_tag(base, e, shift, 1) == Some(t)
+                };
+                same_line && self.dirty[now] == earlier.dirty[was] && same_slot(now, was)
+            })
+        })
+    }
+
+    /// Moves every resident line forward by `periods` periods (each stays
+    /// in its set and way), forgets the walk memo and advances the
+    /// counters by their increment since `earlier`.
+    ///
+    /// # Panics
+    /// Panics if a line would change sets — callers check
+    /// [`same_up_to_shift`](Self::same_up_to_shift) first.
+    pub fn shift(&mut self, earlier: &Cache, shift: &Shift, periods: u64) {
+        for slot in 0..self.tags.len() {
+            let tag = self.tags[slot];
+            if tag != EMPTY {
+                let base = slot - slot % self.assoc;
+                self.tags[slot] = self
+                    .moved_tag(base, tag, shift, periods)
+                    .expect("a shifted line stays in its set");
+            }
+        }
+        self.memo_lines = [u64::MAX; MEMO_WAYS];
+        self.stats.extrapolate(&earlier.stats, periods);
     }
 }
 

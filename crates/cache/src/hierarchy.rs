@@ -50,7 +50,7 @@
 //! let entries linger until a threshold purge, over-counting
 //! `prefetch_hits`).
 
-use relmem_sim::{PlatformConfig, SimTime, TraceEvent, TraceEventKind, Tracer, Track};
+use relmem_sim::{PlatformConfig, Shift, SimTime, TraceEvent, TraceEventKind, Tracer, Track};
 
 use crate::cache::Cache;
 use crate::prefetch::StreamPrefetcher;
@@ -189,6 +189,11 @@ impl MissSlots {
         debug_assert!(self.len < self.completions.len());
         self.completions[self.len] = completion;
         self.len += 1;
+    }
+
+    /// The pooled completions, in slot order.
+    fn live(&self) -> &[SimTime] {
+        &self.completions[..self.len]
     }
 }
 
@@ -333,6 +338,28 @@ impl CoreFrontend {
             return ready;
         }
         ready.max(self.inflight.take_earliest())
+    }
+
+    /// Whether this frontend's timing state is `earlier`'s moved by one
+    /// period (see [`relmem_sim::shift`]): L1 lines, prefetch streams and
+    /// live in-flight fill completions. The MRU line is a host-side hint and
+    /// the counters are not state, so neither is compared.
+    pub fn same_up_to_shift(&self, earlier: &CoreFrontend, shift: &Shift) -> bool {
+        self.l1.same_up_to_shift(&earlier.l1, shift)
+            && self.prefetcher.same_up_to_shift(&earlier.prefetcher, shift)
+            && shift.same_live_times(self.inflight.live(), earlier.inflight.live())
+    }
+
+    /// Moves this frontend's timing state forward by `periods` periods,
+    /// drops the MRU hint and advances the counters by their increment
+    /// since `earlier`.
+    pub fn shift(&mut self, earlier: &CoreFrontend, shift: &Shift, periods: u64) {
+        self.l1.shift(&earlier.l1, shift, periods);
+        self.prefetcher.shift(&earlier.prefetcher, shift, periods);
+        let len = self.inflight.len;
+        shift.shift_times(&mut self.inflight.completions[..len], periods);
+        self.mru_line = NO_LINE;
+        self.stats.extrapolate(&earlier.stats, periods);
     }
 
     #[inline]
@@ -1047,6 +1074,72 @@ mod tests {
             "stale pending entry produced a phantom prefetch hit"
         );
         assert_eq!(again.completion, now + h.front.l1_hit + h.front.l2_hit);
+    }
+
+    /// Streams `lines` consecutive lines from `first`, one 8-byte read each.
+    fn stream(
+        front: &mut CoreFrontend,
+        l2: &mut SharedL2,
+        mem: &mut FixedLatencyBackend,
+        first: u64,
+        lines: u64,
+        mut now: SimTime,
+    ) -> (SimTime, Vec<AccessOutcome>) {
+        let outcomes: Vec<AccessOutcome> = (first..first + lines)
+            .map(|line| {
+                let out = front.access(line * 64, 8, now, l2, mem);
+                now = out.completion;
+                out
+            })
+            .collect();
+        (now, outcomes)
+    }
+
+    /// A stream that advances one and a half L2 capacities per period
+    /// puts 24 new lines into each 16-way set, so the sets' ways rotate by
+    /// half a turn per period: two period starts differ way for way yet
+    /// match in recency order. Shifting over three periods then leaves
+    /// exactly what stepping them does. (The stream's fill timing repeats
+    /// every three lines, which the period's line count is a multiple of.)
+    #[test]
+    fn a_streaming_period_compares_equal_and_shifts_exactly() {
+        let cfg = PlatformConfig::zcu102();
+        let lines = 3 * cfg.l2.size_bytes as u64 / 64 / 2;
+        let mut front = CoreFrontend::new(&cfg);
+        let mut l2 = SharedL2::new(&cfg, 1);
+        let mut mem = FixedLatencyBackend::new(ns(90));
+        let mut now = SimTime::ZERO;
+        // Warm up: fill the L2 and let the stream reach its steady state.
+        for k in 0..3 {
+            now = stream(&mut front, &mut l2, &mut mem, k * lines, lines, now).0;
+        }
+        let (front_2, l2_2, start_2) = (front.clone(), l2.clone(), now);
+        now = stream(&mut front, &mut l2, &mut mem, 3 * lines, lines, now).0;
+        let shift = Shift {
+            time: now - start_2,
+            start: now,
+            source: lines * 64,
+            ephemeral: 0,
+            ephemeral_base: u64::MAX,
+        };
+        assert!(front.same_up_to_shift(&front_2, &shift));
+        assert!(l2.same_up_to_shift(&l2_2, &shift));
+
+        let (mut front_ff, mut l2_ff) = (front.clone(), l2.clone());
+        front_ff.shift(&front_2, &shift, 3);
+        l2_ff.shift(&l2_2, &shift, 3);
+        for k in 4..7 {
+            now = stream(&mut front, &mut l2, &mut mem, k * lines, lines, now).0;
+        }
+        assert_eq!(front_ff.stats(), front.stats());
+        let ff_start = shift.start + shift.time * 3;
+        assert_eq!(ff_start, now);
+        let mut mem_ff = FixedLatencyBackend::new(ns(90));
+        assert_eq!(
+            stream(&mut front_ff, &mut l2_ff, &mut mem_ff, 7 * lines, lines, ff_start),
+            stream(&mut front, &mut l2, &mut mem, 7 * lines, lines, now),
+        );
+        assert_eq!(front_ff.stats(), front.stats());
     }
 
     proptest! {

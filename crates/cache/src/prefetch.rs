@@ -10,6 +10,9 @@
 
 use std::collections::VecDeque;
 
+use relmem_sim::shift::extrapolate;
+use relmem_sim::Shift;
+
 /// Outcome of training the prefetcher with one demand access.
 ///
 /// Prefetch targets are always a contiguous run of lines, so the decision
@@ -191,6 +194,69 @@ impl StreamPrefetcher {
             touched: self.tick,
         });
         PrefetchDecision::run(line + 1, degree, self.line_bytes, false)
+    }
+
+    /// Line number `line` moved forward by `periods` periods.
+    fn moved(&self, line: u64, shift: &Shift, periods: u64) -> u64 {
+        shift.addr(line << self.line_shift, periods) >> self.line_shift
+    }
+
+    /// Whether the tracked streams and the miss history are `earlier`'s
+    /// moved by one period: same order, lines moved, and each stream's LRU
+    /// age (`tick - touched`) unchanged. A history no training consulted
+    /// during the period must be unchanged instead of moved.
+    pub fn same_up_to_shift(&self, earlier: &StreamPrefetcher, shift: &Shift) -> bool {
+        self.streams.len() == earlier.streams.len()
+            && self.streams.iter().zip(&earlier.streams).all(|(s, e)| {
+                s.last_demand == self.moved(e.last_demand, shift, 1)
+                    && s.last_prefetched == self.moved(e.last_prefetched, shift, 1)
+                    && self.tick - s.touched == earlier.tick - e.touched
+            })
+            && if self.untracked() == earlier.untracked() {
+                // No miss fell outside the streams during the period, so
+                // the history was never consulted and never will be while
+                // the streams keep moving with the period: it is frozen.
+                self.recent == earlier.recent
+            } else {
+                self.recent.len() == earlier.recent.len()
+                    && self
+                        .recent
+                        .iter()
+                        .zip(&earlier.recent)
+                        .all(|(&l, &e)| l == self.moved(e, shift, 1))
+            }
+    }
+
+    /// Trainings that matched no stream (each one consulted and extended
+    /// the miss history).
+    fn untracked(&self) -> u64 {
+        self.tick - self.stream_hits
+    }
+
+    /// Moves every stream and remembered miss forward by `periods` periods
+    /// and advances the LRU clock and the counters by their increment since
+    /// `earlier`.
+    pub fn shift(&mut self, earlier: &StreamPrefetcher, shift: &Shift, periods: u64) {
+        let ticks = (self.tick - earlier.tick) * periods;
+        for i in 0..self.streams.len() {
+            let s = &self.streams[i];
+            let (demand, prefetched) = (
+                self.moved(s.last_demand, shift, periods),
+                self.moved(s.last_prefetched, shift, periods),
+            );
+            let s = &mut self.streams[i];
+            s.last_demand = demand;
+            s.last_prefetched = prefetched;
+            s.touched += ticks;
+        }
+        if self.untracked() != earlier.untracked() {
+            for i in 0..self.recent.len() {
+                self.recent[i] = self.moved(self.recent[i], shift, periods);
+            }
+        }
+        self.tick += ticks;
+        self.issued = extrapolate(self.issued, earlier.issued, periods);
+        self.stream_hits = extrapolate(self.stream_hits, earlier.stream_hits, periods);
     }
 
     fn remember(&mut self, line: u64) {

@@ -42,7 +42,10 @@
 //! assert_eq!(SharedL2::new(&cfg, 1).is_contended(), false);
 //! ```
 
-use relmem_sim::{MultiResource, PlatformConfig, SimTime, TraceEvent, TraceEventKind, Tracer, Track};
+use relmem_sim::shift::{extrapolate, extrapolate_time};
+use relmem_sim::{
+    MultiResource, PlatformConfig, Shift, SimTime, TraceEvent, TraceEventKind, Tracer, Track,
+};
 
 use crate::cache::Cache;
 
@@ -57,6 +60,18 @@ pub struct SharedL2Stats {
     pub contention_delay: SimTime,
 }
 
+impl SharedL2Stats {
+    /// Advances every counter by `periods` times its increment since
+    /// `earlier` (see [`relmem_sim::shift`]).
+    pub fn extrapolate(&mut self, earlier: &SharedL2Stats, periods: u64) {
+        self.lookups = extrapolate(self.lookups, earlier.lookups, periods);
+        self.contended_lookups =
+            extrapolate(self.contended_lookups, earlier.contended_lookups, periods);
+        self.contention_delay =
+            extrapolate_time(self.contention_delay, earlier.contention_delay, periods);
+    }
+}
+
 /// One core's share of the shared-L2 bank traffic — the per-stream
 /// attribution the HTAP workload harness reports (each core runs one query
 /// stream, so core index ≡ stream index). The sum over cores equals
@@ -69,6 +84,18 @@ pub struct CoreL2Share {
     pub contended_lookups: u64,
     /// Total time this core's lookups spent waiting for a busy bank.
     pub contention_delay: SimTime,
+}
+
+impl CoreL2Share {
+    /// Advances every counter by `periods` times its increment since
+    /// `earlier` (see [`relmem_sim::shift`]).
+    pub fn extrapolate(&mut self, earlier: &CoreL2Share, periods: u64) {
+        self.lookups = extrapolate(self.lookups, earlier.lookups, periods);
+        self.contended_lookups =
+            extrapolate(self.contended_lookups, earlier.contended_lookups, periods);
+        self.contention_delay =
+            extrapolate_time(self.contention_delay, earlier.contention_delay, periods);
+    }
 }
 
 /// The shared L2: tag store + pending fills + banked contention model.
@@ -237,6 +264,30 @@ impl SharedL2 {
     /// The L2 tag store (read access, for capacity checks in tests).
     pub fn cache(&self) -> &Cache {
         &self.cache
+    }
+
+    /// Whether this L2's timing state is `earlier`'s moved by one period
+    /// (see [`relmem_sim::shift`]): tag store, each line's pending-fill
+    /// arrival and the bank free times.
+    pub fn same_up_to_shift(&self, earlier: &SharedL2, shift: &Shift) -> bool {
+        self.contended == earlier.contended
+            && self.pending_len == earlier.pending_len
+            && self.cache.same_up_to_shift_with(&earlier.cache, shift, |now, was| {
+                shift.same_time(self.pending[now], earlier.pending[was])
+            })
+            && self.banks.same_up_to_shift(&earlier.banks, shift)
+    }
+
+    /// Moves this L2's timing state forward by `periods` periods and
+    /// advances the counters by their increment since `earlier`.
+    pub fn shift(&mut self, earlier: &SharedL2, shift: &Shift, periods: u64) {
+        self.cache.shift(&earlier.cache, shift, periods);
+        shift.shift_times(&mut self.pending, periods);
+        self.banks.shift(&earlier.banks, shift, periods);
+        self.stats.extrapolate(&earlier.stats, periods);
+        for (i, share) in self.per_core.iter_mut().enumerate() {
+            share.extrapolate(&earlier.per_core.get(i).copied().unwrap_or_default(), periods);
+        }
     }
 
     /// Flushes the tag store, forgets pending fills and frees every bank.

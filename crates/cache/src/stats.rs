@@ -5,6 +5,7 @@
 //! with [`HierarchyStats::merge`], which is exactly what `relmem-core`'s
 //! `System` reports for a multi-core measurement.
 
+use relmem_sim::shift::{extrapolate, extrapolate_time};
 use relmem_sim::SimTime;
 
 /// Counters for a single cache level.
@@ -33,6 +34,14 @@ impl CacheLevelStats {
         self.requests += other.requests;
         self.hits += other.hits;
         self.misses += other.misses;
+    }
+
+    /// Advances every counter by `periods` times its increment since
+    /// `earlier` (see [`relmem_sim::shift`]).
+    pub fn extrapolate(&mut self, earlier: &CacheLevelStats, periods: u64) {
+        self.requests = extrapolate(self.requests, earlier.requests, periods);
+        self.hits = extrapolate(self.hits, earlier.hits, periods);
+        self.misses = extrapolate(self.misses, earlier.misses, periods);
     }
 }
 
@@ -69,6 +78,21 @@ impl HierarchyStats {
         self.prefetch_hits += other.prefetch_hits;
         self.l2_contended_lookups += other.l2_contended_lookups;
         self.l2_contention_delay += other.l2_contention_delay;
+    }
+
+    /// Advances every counter by `periods` times its increment since
+    /// `earlier` (see [`relmem_sim::shift`]).
+    pub fn extrapolate(&mut self, earlier: &HierarchyStats, periods: u64) {
+        self.l1.extrapolate(&earlier.l1, periods);
+        self.l2.extrapolate(&earlier.l2, periods);
+        self.backend_fills = extrapolate(self.backend_fills, earlier.backend_fills, periods);
+        self.prefetches_issued =
+            extrapolate(self.prefetches_issued, earlier.prefetches_issued, periods);
+        self.prefetch_hits = extrapolate(self.prefetch_hits, earlier.prefetch_hits, periods);
+        self.l2_contended_lookups =
+            extrapolate(self.l2_contended_lookups, earlier.l2_contended_lookups, periods);
+        self.l2_contention_delay =
+            extrapolate_time(self.l2_contention_delay, earlier.l2_contention_delay, periods);
     }
 }
 

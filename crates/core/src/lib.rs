@@ -28,6 +28,7 @@ pub mod hashtbl;
 mod interleave;
 pub mod measure;
 pub mod openloop;
+mod periodic;
 pub mod queries;
 mod stepper;
 pub mod system;

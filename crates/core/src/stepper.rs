@@ -14,10 +14,12 @@
 //! memory and the RME, borrowed simultaneously the way the scan loops in
 //! `system.rs` destructure the platform.
 
+use std::ops::Range;
+
 use relmem_cache::{CoreFrontend, MemoryBackend, SharedL2};
 use relmem_dram::{DramModel, PhysicalMemory};
 use relmem_rme::RmeEngine;
-use relmem_sim::SimTime;
+use relmem_sim::{PlatformConfig, SimTime};
 use relmem_storage::{RowTable, Snapshot};
 
 use crate::cost::CpuCostModel;
@@ -448,10 +450,123 @@ impl<'a> ScanJob<'a> {
         (now, row_cpu)
     }
 
+    /// Steps rows `rows` on `core` in order, starting at local time `now`,
+    /// and returns `(end, cpu, rows_scanned)`: the single-lane scan loop,
+    /// through [`run_rows_fast`](Self::run_rows_fast) when the job has that
+    /// shape and row by row through [`step_row`](Self::step_row) otherwise.
+    pub(crate) fn run_range<F>(
+        &self,
+        sys: &mut System,
+        core: usize,
+        rows: Range<u64>,
+        now: SimTime,
+        values: &mut [u64],
+        per_row: &mut F,
+    ) -> (SimTime, SimTime, u64)
+    where
+        F: FnMut(u64, &[u64]) -> RowEffect,
+    {
+        if self.fast_rows_shape() {
+            let scanned = rows.end - rows.start;
+            let (now, cpu) = self.run_rows_fast(sys.parts(), core, rows, now, values, per_row);
+            return (now, cpu, scanned);
+        }
+        let mut now = now;
+        let mut cpu_total = SimTime::ZERO;
+        let mut rows_scanned = 0u64;
+        for row in rows {
+            let step = self.step_row(sys.parts(), core, row, now, values, per_row);
+            now = step.now;
+            cpu_total += step.cpu;
+            rows_scanned += step.scanned as u64;
+        }
+        (now, cpu_total, rows_scanned)
+    }
+
+    /// The scan's steady-state period, if it has one the timing models can
+    /// fast-forward over (see `crate::periodic`): a single-plan row scan or
+    /// an unfiltered ephemeral scan of the programmed projection.
+    ///
+    /// * Row scan: the smallest row count whose byte span is a multiple of
+    ///   every model's address-translation period — the L1 and L2 set
+    ///   spans, the L2 bank interleave and the DRAM mapping's bank/XOR span.
+    /// * Ephemeral scan: one Reorganization Buffer frame.
+    pub(crate) fn period(
+        &self,
+        cfg: &PlatformConfig,
+        dram: &DramModel,
+        engine: &RmeEngine,
+    ) -> Option<ScanPeriod> {
+        match &self.kind {
+            JobKind::Rows {
+                cursors,
+                base,
+                stride,
+                snapshot: None,
+                plans: Some(plans),
+                ..
+            } if plans.len() == 1 => {
+                let line = cfg.line_bytes() as u64;
+                let span = [
+                    (cfg.l1.sets() as u64) * line,
+                    (cfg.l2.sets() as u64) * line,
+                    (cfg.l2_banks.max(1) as u64) * line,
+                    dram.mapping().translation_period(),
+                ]
+                .into_iter()
+                .fold(1, lcm);
+                let rows = span / gcd(span, *stride);
+                Some(ScanPeriod {
+                    rows,
+                    source_bytes: rows * stride,
+                    ephemeral_bytes: 0,
+                    uses_engine: false,
+                    gather: cursors.iter().map(|&(offset, width)| (base + offset, width)).collect(),
+                    gather_stride: *stride,
+                })
+            }
+            JobKind::Ephemeral {
+                cursors,
+                base,
+                stride,
+                frame_rows,
+                plans: Some(_),
+            } => {
+                let plan = engine.unfiltered_plan()?;
+                let geometry = engine.geometry()?;
+                let matches = geometry.ephemeral_base == *base
+                    && plan.packed_row_bytes() as u64 == *stride
+                    && plan.columns().len() == cursors.len()
+                    && plan
+                        .columns()
+                        .iter()
+                        .zip(cursors)
+                        .all(|(c, &cursor)| (c.packed_offset as u64, c.width) == cursor);
+                if !matches {
+                    return None;
+                }
+                let row_bytes = geometry.row_bytes as u64;
+                Some(ScanPeriod {
+                    rows: *frame_rows,
+                    source_bytes: frame_rows * row_bytes,
+                    ephemeral_bytes: frame_rows * stride,
+                    uses_engine: true,
+                    gather: plan
+                        .columns()
+                        .iter()
+                        .map(|c| (plan.source_address(0, c), c.width))
+                        .collect(),
+                    gather_stride: row_bytes,
+                })
+            }
+            _ => None,
+        }
+    }
+
     /// Whether [`run_rows_fast`](Self::run_rows_fast) covers this job: a
     /// row-table scan with no MVCC snapshot and a single (stride-aligned)
     /// line plan. This is the shape every non-MVCC benchmark table has.
-    pub(crate) fn fast_rows_shape(&self) -> bool {
+    fn fast_rows_shape(&self) -> bool {
         matches!(
             &self.kind,
             JobKind::Rows {
@@ -468,16 +583,17 @@ impl<'a> ScanJob<'a> {
     /// construction, plan selection) hoisted out of the loop. Single-core
     /// scans spend their whole life here.
     ///
-    /// Returns `(end, cpu_total, rows_scanned)` exactly as the caller's
+    /// Returns `(end, cpu_total)` over `rows` exactly as the caller's
     /// per-row accumulation over `step_row` would.
-    pub(crate) fn run_rows_fast<F>(
+    fn run_rows_fast<F>(
         &self,
         p: Parts<'_>,
         core: usize,
+        rows: Range<u64>,
         start: SimTime,
         values: &mut [u64],
         per_row: &mut F,
-    ) -> (SimTime, SimTime, u64)
+    ) -> (SimTime, SimTime)
     where
         F: FnMut(u64, &[u64]) -> RowEffect,
     {
@@ -509,7 +625,7 @@ impl<'a> ScanJob<'a> {
         let mem = &*mem;
         let mut now = start;
         let mut cpu_total = SimTime::ZERO;
-        for row in 0..self.rows {
+        for row in rows {
             now = walk_fields(
                 front,
                 l2,
@@ -526,8 +642,43 @@ impl<'a> ScanJob<'a> {
             now = next;
             cpu_total += row_cpu;
         }
-        (now, cpu_total, self.rows)
+        (now, cpu_total)
     }
+}
+
+/// The steady-state period of a scan (see [`ScanJob::period`]) and what
+/// the functional part of a fast-forwarded period reads.
+pub(crate) struct ScanPeriod {
+    /// Rows per period.
+    pub rows: u64,
+    /// Bytes the physical (source) addresses advance per period.
+    pub source_bytes: u64,
+    /// Bytes the ephemeral addresses advance per period.
+    pub ephemeral_bytes: u64,
+    /// Whether the RME takes part (its state is compared and shifted).
+    pub uses_engine: bool,
+    /// (source address of row 0's field, width) per value slot.
+    gather: Vec<(u64, usize)>,
+    /// Source bytes between consecutive rows.
+    gather_stride: u64,
+}
+
+impl ScanPeriod {
+    /// Reads row `row`'s values straight from source memory — what the
+    /// stepped scan reads from the row table or, for an unfiltered
+    /// projection, from the Reorganization Buffer the engine packs from
+    /// the same bytes.
+    #[inline]
+    pub fn gather(&self, mem: &PhysicalMemory, row: u64, values: &mut [u64]) {
+        let row_off = row * self.gather_stride;
+        for (slot, &(addr, width)) in self.gather.iter().enumerate() {
+            values[slot] = mem.read_uint(addr + row_off, width.min(8));
+        }
+    }
+}
+
+fn lcm(a: u64, b: u64) -> u64 {
+    a / gcd(a, b) * b
 }
 
 /// The line plan for `row`, or `None` when the job steps per field.

@@ -70,7 +70,7 @@ use crate::workload::StreamState;
 /// Base of the (never materialised) ephemeral address region. It is far
 /// above any physical allocation so aliases can never collide with real
 /// data.
-const EPHEMERAL_REGION_BASE: u64 = 1 << 40;
+pub(crate) const EPHEMERAL_REGION_BASE: u64 = 1 << 40;
 
 /// What a measured scan iterates over. The variants hold only shared
 /// references and copyable metadata, so sources are `Copy` — the workload
@@ -114,7 +114,7 @@ impl ScanSource<'_> {
 
 /// Additional work a row's processing performs, reported by the per-row
 /// closure of [`System::scan`].
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RowEffect {
     /// Extra CPU time (predicates, aggregation, hashing...).
     pub cpu: SimTime,
@@ -198,6 +198,9 @@ pub struct System {
     /// Whether scans step whole-line runs of fields (on by default; see
     /// [`Self::set_batched_stepping`]).
     pub(crate) batched_stepping: bool,
+    /// Scan periods fast-forwarded so far (host-side; see
+    /// [`Self::fast_forwarded_periods`]).
+    pub(crate) fast_forwarded_periods: u64,
 }
 
 impl System {
@@ -249,6 +252,7 @@ impl System {
             tracer: Tracer::new(),
             event_driven: false,
             batched_stepping: true,
+            fast_forwarded_periods: 0,
         };
         sys.set_event_driven(config.event_driven);
         sys
@@ -539,6 +543,18 @@ impl System {
         }
     }
 
+    /// How many scan periods [`scan`](Self::scan) has fast-forwarded over
+    /// since this system was built, instead of stepping them row by row.
+    ///
+    /// This measures the simulator, not the simulated hardware: a
+    /// fast-forwarded period produces exactly the timing, counters and
+    /// values of a stepped one, so the count appears in no measurement,
+    /// golden fixture or trace. Tests use it to show the fast-forward
+    /// engaged.
+    pub fn fast_forwarded_periods(&self) -> u64 {
+        self.fast_forwarded_periods
+    }
+
     /// Enables or disables batched line-granular scan stepping (on by
     /// default). When on, scans precompute per-alignment line plans and
     /// step whole-line runs of fields through one hierarchy walk each,
@@ -555,7 +571,8 @@ impl System {
     /// `(end_time, cpu_time, rows_scanned)`.
     ///
     /// The closure receives the values of the requested columns (numeric
-    /// view) and returns the extra work the row caused.
+    /// view) and returns the extra work the row caused. It is called
+    /// exactly once per row, in row order.
     ///
     /// The scan runs single-threaded on core 0. On a multi-core system the
     /// shared-L2 bank model stays engaged, so core 0's own prefetches can
@@ -571,6 +588,29 @@ impl System {
     /// line-granular step plans are computed once per scan, and each row
     /// then advances whole-line runs of fields through one hierarchy walk
     /// each (see `crates/core/src/stepper.rs`).
+    ///
+    /// # Periodic fast-forward
+    ///
+    /// Row scans (one line plan, no MVCC snapshot) and unfiltered
+    /// ephemeral scans are cut into periods: for a row scan the smallest
+    /// row count whose byte span is a multiple of every model's
+    /// address-translation period, for an ephemeral scan one
+    /// Reorganization Buffer frame. Once the timing
+    /// state at a period start equals the previous period start's moved by
+    /// one period, the periods up to the last run only their functional
+    /// part — values gathered from source memory, the closure called, its
+    /// effects checked against the previous period's — and the clock, CPU
+    /// time and every counter advance arithmetically; the last period is
+    /// always stepped. The result is identical to stepping every row (the
+    /// `skip_vs_step` proptest in `tests/cross_path_equivalence.rs` holds
+    /// it to [`scan_sharded`](Self::scan_sharded) on one core and to
+    /// [`scan_naive`](Self::scan_naive)). A recording tracer, MVCC
+    /// visibility, effects with a memory `touch`, the cycle-accurate DRAM
+    /// model or any state difference keep the scan stepping row by row;
+    /// [`fast_forwarded_periods`](Self::fast_forwarded_periods) counts the
+    /// periods skipped. `docs/ARCHITECTURE.md` ("Periodic fast-forward")
+    /// gives the invariant.
+    ///
     /// [`scan_naive`](Self::scan_naive) keeps the original per-field-lookup
     /// loop; `tests/cross_path_equivalence.rs` asserts both produce
     /// bit-identical timing, statistics and values.
@@ -585,26 +625,12 @@ impl System {
     {
         let job = self.scan_job(source);
         let mut values = vec![0u64; job.num_columns()];
-        if job.fast_rows_shape() {
-            // The common single-plan row-table shape: run the whole scan
-            // through the stepper's hoisted loop (identical per-row work,
-            // invariants lifted out of the loop — see `run_rows_fast`).
-            let (now, cpu_total, rows_scanned) =
-                job.run_rows_fast(self.parts(), 0, start, &mut values, &mut per_row);
-            self.settle_memory();
-            return (now, cpu_total, rows_scanned);
-        }
-        let mut now = start;
-        let mut cpu_total = SimTime::ZERO;
-        let mut rows_scanned = 0u64;
-        for row in 0..job.rows() {
-            let step = job.step_row(self.parts(), 0, row, now, &mut values, &mut per_row);
-            now = step.now;
-            cpu_total += step.cpu;
-            rows_scanned += step.scanned as u64;
-        }
+        let out = match self.steady_state_period(&job) {
+            Some(period) => self.scan_periodic(&job, &period, start, &mut values, &mut per_row),
+            None => job.run_range(self, 0, 0..job.rows(), start, &mut values, &mut per_row),
+        };
         self.settle_memory();
-        (now, cpu_total, rows_scanned)
+        out
     }
 
     /// The pre-optimization reference scan: one `field_addr()` /

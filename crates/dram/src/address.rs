@@ -142,6 +142,21 @@ impl AddressMapping {
         }
     }
 
+    /// The address-translation period: the smallest byte shift that keeps
+    /// every address on the same bank and column, moving it
+    /// `shift / (banks × row_bytes)` rows further. Without hashing that is
+    /// one pass over the banks (`banks × row_bytes`); the XOR hash mixes the
+    /// row into the bank index, so its pattern repeats only after `banks`
+    /// such passes.
+    pub fn translation_period(&self) -> u64 {
+        let pass = (self.banks * self.row_bytes) as u64;
+        if self.xor_hash {
+            pass * self.banks as u64
+        } else {
+            pass
+        }
+    }
+
     /// Re-encodes a coordinate back into an address (inverse of
     /// [`decode`](Self::decode)).
     pub fn encode(&self, coord: DramCoord) -> u64 {

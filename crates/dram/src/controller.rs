@@ -27,7 +27,10 @@
 //! [`Requestor`] tag so traffic can be attributed per core in
 //! [`DramStats::per_core_accesses`].
 
-use relmem_sim::{DramConfig, PriorityResource, SimTime, TraceEvent, TraceEventKind, Tracer, Track};
+use relmem_sim::shift::{extrapolate, extrapolate_all};
+use relmem_sim::{
+    DramConfig, PriorityResource, Shift, SimTime, TraceEvent, TraceEventKind, Tracer, Track,
+};
 
 use crate::address::AddressMapping;
 use crate::request::{Completion, MemRequest, ReqKind, RequestId, Requestor};
@@ -97,6 +100,27 @@ impl DramStats {
         } else {
             self.row_hits as f64 / total as f64
         }
+    }
+
+    /// Advances every summed counter by `periods` times its increment since
+    /// `earlier` (see [`relmem_sim::shift`]); the queue-occupancy maximum
+    /// stays.
+    pub fn extrapolate(&mut self, earlier: &DramStats, periods: u64) {
+        let e = |now: u64, was: u64| extrapolate(now, was, periods);
+        self.accesses = e(self.accesses, earlier.accesses);
+        self.row_hits = e(self.row_hits, earlier.row_hits);
+        self.row_misses = e(self.row_misses, earlier.row_misses);
+        self.bytes_transferred = e(self.bytes_transferred, earlier.bytes_transferred);
+        self.beats = e(self.beats, earlier.beats);
+        extrapolate_all(&mut self.per_core_accesses, &earlier.per_core_accesses, periods);
+        self.rme_accesses = e(self.rme_accesses, earlier.rme_accesses);
+        self.writes = e(self.writes, earlier.writes);
+        self.refreshes = e(self.refreshes, earlier.refreshes);
+        self.tfaw_stalls = e(self.tfaw_stalls, earlier.tfaw_stalls);
+        self.queue_stalls = e(self.queue_stalls, earlier.queue_stalls);
+        self.queue_occupancy_sum = e(self.queue_occupancy_sum, earlier.queue_occupancy_sum);
+        self.writebacks = e(self.writebacks, earlier.writebacks);
+        self.fr_fcfs_reorders = e(self.fr_fcfs_reorders, earlier.fr_fcfs_reorders);
     }
 
     /// Mean transactions in flight at admission (cycle-accurate model only;
@@ -176,6 +200,30 @@ impl CompletionQueue {
         self.next_id = 0;
         self.pending.clear();
         self.drained.clear();
+    }
+
+    /// Whether the queued completions are `earlier`'s moved by one period,
+    /// with request ids at the same distance behind the next id.
+    pub(crate) fn same_up_to_shift(&self, earlier: &CompletionQueue, shift: &Shift) -> bool {
+        self.pending.len() == earlier.pending.len()
+            && self.pending.iter().zip(&earlier.pending).all(|(&(id, c), &(eid, ec))| {
+                self.next_id - id.0 == earlier.next_id - eid.0
+                    && shift.same_time(c.start, ec.start)
+                    && shift.same_time(c.finish, ec.finish)
+                    && c.row_hit == ec.row_hit
+            })
+    }
+
+    /// Moves the queued completions forward by `periods` periods and
+    /// advances the id counter by its increment since `earlier`.
+    pub(crate) fn shift(&mut self, earlier: &CompletionQueue, shift: &Shift, periods: u64) {
+        let ids = (self.next_id - earlier.next_id) * periods;
+        for (id, c) in &mut self.pending {
+            id.0 += ids;
+            c.start = shift.time_after(c.start, periods);
+            c.finish = shift.time_after(c.finish, periods);
+        }
+        self.next_id += ids;
     }
 }
 
@@ -309,6 +357,60 @@ impl DramController {
         self.streak = Streak::broken();
         self.queue.reset();
         self.stats = DramStats::default();
+    }
+
+    /// Whether this controller's timing state is `earlier`'s moved by one
+    /// period (see [`relmem_sim::shift`]): open rows, bank and bus free
+    /// times and queued completions. Physical addresses move by
+    /// `shift.source`, which must be a multiple of the address mapping's
+    /// [`translation_period`](AddressMapping::translation_period) so that
+    /// every address keeps its bank. The coalescing streak is a host-side
+    /// hint and the counters are not state, so neither is compared.
+    pub fn same_up_to_shift(&self, earlier: &DramController, shift: &Shift) -> bool {
+        let Some(rows) = self.rows_per_period(shift) else {
+            return false;
+        };
+        self.coalesce == earlier.coalesce
+            && self.event_mode == earlier.event_mode
+            && self
+                .open_rows
+                .iter()
+                .zip(&earlier.open_rows)
+                .all(|(&now, &was)| now == was.map(|r| r + rows))
+            && self
+                .banks
+                .iter()
+                .zip(&earlier.banks)
+                .all(|(b, e)| b.same_up_to_shift(e, shift))
+            && self.bus.same_up_to_shift(&earlier.bus, shift)
+            && self.queue.same_up_to_shift(&earlier.queue, shift)
+    }
+
+    /// Moves this controller's timing state forward by `periods` periods,
+    /// breaks the coalescing streak and advances the counters by their
+    /// increment since `earlier`. Call only after
+    /// [`same_up_to_shift`](Self::same_up_to_shift) held.
+    pub fn shift(&mut self, earlier: &DramController, shift: &Shift, periods: u64) {
+        let rows = self.rows_per_period(shift).unwrap_or(0) * periods;
+        for row in self.open_rows.iter_mut().flatten() {
+            *row += rows;
+        }
+        for (bank, was) in self.banks.iter_mut().zip(&earlier.banks) {
+            bank.shift(was, shift, periods);
+        }
+        self.bus.shift(&earlier.bus, shift, periods);
+        self.queue.shift(&earlier.queue, shift, periods);
+        self.streak = Streak::broken();
+        self.stats.extrapolate(&earlier.stats, periods);
+    }
+
+    /// DRAM rows each bank's open row advances per period, or `None` when
+    /// the source shift is not a multiple of the translation period.
+    fn rows_per_period(&self, shift: &Shift) -> Option<u64> {
+        shift
+            .source
+            .is_multiple_of(self.mapping.translation_period())
+            .then(|| shift.source / (self.cfg.banks * self.cfg.row_bytes) as u64)
     }
 
     /// Enables or disables the sequential-streak fast path in
@@ -1000,5 +1102,51 @@ mod tests {
         let post = c.access(MemRequest::new(128, 64, ns(0)));
         assert!(!post.row_hit, "post-reset access must observe the precharge");
         assert_eq!(c.coalesced_chunks(), 1);
+    }
+
+    /// One request pattern driven period after period, each time a
+    /// translation period further on: the state after the second period
+    /// compares equal to the state after the first moved by one period,
+    /// and shifting it over three periods leaves exactly the state (and
+    /// counters) that stepping them does.
+    #[test]
+    fn a_translated_pattern_compares_equal_and_shifts_exactly() {
+        let cfg = DramConfig::default();
+        let span = DramController::new(cfg).mapping().translation_period();
+        let period = ns(5_000);
+        let drive = |c: &mut DramController, k: u64| -> Vec<Completion> {
+            (0..64u64)
+                .map(|i| {
+                    let ready = period * k + ns(i * 37);
+                    c.access(MemRequest::new(k * span + i * 200, 64, ready))
+                })
+                .collect()
+        };
+        let mut stepped = DramController::new(cfg);
+        drive(&mut stepped, 0);
+        let first = stepped.clone();
+        drive(&mut stepped, 1);
+        let shift = Shift {
+            time: period,
+            start: period * 2,
+            source: span,
+            ephemeral: 0,
+            ephemeral_base: u64::MAX,
+        };
+        assert!(stepped.same_up_to_shift(&first, &shift));
+        let mut skipped = stepped.clone();
+        skipped.shift(&first, &shift, 3);
+        for k in 2..5 {
+            drive(&mut stepped, k);
+        }
+        assert_eq!(skipped.stats(), stepped.stats());
+        assert_eq!(drive(&mut skipped, 5), drive(&mut stepped, 5));
+
+        // A shift that is not a whole translation period never matches.
+        let half = Shift {
+            source: span / 2,
+            ..shift
+        };
+        assert!(!skipped.same_up_to_shift(&first, &half));
     }
 }

@@ -11,7 +11,7 @@
 //! call, the dispatch is a predictable two-way branch, and both variants
 //! stay `Clone` for fixture snapshotting.
 
-use relmem_sim::{DramConfig, MemoryModel, SimTime, Tracer};
+use relmem_sim::{DramConfig, MemoryModel, Shift, SimTime, Tracer};
 
 use crate::address::AddressMapping;
 use crate::controller::{DramController, DramStats};
@@ -84,6 +84,30 @@ impl DramModel {
         match self {
             DramModel::Occupancy(c) => c.reset(),
             DramModel::CycleAccurate(c) => c.reset(),
+        }
+    }
+
+    /// Whether this model's timing state is `earlier`'s moved by one period
+    /// (see [`relmem_sim::shift`] and
+    /// [`DramController::same_up_to_shift`]). The cycle-accurate model
+    /// refreshes on an absolute tREFI grid, so its state is never periodic
+    /// in this sense and the answer is always `false`.
+    pub fn same_up_to_shift(&self, earlier: &DramModel, shift: &Shift) -> bool {
+        match (self, earlier) {
+            (DramModel::Occupancy(c), DramModel::Occupancy(e)) => c.same_up_to_shift(e, shift),
+            _ => false,
+        }
+    }
+
+    /// Moves the timing state forward by `periods` periods and advances the
+    /// counters by their increment since `earlier`. Call only after
+    /// [`same_up_to_shift`](Self::same_up_to_shift) held; on the
+    /// cycle-accurate model (which never reports a periodic state) this is
+    /// a no-op.
+    pub fn shift(&mut self, earlier: &DramModel, shift: &Shift, periods: u64) {
+        match (self, earlier) {
+            (DramModel::Occupancy(c), DramModel::Occupancy(e)) => c.shift(e, shift, periods),
+            _ => debug_assert!(false, "only the occupancy model shifts"),
         }
     }
 

@@ -8,7 +8,8 @@
 //! the RME wins *despite* these penalties; this module is where they are
 //! charged.
 
-use relmem_sim::{CdcConfig, Resource, SimTime};
+use relmem_sim::shift::extrapolate;
+use relmem_sim::{CdcConfig, Resource, Shift, SimTime};
 
 /// An AXI read request as seen by the Trapper: target address + transaction
 /// ID.
@@ -87,6 +88,19 @@ impl CdcModel {
     pub fn reset(&mut self) {
         self.port.reset();
         self.crossings = 0;
+    }
+
+    /// Whether the port's free time is `earlier`'s moved by one period
+    /// (see [`relmem_sim::shift`]).
+    pub fn same_up_to_shift(&self, earlier: &CdcModel, shift: &Shift) -> bool {
+        self.port.same_up_to_shift(&earlier.port, shift)
+    }
+
+    /// Moves the port forward by `periods` periods and advances the
+    /// crossing counter by its increment since `earlier`.
+    pub fn shift(&mut self, earlier: &CdcModel, shift: &Shift, periods: u64) {
+        self.port.shift(&earlier.port, shift, periods);
+        self.crossings = extrapolate(self.crossings, earlier.crossings, periods);
     }
 }
 

@@ -20,11 +20,14 @@
 use std::sync::Arc;
 
 use relmem_dram::{DramModel, PhysicalMemory};
-use relmem_sim::{CdcConfig, RmeHwConfig, SimTime, TraceEvent, TraceEventKind, Tracer, Track};
+use relmem_sim::shift::{extrapolate_all, extrapolate_all_times};
+use relmem_sim::{
+    CdcConfig, RmeHwConfig, Shift, SimTime, TraceEvent, TraceEventKind, Tracer, Track,
+};
 
 use crate::config_port::ConfigPort;
 use crate::descriptor::Descriptor;
-use crate::fetch_unit::{least_loaded, FetchUnit};
+use crate::fetch_unit::{least_loaded, same_units_up_to_shift, FetchUnit};
 use crate::geometry::TableGeometry;
 use crate::monitor::{Lookup, MonitorBypass};
 use crate::requestor::{
@@ -709,6 +712,76 @@ impl RmeEngine {
             let tail_line = frame_packed / self.line_bytes;
             self.monitor.buffer_mut().force_complete(tail_line, when);
         }
+    }
+
+    /// The programmed projection's per-column source offsets, when every
+    /// source row is packed (no MVCC visibility filter): packed row `i` is
+    /// then source row `i`, and its column `c` is the `min(width, 8)`-byte
+    /// value at `plan.source_address(i, c)` — the functional part of a scan
+    /// without the timing.
+    pub fn unfiltered_plan(&self) -> Option<&ProjectionPlan> {
+        self.programmed
+            .as_ref()
+            .filter(|p| p.visible_rows.is_none() && !p.geometry.needs_visibility_filter())
+            .map(|p| &p.plan)
+    }
+
+    /// Frames one period of `shift` covers, if the engine's state can move
+    /// by it at all: an unfiltered projection, no frame fetch in flight, and
+    /// a shift of whole frames in both address spaces.
+    fn frames_per_period(&self, shift: &Shift) -> Option<u64> {
+        let p = self.programmed.as_ref()?;
+        self.unfiltered_plan()?;
+        if self.progress.is_some() {
+            return None;
+        }
+        let frame_bytes = p.frame_bytes();
+        let frames = shift.ephemeral / frame_bytes.max(1);
+        (frames > 0
+            && shift.ephemeral == frames * frame_bytes
+            && shift.source == frames * p.rows_per_frame * p.geometry.row_bytes as u64)
+            .then_some(frames)
+    }
+
+    /// Whether the engine's timing state is `earlier`'s moved by one period
+    /// (see [`relmem_sim::shift`]): the same programmed projection, the
+    /// Trapper's port and in-flight responses, the Fetch Units' reader
+    /// slots, ports and pipelines, and the Monitor's resident frame (whole
+    /// frames further on) with its per-line completion times. An MVCC
+    /// visibility filter, a frame fetch still in flight or a shift that is
+    /// not a whole number of frames all answer `false`.
+    pub fn same_up_to_shift(&self, earlier: &RmeEngine, shift: &Shift) -> bool {
+        let Some(frames) = self.frames_per_period(shift) else {
+            return false;
+        };
+        let same_programming = match (&self.programmed, &earlier.programmed) {
+            (Some(p), Some(e)) => p.plan == e.plan && p.rows_per_frame == e.rows_per_frame,
+            _ => false,
+        };
+        same_programming
+            && earlier.progress.is_none()
+            && self.incremental == earlier.incremental
+            && self.trapper.same_up_to_shift(&earlier.trapper, shift)
+            && same_units_up_to_shift(&self.fetch_units, &earlier.fetch_units, shift)
+            && self.monitor.same_up_to_shift(&earlier.monitor, shift, frames)
+    }
+
+    /// Moves the engine's timing state forward by `periods` periods and
+    /// advances every counter by its increment since `earlier`. The
+    /// Reorganization Buffer keeps the bytes of the last frame really
+    /// fetched; the next frame turnover overwrites them. Call only after
+    /// [`same_up_to_shift`](Self::same_up_to_shift) held.
+    pub fn shift(&mut self, earlier: &RmeEngine, shift: &Shift, periods: u64) {
+        let frames = self.frames_per_period(shift).unwrap_or(0);
+        self.trapper.shift(&earlier.trapper, shift, periods);
+        for (unit, was) in self.fetch_units.iter_mut().zip(&earlier.fetch_units) {
+            unit.shift(was, shift, periods);
+        }
+        self.requestor.extrapolate(&earlier.requestor, periods);
+        self.monitor.shift(&earlier.monitor, shift, frames, periods);
+        self.stats.extrapolate(&earlier.stats, periods);
+        extrapolate_all(&mut self.per_core_requests, &earlier.per_core_requests, periods);
+        extrapolate_all_times(&mut self.per_core_service, &earlier.per_core_service, periods);
     }
 
     /// Largest frame the Reorganization Buffer can currently hold, in

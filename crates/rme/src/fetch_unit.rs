@@ -10,7 +10,8 @@
 //! in flight.
 
 use relmem_dram::{DramModel, MemRequest, PhysicalMemory};
-use relmem_sim::{ClockDomain, Resource, RmeHwConfig, SimTime};
+use relmem_sim::shift::extrapolate;
+use relmem_sim::{ClockDomain, Resource, RmeHwConfig, Shift, SimTime};
 
 use crate::descriptor::Descriptor;
 use crate::extractor::extract;
@@ -166,6 +167,64 @@ impl FetchUnit {
         self.pipeline.reset();
         self.port.reset();
         self.processed = 0;
+    }
+
+    /// Moves the timing state forward by `periods` periods and advances the
+    /// counters by their increment since `earlier`.
+    pub fn shift(&mut self, earlier: &FetchUnit, shift: &Shift, periods: u64) {
+        shift.shift_times(&mut self.slots, periods);
+        self.pipeline.shift(&earlier.pipeline, shift, periods);
+        self.port.shift(&earlier.port, shift, periods);
+        self.processed = extrapolate(self.processed, earlier.processed, periods);
+    }
+}
+
+/// Whether a bank of Fetch Units is `earlier`'s moved by one period (see
+/// [`relmem_sim::shift`]): the same ring positions, port and pipeline free
+/// times that match or have settled, and reader slots that match.
+///
+/// A reader slot written at or before the period's start has settled: it
+/// no longer delays an issue, and in ring order from `next_slot` (oldest
+/// first, as writes never go back in time) the settled slots of a unit are
+/// a prefix. What they still decide is which unit [`least_loaded`] hands
+/// each of the next bookings to, since a settled slot beats every live one:
+/// the bookings take the settled prefixes in merged order of their times.
+/// So settled slots compare through that pick sequence, live slots by time.
+pub(crate) fn same_units_up_to_shift(
+    now: &[FetchUnit],
+    earlier: &[FetchUnit],
+    shift: &Shift,
+) -> bool {
+    now.len() == earlier.len()
+        && now.iter().zip(earlier).all(|(u, e)| {
+            u.next_slot == e.next_slot
+                && u.pipeline.same_up_to_shift(&e.pipeline, shift)
+                && u.port.same_up_to_shift(&e.port, shift)
+                && u.slots.len() == e.slots.len()
+                && u.slots.iter().zip(&e.slots).all(|(&t, &w)| shift.same_free_time(t, w))
+        })
+        && settled_picks(now, shift.start) == settled_picks(earlier, shift.earlier_start())
+}
+
+/// The units [`least_loaded`] picks, in order, while any unit's earliest
+/// reader slot is settled at or before `start`.
+fn settled_picks(units: &[FetchUnit], start: SimTime) -> Vec<usize> {
+    let mut next: Vec<usize> = units.iter().map(|u| u.next_slot).collect();
+    let mut taken = vec![0usize; units.len()];
+    let mut picks = Vec::new();
+    loop {
+        let pick = units
+            .iter()
+            .enumerate()
+            .filter(|&(i, u)| taken[i] < u.slots.len() && u.slots[next[i]] <= start)
+            .min_by_key(|&(i, u)| u.slots[next[i]])
+            .map(|(i, _)| i);
+        let Some(i) = pick else {
+            return picks;
+        };
+        picks.push(i);
+        taken[i] += 1;
+        next[i] = (next[i] + 1) % units[i].slots.len();
     }
 }
 

@@ -8,7 +8,7 @@
 //! responsibilities exist, expressed over completion times instead of
 //! hardware handshakes.
 
-use relmem_sim::SimTime;
+use relmem_sim::{Shift, SimTime};
 
 use crate::reorg_buffer::ReorganizationBuffer;
 
@@ -83,6 +83,24 @@ impl MonitorBypass {
         self.resident_frame = Some(frame);
         self.requestor_triggered = true;
         true
+    }
+
+    /// Whether the monitor holds `earlier`'s state moved by one period of
+    /// `frames` frames (see [`relmem_sim::shift`]): the resident frame
+    /// `frames` further on, the same trigger state and the buffer metadata
+    /// one period later.
+    pub fn same_up_to_shift(&self, earlier: &MonitorBypass, shift: &Shift, frames: u64) -> bool {
+        self.resident_frame == earlier.resident_frame.map(|f| f + frames)
+            && self.requestor_triggered == earlier.requestor_triggered
+            && self.buffer.same_up_to_shift(&earlier.buffer, shift)
+    }
+
+    /// Moves the monitor forward by `periods` periods of `frames` frames.
+    pub fn shift(&mut self, earlier: &MonitorBypass, shift: &Shift, frames: u64, periods: u64) {
+        if let Some(f) = &mut self.resident_frame {
+            *f += frames * periods;
+        }
+        self.buffer.shift(&earlier.buffer, shift, periods);
     }
 
     /// Full software reset: invalidates the buffer and forgets the resident

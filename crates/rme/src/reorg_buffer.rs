@@ -10,7 +10,8 @@
 //! buffer in a single cycle — the lightweight reset used when moving to the
 //! next frame of a table larger than the SPM.
 
-use relmem_sim::SimTime;
+use relmem_sim::shift::extrapolate;
+use relmem_sim::{Shift, SimTime};
 
 /// Per-line metadata (the Metadata SPM entry `{P, K, ID}`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -192,6 +193,44 @@ impl ReorganizationBuffer {
     /// the functional path of partially filled tail lines).
     pub fn read_bytes(&self, offset: usize, len: usize) -> &[u8] {
         &self.data[offset..offset + len]
+    }
+
+    /// Whether the Metadata SPM is `earlier`'s moved by one period (see
+    /// [`relmem_sim::shift`]): the same lines belong to the current epoch,
+    /// and each such line has the same valid-byte count and stalled id and
+    /// completed one period later (or both before their period started:
+    /// a completion time only ever enters `max(completion, request)`).
+    /// Lines of older epochs are dead — the
+    /// next write resets them — and the Data SPM bytes are not timing
+    /// state, so neither is compared.
+    pub fn same_up_to_shift(&self, earlier: &ReorganizationBuffer, shift: &Shift) -> bool {
+        self.meta.len() == earlier.meta.len()
+            && self.meta.iter().zip(&earlier.meta).all(|(m, e)| {
+                let live = m.epoch == self.epoch;
+                live == (e.epoch == earlier.epoch)
+                    && (!live
+                        || (m.valid_bytes == e.valid_bytes
+                            && m.pending_id == e.pending_id
+                            && shift.same_free_time(m.complete_at, e.complete_at)))
+            })
+    }
+
+    /// Moves the current epoch's lines forward by `periods` periods (their
+    /// completion times, and their epoch along with the current one) and
+    /// advances the counters by their increment since `earlier`. The data
+    /// bytes stay as they are: they belong to whichever frame was last
+    /// really fetched, and the next fetch overwrites them.
+    pub fn shift(&mut self, earlier: &ReorganizationBuffer, shift: &Shift, periods: u64) {
+        let epochs = (self.epoch - earlier.epoch) * periods;
+        for m in &mut self.meta {
+            if m.epoch == self.epoch {
+                m.epoch += epochs;
+                m.complete_at = shift.time_after(m.complete_at, periods);
+            }
+        }
+        self.epoch += epochs;
+        self.lines_completed = extrapolate(self.lines_completed, earlier.lines_completed, periods);
+        self.resets = extrapolate(self.resets, earlier.resets, periods);
     }
 }
 

@@ -16,6 +16,7 @@
 
 use std::sync::Arc;
 
+use relmem_sim::shift::extrapolate;
 use relmem_sim::SimTime;
 
 use crate::descriptor::Descriptor;
@@ -275,6 +276,12 @@ impl Requestor {
     /// Descriptors generated so far (a frame counts whole at activation).
     pub fn generated(&self) -> u64 {
         self.generated
+    }
+
+    /// Advances the generated-descriptor counter by `periods` times its
+    /// increment since `earlier` (the Requestor keeps no other state).
+    pub fn extrapolate(&mut self, earlier: &Requestor, periods: u64) {
+        self.generated = extrapolate(self.generated, earlier.generated, periods);
     }
 
     /// Activates the Requestor for a frame.

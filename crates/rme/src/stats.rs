@@ -23,6 +23,21 @@ pub struct RmeStats {
 }
 
 impl RmeStats {
+    /// Advances every counter by `periods` times its increment since
+    /// `earlier` (see [`relmem_sim::shift`]).
+    pub fn extrapolate(&mut self, earlier: &RmeStats, periods: u64) {
+        use relmem_sim::shift::extrapolate;
+        let e = |now: u64, was: u64| extrapolate(now, was, periods);
+        self.buffer_hits = e(self.buffer_hits, earlier.buffer_hits);
+        self.buffer_misses = e(self.buffer_misses, earlier.buffer_misses);
+        self.frames_fetched = e(self.frames_fetched, earlier.frames_fetched);
+        self.descriptors = e(self.descriptors, earlier.descriptors);
+        self.dram_beats = e(self.dram_beats, earlier.dram_beats);
+        self.useful_bytes = e(self.useful_bytes, earlier.useful_bytes);
+        self.rows_filtered = e(self.rows_filtered, earlier.rows_filtered);
+        self.epoch_resets = e(self.epoch_resets, earlier.epoch_resets);
+    }
+
     /// Hit rate of the Reorganization Buffer in `[0, 1]`.
     pub fn buffer_hit_rate(&self) -> f64 {
         let total = self.buffer_hits + self.buffer_misses;

@@ -8,7 +8,8 @@
 //! new request has to wait for an older one to retire — which is exactly how
 //! the PS-side interconnect behaves.
 
-use relmem_sim::{CdcConfig, SimTime};
+use relmem_sim::shift::extrapolate;
+use relmem_sim::{CdcConfig, Shift, SimTime};
 
 use crate::axi::{AxiReadRequest, AxiReadResponse, CdcModel};
 
@@ -84,6 +85,25 @@ impl Trapper {
         self.cdc.reset();
         self.inflight.clear();
         self.accepted = 0;
+    }
+
+    /// Whether the PS–PL port and the live in-flight retirement times are
+    /// `earlier`'s moved by one period (see [`relmem_sim::shift`]).
+    /// Transaction ids are labels, not timing state, so they are not
+    /// compared.
+    pub fn same_up_to_shift(&self, earlier: &Trapper, shift: &Shift) -> bool {
+        self.cdc.same_up_to_shift(&earlier.cdc, shift)
+            && shift.same_live_times(&self.inflight, &earlier.inflight)
+    }
+
+    /// Moves the timing state forward by `periods` periods and advances the
+    /// id allocator and counters by their increment since `earlier`.
+    pub fn shift(&mut self, earlier: &Trapper, shift: &Shift, periods: u64) {
+        self.cdc.shift(&earlier.cdc, shift, periods);
+        shift.shift_times(&mut self.inflight, periods);
+        let ids = self.next_id.wrapping_sub(earlier.next_id);
+        self.next_id = self.next_id.wrapping_add(ids.wrapping_mul(periods as u16));
+        self.accepted = extrapolate(self.accepted, earlier.accepted, periods);
     }
 }
 

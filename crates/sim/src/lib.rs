@@ -21,6 +21,7 @@ pub mod clock;
 pub mod config;
 pub mod report;
 pub mod resource;
+pub mod shift;
 pub mod stats;
 pub mod time;
 pub mod timeseries;
@@ -31,6 +32,7 @@ pub use config::{
     CacheLevelConfig, CdcConfig, CpuConfig, DramConfig, MemoryModel, PlatformConfig, RmeHwConfig,
 };
 pub use resource::{MultiResource, PriorityResource, Resource};
+pub use shift::Shift;
 pub use stats::{Counter, DegradeTransition, LatencyProfile, MeanStd, OverloadStats, TxnStats};
 pub use time::SimTime;
 pub use timeseries::{default_bucket, series_from_trace, Metric, MetricsRegistry, MetricsSection};

@@ -10,6 +10,7 @@
 //! benefit of multiple outstanding transactions — while remaining fast
 //! enough to sweep multi-gigabyte tables.
 
+use crate::shift::{extrapolate, extrapolate_time, Shift};
 use crate::time::SimTime;
 
 /// A single-server resource (e.g. a bus) that can serve one request at a
@@ -79,6 +80,21 @@ impl Resource {
         self.next_free = SimTime::ZERO;
         self.busy = SimTime::ZERO;
         self.served = 0;
+    }
+
+    /// Whether this resource's free time is `earlier`'s moved by one
+    /// period, or both have settled (see [`Shift::same_free_time`]); the
+    /// busy/served counters are ignored.
+    pub fn same_up_to_shift(&self, earlier: &Resource, shift: &Shift) -> bool {
+        shift.same_free_time(self.next_free, earlier.next_free)
+    }
+
+    /// Moves the free time forward by `periods` periods and advances the
+    /// counters by their increment since `earlier`.
+    pub fn shift(&mut self, earlier: &Resource, shift: &Shift, periods: u64) {
+        self.next_free = shift.time_after(self.next_free, periods);
+        self.busy = extrapolate_time(self.busy, earlier.busy, periods);
+        self.served = extrapolate(self.served, earlier.served, periods);
     }
 }
 
@@ -185,6 +201,21 @@ impl MultiResource {
         }
         self.busy = SimTime::ZERO;
         self.served = 0;
+    }
+
+    /// Whether every server's free time is `earlier`'s moved by one period.
+    /// Settled free times still compare exactly: [`acquire`](Self::acquire)
+    /// picks the earliest-free server, so their order matters.
+    pub fn same_up_to_shift(&self, earlier: &MultiResource, shift: &Shift) -> bool {
+        shift.same_times(&self.servers, &earlier.servers)
+    }
+
+    /// Moves every server's free time forward by `periods` periods and
+    /// advances the counters by their increment since `earlier`.
+    pub fn shift(&mut self, earlier: &MultiResource, shift: &Shift, periods: u64) {
+        shift.shift_times(&mut self.servers, periods);
+        self.busy = extrapolate_time(self.busy, earlier.busy, periods);
+        self.served = extrapolate(self.served, earlier.served, periods);
     }
 }
 
@@ -297,6 +328,22 @@ impl PriorityResource {
         self.demand_free = SimTime::ZERO;
         self.busy = SimTime::ZERO;
         self.served = 0;
+    }
+
+    /// Whether both free times are `earlier`'s moved by one period, or
+    /// have settled (see [`Shift::same_free_time`]).
+    pub fn same_up_to_shift(&self, earlier: &PriorityResource, shift: &Shift) -> bool {
+        shift.same_free_time(self.next_free, earlier.next_free)
+            && shift.same_free_time(self.demand_free, earlier.demand_free)
+    }
+
+    /// Moves both free times forward by `periods` periods and advances the
+    /// counters by their increment since `earlier`.
+    pub fn shift(&mut self, earlier: &PriorityResource, shift: &Shift, periods: u64) {
+        self.next_free = shift.time_after(self.next_free, periods);
+        self.demand_free = shift.time_after(self.demand_free, periods);
+        self.busy = extrapolate_time(self.busy, earlier.busy, periods);
+        self.served = extrapolate(self.served, earlier.served, periods);
     }
 }
 
@@ -450,5 +497,36 @@ mod tests {
         assert_eq!(pr.busy_time(), SimTime::ZERO);
         assert_eq!(pr.served(), 0);
         assert_eq!(pr.acquire_demand(ns(0), ns(5)), (SimTime::ZERO, ns(5)));
+    }
+
+    /// A free time at or before its period's start has settled and matches
+    /// any other settled one; a live free time matches only at the same
+    /// offset one period later.
+    #[test]
+    fn settled_free_times_match_and_live_ones_keep_their_offset() {
+        let shift = Shift {
+            time: ns(100),
+            start: ns(200),
+            source: 0,
+            ephemeral: 0,
+            ephemeral_base: u64::MAX,
+        };
+        let booked = |ready: u64| {
+            let mut r = PriorityResource::new("bank");
+            r.acquire(ns(ready), ns(5));
+            r
+        };
+        // Settled in both periods (15 <= 100, 155 <= 200).
+        assert!(booked(150).same_up_to_shift(&booked(10), &shift));
+        // Live now (255 > 200) but settled before: a real difference.
+        assert!(!booked(250).same_up_to_shift(&booked(10), &shift));
+        // Live in both at the same offset past the start.
+        assert!(booked(250).same_up_to_shift(&booked(150), &shift));
+        assert!(!booked(251).same_up_to_shift(&booked(150), &shift));
+        let mut single = Resource::new("bus");
+        single.acquire(ns(250), ns(5));
+        let mut earlier = Resource::new("bus");
+        earlier.acquire(ns(10), ns(5));
+        assert!(!single.same_up_to_shift(&earlier, &shift));
     }
 }

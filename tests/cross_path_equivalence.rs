@@ -883,3 +883,367 @@ fn hardware_revisions_agree_on_results() {
     assert_eq!(outputs[0], outputs[1]);
     assert_eq!(outputs[1], outputs[2]);
 }
+
+// ---------------------------------------------------------------------------
+// Periodic fast-forward ≡ full stepping
+// ---------------------------------------------------------------------------
+
+mod skip_vs_step {
+    use super::*;
+    use relational_memory::cache::{HierarchyStats, SharedL2Stats};
+    use relational_memory::dram::DramStats;
+    use relational_memory::rme::RmeStats;
+
+    /// Which per-row effects the closure returns.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Effects {
+        /// The same CPU charge on every row.
+        Constant,
+        /// Constant except for one row in the last quarter of the table,
+        /// whose period must be stepped (replaying the effects already
+        /// returned) or is the last one.
+        OneOff(u64),
+        /// A charge that depends on the row's first value.
+        Varying,
+        /// An extra memory touch on every fifth row.
+        Touching,
+    }
+
+    /// Which scan implementation runs the case.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Path {
+        /// `System::scan`: cut into periods, fast-forwarded when periodic.
+        Scan,
+        /// `System::scan_sharded` on one core: steps every row.
+        ShardedOneCore,
+        /// `System::scan_naive`: the per-field reference loop.
+        Naive,
+    }
+
+    /// Everything observable about one scan, plus the skip count.
+    #[derive(Debug, Clone, PartialEq)]
+    struct Outcome {
+        end: SimTime,
+        cpu: SimTime,
+        rows: u64,
+        values: Vec<Vec<u64>>,
+        cache: HierarchyStats,
+        l2: SharedL2Stats,
+        dram: DramStats,
+        rme: RmeStats,
+        /// The projection read back through the engine after the scan.
+        packed: Vec<u8>,
+        resident_frame: Option<u64>,
+    }
+
+    struct Case {
+        /// Column widths; the columns picked by `columns` are scanned.
+        widths: Vec<usize>,
+        columns: Vec<usize>,
+        revision: HwRevision,
+        /// Whole Reorganization-Buffer frames (ephemeral) or periods (rows).
+        frames: u64,
+        extra_rows: u64,
+        ephemeral: bool,
+        mvcc: bool,
+        effects: Effects,
+        traced: bool,
+        /// Simulated cores: with two, the shared L2's bank model is
+        /// engaged under the scan on core 0.
+        cores: usize,
+        seed: u64,
+    }
+
+    /// A small platform: 4 KB L1, 16 KB L2 (16 sets each, the fewest that
+    /// keep ephemeral tags in range), 4 KB Data SPM and a 4-bank DRAM with
+    /// 256 B rows, so every translation period is a few KB.
+    fn platform() -> PlatformConfig {
+        let mut cfg = PlatformConfig::tiny_for_tests();
+        cfg.l1.size_bytes = 4 * 1024;
+        cfg.l2.size_bytes = 16 * 1024;
+        cfg.dram.banks = 4;
+        cfg.dram.row_bytes = 256;
+        cfg
+    }
+
+    /// The largest translation period of the small platform's models.
+    const SPAN: u64 = 4 * 256 * 4;
+
+    /// Periods within which every periodic case of the small platform has
+    /// reached its steady state (the slowest transient is the order in
+    /// which the Fetch Units' settled reader slots are picked, which takes
+    /// up to about seven frames to repeat), confirmed it and skipped.
+    const SETTLED_PERIODS: u64 = 10;
+
+    /// Runs `case` through `path`; returns the outcome, the fast-forwarded
+    /// period count and whether the case is periodic with enough periods
+    /// for the fast-forward to engage (see [`periodic`]).
+    fn run(case: &Case, path: Path) -> (Outcome, u64, Option<bool>) {
+        let mut sys = System::with_config(SystemConfig {
+            platform: platform(),
+            revision: case.revision,
+            mem_bytes: 16 << 20,
+            cores: case.cores,
+            ..SystemConfig::default()
+        });
+        let schema = schema_from_widths(&case.widths);
+        let mvcc = if case.mvcc {
+            MvccConfig::Enabled
+        } else {
+            MvccConfig::Disabled
+        };
+        // Size the table from the frame geometry: a throwaway registration
+        // tells how many rows one frame holds.
+        let probe = sys.create_table(schema.clone(), 1, mvcc).unwrap();
+        let group = ColumnGroup::new(case.columns.clone()).unwrap();
+        sys.register_ephemeral(&probe, group.clone(), None).unwrap();
+        let frame_rows = sys.engine().rows_per_frame().unwrap();
+        let rows = case.frames * frame_rows + case.extra_rows;
+        let mut table = sys.create_table(schema, rows, mvcc).unwrap();
+        DataGen::new(case.seed).fill_table(sys.mem_mut(), &mut table, rows).unwrap();
+        if case.mvcc {
+            for row in (0..rows).step_by(7) {
+                table.mark_deleted(sys.mem_mut(), row, 5).unwrap();
+            }
+        }
+        let snapshot = case.mvcc.then(|| Snapshot::at(9));
+        let scratch = sys.alloc_scratch(4096);
+        let var = sys.register_ephemeral(&table, group, snapshot).unwrap();
+        let expect_skip = periodic(
+            case,
+            rows,
+            frame_rows,
+            var.packed_row_bytes() as u64,
+            table.physical_row_bytes() as u64,
+        );
+        let source = if case.ephemeral {
+            ScanSource::Ephemeral { var: &var }
+        } else {
+            ScanSource::Rows {
+                table: &table,
+                columns: &case.columns,
+                snapshot,
+            }
+        };
+        let access = if case.ephemeral {
+            AccessPath::RmeCold
+        } else {
+            AccessPath::DirectRowWise
+        };
+        sys.set_tracing(case.traced);
+        sys.begin_measurement(access);
+        let mut values: Vec<Vec<u64>> = Vec::new();
+        let effects = match case.effects {
+            Effects::OneOff(k) => Effects::OneOff(rows - 1 - k % (rows / 4 + 1)),
+            other => other,
+        };
+        let mut per_row = |row: u64, vals: &[u64]| {
+            values.push(vals.to_vec());
+            let ns = match effects {
+                Effects::Constant | Effects::Touching => 3,
+                Effects::OneOff(r) => 3 + u64::from(row == r),
+                Effects::Varying => 1 + vals[0] % 3,
+            };
+            RowEffect {
+                cpu: SimTime::from_nanos(ns),
+                touch: (effects == Effects::Touching && row.is_multiple_of(5))
+                    .then(|| (scratch + (row % 64) * 64, 8)),
+            }
+        };
+        let (end, cpu, rows) = match path {
+            Path::Scan => sys.scan(&source, SimTime::ZERO, &mut per_row),
+            Path::Naive => sys.scan_naive(&source, SimTime::ZERO, &mut per_row),
+            Path::ShardedOneCore => {
+                let run = sys.scan_sharded(&source, SimTime::ZERO, |_, row, vals: &[u64]| {
+                    per_row(row, vals)
+                });
+                (run.end, run.cpu, run.rows)
+            }
+        };
+        let m = sys.finish_measurement(end, cpu, access);
+        let packed = sys
+            .engine()
+            .read_packed(var.base(), sys.engine().packed_total_bytes() as usize, sys.mem());
+        let resident_frame = sys.engine().resident_frame();
+        let skipped = sys.fast_forwarded_periods();
+        let outcome = Outcome {
+            end,
+            cpu,
+            rows,
+            values,
+            cache: m.cache,
+            l2: *sys.l2_stats(),
+            dram: m.dram,
+            rme: m.rme,
+            packed,
+            resident_frame,
+        };
+        (outcome, skipped, expect_skip)
+    }
+
+    /// Whether the fast-forward must engage: `Some(false)` when the case
+    /// cannot skip (traced, MVCC, data-dependent or touching effects, or a
+    /// period that is no translation of every model), `Some(true)` when it
+    /// is periodic with at least [`SETTLED_PERIODS`] periods, `None` in
+    /// between. A row scan's period is derived
+    /// to be a translation but needs a one-line row (a single line plan);
+    /// an ephemeral frame must move the source by a multiple of the DRAM
+    /// span and the packed data by a multiple of the cache set spans.
+    fn periodic(
+        case: &Case,
+        rows: u64,
+        frame_rows: u64,
+        packed_row: u64,
+        row_bytes: u64,
+    ) -> Option<bool> {
+        let (invariant, period) = if case.ephemeral {
+            let invariant = (frame_rows * row_bytes).is_multiple_of(SPAN)
+                && (frame_rows * packed_row).is_multiple_of(1024);
+            (invariant, frame_rows)
+        } else {
+            (row_bytes == 64, SPAN / 64)
+        };
+        let periods = rows.div_ceil(period);
+        if case.traced
+            || case.mvcc
+            || !matches!(case.effects, Effects::Constant | Effects::OneOff(_))
+            || !invariant
+            || periods < 4
+        {
+            Some(false)
+        } else {
+            (periods >= SETTLED_PERIODS).then_some(true)
+        }
+    }
+
+    /// Builds a [`Case`] from raw proptest draws. Unless `aligned` is 9,
+    /// the geometry is replaced by a power-of-two packed row (2, 4 or 8
+    /// bytes wide, 1, 2 or 4 columns) so that frames move both address
+    /// spaces by whole translation periods; `pad` appends an unscanned
+    /// filler column that makes the row one cache line, the stride a row
+    /// scan needs for a single line plan.
+    #[allow(clippy::too_many_arguments)]
+    fn case(
+        widths: Vec<usize>,
+        pad: bool,
+        pick: &[bool],
+        aligned: usize,
+        revision: usize,
+        frames: u64,
+        extra_rows: u64,
+        ephemeral: bool,
+        mvcc: bool,
+        effects: u8,
+        one_off: u64,
+        traced: bool,
+        cores: usize,
+        seed: u64,
+    ) -> Option<Case> {
+        let (mut widths, mut pad) = (widths, pad);
+        let mut columns: Vec<usize> = (0..widths.len()).filter(|&i| pick[i]).collect();
+        if aligned < 9 {
+            let (width, picked) = ([2, 4, 8][aligned % 3], [1, 2, 4][aligned / 3]);
+            (widths, columns, pad) = (vec![width; 4], (0..picked).collect(), true);
+        }
+        if columns.is_empty() {
+            return None;
+        }
+        if pad {
+            widths.push(64 - widths.iter().sum::<usize>());
+        }
+        Some(Case {
+            widths,
+            columns,
+            revision: HwRevision::all()[revision],
+            frames,
+            extra_rows,
+            ephemeral,
+            mvcc,
+            effects: match effects {
+                0 => Effects::Constant,
+                1 => Effects::OneOff(one_off),
+                2 => Effects::Varying,
+                _ => Effects::Touching,
+            },
+            traced,
+            cores,
+            seed,
+        })
+    }
+
+    /// Runs `case` through `System::scan`, the naive loop and, on one
+    /// core, the sharded scan; asserts they agree and the skip count
+    /// matches [`periodic`].
+    fn check(case: &Case) -> Result<(), proptest::TestCaseError> {
+        let (scan, skipped, expect_skip) = run(case, Path::Scan);
+        let (naive, naive_skips, _) = run(case, Path::Naive);
+        prop_assert_eq!(naive_skips, 0, "the naive loop steps every row");
+        prop_assert_eq!(&scan, &naive);
+        if case.cores == 1 {
+            let (sharded, sharded_skips, _) = run(case, Path::ShardedOneCore);
+            prop_assert_eq!(sharded_skips, 0, "the sharded scan steps every row");
+            prop_assert_eq!(&scan, &sharded);
+        }
+        match expect_skip {
+            Some(true) => prop_assert!(skipped > 0, "a periodic scan must fast-forward"),
+            Some(false) => prop_assert_eq!(skipped, 0, "only periodic untraced scans skip"),
+            None => {}
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// `System::scan` — fast-forwarding the periodic steady state of
+        /// row and ephemeral scans — produces the same end time, CPU time,
+        /// row count, values, cache/DRAM/RME counters and buffer contents
+        /// as the full-stepping sharded scan on one core and the naive
+        /// reference loop, for random geometries, all three revisions,
+        /// 1–8 frames, MVCC on and off, constant, one-off, varying and
+        /// touching effects, tracing on and off, and one or two cores
+        /// (the sharded scan only compares on one). The fast-forward
+        /// engages (a non-zero skip count) exactly in the periodic,
+        /// untraced cases with enough periods, and never otherwise.
+        #[test]
+        fn skip_is_bit_identical_to_stepping(
+            widths in proptest::collection::vec(1usize..=12, 2..=5),
+            pad in any::<bool>(),
+            pick in proptest::collection::vec(any::<bool>(), 5),
+            aligned in 0usize..=9,
+            revision in 0usize..3,
+            frames in 1u64..=8,
+            extra_rows in 0u64..40,
+            ephemeral in any::<bool>(),
+            mvcc in any::<bool>(),
+            effects in 0u8..4,
+            one_off in 0u64..4_000,
+            traced in any::<bool>(),
+            cores in 1usize..=2,
+            seed in 0u64..1_000,
+        ) {
+            let case = case(widths, pad, &pick, aligned, revision, frames, extra_rows,
+                ephemeral, mvcc, effects, one_off, traced, cores, seed);
+            prop_assume!(case.is_some());
+            check(&case.unwrap())?;
+        }
+
+        /// The same agreement for periodic ephemeral scans long enough for
+        /// the small platform to settle (10–16 frames, untraced, no MVCC,
+        /// constant or one-off effects): the fast-forward must engage.
+        #[test]
+        fn settled_ephemeral_scans_fast_forward(
+            aligned in 0usize..9,
+            revision in 0usize..3,
+            frames in SETTLED_PERIODS..=16,
+            extra_rows in 0u64..40,
+            effects in 0u8..2,
+            one_off in 0u64..4_000,
+            seed in 0u64..1_000,
+        ) {
+            let case = case(vec![4; 4], true, &[true; 4], aligned, revision, frames, extra_rows,
+                true, false, effects, one_off, false, 1, seed);
+            check(&case.expect("aligned cases pick columns"))?;
+        }
+    }
+}

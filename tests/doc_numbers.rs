@@ -1,5 +1,6 @@
 //! The figures README.md and docs/ARCHITECTURE.md quote from the committed
-//! `BENCH_scan_throughput*.json` records must match those records.
+//! `BENCH_scan_throughput*.json` and `BENCH_fig13.json` records must match
+//! those records.
 //!
 //! Each check names the record field, the document, and the text that
 //! follows the quoted number there. A quoted figure passes when it is
@@ -118,6 +119,25 @@ fn architecture_quotes_the_dram_model_record() {
         "× in the committed `BENCH_scan_throughput.ca.json`",
         "BENCH_scan_throughput.ca.json",
         "fidelity_wall_slowdown",
+        1.0,
+    );
+}
+
+#[test]
+fn architecture_quotes_the_fig13_record() {
+    let record = "BENCH_fig13.json";
+    check(
+        "docs/ARCHITECTURE.md",
+        " s at the parent commit and",
+        record,
+        "parent_median_s",
+        1.0,
+    );
+    check(
+        "docs/ARCHITECTURE.md",
+        " s with the fast-forward (medians",
+        record,
+        "change_median_s",
         1.0,
     );
 }

@@ -193,3 +193,32 @@ fn scaling_keeps_the_benefit_roughly_constant() {
         "normalized cost should be stable across sizes ({small:.3} vs {large:.3})"
     );
 }
+
+/// Figure 13's constant ratio is an exact period: on Q1 (k = 4, 64 B rows,
+/// occupancy DRAM, MLP), every 2 MB Data SPM frame after the first adds the
+/// same RME-cold time, and every 131,072-row block after the first adds the
+/// same direct row-wise time, to the picosecond.
+#[test]
+fn multi_frame_scans_grow_by_an_exact_period() {
+    const FRAME_ROWS: u64 = 2 * 1024 * 1024 / 16; // 4 packed 4-byte columns
+    let elapsed = |frames: u64| {
+        let mut b = Benchmark::new(BenchmarkParams {
+            rows: frames * FRAME_ROWS,
+            row_bytes: 64,
+            column_width: 4,
+            inner_rows: 0,
+            ..BenchmarkParams::default()
+        });
+        assert_eq!(b.system().memory_model(), relational_memory::sim::MemoryModel::Occupancy);
+        let q = Query::Q1 { projectivity: 4 };
+        let direct = b.run(q, AccessPath::DirectRowWise).measurement.elapsed;
+        let rme = b.run(q, AccessPath::RmeCold).measurement;
+        assert_eq!(rme.rme.frames_fetched, frames);
+        (direct.as_picos(), rme.elapsed.as_picos())
+    };
+    let runs: Vec<(u64, u64)> = (1..=3).map(elapsed).collect();
+    for pair in runs.windows(2) {
+        assert_eq!(pair[1].0 - pair[0].0, 4_621_467_648, "direct row-wise period");
+        assert_eq!(pair[1].1 - pair[0].1, 3_394_707_990, "RME-cold period");
+    }
+}
