@@ -1,12 +1,17 @@
 //! Periodic fast-forward of single-lane scans.
 //!
 //! A scan over a table far larger than the caches, the DRAM bank/XOR span
-//! and the Reorganization Buffer settles into a periodic steady state: once
-//! the timing state at the start of a period equals the state at the start
-//! of the previous period — every address moved by the period's byte span,
-//! every time by its duration (a [`Shift`]) — each later period with the
-//! same per-row effects replays the same timing, moved once more. The
-//! single-lane [`System::scan`] loop exploits this:
+//! and the Reorganization Buffer settles into a periodic steady state. A
+//! period is one Reorganization Buffer frame for an ephemeral scan and, for
+//! a direct scan, `span / gcd(span, stride)` rows, where `span` is the lcm
+//! of every model's address-translation period and `stride` the row stride
+//! (row table) or the shared column width (columnar table); see
+//! `ScanJob::period`. Once the timing state at the start of a period
+//! equals the state at the start of the previous period — every address
+//! moved by the period's byte span, every time by its duration (a
+//! [`Shift`]) — each later period with the same per-row effects replays
+//! the same timing, moved once more. The single-lane [`System::scan`] loop
+//! exploits this:
 //!
 //! 1. It steps periods as usual, and at chosen period starts clones the
 //!    timing models (core 0's frontend, the shared L2, the DRAM model and,
@@ -28,9 +33,10 @@
 //! The first attempts run back to back — warm-up transients (the cold
 //! first period, resource free times converging onto the period) settle
 //! within a few periods — and later ones at doubling distances, so a scan
-//! that never becomes periodic pays O(log periods) snapshots. Scans with a recording
-//! tracer, MVCC visibility, memory-touching effects, the cycle-accurate DRAM
-//! model or fewer than four periods step every row.
+//! that never becomes periodic pays O(log periods) snapshots. Scans with a
+//! recording tracer, batched stepping off, MVCC visibility, a columnar
+//! projection of mixed widths, memory-touching effects, the cycle-accurate
+//! DRAM model or fewer than four periods step every row.
 
 use std::ops::Range;
 
@@ -108,9 +114,10 @@ struct Divergence {
 
 impl System {
     /// The steady-state period [`scan`](Self::scan) may fast-forward over,
-    /// or `None` when the scan must step every row.
+    /// or `None` when the scan must step every row: always with a recording
+    /// tracer or with batched stepping off (the per-field oracle mode).
     pub(crate) fn steady_state_period(&self, job: &ScanJob<'_>) -> Option<ScanPeriod> {
-        if self.tracing() {
+        if self.tracing() || !self.batched_stepping {
             return None;
         }
         let period = job.period(&self.cfg, &self.dram, &self.engine)?;

@@ -484,12 +484,18 @@ impl<'a> ScanJob<'a> {
     }
 
     /// The scan's steady-state period, if it has one the timing models can
-    /// fast-forward over (see `crate::periodic`): a single-plan row scan or
-    /// an unfiltered ephemeral scan of the programmed projection.
+    /// fast-forward over (see `crate::periodic`): a direct scan without an
+    /// MVCC snapshot or an unfiltered ephemeral scan of the programmed
+    /// projection.
     ///
-    /// * Row scan: the smallest row count whose byte span is a multiple of
-    ///   every model's address-translation period — the L1 and L2 set
-    ///   spans, the L2 bank interleave and the DRAM mapping's bank/XOR span.
+    /// * Direct scan: `span / gcd(span, stride)` rows, the smallest row
+    ///   count whose byte advance is a multiple of the shared translation
+    ///   span — the lcm of the L1 and L2 set spans, the L2 bank interleave
+    ///   and the DRAM mapping's bank/XOR span. The stride is the row stride
+    ///   of a row table (the period is then a whole number of line-plan
+    ///   cycles, as the span is a multiple of the line) and the column
+    ///   width of a columnar table, whose projected columns must all have
+    ///   that width so that one shift moves every column array.
     /// * Ephemeral scan: one Reorganization Buffer frame.
     pub(crate) fn period(
         &self,
@@ -497,40 +503,50 @@ impl<'a> ScanJob<'a> {
         dram: &DramModel,
         engine: &RmeEngine,
     ) -> Option<ScanPeriod> {
+        let direct = |gather: Vec<(u64, usize)>, stride: u64| {
+            let line = cfg.line_bytes() as u64;
+            let span = [
+                (cfg.l1.sets() as u64) * line,
+                (cfg.l2.sets() as u64) * line,
+                (cfg.l2_banks.max(1) as u64) * line,
+                dram.mapping().translation_period(),
+            ]
+            .into_iter()
+            .fold(1, lcm);
+            let rows = span / gcd(span, stride);
+            ScanPeriod {
+                rows,
+                source_bytes: rows * stride,
+                ephemeral_bytes: 0,
+                uses_engine: false,
+                gather,
+                gather_stride: stride,
+            }
+        };
         match &self.kind {
             JobKind::Rows {
                 cursors,
                 base,
                 stride,
                 snapshot: None,
-                plans: Some(plans),
                 ..
-            } if plans.len() == 1 => {
-                let line = cfg.line_bytes() as u64;
-                let span = [
-                    (cfg.l1.sets() as u64) * line,
-                    (cfg.l2.sets() as u64) * line,
-                    (cfg.l2_banks.max(1) as u64) * line,
-                    dram.mapping().translation_period(),
-                ]
-                .into_iter()
-                .fold(1, lcm);
-                let rows = span / gcd(span, *stride);
-                Some(ScanPeriod {
-                    rows,
-                    source_bytes: rows * stride,
-                    ephemeral_bytes: 0,
-                    uses_engine: false,
-                    gather: cursors.iter().map(|&(offset, width)| (base + offset, width)).collect(),
-                    gather_stride: *stride,
-                })
+            } => Some(direct(
+                cursors.iter().map(|&(offset, width)| (base + offset, width)).collect(),
+                *stride,
+            )),
+            JobKind::Columnar { cursors } => {
+                let width = cursors.first()?.1;
+                cursors
+                    .iter()
+                    .all(|&(_, w)| w == width)
+                    .then(|| direct(cursors.clone(), width as u64))
             }
             JobKind::Ephemeral {
                 cursors,
                 base,
                 stride,
                 frame_rows,
-                plans: Some(_),
+                ..
             } => {
                 let plan = engine.unfiltered_plan()?;
                 let geometry = engine.geometry()?;

@@ -591,11 +591,13 @@ impl System {
     ///
     /// # Periodic fast-forward
     ///
-    /// Row scans (one line plan, no MVCC snapshot) and unfiltered
-    /// ephemeral scans are cut into periods: for a row scan the smallest
-    /// row count whose byte span is a multiple of every model's
-    /// address-translation period, for an ephemeral scan one
-    /// Reorganization Buffer frame. Once the timing
+    /// Direct scans without an MVCC snapshot and unfiltered ephemeral
+    /// scans are cut into periods. A direct scan's period is the smallest
+    /// row count whose byte advance is a multiple of every model's
+    /// address-translation period; the advance per row is the row stride
+    /// of a row table and the column width of a columnar table, whose
+    /// projected columns must then share one width. An ephemeral scan's
+    /// period is one Reorganization Buffer frame. Once the timing
     /// state at a period start equals the previous period start's moved by
     /// one period, the periods up to the last run only their functional
     /// part — values gathered from source memory, the closure called, its
@@ -604,8 +606,9 @@ impl System {
     /// always stepped. The result is identical to stepping every row (the
     /// `skip_vs_step` proptest in `tests/cross_path_equivalence.rs` holds
     /// it to [`scan_sharded`](Self::scan_sharded) on one core and to
-    /// [`scan_naive`](Self::scan_naive)). A recording tracer, MVCC
-    /// visibility, effects with a memory `touch`, the cycle-accurate DRAM
+    /// [`scan_naive`](Self::scan_naive)). A recording tracer, batched
+    /// stepping turned off, MVCC visibility, a columnar projection of mixed
+    /// widths, effects with a memory `touch`, the cycle-accurate DRAM
     /// model or any state difference keep the scan stepping row by row;
     /// [`fast_forwarded_periods`](Self::fast_forwarded_periods) counts the
     /// periods skipped. `docs/ARCHITECTURE.md` ("Periodic fast-forward")

@@ -43,6 +43,9 @@
 //! RME's fetch units — runs unchanged on either model via
 //! [`DramModel`](crate::DramModel).
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use relmem_sim::{DramConfig, Resource, SimTime, TraceEvent, TraceEventKind, Tracer, Track};
 
 use crate::address::AddressMapping;
@@ -152,8 +155,9 @@ pub struct CycleAccurateDram {
     /// Earliest next *read* command on the rank (tWTR after a write burst).
     wtr_ready: SimTime,
     bus: Resource,
-    /// Completion times of in-flight transactions (bounded admission).
-    inflight: Vec<SimTime>,
+    /// Completion times of in-flight transactions (bounded admission), a
+    /// min-heap so admission pops only the transactions that finished.
+    inflight: BinaryHeap<Reverse<SimTime>>,
     queue: CompletionQueue,
     /// Writes issued asynchronously but not yet scheduled (event mode
     /// only): the cross-request FR-FCFS window. Each entry keeps its issue
@@ -177,7 +181,7 @@ impl CycleAccurateDram {
             faw: FawWindow::default(),
             wtr_ready: SimTime::ZERO,
             bus: Resource::new("dram-bus-ca"),
-            inflight: Vec::with_capacity(cfg.queue_depth.max(1)),
+            inflight: BinaryHeap::with_capacity(cfg.queue_depth.max(1)),
             queue: CompletionQueue::default(),
             pending_writes: Vec::new(),
             event_mode: false,
@@ -254,28 +258,30 @@ impl CycleAccurateDram {
         if t_refi.is_zero() {
             return;
         }
-        let due = now.as_picos() / t_refi.as_picos();
         let b = &mut self.banks[bank];
-        if due > b.refresh_applied {
-            let applied = due - b.refresh_applied;
-            self.stats.refreshes += applied;
-            b.refresh_applied = due;
-            b.open_row = None;
-            let window_start = SimTime::from_picos(due * t_refi.as_picos());
-            let recovery = window_start + self.cfg.t_rfc;
-            b.act_ready = b.act_ready.max(recovery);
-            b.cmd_ready = b.cmd_ready.max(recovery);
-            let t_rfc = self.cfg.t_rfc;
-            self.tracer.emit(|| {
-                TraceEvent::instant(
-                    Track::DramBank(bank as u32),
-                    TraceEventKind::DramRefresh,
-                    window_start,
-                    applied,
-                    t_rfc.as_picos(),
-                )
-            });
+        // No new window has started yet: skip the division.
+        if now.as_picos() < (b.refresh_applied + 1) * t_refi.as_picos() {
+            return;
         }
+        let due = now.as_picos() / t_refi.as_picos();
+        let applied = due - b.refresh_applied;
+        self.stats.refreshes += applied;
+        b.refresh_applied = due;
+        b.open_row = None;
+        let window_start = SimTime::from_picos(due * t_refi.as_picos());
+        let recovery = window_start + self.cfg.t_rfc;
+        b.act_ready = b.act_ready.max(recovery);
+        b.cmd_ready = b.cmd_ready.max(recovery);
+        let t_rfc = self.cfg.t_rfc;
+        self.tracer.emit(|| {
+            TraceEvent::instant(
+                Track::DramBank(bank as u32),
+                TraceEventKind::DramRefresh,
+                window_start,
+                applied,
+                t_rfc.as_picos(),
+            )
+        });
     }
 
     /// Admits a request into the bounded transaction queue: returns
@@ -283,7 +289,7 @@ impl CycleAccurateDram {
     /// (later when the queue is full), `outstanding` is the number of
     /// transactions still in flight at `ready`.
     fn admit(&mut self, ready: SimTime) -> (SimTime, u64) {
-        self.inflight.retain(|&t| t > ready);
+        self.retire_until(ready);
         let outstanding = self.inflight.len() as u64;
         if self.inflight.len() < self.cfg.queue_depth.max(1) {
             self.stats.queue_occupancy_max = self.stats.queue_occupancy_max.max(outstanding + 1);
@@ -299,21 +305,21 @@ impl CycleAccurateDram {
                 0,
             )
         });
-        let (idx, earliest) = self
-            .inflight
-            .iter()
-            .copied()
-            .enumerate()
-            .min_by_key(|&(_, t)| t)
-            .expect("full queue is non-empty");
-        self.inflight.swap_remove(idx);
+        let Reverse(earliest) = self.inflight.pop().expect("full queue is non-empty");
         let admitted = ready.max(earliest);
-        self.inflight.retain(|&t| t > admitted);
+        self.retire_until(admitted);
         // Occupancy is sampled at the actual admission time: the stall
         // waited for at least one transaction to drain.
         let after_drain = self.inflight.len() as u64;
         self.stats.queue_occupancy_max = self.stats.queue_occupancy_max.max(after_drain + 1);
         (admitted, after_drain)
+    }
+
+    /// Drops the in-flight transactions that finished at or before `t`.
+    fn retire_until(&mut self, t: SimTime) {
+        while self.inflight.peek().is_some_and(|&Reverse(f)| f <= t) {
+            self.inflight.pop();
+        }
     }
 
     /// Schedules one per-row chunk: issues the PRE/ACT/column commands and
@@ -520,7 +526,7 @@ impl CycleAccurateDram {
         // One occupancy sample per chunk, so `avg_queue_occupancy` (which
         // divides by per-chunk `accesses`) is an exact mean-at-admission.
         self.stats.queue_occupancy_sum += outstanding * n_chunks;
-        self.inflight.push(finish);
+        self.inflight.push(Reverse(finish));
 
         Completion {
             start: start.expect("a request schedules at least one chunk"),
@@ -986,7 +992,71 @@ mod tests {
         assert_eq!(c.stats().fr_fcfs_reorders, 0);
     }
 
+    /// The bounded-admission rule as it was before the in-flight min-heap:
+    /// a `Vec` of completion times, filtered and min-scanned per request.
+    /// The reference for [`CycleAccurateDram::admit`].
+    struct VecAdmission {
+        inflight: Vec<SimTime>,
+        depth: usize,
+        stalls: u64,
+        occupancy_max: u64,
+    }
+
+    impl VecAdmission {
+        fn admit(&mut self, ready: SimTime) -> (SimTime, u64) {
+            self.inflight.retain(|&t| t > ready);
+            let outstanding = self.inflight.len() as u64;
+            if self.inflight.len() < self.depth {
+                self.occupancy_max = self.occupancy_max.max(outstanding + 1);
+                return (ready, outstanding);
+            }
+            self.stalls += 1;
+            let (idx, earliest) = self
+                .inflight
+                .iter()
+                .copied()
+                .enumerate()
+                .min_by_key(|&(_, t)| t)
+                .expect("full queue is non-empty");
+            self.inflight.swap_remove(idx);
+            let admitted = ready.max(earliest);
+            self.inflight.retain(|&t| t > admitted);
+            let after_drain = self.inflight.len() as u64;
+            self.occupancy_max = self.occupancy_max.max(after_drain + 1);
+            (admitted, after_drain)
+        }
+    }
+
     proptest! {
+        /// Admission through the in-flight min-heap returns the same
+        /// admission time and occupancy, and counts the same stalls and
+        /// maximum occupancy, as the reference `Vec` admission for any
+        /// stream of ready times (in or out of order, with ties), service
+        /// times and queue depth.
+        #[test]
+        fn heap_admission_matches_the_vec_reference(
+            depth in 1usize..=8,
+            ops in proptest::collection::vec((0u64..2_000, 0u64..400), 1..200),
+        ) {
+            let mut c = CycleAccurateDram::new(DramConfig { queue_depth: depth, ..cfg() });
+            let mut reference = VecAdmission {
+                inflight: Vec::new(),
+                depth,
+                stalls: 0,
+                occupancy_max: 0,
+            };
+            for (ready_ns, service_ns) in ops {
+                let ready = SimTime::from_nanos(ready_ns);
+                let got = c.admit(ready);
+                prop_assert_eq!(got, reference.admit(ready));
+                let finish = got.0 + SimTime::from_nanos(service_ns);
+                c.inflight.push(Reverse(finish));
+                reference.inflight.push(finish);
+                prop_assert_eq!(c.stats.queue_stalls, reference.stalls);
+                prop_assert_eq!(c.stats.queue_occupancy_max, reference.occupancy_max);
+            }
+        }
+
         /// The cycle-accurate model never completes a request earlier than
         /// the idealized row-hit lower bound: even a request that hits an
         /// open row on an idle device pays the front-end overhead, the

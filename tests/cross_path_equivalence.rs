@@ -909,11 +909,24 @@ mod skip_vs_step {
         Touching,
     }
 
+    /// Which layout the case scans.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Layout {
+        /// The row table, direct row-wise.
+        Rows,
+        /// The columnar copy of the table, direct columnar.
+        Columnar,
+        /// The ephemeral variable, through the RME.
+        Ephemeral,
+    }
+
     /// Which scan implementation runs the case.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     enum Path {
         /// `System::scan`: cut into periods, fast-forwarded when periodic.
         Scan,
+        /// `System::scan` with batched stepping off: steps every field.
+        PerField,
         /// `System::scan_sharded` on one core: steps every row.
         ShardedOneCore,
         /// `System::scan_naive`: the per-field reference loop.
@@ -941,10 +954,11 @@ mod skip_vs_step {
         widths: Vec<usize>,
         columns: Vec<usize>,
         revision: HwRevision,
-        /// Whole Reorganization-Buffer frames (ephemeral) or periods (rows).
+        /// Whole Reorganization-Buffer frames (rows and ephemeral) or
+        /// columnar periods of the first picked column's width.
         frames: u64,
         extra_rows: u64,
-        ephemeral: bool,
+        layout: Layout,
         mvcc: bool,
         effects: Effects,
         traced: bool,
@@ -998,7 +1012,11 @@ mod skip_vs_step {
         let group = ColumnGroup::new(case.columns.clone()).unwrap();
         sys.register_ephemeral(&probe, group.clone(), None).unwrap();
         let frame_rows = sys.engine().rows_per_frame().unwrap();
-        let rows = case.frames * frame_rows + case.extra_rows;
+        let unit = match case.layout {
+            Layout::Columnar => direct_period(case.widths[case.columns[0]] as u64),
+            Layout::Rows | Layout::Ephemeral => frame_rows,
+        };
+        let rows = case.frames * unit + case.extra_rows;
         let mut table = sys.create_table(schema, rows, mvcc).unwrap();
         DataGen::new(case.seed).fill_table(sys.mem_mut(), &mut table, rows).unwrap();
         if case.mvcc {
@@ -1016,21 +1034,27 @@ mod skip_vs_step {
             var.packed_row_bytes() as u64,
             table.physical_row_bytes() as u64,
         );
-        let source = if case.ephemeral {
-            ScanSource::Ephemeral { var: &var }
-        } else {
-            ScanSource::Rows {
-                table: &table,
-                columns: &case.columns,
-                snapshot,
-            }
-        };
-        let access = if case.ephemeral {
-            AccessPath::RmeCold
-        } else {
-            AccessPath::DirectRowWise
+        let columnar = sys.materialize_columnar(&table).unwrap();
+        let (source, access) = match case.layout {
+            Layout::Rows => (
+                ScanSource::Rows {
+                    table: &table,
+                    columns: &case.columns,
+                    snapshot,
+                },
+                AccessPath::DirectRowWise,
+            ),
+            Layout::Columnar => (
+                ScanSource::Columnar {
+                    table: &columnar,
+                    columns: &case.columns,
+                },
+                AccessPath::DirectColumnar,
+            ),
+            Layout::Ephemeral => (ScanSource::Ephemeral { var: &var }, AccessPath::RmeCold),
         };
         sys.set_tracing(case.traced);
+        sys.set_batched_stepping(path != Path::PerField);
         sys.begin_measurement(access);
         let mut values: Vec<Vec<u64>> = Vec::new();
         let effects = match case.effects {
@@ -1051,7 +1075,7 @@ mod skip_vs_step {
             }
         };
         let (end, cpu, rows) = match path {
-            Path::Scan => sys.scan(&source, SimTime::ZERO, &mut per_row),
+            Path::Scan | Path::PerField => sys.scan(&source, SimTime::ZERO, &mut per_row),
             Path::Naive => sys.scan_naive(&source, SimTime::ZERO, &mut per_row),
             Path::ShardedOneCore => {
                 let run = sys.scan_sharded(&source, SimTime::ZERO, |_, row, vals: &[u64]| {
@@ -1081,14 +1105,26 @@ mod skip_vs_step {
         (outcome, skipped, expect_skip)
     }
 
+    /// Rows in one period of a direct scan advancing `stride` bytes a row:
+    /// the fewest whose byte span is a multiple of [`SPAN`].
+    fn direct_period(stride: u64) -> u64 {
+        let (mut a, mut b) = (SPAN, stride);
+        while b != 0 {
+            (a, b) = (b, a % b);
+        }
+        SPAN / a
+    }
+
     /// Whether the fast-forward must engage: `Some(false)` when the case
-    /// cannot skip (traced, MVCC, data-dependent or touching effects, or a
-    /// period that is no translation of every model), `Some(true)` when it
-    /// is periodic with at least [`SETTLED_PERIODS`] periods, `None` in
-    /// between. A row scan's period is derived
-    /// to be a translation but needs a one-line row (a single line plan);
-    /// an ephemeral frame must move the source by a multiple of the DRAM
-    /// span and the packed data by a multiple of the cache set spans.
+    /// cannot skip (traced, MVCC visibility, data-dependent or touching
+    /// effects, or a period that is no translation of every model),
+    /// `Some(true)` when it is periodic with at least [`SETTLED_PERIODS`]
+    /// periods, `None` in between. A direct scan's period is derived to be
+    /// a translation: rows of any stride, and a columnar projection whose
+    /// picked columns share one width (one shift then moves every column
+    /// array); an ephemeral frame must move the source by a multiple of
+    /// the DRAM span and the packed data by a multiple of the cache set
+    /// spans. MVCC only filters the row and ephemeral scans.
     fn periodic(
         case: &Case,
         rows: u64,
@@ -1096,16 +1132,22 @@ mod skip_vs_step {
         packed_row: u64,
         row_bytes: u64,
     ) -> Option<bool> {
-        let (invariant, period) = if case.ephemeral {
-            let invariant = (frame_rows * row_bytes).is_multiple_of(SPAN)
-                && (frame_rows * packed_row).is_multiple_of(1024);
-            (invariant, frame_rows)
-        } else {
-            (row_bytes == 64, SPAN / 64)
+        let (invariant, period) = match case.layout {
+            Layout::Ephemeral => {
+                let invariant = (frame_rows * row_bytes).is_multiple_of(SPAN)
+                    && (frame_rows * packed_row).is_multiple_of(1024);
+                (invariant, frame_rows)
+            }
+            Layout::Rows => (true, direct_period(row_bytes)),
+            Layout::Columnar => {
+                let width = case.widths[case.columns[0]];
+                let same = case.columns.iter().all(|&c| case.widths[c] == width);
+                (same, direct_period(width as u64))
+            }
         };
         let periods = rows.div_ceil(period);
         if case.traced
-            || case.mvcc
+            || (case.mvcc && case.layout != Layout::Columnar)
             || !matches!(case.effects, Effects::Constant | Effects::OneOff(_))
             || !invariant
             || periods < 4
@@ -1120,8 +1162,8 @@ mod skip_vs_step {
     /// the geometry is replaced by a power-of-two packed row (2, 4 or 8
     /// bytes wide, 1, 2 or 4 columns) so that frames move both address
     /// spaces by whole translation periods; `pad` appends an unscanned
-    /// filler column that makes the row one cache line, the stride a row
-    /// scan needs for a single line plan.
+    /// filler column that makes the row one cache line (a single line
+    /// plan; other strides step several).
     #[allow(clippy::too_many_arguments)]
     fn case(
         widths: Vec<usize>,
@@ -1131,7 +1173,7 @@ mod skip_vs_step {
         revision: usize,
         frames: u64,
         extra_rows: u64,
-        ephemeral: bool,
+        layout: u8,
         mvcc: bool,
         effects: u8,
         one_off: u64,
@@ -1157,7 +1199,11 @@ mod skip_vs_step {
             revision: HwRevision::all()[revision],
             frames,
             extra_rows,
-            ephemeral,
+            layout: match layout {
+                0 => Layout::Rows,
+                1 => Layout::Columnar,
+                _ => Layout::Ephemeral,
+            },
             mvcc,
             effects: match effects {
                 0 => Effects::Constant,
@@ -1171,11 +1217,14 @@ mod skip_vs_step {
         })
     }
 
-    /// Runs `case` through `System::scan`, the naive loop and, on one
-    /// core, the sharded scan; asserts they agree and the skip count
-    /// matches [`periodic`].
+    /// Runs `case` through `System::scan`, the same scan with batched
+    /// stepping off, the naive loop and, on one core, the sharded scan;
+    /// asserts they agree and the skip count matches [`periodic`].
     fn check(case: &Case) -> Result<(), proptest::TestCaseError> {
         let (scan, skipped, expect_skip) = run(case, Path::Scan);
+        let (per_field, per_field_skips, _) = run(case, Path::PerField);
+        prop_assert_eq!(per_field_skips, 0, "the per-field oracle mode steps every row");
+        prop_assert_eq!(&scan, &per_field);
         let (naive, naive_skips, _) = run(case, Path::Naive);
         prop_assert_eq!(naive_skips, 0, "the naive loop steps every row");
         prop_assert_eq!(&scan, &naive);
@@ -1196,11 +1245,12 @@ mod skip_vs_step {
         #![proptest_config(ProptestConfig::with_cases(12))]
 
         /// `System::scan` — fast-forwarding the periodic steady state of
-        /// row and ephemeral scans — produces the same end time, CPU time,
-        /// row count, values, cache/DRAM/RME counters and buffer contents
-        /// as the full-stepping sharded scan on one core and the naive
-        /// reference loop, for random geometries, all three revisions,
-        /// 1–8 frames, MVCC on and off, constant, one-off, varying and
+        /// row, columnar and ephemeral scans — produces the same end time,
+        /// CPU time, row count, values, cache/DRAM/RME counters and buffer
+        /// contents as itself with batched stepping off, the full-stepping
+        /// sharded scan on one core and the naive reference loop, for
+        /// random geometries, all three layouts and revisions, 1–8 frames
+        /// or columnar periods, MVCC on and off, constant, one-off, varying and
         /// touching effects, tracing on and off, and one or two cores
         /// (the sharded scan only compares on one). The fast-forward
         /// engages (a non-zero skip count) exactly in the periodic,
@@ -1214,7 +1264,7 @@ mod skip_vs_step {
             revision in 0usize..3,
             frames in 1u64..=8,
             extra_rows in 0u64..40,
-            ephemeral in any::<bool>(),
+            layout in 0u8..3,
             mvcc in any::<bool>(),
             effects in 0u8..4,
             one_off in 0u64..4_000,
@@ -1223,7 +1273,7 @@ mod skip_vs_step {
             seed in 0u64..1_000,
         ) {
             let case = case(widths, pad, &pick, aligned, revision, frames, extra_rows,
-                ephemeral, mvcc, effects, one_off, traced, cores, seed);
+                layout, mvcc, effects, one_off, traced, cores, seed);
             prop_assume!(case.is_some());
             check(&case.unwrap())?;
         }
@@ -1242,8 +1292,63 @@ mod skip_vs_step {
             seed in 0u64..1_000,
         ) {
             let case = case(vec![4; 4], true, &[true; 4], aligned, revision, frames, extra_rows,
-                true, false, effects, one_off, false, 1, seed);
+                2, false, effects, one_off, false, 1, seed);
             check(&case.expect("aligned cases pick columns"))?;
+        }
+
+        /// The same for direct scans long enough to settle: rows of four
+        /// 2-, 4- or 8-byte columns (8–32 B, so several line plans) and
+        /// columnar projections of 1, 2 or 4 such equal-width columns.
+        #[test]
+        fn settled_direct_scans_fast_forward(
+            aligned in 0usize..9,
+            columnar in any::<bool>(),
+            revision in 0usize..3,
+            frames in SETTLED_PERIODS..=16,
+            extra_rows in 0u64..40,
+            effects in 0u8..2,
+            one_off in 0u64..4_000,
+            seed in 0u64..1_000,
+        ) {
+            let (width, picked) = ([2, 4, 8][aligned % 3], [1, 2, 4][aligned / 3]);
+            check(&Case {
+                widths: vec![width; 4],
+                columns: (0..picked).collect(),
+                revision: HwRevision::all()[revision],
+                frames,
+                extra_rows,
+                layout: if columnar { Layout::Columnar } else { Layout::Rows },
+                mvcc: false,
+                effects: if effects == 0 { Effects::Constant } else { Effects::OneOff(one_off) },
+                traced: false,
+                cores: 1,
+                seed,
+            })?;
+        }
+    }
+
+    /// A columnar projection of mixed widths has no common period and
+    /// steps every row; the same table projected on equal widths skips.
+    #[test]
+    fn mixed_width_columnar_scans_step() {
+        let case = |columns: Vec<usize>| Case {
+            widths: vec![4, 8, 4, 8],
+            columns,
+            revision: HwRevision::Mlp,
+            frames: SETTLED_PERIODS + 2,
+            extra_rows: 5,
+            layout: Layout::Columnar,
+            mvcc: false,
+            effects: Effects::Constant,
+            traced: false,
+            cores: 1,
+            seed: 7,
+        };
+        for (columns, periodic) in [(vec![0, 1], false), (vec![0, 2], true)] {
+            let case = case(columns);
+            let (_, skipped, expect) = run(&case, Path::Scan);
+            assert_eq!((skipped > 0, expect), (periodic, Some(periodic)));
+            check(&case).unwrap();
         }
     }
 }

@@ -1,6 +1,6 @@
 //! The figures README.md and docs/ARCHITECTURE.md quote from the committed
-//! `BENCH_scan_throughput*.json` and `BENCH_fig13.json` records must match
-//! those records.
+//! `BENCH_scan_throughput*.json`, `BENCH_fig13.json` and
+//! `BENCH_columnar_ff.json` records must match those records.
 //!
 //! Each check names the record field, the document, and the text that
 //! follows the quoted number there. A quoted figure passes when it is
@@ -140,4 +140,17 @@ fn architecture_quotes_the_fig13_record() {
         "change_median_s",
         1.0,
     );
+}
+
+#[test]
+fn architecture_quotes_the_columnar_fast_forward_record() {
+    let record = "BENCH_columnar_ff.json";
+    for (follows, key) in [
+        (" s at the parent commit to", "run_s_seed4242_parent_median_s"),
+        (" s (seed 4242, 10 alternating", "run_s_seed4242_change_median_s"),
+        (" s to 0.058 s", "scan_columnar_s_seed4242_parent_median_s"),
+        (" s (5 pairs; `BENCH_columnar_ff.json`)", "scan_columnar_s_seed4242_change_median_s"),
+    ] {
+        check("docs/ARCHITECTURE.md", follows, record, key, 1.0);
+    }
 }

@@ -197,7 +197,10 @@ fn scaling_keeps_the_benefit_roughly_constant() {
 /// Figure 13's constant ratio is an exact period: on Q1 (k = 4, 64 B rows,
 /// occupancy DRAM, MLP), every 2 MB Data SPM frame after the first adds the
 /// same RME-cold time, and every 131,072-row block after the first adds the
-/// same direct row-wise time, to the picosecond.
+/// same direct row-wise time and the same direct columnar time, to the
+/// picosecond. A block is one columnar period (131,072 rows of 4-byte
+/// columns span the 512 KB translation span), so four blocks are the
+/// fewest over which a columnar scan fast-forwards.
 #[test]
 fn multi_frame_scans_grow_by_an_exact_period() {
     const FRAME_ROWS: u64 = 2 * 1024 * 1024 / 16; // 4 packed 4-byte columns
@@ -212,13 +215,15 @@ fn multi_frame_scans_grow_by_an_exact_period() {
         assert_eq!(b.system().memory_model(), relational_memory::sim::MemoryModel::Occupancy);
         let q = Query::Q1 { projectivity: 4 };
         let direct = b.run(q, AccessPath::DirectRowWise).measurement.elapsed;
+        let columnar = b.run(q, AccessPath::DirectColumnar).measurement.elapsed;
         let rme = b.run(q, AccessPath::RmeCold).measurement;
         assert_eq!(rme.rme.frames_fetched, frames);
-        (direct.as_picos(), rme.elapsed.as_picos())
+        (direct.as_picos(), columnar.as_picos(), rme.elapsed.as_picos())
     };
-    let runs: Vec<(u64, u64)> = (1..=3).map(elapsed).collect();
+    let runs: Vec<(u64, u64, u64)> = (1..=4).map(elapsed).collect();
     for pair in runs.windows(2) {
         assert_eq!(pair[1].0 - pair[0].0, 4_621_467_648, "direct row-wise period");
-        assert_eq!(pair[1].1 - pair[0].1, 3_394_707_990, "RME-cold period");
+        assert_eq!(pair[1].1 - pair[0].1, 4_284_448_768, "direct columnar period");
+        assert_eq!(pair[1].2 - pair[0].2, 3_394_707_990, "RME-cold period");
     }
 }
