@@ -34,9 +34,7 @@
 //! repetitions (mean/min/max/stddev seconds); rates keep using the best
 //! (minimum) repetition, as before.
 
-use std::time::{Duration, Instant};
-
-use criterion::SampleStats;
+use std::time::Instant;
 
 use relmem_core::system::{RowEffect, ScanSource, SystemConfig};
 use relmem_core::{AccessPath, System};
@@ -124,66 +122,22 @@ fn write_report(out: &str, json: &str, quick: bool, rows: u64) {
 }
 
 /// Renders the wall-clock spread of one measurement as a JSON object
-/// (mean/min/max/stddev seconds), via the vendored criterion's
-/// [`SampleStats`].
+/// (mean/min/max/sample-stddev seconds). `secs` is never empty.
 fn wall_stats_json(secs: &[f64]) -> String {
-    let samples: Vec<Duration> = secs.iter().map(|&s| Duration::from_secs_f64(s)).collect();
-    let stats = SampleStats::from_samples(&samples);
+    let n = secs.len() as f64;
+    let mean = secs.iter().sum::<f64>() / n;
+    let var = if secs.len() < 2 {
+        0.0
+    } else {
+        secs.iter().map(|s| (s - mean).powi(2)).sum::<f64>() / (n - 1.0)
+    };
+    let max = secs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
     format!(
-        "{{ \"mean\": {:.6}, \"min\": {:.6}, \"max\": {:.6}, \"stddev\": {:.6}, \"reps\": {} }}",
-        stats.mean.as_secs_f64(),
-        stats.min.as_secs_f64(),
-        stats.max.as_secs_f64(),
-        stats.stddev.as_secs_f64(),
-        stats.iters
+        "{{ \"mean\": {mean:.6}, \"min\": {:.6}, \"max\": {max:.6}, \"stddev\": {:.6}, \"reps\": {} }}",
+        best(secs),
+        var.sqrt(),
+        secs.len()
     )
-}
-
-/// One extra instrumented rep (miss-path profiling enabled) rendering the
-/// per-phase attribution as a JSON `breakdown` object — through the shared
-/// [`MetricsSection`] serializer, so the bench JSON and the trace layer's
-/// metrics registry speak one schema. The rep runs *after* the headline
-/// samples with profiling switched on only for its duration, so guard
-/// costs never contaminate the throughput numbers. The instrumented wall
-/// time, the unattributed remainder (hit fast path, value reads, the
-/// per-row closure) and the calibrated per-guard overhead are reported
-/// alongside the phase shares, so the attribution is inspectable rather
-/// than a black box.
-fn breakdown_json(sys: &mut System, source: &ScanSource<'_>) -> String {
-    use relmem_cache::profile;
-    use relmem_sim::{Metric, MetricsSection};
-    profile::reset();
-    profile::set_enabled(true);
-    let (wall, ..) = timed_scan(sys, source, false);
-    profile::set_enabled(false);
-    let report = profile::report();
-    let mut section = MetricsSection::new("breakdown");
-    for (i, name) in profile::PHASE_NAMES.iter().enumerate() {
-        let p = report.phases[i];
-        section.push(Metric::accumulated(
-            *name,
-            "seconds",
-            format!("{:.6}", p.seconds),
-            p.entries,
-        ));
-    }
-    let attributed = report.attributed_seconds();
-    section.push(Metric::scalar(
-        "other_seconds",
-        "seconds",
-        format!("{:.6}", (wall - attributed).max(0.0)),
-    ));
-    section.push(Metric::scalar(
-        "instrumented_wall_secs",
-        "seconds",
-        format!("{wall:.6}"),
-    ));
-    section.push(Metric::scalar(
-        "guard_overhead_seconds",
-        "seconds",
-        format!("{:.3e}", report.guard_overhead_seconds),
-    ));
-    section.to_json_object(4, 2)
 }
 
 /// Builds an N-core system holding the benchmark table, deterministically,
@@ -569,9 +523,6 @@ fn main() {
     println!("  speedup vs baseline:   {speedup:.2}x  (simulated output bit-identical)");
     println!("  speedup vs naive loop: {loop_speedup:.2}x");
 
-    // One extra instrumented rep for the miss-path phase attribution.
-    let breakdown = breakdown_json(&mut sys, &source);
-
     let json = format!(
         "{{\n  \"bench\": \"scan_throughput\",\n  \"rows\": {rows},\n  \"columns\": {},\n  \
          \"quick\": {quick},\n  \"reps\": {reps},\n  \
@@ -584,7 +535,6 @@ fn main() {
          \"optimized_wall_secs\": {},\n  \
          \"naive_loop_wall_secs\": {},\n  \
          \"baseline_wall_secs\": {},\n  \
-         \"breakdown\": {breakdown},\n  \
          \"outputs_identical\": true\n}}\n",
         COLUMNS.len(),
         wall_stats_json(&opt_samples),

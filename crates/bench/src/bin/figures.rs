@@ -25,6 +25,7 @@
 //! command line must be an experiment id.
 
 use std::fs;
+use std::io;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -126,10 +127,19 @@ fn trace_path(base: &Path, id: &str, many: bool) -> PathBuf {
     base.with_file_name(format!("{stem}-{id}.{ext}"))
 }
 
+/// Unwraps a filesystem result, or reports `cannot <verb> <path>: <error>`
+/// and exits with status 1.
+fn or_exit<T>(result: io::Result<T>, verb: &str, path: &Path) -> T {
+    result.unwrap_or_else(|e| {
+        eprintln!("cannot {verb} {}: {e}", path.display());
+        std::process::exit(1);
+    })
+}
+
 fn main() {
     let args = parse_args();
     if let Some(dir) = &args.out {
-        fs::create_dir_all(dir).expect("can create output directory");
+        or_exit(fs::create_dir_all(dir), "create", dir);
     }
     let capture = args.trace.is_some() || args.timeseries;
     let many = args.ids.len() > 1;
@@ -157,7 +167,7 @@ fn main() {
             }
             if let Some(base) = &args.trace {
                 let path = trace_path(base, experiment.id, many);
-                fs::write(&path, trace.to_chrome_json()).expect("can write trace file");
+                or_exit(fs::write(&path, trace.to_chrome_json()), "write", &path);
                 eprintln!("[{} trace written to {}]", experiment.id, path.display());
             }
         } else if capture {
@@ -170,14 +180,11 @@ fn main() {
             started.elapsed().as_secs_f64()
         );
         if let Some(dir) = &args.out {
-            fs::write(dir.join(format!("{}.txt", experiment.id)), &text)
-                .expect("can write experiment output");
+            let path = dir.join(format!("{}.txt", experiment.id));
+            or_exit(fs::write(&path, &text), "write", &path);
             if args.csv {
-                fs::write(
-                    dir.join(format!("{}.csv", experiment.id)),
-                    experiment.render_csv(),
-                )
-                .expect("can write experiment CSV");
+                let path = dir.join(format!("{}.csv", experiment.id));
+                or_exit(fs::write(&path, experiment.render_csv()), "write", &path);
             }
         }
     }

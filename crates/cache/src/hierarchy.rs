@@ -54,7 +54,6 @@ use relmem_sim::{PlatformConfig, Shift, SimTime, TraceEvent, TraceEventKind, Tra
 
 use crate::cache::Cache;
 use crate::prefetch::StreamPrefetcher;
-use crate::profile;
 use crate::shared_l2::SharedL2;
 use crate::stats::HierarchyStats;
 
@@ -482,26 +481,8 @@ impl CoreFrontend {
         outcome
     }
 
-    /// Monomorphization dispatcher for [`access_line_impl`]: the hot loop
-    /// pays one profiling-enabled check per line here instead of one
-    /// atomic load per guard site inside the walk.
     #[inline]
     fn access_line<B: MemoryBackend>(
-        &mut self,
-        line: u64,
-        now: SimTime,
-        l2: &mut SharedL2,
-        backend: &mut B,
-    ) -> AccessOutcome {
-        if profile::enabled() {
-            self.access_line_impl::<B, true>(line, now, l2, backend)
-        } else {
-            self.access_line_impl::<B, false>(line, now, l2, backend)
-        }
-    }
-
-    #[inline]
-    fn access_line_impl<B: MemoryBackend, const PROF: bool>(
         &mut self,
         line: u64,
         now: SimTime,
@@ -527,10 +508,7 @@ impl CoreFrontend {
         // the line up front is state-equivalent to the seed's
         // lookup-then-fill ordering.
         self.stats.l1.requests += 1;
-        let l1_missed = {
-            let _p = PROF.then(|| profile::phase(profile::Phase::L1Walk));
-            self.l1.probe_else_fill(line).is_some()
-        };
+        let l1_missed = self.l1.probe_else_fill(line).is_some();
         if !l1_missed {
             self.stats.l1.hits += 1;
             self.note_mru(line);
@@ -543,19 +521,15 @@ impl CoreFrontend {
         self.note_mru(line);
 
         // Train the prefetcher on the L1 miss stream and issue its requests.
-        let decision = {
-            let _p = PROF.then(|| profile::phase(profile::Phase::PrefetchTrain));
-            self.prefetcher.train(line)
-        };
+        let decision = self.prefetcher.train(line);
         for pline in decision.lines() {
-            self.issue_prefetch::<B, PROF>(pline, now, l2, backend);
+            self.issue_prefetch(pline, now, l2, backend);
         }
 
         // L2 lookup, same single-walk fusion (the backend fill between the
         // seed's lookup and fill never reads the L2). The lookup reaches
         // the L2 after the L1 latency and may first wait for its bank
         // (identity when the contention model is off, i.e. one core).
-        let _p = PROF.then(|| profile::phase(profile::Phase::L2Walk));
         self.stats.l2.requests += 1;
         let (lookup_start, waited) = l2.book_bank(self.core, line, now + self.l1_hit);
         self.note_l2_wait(waited);
@@ -582,7 +556,6 @@ impl CoreFrontend {
                 l2.pending_take(slot);
                 if let Some(evicted) = evicted {
                     if evicted_dirty {
-                        let _p = PROF.then(|| profile::phase(profile::Phase::BackendFill));
                         backend.writeback_line(evicted, l2_lookup_done);
                         let core = self.core as u32;
                         self.tracer.emit(|| {
@@ -600,10 +573,7 @@ impl CoreFrontend {
                 // outstanding-miss cap.
                 self.stats.backend_fills += 1;
                 let issue = self.book_miss_slot(l2_lookup_done, now);
-                let arrival = {
-                    let _p = PROF.then(|| profile::phase(profile::Phase::BackendFill));
-                    backend.fill_line(line, issue)
-                };
+                let arrival = backend.fill_line(line, issue);
                 self.record_inflight(arrival);
                 // Demand fills only: prefetch fills overlap demand windows
                 // freely, so tracing them as sync spans would break the
@@ -645,7 +615,7 @@ impl CoreFrontend {
         }
     }
 
-    fn issue_prefetch<B: MemoryBackend, const PROF: bool>(
+    fn issue_prefetch<B: MemoryBackend>(
         &mut self,
         line: u64,
         now: SimTime,
@@ -655,7 +625,6 @@ impl CoreFrontend {
         if !backend.prefetchable(line) {
             return;
         }
-        let _p = PROF.then(|| profile::phase(profile::Phase::PrefetchIssue));
         // Prefetches that would hit in L2 are dropped (they count as L2
         // lookups, which is what inflates the L2 request counts in Fig. 8).
         // Like demand lookups they occupy the line's bank when the
@@ -676,7 +645,6 @@ impl CoreFrontend {
         l2.pending_take(slot);
         if let Some(evicted) = evicted {
             if evicted_dirty {
-                let _p = PROF.then(|| profile::phase(profile::Phase::BackendFill));
                 backend.writeback_line(evicted, lookup_start);
                 let core = self.core as u32;
                 self.tracer.emit(|| {
@@ -693,10 +661,7 @@ impl CoreFrontend {
         self.stats.prefetches_issued += 1;
         self.stats.backend_fills += 1;
         let issue = self.book_miss_slot(lookup_start, now);
-        let arrival = {
-            let _p = PROF.then(|| profile::phase(profile::Phase::BackendFill));
-            backend.fill_line(line, issue)
-        };
+        let arrival = backend.fill_line(line, issue);
         self.record_inflight(arrival);
         l2.pending_set(slot, arrival);
     }

@@ -44,7 +44,6 @@
 pub mod cache;
 pub mod hierarchy;
 pub mod prefetch;
-pub mod profile;
 pub mod shared_l2;
 pub mod stats;
 

@@ -35,7 +35,7 @@ pub use resource::{MultiResource, PriorityResource, Resource};
 pub use shift::Shift;
 pub use stats::{Counter, DegradeTransition, LatencyProfile, MeanStd, OverloadStats, TxnStats};
 pub use time::SimTime;
-pub use timeseries::{default_bucket, series_from_trace, Metric, MetricsRegistry, MetricsSection};
+pub use timeseries::{default_bucket, series_from_trace};
 pub use trace::{
     validate_chrome_trace, NoopSink, RecordingSink, Trace, TraceEvent, TraceEventKind, TraceSink,
     TraceSummary, Tracer, Track,

@@ -1,147 +1,16 @@
-//! Time-bucketed metrics derived from traces, plus the metrics registry
-//! shared with the benchmark reports.
+//! Time-bucketed metrics derived from traces.
 //!
-//! Two consumers share this module:
-//!
-//! * The figure harnesses turn a recorded [`Trace`] into per-bucket
-//!   time-series ([`series_from_trace`]) — queue depth, in-flight ops,
-//!   abort rate, DRAM bank occupancy — rendered through the existing
-//!   [`crate::report::Series`]/[`crate::report::Table`] machinery
-//!   (`--timeseries`).
-//! * The benchmark reports render named metric groups
-//!   ([`MetricsRegistry`]) as JSON — the `breakdown` section of
-//!   `BENCH_scan_throughput.json` goes through the same serializer, so the
-//!   bench JSON and the trace layer share one schema.
+//! The figure harnesses turn a recorded [`Trace`] into per-bucket
+//! time-series ([`series_from_trace`]) — queue depth, in-flight ops,
+//! abort rate, DRAM bank occupancy — rendered through the existing
+//! [`crate::report::Series`]/[`crate::report::Table`] machinery
+//! (`--timeseries`).
 
 use std::collections::BTreeSet;
 
 use crate::report::Series;
 use crate::time::SimTime;
 use crate::trace::{SpanStyle, Trace, TraceEventKind, Track};
-
-// ---------------------------------------------------------------------------
-// Metrics registry (shared bench/trace schema)
-// ---------------------------------------------------------------------------
-
-/// One named metric. `value` is preformatted by the producer (so the
-/// registry never re-rounds a number a report already committed to);
-/// `entries` distinguishes accumulated metrics (`{ "<unit>": v, "entries":
-/// n }`) from flat scalars (`"name": v`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Metric {
-    /// JSON key.
-    pub name: String,
-    /// Unit label used as the value key of accumulated metrics.
-    pub unit: &'static str,
-    /// Preformatted numeric value.
-    pub value: String,
-    /// Number of accumulation events, if this metric is an accumulator.
-    pub entries: Option<u64>,
-}
-
-impl Metric {
-    /// A flat scalar metric (`"name": value`).
-    pub fn scalar(name: impl Into<String>, unit: &'static str, value: String) -> Self {
-        Metric {
-            name: name.into(),
-            unit,
-            value,
-            entries: None,
-        }
-    }
-
-    /// An accumulated metric (`"name": { "<unit>": value, "entries": n }`).
-    pub fn accumulated(
-        name: impl Into<String>,
-        unit: &'static str,
-        value: String,
-        entries: u64,
-    ) -> Self {
-        Metric {
-            name: name.into(),
-            unit,
-            value,
-            entries: Some(entries),
-        }
-    }
-}
-
-/// A named group of metrics, rendered as one JSON object.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct MetricsSection {
-    /// Section name (the JSON key when nested in a registry).
-    pub name: String,
-    /// Metrics in declaration order.
-    pub metrics: Vec<Metric>,
-}
-
-impl MetricsSection {
-    /// Creates an empty section.
-    pub fn new(name: impl Into<String>) -> Self {
-        MetricsSection {
-            name: name.into(),
-            metrics: Vec::new(),
-        }
-    }
-
-    /// Appends a metric.
-    pub fn push(&mut self, metric: Metric) {
-        self.metrics.push(metric);
-    }
-
-    /// Renders the section as a JSON object. `item_indent` spaces prefix
-    /// each member line; `close_indent` spaces prefix the closing brace —
-    /// matching however deep the object sits in the surrounding report.
-    pub fn to_json_object(&self, item_indent: usize, close_indent: usize) -> String {
-        let pad = " ".repeat(item_indent);
-        let members: Vec<String> = self
-            .metrics
-            .iter()
-            .map(|m| match m.entries {
-                Some(n) => format!(
-                    "{pad}\"{}\": {{ \"{}\": {}, \"entries\": {} }}",
-                    m.name, m.unit, m.value, n
-                ),
-                None => format!("{pad}\"{}\": {}", m.name, m.value),
-            })
-            .collect();
-        format!("{{\n{}\n{}}}", members.join(",\n"), " ".repeat(close_indent))
-    }
-}
-
-/// An ordered collection of [`MetricsSection`]s.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct MetricsRegistry {
-    /// Sections in declaration order.
-    pub sections: Vec<MetricsSection>,
-}
-
-impl MetricsRegistry {
-    /// Creates an empty registry.
-    pub fn new() -> Self {
-        MetricsRegistry::default()
-    }
-
-    /// Appends a section and returns a handle to it.
-    pub fn section(&mut self, name: impl Into<String>) -> &mut MetricsSection {
-        self.sections.push(MetricsSection::new(name));
-        self.sections.last_mut().expect("just pushed")
-    }
-
-    /// Renders the whole registry as one JSON object of sections.
-    pub fn to_json(&self) -> String {
-        let members: Vec<String> = self
-            .sections
-            .iter()
-            .map(|s| format!("  \"{}\": {}", s.name, s.to_json_object(4, 2)))
-            .collect();
-        format!("{{\n{}\n}}\n", members.join(",\n"))
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Time-bucketed series from a trace
-// ---------------------------------------------------------------------------
 
 /// Picks a bucket width giving roughly `target_buckets` buckets over the
 /// trace, at least 1 ns.
@@ -277,23 +146,6 @@ pub fn series_from_trace(trace: &Trace, bucket: SimTime) -> Vec<Series> {
 mod tests {
     use super::*;
     use crate::trace::TraceEvent;
-
-    #[test]
-    fn registry_renders_accumulated_and_flat_metrics() {
-        let mut section = MetricsSection::new("breakdown");
-        section.push(Metric::accumulated("l2_walk", "seconds", "0.123456".into(), 7));
-        section.push(Metric::scalar("other_seconds", "seconds", "0.000001".into()));
-        let json = section.to_json_object(4, 2);
-        assert_eq!(
-            json,
-            "{\n    \"l2_walk\": { \"seconds\": 0.123456, \"entries\": 7 },\n    \
-             \"other_seconds\": 0.000001\n  }"
-        );
-        let mut reg = MetricsRegistry::new();
-        reg.section("breakdown").push(Metric::scalar("x", "", "1".into()));
-        let doc = crate::trace::Json::parse(&reg.to_json()).expect("registry JSON parses");
-        assert!(doc.get("breakdown").is_some());
-    }
 
     #[test]
     fn series_bucket_queue_depth_and_occupancy() {
