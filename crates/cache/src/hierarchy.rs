@@ -96,9 +96,9 @@ pub trait MemoryBackend {
     /// Notifies the backend that a dirty line was evicted from the L2 at
     /// `ready` and owes main memory a write. Default: ignored — the
     /// occupancy DRAM model's timing is read/write-symmetric and its golden
-    /// fixtures predate writeback traffic, so only backends that route to
-    /// the cycle-accurate model in event-driven mode turn this into a real
-    /// DRAM write (where tWR/tWTR exist to observe it). Fire-and-forget by
+    /// fixtures predate writeback traffic, so only the cycle-accurate model
+    /// behind the DRAM backends turns this into a real DRAM write (where
+    /// tWR/tWTR exist to observe it). Fire-and-forget by
     /// design: the evicting access never waits on the writeback, it
     /// contends with it at the DRAM.
     fn writeback_line(&mut self, _line_addr: u64, _ready: SimTime) {}

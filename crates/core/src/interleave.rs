@@ -3,7 +3,7 @@
 //! [`System::scan_sharded`], [`System::run_workload`] and
 //! [`System::run_open_loop`](crate::openloop) each hold one [`Lane`] per
 //! core and hand it to [`System::interleave`], which owns the pick rule,
-//! the per-step drain of DRAM completions and the closing settle of the
+//! the per-step advance of the DRAM model and the closing settle of the
 //! memory system. The callers differ only in what a lane is and what one
 //! step of it does.
 //!
@@ -93,9 +93,9 @@ fn pick<L: Lane>(lanes: &[L], resident: Option<u64>) -> Option<usize> {
 
 impl System {
     /// Runs `lanes` to completion: picks a lane, advances it by one unit
-    /// with `step`, retires the DRAM completions its clock can now observe,
-    /// and repeats until every lane has drained; then settles the memory
-    /// system so run totals include deferred traffic.
+    /// with `step`, schedules the buffered DRAM writes that are ready by
+    /// its clock, and repeats until every lane has drained; then settles
+    /// the memory system so run totals include deferred traffic.
     pub(crate) fn interleave<L: Lane>(
         &mut self,
         lanes: &mut [L],
@@ -103,10 +103,10 @@ impl System {
     ) -> Totals {
         while let Some(core) = pick(lanes, self.engine.resident_frame()) {
             step(self, core, &mut lanes[core]);
-            // The stepped lane's clock is the event horizon: everything the
-            // memory system finished before it is now observable.
+            // The stepped lane's clock is the event horizon: buffered writes
+            // ready by then are scheduled now.
             let horizon = lanes[core].stream().now;
-            self.dram.drain_completions(horizon);
+            self.dram.advance(horizon);
         }
         self.settle_memory();
         let mut totals = Totals {

@@ -147,13 +147,10 @@ pub struct SystemConfig {
     /// experiments bit for bit; `> 1` enables the shared-L2 contention model
     /// and [`System::scan_sharded`].
     pub cores: usize,
-    /// Whether the memory path runs event-driven (the default): DRAM
-    /// requests go through the completion queue, the RME fetches frames
-    /// incrementally (overlapping fetch with compute line by line) and —
-    /// under the cycle-accurate DRAM model — writes buffer in the FR-FCFS
-    /// window and dirty cache evictions become real DRAM writes. See
-    /// [`System::set_event_driven`] for exactly which runs stay
-    /// bit-identical to the synchronous path.
+    /// Kept so configurations that still select the event-driven memory
+    /// path compile; it is the only path, and
+    /// [`System::with_config`] rejects `false`.
+    #[doc(hidden)]
     pub event_driven: bool,
 }
 
@@ -192,9 +189,6 @@ pub struct System {
     /// plus degradation transitions (system track). A no-op unless
     /// [`Self::set_tracing`] enables recording; timing is never affected.
     pub(crate) tracer: Tracer,
-    /// Whether the event-driven memory path is active (see
-    /// [`SystemConfig::event_driven`]).
-    event_driven: bool,
     /// Whether scans step whole-line runs of fields (on by default; see
     /// [`Self::set_batched_stepping`]).
     pub(crate) batched_stepping: bool,
@@ -211,8 +205,7 @@ impl System {
             platform: cfg,
             revision,
             mem_bytes,
-            cores: 1,
-            event_driven: true,
+            ..SystemConfig::default()
         })
     }
 
@@ -225,9 +218,13 @@ impl System {
     /// platform, not a ZCU102 with a stale 4-core label).
     ///
     /// # Panics
-    /// Panics if `cores` is zero.
+    /// Panics if `cores` is zero or `event_driven` is `false`.
     pub fn with_config(config: SystemConfig) -> Self {
         assert!(config.cores >= 1, "a system needs at least one core");
+        assert!(
+            config.event_driven,
+            "the event-driven memory path is the only one"
+        );
         let mut cfg = config.platform;
         cfg.cpu.cores = config.cores;
         let engine = RmeEngine::new(
@@ -237,7 +234,7 @@ impl System {
             cfg.dram.bus_bytes,
             cfg.line_bytes(),
         );
-        let mut sys = System {
+        System {
             mem: PhysicalMemory::new(config.mem_bytes),
             dram: DramModel::new(cfg.dram),
             cores: (0..config.cores)
@@ -250,12 +247,9 @@ impl System {
             txn_rt: TxnRuntime::default(),
             ephemeral_cursor: EPHEMERAL_REGION_BASE,
             tracer: Tracer::new(),
-            event_driven: false,
             batched_stepping: true,
             fast_forwarded_periods: 0,
-        };
-        sys.set_event_driven(config.event_driven);
-        sys
+        }
     }
 
     /// Convenience constructor: default single-core ZCU102 platform.
@@ -438,9 +432,9 @@ impl System {
     /// first frame of the currently registered ephemeral variable is
     /// pre-packed into the Reorganization Buffer.
     pub fn begin_measurement(&mut self, path: AccessPath) {
-        // Book any incremental frame fetch still in flight *before* the DRAM
-        // reset, so its traffic lands in the epoch that caused it and the
-        // measured run starts from a settled memory system.
+        // Book any frame fetch still in flight *before* the DRAM reset, so
+        // its traffic lands in the epoch that caused it and the measured
+        // run starts from a settled memory system.
         self.settle_memory();
         for core in &mut self.cores {
             core.flush();
@@ -464,45 +458,10 @@ impl System {
         }
     }
 
-    /// Switches the memory path between the event-driven completion-queue
-    /// mode (the default) and the fully synchronous one.
-    ///
-    /// Event-driven mode routes every DRAM request through the completion
-    /// queue, makes the RME fetch descriptor-window frames incrementally
-    /// (line-by-line overlap of fetch with compute) and — under the
-    /// cycle-accurate DRAM model only — buffers writes for FR-FCFS
-    /// reordering and emits dirty L2 evictions as real DRAM writes.
-    ///
-    /// Under the occupancy model, runs whose DRAM request *order* is
-    /// unchanged stay bit-identical to the synchronous path: all pure
-    /// row/columnar runs (no engine traffic) and all pure-ephemeral scans,
-    /// single- or multi-core (engine bookings are the only DRAM traffic and
-    /// stay in per-frame prefix order at frozen dispatch anchors). Mixed
-    /// ephemeral + row workloads keep data and per-run traffic *totals*
-    /// identical, but timing may shift because frame fetches now interleave
-    /// with CPU fills instead of being booked up front — that overlap is the
-    /// point. The differential equivalence suite pins each of these classes.
-    ///
-    /// Flip only at a measurement boundary; any pending incremental fetch is
-    /// settled first.
-    pub fn set_event_driven(&mut self, on: bool) {
-        self.engine.finish_pending_fetch(&self.mem, &mut self.dram);
-        self.dram.drain_all();
-        self.engine.set_incremental(on);
-        self.dram.set_event_driven(on);
-        self.event_driven = on;
-    }
-
-    /// Whether the event-driven memory path is active.
-    pub fn event_driven(&self) -> bool {
-        self.event_driven
-    }
-
-    /// Settles all outstanding memory events: books any incremental frame
-    /// fetch still in flight and drains every issued DRAM completion,
-    /// flushing the cycle-accurate model's buffered writes. Every scheduler
-    /// loop ends with this (and every measurement begins with it), so run
-    /// totals always include traffic the event-driven path deferred.
+    /// Settles all outstanding memory traffic: books any frame fetch still
+    /// in flight and schedules the cycle-accurate model's buffered writes.
+    /// Every scheduler loop ends with this (and every measurement begins
+    /// with it), so run totals always include deferred traffic.
     pub fn settle_memory(&mut self) {
         self.engine.finish_pending_fetch(&self.mem, &mut self.dram);
         self.dram.drain_all();
@@ -850,13 +809,11 @@ impl MemoryBackend for DramBackend<'_> {
     }
 
     fn writeback_line(&mut self, line_addr: u64, ready: SimTime) {
-        if self.dram.writebacks_active() {
-            self.dram.issue(
-                MemRequest::new(line_addr, self.line_bytes, ready)
-                    .with_requestor(Requestor::Core(self.core))
-                    .as_write(),
-            );
-        }
+        self.dram.post_write(
+            MemRequest::new(line_addr, self.line_bytes, ready)
+                .with_requestor(Requestor::Core(self.core))
+                .as_write(),
+        );
     }
 }
 
@@ -877,13 +834,11 @@ impl MemoryBackend for RmeBackend<'_> {
     }
 
     fn writeback_line(&mut self, line_addr: u64, ready: SimTime) {
-        if self.dram.writebacks_active() {
-            self.dram.issue(
-                MemRequest::new(line_addr, self.line_bytes, ready)
-                    .with_requestor(Requestor::Core(self.core))
-                    .as_write(),
-            );
-        }
+        self.dram.post_write(
+            MemRequest::new(line_addr, self.line_bytes, ready)
+                .with_requestor(Requestor::Core(self.core))
+                .as_write(),
+        );
     }
 
     fn prefetchable(&self, line_addr: u64) -> bool {

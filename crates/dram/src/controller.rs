@@ -26,6 +26,13 @@
 //! hardware contends (same bank, shared data bus). Each request carries a
 //! [`Requestor`] tag so traffic can be attributed per core in
 //! [`DramStats::per_core_accesses`].
+//!
+//! CPU ([`Requestor::Core`]) requests are admitted with demand priority:
+//! they do not queue behind the RME's paced future reservations, the way
+//! the PS–PL interconnect's QoS arbitration serves a CPU demand read ahead
+//! of the PL requestor's prefetch stream. Engine ([`Requestor::Rme`])
+//! traffic appends behind every booking, so its descriptor pacing is
+//! kept, and CPU requests stay FIFO among themselves.
 
 use relmem_sim::shift::{extrapolate, extrapolate_all};
 use relmem_sim::{
@@ -33,7 +40,7 @@ use relmem_sim::{
 };
 
 use crate::address::AddressMapping;
-use crate::request::{Completion, MemRequest, ReqKind, RequestId, Requestor};
+use crate::request::{Completion, MemRequest, ReqKind, Requestor};
 
 /// Aggregate statistics kept by the controller.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -78,16 +85,16 @@ pub struct DramStats {
     /// model only). Equal to the configured queue depth once the
     /// transaction queue has saturated at least once.
     pub queue_occupancy_max: u64,
-    /// Writes that entered through the asynchronous
-    /// [`issue`](DramController::issue) path (cache dirty-line writebacks).
-    /// A subset of [`writes`](Self::writes): explicit synchronous writes
-    /// (transaction commit durability) count only there.
+    /// Writes posted through [`DramModel::post_write`](crate::DramModel::post_write)
+    /// (cache dirty-line writebacks). The cycle-accurate model buffers and
+    /// schedules them; the occupancy model drops them, so this stays zero
+    /// there. A subset of [`writes`](Self::writes): explicit writes through
+    /// `access` (transaction commit durability) count only there.
     pub writebacks: u64,
     /// Cross-request FR-FCFS reorder events (cycle-accurate model only):
     /// a read scheduled past at least one older buffered write, or a
     /// buffered write promoted ahead of an older one because it hits an
-    /// open row. Always zero under the occupancy model and on the
-    /// synchronous path, where completions are consumed in arrival order.
+    /// open row. Always zero under the occupancy model.
     pub fr_fcfs_reorders: u64,
 }
 
@@ -134,108 +141,16 @@ impl DramStats {
     }
 }
 
-/// The pending/drained buffers behind the asynchronous `issue` /
-/// `drain_completions` API, shared by both timing models. Ids are handed
-/// out monotonically; draining moves every completion that finished at or
-/// before `now` into a reusable buffer, ordered by `(finish, id)` so the
-/// event stream the interleaver sees is deterministic regardless of how
-/// the underlying schedule interleaved banks.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct CompletionQueue {
-    next_id: u64,
-    pending: Vec<(RequestId, Completion)>,
-    drained: Vec<(RequestId, Completion)>,
-}
-
-impl CompletionQueue {
-    /// Allocates the next request id.
-    pub(crate) fn next_id(&mut self) -> RequestId {
-        let id = RequestId(self.next_id);
-        self.next_id += 1;
-        id
-    }
-
-    /// Records a serviced request awaiting retrieval.
-    pub(crate) fn push(&mut self, id: RequestId, completion: Completion) {
-        self.pending.push((id, completion));
-    }
-
-    /// Moves every completion with `finish <= now` into the drained buffer
-    /// and returns it, ordered by `(finish, id)`.
-    pub(crate) fn drain_due(&mut self, now: SimTime) -> &[(RequestId, Completion)] {
-        self.drained.clear();
-        let mut i = 0;
-        while i < self.pending.len() {
-            if self.pending[i].1.finish <= now {
-                self.drained.push(self.pending.swap_remove(i));
-            } else {
-                i += 1;
-            }
-        }
-        self.drained.sort_by_key(|&(id, c)| (c.finish, id));
-        &self.drained
-    }
-
-    /// Drains every pending completion regardless of finish time (end of a
-    /// measured run; avoids `SimTime::MAX` arithmetic entirely).
-    pub(crate) fn drain_remaining(&mut self) -> &[(RequestId, Completion)] {
-        self.drained.clear();
-        self.drained.append(&mut self.pending);
-        self.drained.sort_by_key(|&(id, c)| (c.finish, id));
-        &self.drained
-    }
-
-    /// Requests issued but not yet drained.
-    pub(crate) fn outstanding(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// The buffer the last drain produced (unchanged until the next drain).
-    pub(crate) fn drained(&self) -> &[(RequestId, Completion)] {
-        &self.drained
-    }
-
-    /// Clears both buffers and restarts id allocation.
-    pub(crate) fn reset(&mut self) {
-        self.next_id = 0;
-        self.pending.clear();
-        self.drained.clear();
-    }
-
-    /// Whether the queued completions are `earlier`'s moved by one period,
-    /// with request ids at the same distance behind the next id.
-    pub(crate) fn same_up_to_shift(&self, earlier: &CompletionQueue, shift: &Shift) -> bool {
-        self.pending.len() == earlier.pending.len()
-            && self.pending.iter().zip(&earlier.pending).all(|(&(id, c), &(eid, ec))| {
-                self.next_id - id.0 == earlier.next_id - eid.0
-                    && shift.same_time(c.start, ec.start)
-                    && shift.same_time(c.finish, ec.finish)
-                    && c.row_hit == ec.row_hit
-            })
-    }
-
-    /// Moves the queued completions forward by `periods` periods and
-    /// advances the id counter by its increment since `earlier`.
-    pub(crate) fn shift(&mut self, earlier: &CompletionQueue, shift: &Shift, periods: u64) {
-        let ids = (self.next_id - earlier.next_id) * periods;
-        for (id, c) in &mut self.pending {
-            id.0 += ids;
-            c.start = shift.time_after(c.start, periods);
-            c.finish = shift.time_after(c.finish, periods);
-        }
-        self.next_id += ids;
-    }
-}
-
 /// Tail state of the most recently serviced chunk, kept so a request that
 /// *continues* it — next sequential address, same open DRAM row, same
-/// requestor and admission class — can be booked arithmetically without
-/// re-deriving what is already known (see [`DramController::access`]).
+/// requestor (and so the same admission class) — can be booked
+/// arithmetically without re-deriving what is already known (see
+/// [`DramController::access`]).
 ///
 /// The streak is replaced on every access, so any intervening request —
-/// one that conflicts on the bank (opening a different row), one from a
-/// different requestor, or one admitted under the other priority class
-/// (the PS–PL QoS preemption point) — automatically breaks it: the next
+/// one that conflicts on the bank (opening a different row) or one from a
+/// different requestor (for Core ↔ RME, the PS–PL QoS preemption point) —
+/// automatically breaks it: the next
 /// request fails the continuation test and takes the full decode path.
 /// The occupancy model has no refresh events (the cycle-accurate model
 /// owns those); the row boundary is the hard stop here, and a streak
@@ -250,10 +165,9 @@ struct Streak {
     row_end: u64,
     /// Bank owning that row.
     bank: usize,
-    /// Requestor of the tail access; attribution must match to coalesce.
+    /// Requestor of the tail access; attribution (and with it the
+    /// admission class) must match to coalesce.
     requestor: Requestor,
-    /// Whether the tail access was admitted with demand priority.
-    demand: bool,
 }
 
 impl Streak {
@@ -265,7 +179,6 @@ impl Streak {
             row_end: 0,
             bank: 0,
             requestor: Requestor::Core(0),
-            demand: false,
         }
     }
 }
@@ -290,14 +203,9 @@ pub struct DramController {
     /// implementation behaviour, not simulated hardware behaviour, and the
     /// coalesced/uncoalesced differential asserts `DramStats` equality.
     coalesced_chunks: u64,
-    /// Event-driven mode: CPU (core) requests are admitted with demand
-    /// priority instead of appending behind every future reservation. See
-    /// [`set_event_driven`](Self::set_event_driven).
-    event_mode: bool,
     /// `log2(bus_bytes)` when the bus width is a power of two (always, in
     /// practice): turns the per-access beat count into a shift.
     bus_shift: Option<u32>,
-    queue: CompletionQueue,
     stats: DramStats,
     /// Observability hook (no-op unless recording; see `relmem_sim::trace`).
     tracer: Tracer,
@@ -314,14 +222,12 @@ impl DramController {
             streak: Streak::broken(),
             coalesce: true,
             coalesced_chunks: 0,
-            event_mode: false,
             bus_shift: cfg
                 .bus_bytes
                 .is_power_of_two()
                 .then(|| cfg.bus_bytes.trailing_zeros()),
             mapping,
             cfg,
-            queue: CompletionQueue::default(),
             stats: DramStats::default(),
             tracer: Tracer::new(),
         }
@@ -348,20 +254,17 @@ impl DramController {
     }
 
     /// Resets timing state and statistics (open rows, resource occupancy).
-    /// The event-driven mode flag survives, like a hardware configuration
-    /// bit.
     pub fn reset(&mut self) {
         self.open_rows.iter_mut().for_each(|r| *r = None);
         self.banks.iter_mut().for_each(PriorityResource::reset);
         self.bus.reset();
         self.streak = Streak::broken();
-        self.queue.reset();
         self.stats = DramStats::default();
     }
 
     /// Whether this controller's timing state is `earlier`'s moved by one
-    /// period (see [`relmem_sim::shift`]): open rows, bank and bus free
-    /// times and queued completions. Physical addresses move by
+    /// period (see [`relmem_sim::shift`]): open rows and bank and bus free
+    /// times. Physical addresses move by
     /// `shift.source`, which must be a multiple of the address mapping's
     /// [`translation_period`](AddressMapping::translation_period) so that
     /// every address keeps its bank. The coalescing streak is a host-side
@@ -371,7 +274,6 @@ impl DramController {
             return false;
         };
         self.coalesce == earlier.coalesce
-            && self.event_mode == earlier.event_mode
             && self
                 .open_rows
                 .iter()
@@ -383,7 +285,6 @@ impl DramController {
                 .zip(&earlier.banks)
                 .all(|(b, e)| b.same_up_to_shift(e, shift))
             && self.bus.same_up_to_shift(&earlier.bus, shift)
-            && self.queue.same_up_to_shift(&earlier.queue, shift)
     }
 
     /// Moves this controller's timing state forward by `periods` periods,
@@ -399,7 +300,6 @@ impl DramController {
             bank.shift(was, shift, periods);
         }
         self.bus.shift(&earlier.bus, shift, periods);
-        self.queue.shift(&earlier.queue, shift, periods);
         self.streak = Streak::broken();
         self.stats.extrapolate(&earlier.stats, periods);
     }
@@ -431,72 +331,6 @@ impl DramController {
         self.coalesced_chunks
     }
 
-    /// Enables or disables event-driven admission. In event-driven mode,
-    /// CPU ([`Requestor::Core`]) requests are admitted with demand priority
-    /// — they do not queue behind the RME's paced future reservations, the
-    /// way the PS–PL interconnect's QoS arbitration serves a CPU demand
-    /// read ahead of the PL requestor's prefetch stream. Engine
-    /// ([`Requestor::Rme`]) traffic keeps append semantics either way, so
-    /// its descriptor pacing is unchanged, and CPU requests stay FIFO among
-    /// themselves, so any run whose DRAM traffic comes from a single
-    /// requestor class is bit-identical in both modes (the differential
-    /// equivalence suite pins this). Counters never depend on the mode.
-    pub fn set_event_driven(&mut self, on: bool) {
-        self.event_mode = on;
-    }
-
-    /// Whether event-driven admission is active.
-    pub fn event_driven(&self) -> bool {
-        self.event_mode
-    }
-
-    /// Issues a request asynchronously. The occupancy model has no request
-    /// queue to defer into, so the request is scheduled eagerly (identical
-    /// timing to [`access`](Self::access)) and only the *retrieval* of its
-    /// completion is deferred until [`drain_completions`](Self::drain_completions)
-    /// — the issue path is a timing-neutral pass-through here, which is
-    /// exactly what makes the event-driven and synchronous paths
-    /// counter-identical under this model.
-    pub fn issue(&mut self, req: MemRequest) -> RequestId {
-        let id = self.queue.next_id();
-        if req.kind == ReqKind::Write {
-            self.stats.writebacks += 1;
-        }
-        let completion = self.access(req);
-        self.queue.push(id, completion);
-        id
-    }
-
-    /// Returns every issued request whose completion finished at or before
-    /// `now`, ordered by `(finish, id)`. Each completion is returned exactly
-    /// once.
-    pub fn drain_completions(&mut self, now: SimTime) -> &[(RequestId, Completion)] {
-        let delivered = self.queue.drain_due(now).len() as u64;
-        if delivered > 0 {
-            self.tracer.emit(|| {
-                TraceEvent::instant(
-                    Track::System,
-                    TraceEventKind::CompletionDrain,
-                    now,
-                    delivered,
-                    0,
-                )
-            });
-        }
-        self.queue.drained()
-    }
-
-    /// Drains every outstanding completion regardless of finish time (end
-    /// of a measured run).
-    pub fn drain_all(&mut self) -> &[(RequestId, Completion)] {
-        self.queue.drain_remaining()
-    }
-
-    /// Issued requests whose completions have not been drained yet.
-    pub fn outstanding(&self) -> usize {
-        self.queue.outstanding()
-    }
-
     /// Services a read (or write — timing is symmetric at this level) and
     /// returns its completion. The data itself is read from
     /// [`PhysicalMemory`](crate::PhysicalMemory) by the caller; the
@@ -507,21 +341,19 @@ impl DramController {
     #[inline(always)]
     pub fn access(&mut self, req: MemRequest) -> Completion {
         let bytes = req.bytes.max(1);
-        let demand = self.event_mode && matches!(req.requestor, Requestor::Core(_));
+        let demand = matches!(req.requestor, Requestor::Core(_));
         // Streak fast path: a read that continues the previous chunk —
         // next sequential address, inside the same (still open) DRAM row,
-        // same requestor, same admission class — books exactly what the
-        // full path's row-hit branch would book, without re-splitting and
-        // re-decoding the address. Anything else (a bank conflict that
-        // opened a different row, a class switch at the PS–PL QoS
-        // preemption point, a row-boundary crossing) falls through to the
-        // full path, which replaces the streak with its own tail.
+        // same requestor — books exactly what the full path's row-hit
+        // branch would book, without re-splitting and re-decoding the
+        // address. Anything else (a bank conflict that opened a different
+        // row, a requestor switch, a row-boundary crossing) falls through
+        // to the full path, which replaces the streak with its own tail.
         if self.coalesce
             && req.kind == ReqKind::Read
             && req.addr == self.streak.next_addr
             && req.addr + bytes as u64 <= self.streak.row_end
             && req.requestor == self.streak.requestor
-            && demand == self.streak.demand
         {
             return self.access_coalesced(req, bytes, demand);
         }
@@ -644,7 +476,6 @@ impl DramController {
                 row_end: addr - coord.column as u64 + self.cfg.row_bytes as u64,
                 bank: coord.bank,
                 requestor: req.requestor,
-                demand,
             };
         }
         self.streak = tail;
@@ -661,8 +492,8 @@ impl DramController {
     }
 
     /// Books a chunk that continues the current streak: guaranteed
-    /// row-buffer hit on the streak's bank, single chunk, same admission
-    /// class. Performs the same resource bookings and counter bumps as the
+    /// row-buffer hit on the streak's bank, single chunk, same requestor.
+    /// Performs the same resource bookings and counter bumps as the
     /// full path's row-hit branch, bit for bit.
     #[inline(always)]
     fn access_coalesced(&mut self, req: MemRequest, len: usize, demand: bool) -> Completion {
@@ -880,73 +711,14 @@ mod tests {
         assert!(done.finish > ns(1_000));
     }
 
-    /// The asynchronous issue path schedules eagerly: the same requests
-    /// through `issue` + `drain_all` produce bit-identical completions and
-    /// stats to `access`, just retrieved later.
-    #[test]
-    fn issue_is_a_timing_neutral_pass_through() {
-        let reqs: Vec<MemRequest> = (0..32u64)
-            .map(|i| MemRequest::new(i * 48, 16, ns(i / 4)))
-            .collect();
-
-        let mut sync = ctl();
-        let expected: Vec<Completion> = reqs.iter().map(|&r| sync.access(r)).collect();
-
-        let mut evt = ctl();
-        let ids: Vec<RequestId> = reqs.iter().map(|&r| evt.issue(r)).collect();
-        assert_eq!(evt.outstanding(), reqs.len());
-        let drained: Vec<(RequestId, Completion)> = evt.drain_all().to_vec();
-        assert_eq!(evt.outstanding(), 0);
-
-        // Ids are monotone in issue order and each pairs with the same
-        // completion the synchronous path produced.
-        assert_eq!(ids, (0..reqs.len() as u64).map(RequestId).collect::<Vec<_>>());
-        for (id, completion) in &drained {
-            assert_eq!(*completion, expected[id.0 as usize]);
-        }
-        // Stats identical except the writeback attribution (all reads here).
-        assert_eq!(evt.stats(), sync.stats());
-    }
-
-    #[test]
-    fn drain_completions_releases_only_finished_requests() {
-        let mut c = ctl();
-        let early = c.issue(MemRequest::new(0, 16, SimTime::ZERO));
-        let late = c.issue(MemRequest::new(1 << 20, 16, ns(10_000)));
-        let cut = ns(5_000);
-        let first: Vec<RequestId> = c.drain_completions(cut).iter().map(|&(id, _)| id).collect();
-        assert_eq!(first, vec![early]);
-        assert_eq!(c.outstanding(), 1);
-        // Draining again at the same time yields nothing new.
-        assert!(c.drain_completions(cut).is_empty());
-        let rest: Vec<RequestId> = c.drain_all().iter().map(|&(id, _)| id).collect();
-        assert_eq!(rest, vec![late]);
-    }
-
-    #[test]
-    fn issued_writes_count_as_writebacks() {
-        let mut c = ctl();
-        c.issue(MemRequest::new(0, 64, SimTime::ZERO).as_write());
-        c.issue(MemRequest::new(64, 64, SimTime::ZERO));
-        assert_eq!(c.stats().writebacks, 1);
-        assert_eq!(c.stats().writes, 1);
-        c.reset();
-        assert_eq!(c.outstanding(), 0, "reset clears the completion queue");
-        assert_eq!(c.stats(), &DramStats::default());
-        // Id allocation restarts after reset.
-        assert_eq!(c.issue(MemRequest::new(0, 16, SimTime::ZERO)), RequestId(0));
-    }
-
     /// Runs the same request sequence through a coalescing controller and
     /// one forced down the full decode path, asserting bit-identical
     /// completions, statistics, and bus occupancy. Returns the number of
     /// chunks the coalescing side booked through the streak fast path.
-    fn assert_coalescing_identical(reqs: &[MemRequest], event_mode: bool) -> u64 {
+    fn assert_coalescing_identical(reqs: &[MemRequest]) -> u64 {
         let mut fast = ctl();
         let mut slow = ctl();
         slow.set_coalescing(false);
-        fast.set_event_driven(event_mode);
-        slow.set_event_driven(event_mode);
         for (i, &req) in reqs.iter().enumerate() {
             let f = fast.access(req);
             let s = slow.access(req);
@@ -961,18 +733,15 @@ mod tests {
 
     /// A sequential line stream (the scan fill pattern): every in-row
     /// continuation is coalesced, and totals and finish times match the
-    /// uncoalesced path bit for bit, in both admission modes.
+    /// uncoalesced path bit for bit.
     #[test]
     fn sequential_streak_coalesces_identically() {
         let reqs: Vec<MemRequest> = (0..96u64)
             .map(|i| MemRequest::new(i * 64, 64, ns(i * 3)))
             .collect();
-        for event_mode in [false, true] {
-            let coalesced = assert_coalescing_identical(&reqs, event_mode);
-            // 3 rows of 32 lines: each row's first line decodes in full
-            // (row miss), the remaining 31 ride the streak.
-            assert_eq!(coalesced, 93);
-        }
+        // 3 rows of 32 lines: each row's first line decodes in full (row
+        // miss), the remaining 31 ride the streak.
+        assert_eq!(assert_coalescing_identical(&reqs), 93);
     }
 
     /// Coalescing never crosses a DRAM row boundary: the row-crossing
@@ -986,7 +755,7 @@ mod tests {
             .map(|i| MemRequest::new(i * 64, 64, ns(i)))
             .collect();
         reqs.push(MemRequest::new(row - 8, 16, ns(row / 64)));
-        let coalesced = assert_coalescing_identical(&reqs, false);
+        let coalesced = assert_coalescing_identical(&reqs);
         assert_eq!(coalesced, row / 64 - 1, "the straddler must not coalesce");
 
         let mut c = ctl();
@@ -1018,7 +787,7 @@ mod tests {
             MemRequest::new(128, 64, ns(3)),      // would-be continuation
             MemRequest::new(192, 64, ns(4)),
         ];
-        let coalesced = assert_coalescing_identical(&reqs, false);
+        let coalesced = assert_coalescing_identical(&reqs);
         // Only the 0→64 continuation coalesces: the conflict replaces the
         // streak, and 128 no longer continues anything (row re-open), so
         // 192 starts a fresh streak off 128's full-path tail.
@@ -1032,8 +801,8 @@ mod tests {
     }
 
     /// Coalescing never crosses a priority-class boundary: a requestor
-    /// switch (Core ↔ RME) or an admission-mode flip mid-stream — the
-    /// PS–PL QoS preemption points — forces the full path.
+    /// switch (Core ↔ RME) mid-stream — the PS–PL QoS preemption point —
+    /// forces the full path.
     #[test]
     fn class_switch_breaks_streak() {
         // Core and RME alternate on one sequential stream: no continuation
@@ -1049,20 +818,7 @@ mod tests {
                 MemRequest::new(i * 64, 64, ns(i)).with_requestor(requestor)
             })
             .collect();
-        assert_eq!(assert_coalescing_identical(&reqs, true), 0);
-
-        // Flipping event-driven admission mid-streak changes the demand
-        // class of Core traffic: the next request must not coalesce onto a
-        // streak booked under the other class.
-        let mut c = ctl();
-        c.access(MemRequest::new(0, 64, ns(0)));
-        c.access(MemRequest::new(64, 64, ns(1)));
-        assert_eq!(c.coalesced_chunks(), 1);
-        c.set_event_driven(true);
-        c.access(MemRequest::new(128, 64, ns(2)));
-        assert_eq!(c.coalesced_chunks(), 1, "class flip must break the streak");
-        c.access(MemRequest::new(192, 64, ns(3)));
-        assert_eq!(c.coalesced_chunks(), 2, "the new class streaks on its own");
+        assert_eq!(assert_coalescing_identical(&reqs), 0);
     }
 
     /// Writes never coalesce (their attribution differs), but a write does
@@ -1080,7 +836,7 @@ mod tests {
                 }
             })
             .collect();
-        let coalesced = assert_coalescing_identical(&reqs, false);
+        let coalesced = assert_coalescing_identical(&reqs);
         // 15 continuations, minus the 4 writes (full path each).
         assert_eq!(coalesced, 11);
         let mut c = ctl();

@@ -23,19 +23,15 @@
 //!   completion (admission stall, counted in [`DramStats::queue_stalls`]).
 //!
 //! Within one multi-row request the chunks are scheduled row-hits first
-//! (FR-FCFS order). Across requests the scope depends on the path: the
-//! synchronous [`access`](CycleAccurateDram::access) path is
-//! arrival-ordered — its callers need each completion before they can
-//! take another step, so older requests can never be reordered behind
-//! younger ones — while the event-driven
-//! [`issue`](CycleAccurateDram::issue) /
-//! [`drain_completions`](CycleAccurateDram::drain_completions) path
-//! (enabled via [`set_event_driven`](CycleAccurateDram::set_event_driven))
-//! buffers writes and schedules them lazily: a read presented while writes
-//! sit buffered bypasses them, and buffered writes drain row-hits first
-//! regardless of their arrival order. Both reorder flavours are counted in
-//! [`DramStats::fr_fcfs_reorders`], which stays exactly zero on the
-//! synchronous path.
+//! (FR-FCFS order). Across requests, [`access`](CycleAccurateDram::access)
+//! is arrival-ordered — its callers need each completion before they can
+//! take another step — while writes posted through
+//! [`post_write`](CycleAccurateDram::post_write) wait in a write buffer
+//! until [`advance`](CycleAccurateDram::advance) or
+//! [`drain_all`](CycleAccurateDram::drain_all) schedules them: a read
+//! presented while writes sit buffered bypasses them, and buffered writes
+//! drain row-hits first regardless of their arrival order. Both reorder
+//! flavours are counted in [`DramStats::fr_fcfs_reorders`].
 //!
 //! The model shares [`AddressMapping`] (including the XOR bank hash),
 //! [`MemRequest`]/[`Completion`] and [`DramStats`] with the occupancy
@@ -49,8 +45,8 @@ use std::collections::BinaryHeap;
 use relmem_sim::{DramConfig, Resource, SimTime, TraceEvent, TraceEventKind, Tracer, Track};
 
 use crate::address::AddressMapping;
-use crate::controller::{CompletionQueue, DramStats};
-use crate::request::{Completion, MemRequest, ReqKind, RequestId, Requestor};
+use crate::controller::DramStats;
+use crate::request::{Completion, MemRequest, ReqKind, Requestor};
 
 /// Per-bank command state.
 #[derive(Debug, Clone)]
@@ -158,15 +154,9 @@ pub struct CycleAccurateDram {
     /// Completion times of in-flight transactions (bounded admission), a
     /// min-heap so admission pops only the transactions that finished.
     inflight: BinaryHeap<Reverse<SimTime>>,
-    queue: CompletionQueue,
-    /// Writes issued asynchronously but not yet scheduled (event mode
-    /// only): the cross-request FR-FCFS window. Each entry keeps its issue
-    /// id so the drain can detect when a row hit overtakes an older miss.
-    pending_writes: Vec<(RequestId, MemRequest)>,
-    /// Whether the asynchronous issue path defers writes into
-    /// [`pending_writes`](Self::pending_writes). Survives
-    /// [`reset`](Self::reset) — it is a mode, not timing state.
-    event_mode: bool,
+    /// Posted writes not yet scheduled, in posting order: the
+    /// cross-request FR-FCFS window.
+    pending_writes: Vec<MemRequest>,
     stats: DramStats,
     /// Observability hook (no-op unless recording; see `relmem_sim::trace`).
     tracer: Tracer,
@@ -182,9 +172,7 @@ impl CycleAccurateDram {
             wtr_ready: SimTime::ZERO,
             bus: Resource::new("dram-bus-ca"),
             inflight: BinaryHeap::with_capacity(cfg.queue_depth.max(1)),
-            queue: CompletionQueue::default(),
             pending_writes: Vec::new(),
-            event_mode: false,
             mapping,
             cfg,
             stats: DramStats::default(),
@@ -212,32 +200,15 @@ impl CycleAccurateDram {
         &self.stats
     }
 
-    /// Resets all command state, the queues and the statistics. The
-    /// event-driven mode flag survives: `reset` marks a measurement
-    /// boundary, not a mode change.
+    /// Resets all command state, the write buffer and the statistics.
     pub fn reset(&mut self) {
         self.banks.iter_mut().for_each(|b| *b = BankState::idle());
         self.faw.clear();
         self.wtr_ready = SimTime::ZERO;
         self.bus.reset();
         self.inflight.clear();
-        self.queue.reset();
         self.pending_writes.clear();
         self.stats = DramStats::default();
-    }
-
-    /// Enables or disables the event-driven write buffer. With it off,
-    /// [`issue`](Self::issue) schedules eagerly like the occupancy model.
-    pub fn set_event_driven(&mut self, on: bool) {
-        if !on {
-            self.flush_pending_writes(None);
-        }
-        self.event_mode = on;
-    }
-
-    /// Whether the event-driven write buffer is enabled.
-    pub fn event_driven(&self) -> bool {
-        self.event_mode
     }
 
     /// Time the data bus becomes free.
@@ -461,9 +432,7 @@ impl CycleAccurateDram {
     /// [`DramController::access`](crate::DramController::access)).
     pub fn access(&mut self, req: MemRequest) -> Completion {
         // Cross-request FR-FCFS: a read scheduled while older writes sit in
-        // the event-mode write buffer has bypassed them. The buffer is
-        // empty whenever the controller runs purely synchronously, so this
-        // can never perturb the arrival-ordered paths.
+        // the write buffer has bypassed them.
         if req.kind == ReqKind::Read && !self.pending_writes.is_empty() {
             self.stats.fr_fcfs_reorders += 1;
             let pending = self.pending_writes.len() as u64;
@@ -535,57 +504,43 @@ impl CycleAccurateDram {
         }
     }
 
-    /// Issues a request asynchronously. Reads are scheduled eagerly (they
-    /// are latency-critical and the simulator's callers compute with their
-    /// timing); writes in event mode enter the
-    /// `pending_writes` buffer and are scheduled at
-    /// the next drain, row-hits first — the cross-request FR-FCFS window.
-    pub fn issue(&mut self, req: MemRequest) -> RequestId {
-        let id = self.queue.next_id();
-        if req.kind == ReqKind::Write {
-            self.stats.writebacks += 1;
-            if self.event_mode {
-                self.pending_writes.push((id, req));
-                // Backstop: a real controller's write buffer is bounded by
-                // the transaction queue; past that everything drains.
-                if self.pending_writes.len() > self.cfg.queue_depth.max(1) {
-                    self.flush_pending_writes(None);
-                }
-                return id;
-            }
+    /// Posts a write that needs no reply (a dirty-line writeback). It
+    /// enters the write buffer and is scheduled by a later
+    /// [`advance`](Self::advance) or [`drain_all`](Self::drain_all), row
+    /// hits first — the cross-request FR-FCFS window.
+    pub fn post_write(&mut self, req: MemRequest) {
+        debug_assert_eq!(req.kind, ReqKind::Write, "only writes are posted");
+        self.stats.writebacks += 1;
+        self.pending_writes.push(req);
+        // Backstop: a real controller's write buffer is bounded by the
+        // transaction queue; past that everything drains.
+        if self.pending_writes.len() > self.cfg.queue_depth.max(1) {
+            self.flush_pending_writes(None);
         }
-        let completion = self.access(req);
-        self.queue.push(id, completion);
-        id
     }
 
     /// Schedules buffered writes whose `ready` time is at or before `now`
     /// (`None` = all of them), row-buffer hits first. A hit promoted past
     /// an older buffered miss counts one FR-FCFS reorder.
     fn flush_pending_writes(&mut self, now: Option<SimTime>) {
-        if self.pending_writes.is_empty() {
-            return;
-        }
-        let mut due: Vec<(RequestId, MemRequest)> = Vec::new();
-        let mut i = 0;
-        while i < self.pending_writes.len() {
-            let ready = self.pending_writes[i].1.ready;
-            if now.is_none_or(|cut| ready <= cut) {
-                due.push(self.pending_writes.swap_remove(i));
-            } else {
-                i += 1;
+        let mut due: Vec<MemRequest> = Vec::new();
+        self.pending_writes.retain(|&req| {
+            let is_due = now.is_none_or(|cut| req.ready <= cut);
+            if is_due {
+                due.push(req);
             }
-        }
+            !is_due
+        });
         if due.is_empty() {
             return;
         }
-        // Arrival order first, then a stable partition by row-hit status
-        // against the banks as they stand now: hits schedule ahead of
-        // misses, ties stay in arrival order. Classification is a snapshot
-        // — scheduling a miss opens its row, but re-classifying mid-drain
-        // would make the schedule depend on Vec internals rather than the
-        // request stream, and determinism wins here.
-        due.sort_by_key(|&(id, _)| id);
+        // Posting order first (the buffer keeps it), then a stable
+        // partition by row-hit status against the banks as they stand now:
+        // hits schedule ahead of misses, ties stay in posting order.
+        // Classification is a snapshot — scheduling a miss opens its row,
+        // but re-classifying mid-drain would make the schedule depend on
+        // drain internals rather than the request stream, and determinism
+        // wins here.
         let hit_now = |dram: &Self, req: &MemRequest| {
             dram.mapping
                 .split_by_row(req.addr, req.bytes.max(1))
@@ -594,17 +549,12 @@ impl CycleAccurateDram {
                     dram.banks[coord.bank].open_row == Some(coord.row)
                 })
         };
-        let hits: Vec<bool> = due.iter().map(|(_, req)| hit_now(self, req)).collect();
-        let oldest_miss = due
-            .iter()
-            .zip(&hits)
-            .find(|&(_, &h)| !h)
-            .map(|(&(id, _), _)| id);
-        let mut ordered: Vec<(RequestId, MemRequest)> = Vec::with_capacity(due.len());
-        for (&(id, req), _) in due.iter().zip(&hits).filter(|&(_, &h)| h) {
-            if oldest_miss.is_some_and(|m| id > m) {
+        let hits: Vec<bool> = due.iter().map(|req| hit_now(self, req)).collect();
+        let oldest_miss = hits.iter().position(|&h| !h);
+        let pending = due.len() as u64;
+        for (i, req) in due.iter().enumerate() {
+            if hits[i] && oldest_miss.is_some_and(|m| i > m) {
                 self.stats.fr_fcfs_reorders += 1;
-                let pending = due.len() as u64;
                 self.tracer.emit(|| {
                     TraceEvent::instant(
                         Track::System,
@@ -615,46 +565,23 @@ impl CycleAccurateDram {
                     )
                 });
             }
-            ordered.push((id, req));
         }
-        ordered.extend(due.iter().zip(&hits).filter(|&(_, &h)| !h).map(|(&e, _)| e));
-        for (id, req) in ordered {
-            let completion = self.access(req);
-            self.queue.push(id, completion);
+        for want_hit in [true, false] {
+            for (&req, _) in due.iter().zip(&hits).filter(|&(_, &h)| h == want_hit) {
+                self.access(req);
+            }
         }
     }
 
-    /// Schedules every buffered write that became ready, then returns every
-    /// completion that finished at or before `now`, ordered by
-    /// `(finish, id)`.
-    pub fn drain_completions(&mut self, now: SimTime) -> &[(RequestId, Completion)] {
+    /// Schedules every buffered write whose `ready` time is at or before
+    /// `now`.
+    pub fn advance(&mut self, now: SimTime) {
         self.flush_pending_writes(Some(now));
-        let delivered = self.queue.drain_due(now).len() as u64;
-        if delivered > 0 {
-            self.tracer.emit(|| {
-                TraceEvent::instant(
-                    Track::System,
-                    TraceEventKind::CompletionDrain,
-                    now,
-                    delivered,
-                    0,
-                )
-            });
-        }
-        self.queue.drained()
     }
 
-    /// Schedules every buffered write and drains every outstanding
-    /// completion regardless of finish time (end of a measured run).
-    pub fn drain_all(&mut self) -> &[(RequestId, Completion)] {
+    /// Schedules every buffered write (end of a measured run).
+    pub fn drain_all(&mut self) {
         self.flush_pending_writes(None);
-        self.queue.drain_remaining()
-    }
-
-    /// Issued requests whose completions have not been drained yet
-    /// (including still-buffered writes).
-    pub fn outstanding(&self) -> usize {
-        self.queue.outstanding() + self.pending_writes.len()
     }
 }
 
@@ -911,48 +838,55 @@ mod tests {
     }
 
     #[test]
-    fn event_mode_buffers_writes_and_reads_bypass_them() {
+    fn a_read_bypasses_a_buffered_write() {
         let mut c = ctl();
-        c.set_event_driven(true);
-        let w = c.issue(MemRequest::new(0, 64, SimTime::ZERO).as_write());
-        assert_eq!(c.outstanding(), 1, "the write sits buffered");
+        c.post_write(MemRequest::new(0, 64, SimTime::ZERO).as_write());
         assert_eq!(c.stats().writebacks, 1);
-        assert_eq!(c.stats().writes, 0, "not scheduled yet");
-        // A read issued while the write is buffered bypasses it.
-        let r = c.issue(MemRequest::new(1 << 16, 64, SimTime::ZERO));
-        assert!(w < r, "ids are monotone in issue order");
-        assert_eq!(c.stats().fr_fcfs_reorders, 1, "read bypassed a buffered write");
-        let drained: Vec<RequestId> = c.drain_all().iter().map(|&(id, _)| id).collect();
-        assert_eq!(drained.len(), 2);
+        assert_eq!(c.stats().writes, 0, "the write sits buffered");
+        // A read presented while the write is buffered bypasses it.
+        c.access(MemRequest::new(1 << 16, 64, SimTime::ZERO));
+        assert_eq!(
+            c.stats().fr_fcfs_reorders,
+            1,
+            "read bypassed a buffered write"
+        );
+        c.drain_all();
         assert_eq!(c.stats().writes, 1, "drain scheduled the write");
-        assert_eq!(c.outstanding(), 0);
+        assert_eq!(c.stats().accesses, 2);
+    }
+
+    #[test]
+    fn advance_schedules_only_ready_writes() {
+        let mut c = ctl();
+        c.post_write(MemRequest::new(0, 64, SimTime::from_nanos(1_000)).as_write());
+        c.advance(SimTime::from_nanos(999));
+        assert_eq!(c.stats().writes, 0, "not ready yet");
+        c.advance(SimTime::from_nanos(1_000));
+        assert_eq!(c.stats().writes, 1);
+        c.drain_all();
+        assert_eq!(c.stats().writes, 1, "each write is scheduled once");
     }
 
     #[test]
     fn buffered_writes_drain_row_hits_first() {
         let mut c = ctl();
-        c.set_event_driven(true);
         // Open row 0's row buffer on bank 0.
         let warm = c.access(MemRequest::new(0, 64, SimTime::ZERO));
         assert!(!warm.row_hit);
         // Buffer a row-conflict write first, then a row-hit write.
-        let miss = c.issue(
-            MemRequest::new(same_bank_row(&c, 1), 64, warm.finish).as_write(),
-        );
-        let hit = c.issue(MemRequest::new(64, 64, warm.finish).as_write());
-        let before = c.stats().fr_fcfs_reorders;
-        let drained: Vec<(RequestId, Completion)> = c
-            .drain_all()
-            .to_vec();
+        c.post_write(MemRequest::new(same_bank_row(&c, 1), 64, warm.finish).as_write());
+        c.post_write(MemRequest::new(64, 64, warm.finish).as_write());
+        let before = c.stats().clone();
+        c.drain_all();
         assert_eq!(
             c.stats().fr_fcfs_reorders,
-            before + 1,
+            before.fr_fcfs_reorders + 1,
             "the row hit overtook the older buffered miss"
         );
-        // Completions come back ordered by finish: the promoted hit ends
-        // before the conflict write it overtook.
-        let pos = |id| drained.iter().position(|&(d, _)| d == id).unwrap();
-        assert!(pos(hit) < pos(miss), "hit must finish first: {drained:?}");
+        // Scheduled ahead of the conflict write, the hit found row 0 still
+        // open; in arrival order the conflict would have closed it first.
+        assert_eq!(c.stats().row_hits, before.row_hits + 1);
+        assert_eq!(c.stats().row_misses, before.row_misses + 1);
     }
 
     #[test]
@@ -962,34 +896,18 @@ mod tests {
             xor_bank_hash: false,
             ..DramConfig::default()
         });
-        c.set_event_driven(true);
         for i in 0..8u64 {
-            c.issue(MemRequest::new(i * 4096, 64, SimTime::ZERO).as_write());
+            c.post_write(MemRequest::new(i * 4096, 64, SimTime::ZERO).as_write());
         }
         assert!(
             c.stats().writes >= 6,
             "the capacity backstop must have flushed buffered writes"
         );
         assert_eq!(c.stats().writebacks, 8);
-        // Mode survives reset; buffered/pending state does not.
+        // Reset empties the buffer along with the counters.
         c.reset();
-        assert!(c.event_driven());
-        assert_eq!(c.outstanding(), 0);
+        c.drain_all();
         assert_eq!(c.stats(), &DramStats::default());
-    }
-
-    #[test]
-    fn synchronous_path_never_counts_reorders() {
-        let mut c = ctl();
-        c.access(MemRequest::new(0, 64, SimTime::ZERO).as_write());
-        c.access(MemRequest::new(64, 64, SimTime::ZERO));
-        c.access(MemRequest::new(same_bank_row(&c, 3), 64, SimTime::ZERO));
-        assert_eq!(c.stats().fr_fcfs_reorders, 0);
-        // Event-mode *reads* through issue() are eager and also reorder-free
-        // while no write is buffered.
-        c.set_event_driven(true);
-        c.issue(MemRequest::new(128, 64, SimTime::ZERO));
-        assert_eq!(c.stats().fr_fcfs_reorders, 0);
     }
 
     /// The bounded-admission rule as it was before the in-flight min-heap:

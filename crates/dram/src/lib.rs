@@ -34,4 +34,4 @@ pub use controller::{DramController, DramStats};
 pub use controller_ca::CycleAccurateDram;
 pub use model::DramModel;
 pub use phys::PhysicalMemory;
-pub use request::{Completion, MemRequest, ReqKind, RequestId, Requestor};
+pub use request::{Completion, MemRequest, ReqKind, Requestor};

@@ -6,7 +6,12 @@
 //! [`DramConfig::model`](relmem_sim::DramConfig). Every client of the
 //! memory system (the cache hierarchy's backends, the RME's fetch units,
 //! the schedulers in `relmem-core`) takes a `&mut DramModel`, so the same
-//! scan / workload code runs unchanged on either fidelity level. An enum
+//! scan / workload code runs unchanged on either fidelity level. Reads
+//! block: [`DramModel::access`] returns the completion in the caller's
+//! step. Dirty-line writebacks are posted with [`DramModel::post_write`]
+//! and scheduled at the horizons the scheduler sets with
+//! [`DramModel::advance`] and [`DramModel::drain_all`]; only the
+//! cycle-accurate model keeps them. An enum
 //! rather than a trait object: the access path is the simulator's hottest
 //! call, the dispatch is a predictable two-way branch, and both variants
 //! stay `Clone` for fixture snapshotting.
@@ -16,7 +21,7 @@ use relmem_sim::{DramConfig, MemoryModel, Shift, SimTime, Tracer};
 use crate::address::AddressMapping;
 use crate::controller::{DramController, DramStats};
 use crate::controller_ca::CycleAccurateDram;
-use crate::request::{Completion, MemRequest, RequestId};
+use crate::request::{Completion, MemRequest};
 
 /// A DRAM timing model: occupancy-tracked or cycle-accurate, per
 /// [`DramConfig::model`](relmem_sim::DramConfig).
@@ -127,57 +132,42 @@ impl DramModel {
         }
     }
 
-    /// Issues a request asynchronously; its completion is retrieved later
-    /// through [`drain_completions`](Self::drain_completions). Under the
-    /// occupancy model (and for reads under the cycle-accurate model) the
-    /// request is scheduled eagerly — only retrieval is deferred, which
-    /// keeps the event-driven path counter-identical to the synchronous
-    /// one. The cycle-accurate model in event-driven mode additionally
-    /// buffers writes into its cross-request FR-FCFS window.
-    pub fn issue(&mut self, req: MemRequest) -> RequestId {
-        match self {
-            DramModel::Occupancy(c) => c.issue(req),
-            DramModel::CycleAccurate(c) => c.issue(req),
+    /// Posts a write that needs no reply (a dirty cache-line writeback).
+    /// The cycle-accurate model buffers it in its FR-FCFS write window,
+    /// where tWR/tWTR make it cost time; the occupancy model, whose timing
+    /// is symmetric in the request kind, drops it.
+    #[inline]
+    pub fn post_write(&mut self, req: MemRequest) {
+        if let DramModel::CycleAccurate(c) = self {
+            c.post_write(req);
         }
     }
 
-    /// Drains every issued request whose completion finished at or before
-    /// `now`, ordered by `(finish, id)`; under the cycle-accurate model
-    /// this first schedules any buffered writes that became ready.
-    pub fn drain_completions(&mut self, now: SimTime) -> &[(RequestId, Completion)] {
-        match self {
-            DramModel::Occupancy(c) => c.drain_completions(now),
-            DramModel::CycleAccurate(c) => c.drain_completions(now),
+    /// Schedules the buffered writes that are ready by `now` (the
+    /// scheduler's event horizon). A no-op under the occupancy model.
+    #[inline]
+    pub fn advance(&mut self, now: SimTime) {
+        if let DramModel::CycleAccurate(c) = self {
+            c.advance(now);
         }
     }
 
-    /// Drains every outstanding completion regardless of finish time (end
-    /// of a measured run), scheduling any still-buffered writes first.
-    pub fn drain_all(&mut self) -> &[(RequestId, Completion)] {
-        match self {
-            DramModel::Occupancy(c) => c.drain_all(),
-            DramModel::CycleAccurate(c) => c.drain_all(),
+    /// Schedules every buffered write (end of a measured run). A no-op
+    /// under the occupancy model.
+    pub fn drain_all(&mut self) {
+        if let DramModel::CycleAccurate(c) = self {
+            c.drain_all();
         }
     }
 
-    /// Issued requests whose completions have not been drained yet.
-    pub fn outstanding(&self) -> usize {
-        match self {
-            DramModel::Occupancy(c) => c.outstanding(),
-            DramModel::CycleAccurate(c) => c.outstanding(),
-        }
-    }
-
-    /// Enables or disables event-driven mode. The occupancy model switches
-    /// CPU requests to demand-priority admission (they no longer queue
-    /// behind the RME's paced future reservations); its issue path stays a
-    /// counter-neutral eager pass-through either way. The cycle-accurate
-    /// model toggles its write buffer (the cross-request FR-FCFS window).
+    /// Kept so callers that still select the event-driven memory path
+    /// compile; it is the only path, so this changes nothing.
+    ///
+    /// # Panics
+    /// Panics if `on` is `false`: the synchronous path no longer exists.
+    #[doc(hidden)]
     pub fn set_event_driven(&mut self, on: bool) {
-        match self {
-            DramModel::Occupancy(c) => c.set_event_driven(on),
-            DramModel::CycleAccurate(c) => c.set_event_driven(on),
-        }
+        assert!(on, "the event-driven memory path is the only one");
     }
 
     /// The active model's trace hook (recording is controlled by the
@@ -186,19 +176,6 @@ impl DramModel {
         match self {
             DramModel::Occupancy(c) => c.tracer_mut(),
             DramModel::CycleAccurate(c) => c.tracer_mut(),
-        }
-    }
-
-    /// Whether dirty cache evictions should reach this model as real DRAM
-    /// writes. True only for the cycle-accurate model in event-driven mode:
-    /// that is where tWR/tWTR constraints exist to observe them, and gating
-    /// here keeps the occupancy model (every golden fixture) and the
-    /// synchronous cycle-accurate path bit-identical to their
-    /// pre-event-queue behaviour.
-    pub fn writebacks_active(&self) -> bool {
-        match self {
-            DramModel::Occupancy(_) => false,
-            DramModel::CycleAccurate(c) => c.event_driven(),
         }
     }
 }
@@ -255,63 +232,29 @@ mod tests {
         assert_eq!(o.tfaw_stalls, 0);
     }
 
-    /// The dispatcher's issue/drain path on the occupancy model matches the
-    /// synchronous access path bit for bit — the invariant the differential
-    /// equivalence suite scales up to whole-system runs.
+    /// Posted writes reach only the cycle-accurate model: it buffers them
+    /// until a drain, and the occupancy model drops them without a trace
+    /// in its counters.
     #[test]
-    fn occupancy_issue_drain_matches_access() {
-        let cfg = DramConfig::default();
-        let mut sync = DramModel::new(cfg);
-        let mut evt = DramModel::new(cfg);
-        // Core-only traffic: backfill admission degenerates to FIFO, so
-        // event mode must stay bit-identical to the synchronous path.
-        evt.set_event_driven(true);
-        let mut expected = Vec::new();
-        for i in 0..64u64 {
-            let mut req = MemRequest::new(i * 80, 32, SimTime::from_nanos(i));
-            if i % 5 == 0 {
-                req = req.as_write();
-            }
-            expected.push(sync.access(req));
-            evt.issue(req);
-        }
-        assert!(!evt.writebacks_active(), "occupancy never emits writebacks");
-        let drained = evt.drain_all().to_vec();
-        assert_eq!(drained.len(), expected.len());
-        for (id, completion) in drained {
-            assert_eq!(completion, expected[id.0 as usize]);
-        }
-        // All counters but the issue-path writeback attribution agree.
-        let mut evt_stats = evt.stats().clone();
-        assert_eq!(evt_stats.writebacks, 13);
-        evt_stats.writebacks = 0;
-        assert_eq!(&evt_stats, sync.stats());
-    }
+    fn posted_writes_reach_only_the_cycle_accurate_model() {
+        let write = MemRequest::new(1 << 16, 64, SimTime::ZERO).as_write();
+        let mut occ = DramModel::new(DramConfig::default());
+        occ.post_write(write);
+        occ.drain_all();
+        assert_eq!(occ.stats(), &DramStats::default());
 
-    /// In event mode the cycle-accurate model defers writes but reads stay
-    /// synchronous-identical until a write enters the buffer.
-    #[test]
-    fn cycle_accurate_event_mode_defers_only_writes() {
-        let cfg = DramConfig {
+        let mut ca = DramModel::new(DramConfig {
             model: MemoryModel::CycleAccurate,
             ..DramConfig::default()
-        };
-        let mut m = DramModel::new(cfg);
-        m.set_event_driven(true);
-        assert!(m.writebacks_active());
-        m.issue(MemRequest::new(0, 64, SimTime::ZERO));
-        assert_eq!(m.stats().accesses, 1, "reads schedule eagerly");
-        m.issue(MemRequest::new(1 << 16, 64, SimTime::ZERO).as_write());
-        assert_eq!(m.stats().writes, 0, "the write waits in the buffer");
-        assert_eq!(m.outstanding(), 2);
-        m.drain_all();
-        assert_eq!(m.stats().writes, 1);
-        assert_eq!(m.outstanding(), 0);
-        // reset() keeps the mode but clears the queue.
-        m.reset();
-        assert!(m.writebacks_active());
-        assert_eq!(m.outstanding(), 0);
-        assert_eq!(m.stats(), &DramStats::default());
+        });
+        ca.access(MemRequest::new(0, 64, SimTime::ZERO));
+        ca.post_write(write);
+        assert_eq!(ca.stats().accesses, 1, "the write waits in the buffer");
+        assert_eq!(ca.stats().writebacks, 1);
+        ca.drain_all();
+        assert_eq!(ca.stats().writes, 1);
+        ca.reset();
+        assert_eq!(ca.stats(), &DramStats::default());
     }
 
     /// ReqKind round-trips through the dispatcher unchanged (guards the

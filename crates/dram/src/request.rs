@@ -77,17 +77,6 @@ impl MemRequest {
     }
 }
 
-/// Opaque handle of a request issued asynchronously through
-/// [`DramModel::issue`](crate::DramModel::issue). Ids are handed out
-/// monotonically in issue order per controller, so they double as the
-/// arrival-order key the cycle-accurate model's cross-request FR-FCFS
-/// bookkeeping compares against when it schedules buffered writes out of
-/// order. The pairing back to a request happens when the completion is
-/// retrieved via
-/// [`DramModel::drain_completions`](crate::DramModel::drain_completions).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct RequestId(pub u64);
-
 /// The timing outcome of a serviced request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Completion {

@@ -52,19 +52,13 @@ pub struct RmeEngine {
     monitor: MonitorBypass,
     programmed: Option<Programmed>,
     line_bytes: usize,
-    /// Whether frames are fetched incrementally (event-driven mode): a
-    /// frame turnover generates the descriptor stream but books each
-    /// descriptor's DRAM traffic lazily, as the demand cursor reaches it,
-    /// so fetch overlaps compute line by line instead of booking the whole
-    /// frame in one step. Off (the synchronous whole-frame fetch) by
-    /// default.
-    incremental: bool,
     /// Booking state of the activated frame, dropped once the frame is
-    /// fully booked (so between calls it is only set in incremental mode):
-    /// the descriptors its cursor has not yielded yet have been generated —
-    /// with their dispatch anchors frozen at activation, so booking order
-    /// is the only thing laziness changes — but not yet presented to the
-    /// fetch units.
+    /// fully booked. A frame turnover generates the descriptor stream but
+    /// books each descriptor's DRAM traffic lazily, as the demand cursor
+    /// reaches it, so fetch overlaps compute line by line: the descriptors
+    /// the cursor has not yielded yet have been generated — with their
+    /// dispatch anchors frozen at activation — but not yet presented to
+    /// the fetch units.
     progress: Option<FrameProgress>,
     stats: RmeStats,
     /// Line requests served per CPU core (indexed by core, grown on
@@ -99,11 +93,10 @@ struct Programmed {
 /// from activation (the hardware Requestor emits one descriptor per PL
 /// cycle regardless of demand, and each descriptor's dispatch anchor is
 /// fixed by its position); what is deferred is presenting descriptors to
-/// the Fetch Units — i.e. booking their DRAM traffic. The synchronous fetch
-/// books the whole stream at once. In incremental mode booking happens in
+/// the Fetch Units — i.e. booking their DRAM traffic. Booking happens in
 /// stream order as the demand cursor advances, and is completed wholesale
-/// on frame turnover or at [`RmeEngine::finish_pending_fetch`] so the
-/// traffic totals of a run are identical to the synchronous fetch.
+/// on frame turnover or at [`RmeEngine::finish_pending_fetch`], so a run
+/// books every descriptor of every frame it activates.
 #[derive(Debug, Clone)]
 struct FrameProgress {
     frame: u64,
@@ -196,7 +189,6 @@ impl RmeEngine {
             hw,
             programmed: None,
             line_bytes,
-            incremental: false,
             progress: None,
             stats: RmeStats::default(),
             per_core_requests: Vec::new(),
@@ -351,14 +343,11 @@ impl RmeEngine {
 
         let (axi, at_pl) = self.trapper.accept(addr, ready);
 
-        // In incremental mode, bring the booking cursor up to the demanded
-        // line of the resident frame *before* the lookup classifies it: the
-        // synchronous fetch booked the whole frame at turnover, so a line
-        // the lazy cursor has not reached yet corresponds to a sync "hit
-        // whose data is still in flight". Booking it now, at its frozen
-        // dispatch anchor, keeps hit/miss accounting and completion times
-        // bit-identical to the synchronous path on identical demand streams.
-        if self.incremental && self.monitor.resident_frame() == Some(frame) {
+        // Bring the booking cursor up to the demanded line of the resident
+        // frame *before* the lookup classifies it: a line of the resident
+        // frame the cursor has not reached yet is a hit whose data is still
+        // in flight, booked now at its frozen dispatch anchor.
+        if self.monitor.resident_frame() == Some(frame) {
             self.advance_booking(frame, line_in_frame, mem, dram);
         }
 
@@ -369,21 +358,15 @@ impl RmeEngine {
             }
             Lookup::Miss => {
                 self.stats.buffer_misses += 1;
-                if self.incremental {
-                    // Frame turnover (or an empty-tail miss, where all of
-                    // this is a no-op): settle the outgoing frame's unbooked
-                    // descriptors before the epoch reset discards them, then
-                    // activate the new frame and book up to the demand.
-                    self.finish_frame_remainder(mem, dram);
-                    if self.monitor.frame_miss(frame) {
-                        self.activate_frame(frame, at_pl, mem, dram);
-                    }
-                    self.advance_booking(frame, line_in_frame, mem, dram);
-                } else if self.monitor.frame_miss(frame) {
-                    // The synchronous fetch books the whole frame at once.
+                // Frame turnover (or an empty-tail miss, where all of this
+                // is a no-op): settle the outgoing frame's unbooked
+                // descriptors before the epoch reset discards them, then
+                // activate the new frame and book up to the demand.
+                self.finish_frame_remainder(mem, dram);
+                if self.monitor.frame_miss(frame) {
                     self.activate_frame(frame, at_pl, mem, dram);
-                    self.finish_frame_remainder(mem, dram);
                 }
+                self.advance_booking(frame, line_in_frame, mem, dram);
                 let completed_at = match self.monitor.lookup(frame, line_in_frame) {
                     Lookup::Hit(t) => t,
                     Lookup::Miss => at_pl, // an empty frame tail; nothing to wait for
@@ -424,11 +407,9 @@ impl RmeEngine {
     }
 
     /// Whether every buffer line covering `len` bytes at frame-local offset
-    /// `in_frame` has completed. Always true inside the packed data of a
-    /// synchronously fetched frame; in incremental mode a line the demand
-    /// cursor has not reached yet is still incomplete, and functional reads
-    /// must fall back to packing from memory rather than return its
-    /// half-written bytes.
+    /// `in_frame` has completed. A line the demand cursor has not reached
+    /// yet is still incomplete, and functional reads must fall back to
+    /// packing from memory rather than return its half-written bytes.
     fn lines_complete(&self, frame: u64, in_frame: usize, len: usize) -> bool {
         if len == 0 {
             return true;
@@ -523,9 +504,8 @@ impl RmeEngine {
 
     /// MVCC visibility filtering must inspect the version header of every
     /// source row in the frame's span, including the rows it ends up
-    /// skipping. Charged eagerly at frame activation on both fetch paths:
-    /// header inspection is what *determines* the frame's rows, so it is
-    /// not demand-elidable.
+    /// skipping. Charged eagerly at frame activation: header inspection is
+    /// what *determines* the frame's rows, so it is not demand-elidable.
     fn charge_mvcc_headers(
         &mut self,
         rows: &FrameRows,
@@ -578,10 +558,10 @@ impl RmeEngine {
 
     /// Activates `frame`: charges the eager MVCC header traffic, starts the
     /// Requestor's descriptor cursor with dispatch anchors frozen at
-    /// `start_pl`, and books *nothing*. The synchronous fetch then books the
-    /// whole frame through [`finish_frame_remainder`](Self::finish_frame_remainder);
-    /// incremental booking follows the demand cursor through
-    /// [`advance_booking`](Self::advance_booking).
+    /// `start_pl`, and books *nothing*: booking follows the demand cursor
+    /// through [`advance_booking`](Self::advance_booking), and
+    /// [`finish_frame_remainder`](Self::finish_frame_remainder) books the
+    /// rest.
     fn activate_frame(
         &mut self,
         frame: u64,
@@ -606,9 +586,8 @@ impl RmeEngine {
     /// Books descriptors of the activated frame, in stream order at their
     /// frozen anchors, until the demanded line completes (or the stream is
     /// exhausted, which force-completes the partial tail). Prefix-monotone:
-    /// any demand order books the same descriptor prefix sequence the
-    /// synchronous whole-frame fetch would, so single-stream timing is
-    /// bit-identical to it.
+    /// any demand order books a prefix of the same descriptor stream at the
+    /// same anchors.
     fn advance_booking(
         &mut self,
         frame: u64,
@@ -641,9 +620,9 @@ impl RmeEngine {
     }
 
     /// Books every remaining descriptor of the activated frame at its
-    /// frozen anchor (the whole frame on the synchronous path; on the
-    /// incremental path the frame is being evicted, or the run is ending),
-    /// making the frame's total DRAM traffic identical on both paths.
+    /// frozen anchor (the frame is being evicted, or the run is ending), so
+    /// the frame's total DRAM traffic does not depend on how much of it was
+    /// demanded.
     fn finish_frame_remainder(&mut self, mem: &PhysicalMemory, dram: &mut DramModel) {
         let Some(mut progress) = self.progress.take() else {
             return;
@@ -670,34 +649,24 @@ impl RmeEngine {
         });
     }
 
-    /// Settles any incremental frame fetch still in flight by booking every
-    /// remaining descriptor, so a run's DRAM traffic totals are identical
-    /// to the synchronous fetch even when the run ends mid-frame. Call at
-    /// the end of a measured run (and before any timing reset); a no-op in
-    /// synchronous mode or when the resident frame is fully booked.
+    /// Settles any frame fetch still in flight by booking every remaining
+    /// descriptor, so a run's DRAM traffic totals include every frame it
+    /// activated even when the run ends mid-frame. Call at the end of a
+    /// measured run (and before any timing reset); a no-op when the
+    /// resident frame is fully booked.
     pub fn finish_pending_fetch(&mut self, mem: &PhysicalMemory, dram: &mut DramModel) {
         self.finish_frame_remainder(mem, dram);
     }
 
-    /// Selects incremental (event-driven) frame fetching. Flip only at a
-    /// measurement boundary: switching with a partially booked frame in
-    /// flight would silently drop its remaining traffic, so settle it via
-    /// [`finish_pending_fetch`](Self::finish_pending_fetch) first.
+    /// Kept so callers that still select incremental frame fetching
+    /// compile; it is the only fetch mode, so this changes nothing.
+    ///
+    /// # Panics
+    /// Panics if `on` is `false`: the whole-frame synchronous fetch no
+    /// longer exists.
+    #[doc(hidden)]
     pub fn set_incremental(&mut self, on: bool) {
-        if self.incremental == on {
-            return;
-        }
-        debug_assert!(
-            self.progress.is_none(),
-            "settle the pending fetch before flipping the fetch mode"
-        );
-        self.incremental = on;
-        self.progress = None;
-    }
-
-    /// Whether incremental frame fetching is enabled.
-    pub fn incremental(&self) -> bool {
-        self.incremental
+        assert!(on, "incremental frame fetching is the only fetch mode");
     }
 
     /// Marks the trailing, partially filled cache line of a frame complete
@@ -760,7 +729,6 @@ impl RmeEngine {
         };
         same_programming
             && earlier.progress.is_none()
-            && self.incremental == earlier.incremental
             && self.trapper.same_up_to_shift(&earlier.trapper, shift)
             && same_units_up_to_shift(&self.fetch_units, &earlier.fetch_units, shift)
             && self.monitor.same_up_to_shift(&earlier.monitor, shift, frames)
@@ -1060,81 +1028,54 @@ mod tests {
         assert!(f.engine.configure(geometry, None).is_err());
     }
 
-    /// Runs a full sequential scan (with per-line functional reads) and
-    /// returns everything observable: per-line service times, packed bytes,
-    /// engine stats and DRAM stats.
-    fn full_scan(
-        incremental: bool,
-        spm_bytes: Option<usize>,
-        mvcc: MvccConfig,
-    ) -> (Vec<SimTime>, Vec<u8>, RmeStats, relmem_dram::DramStats) {
-        let mut f = fixture(3_000, HwRevision::Mlp, mvcc);
-        if let Some(spm) = spm_bytes {
+    /// The packed bytes a scan reads back, line by line through the
+    /// Reorganization Buffer, are the projection packed straight from the
+    /// row-major image — across frame turnovers, and under MVCC filtering.
+    #[test]
+    fn scanned_frames_hold_what_memory_packs() {
+        for mvcc in [MvccConfig::Disabled, MvccConfig::Enabled] {
+            let mut f = fixture(3_000, HwRevision::Mlp, mvcc);
+            // A 4 KiB Data SPM holds 512 packed rows: six frames.
             let mut hw = *f.engine.hw_config();
-            hw.data_spm_bytes = spm;
+            hw.data_spm_bytes = 4 * 1024;
             let cfg = PlatformConfig::zcu102();
             f.engine = RmeEngine::new(hw, cfg.cdc, HwRevision::Mlp, cfg.dram.bus_bytes, 64);
+            let snapshot = (mvcc == MvccConfig::Enabled).then(|| {
+                for row in (0..3_000).step_by(3) {
+                    f.table.mark_deleted(&mut f.mem, row, 5).unwrap();
+                }
+                Snapshot::at(10)
+            });
+            configure(&mut f, vec![0, 2], snapshot);
+            let total = f.engine.packed_total_bytes();
+            let mut now = SimTime::ZERO;
+            let mut packed = Vec::new();
+            for offset in (0..total).step_by(64) {
+                let addr = f.ephemeral_base + offset;
+                now = f.engine.serve_line(addr, now, &f.mem, &mut f.dram);
+                let len = 64.min(total - offset) as usize;
+                packed.extend(f.engine.read_packed(addr, len, &f.mem));
+            }
+            assert!(
+                f.engine.stats().frames_fetched > 1,
+                "the scan must turn frames over"
+            );
+            let mut expected = vec![0; packed.len()];
+            f.engine.pack_from_memory(0, &mut expected, &f.mem);
+            assert_eq!(packed, expected);
         }
-        f.engine.set_incremental(incremental);
-        let snapshot = match mvcc {
-            MvccConfig::Enabled => Some(Snapshot::at(10)),
-            MvccConfig::Disabled => None,
-        };
-        configure(&mut f, vec![0, 2], snapshot);
-        let total = f.engine.packed_total_bytes();
-        let mut now = SimTime::ZERO;
-        let mut addr = f.ephemeral_base;
-        let mut times = Vec::new();
-        let mut packed = Vec::new();
-        while addr < f.ephemeral_base + total {
-            now = f.engine.serve_line(addr, now, &f.mem, &mut f.dram);
-            times.push(now);
-            let len = 64.min((f.ephemeral_base + total - addr) as usize);
-            packed.extend(f.engine.read_packed(addr, len, &f.mem));
-            addr += 64;
-        }
-        f.engine.finish_pending_fetch(&f.mem, &mut f.dram);
-        (times, packed, f.engine.stats(), f.dram.stats().clone())
     }
 
-    /// An incremental multi-frame scan is bit-identical to the synchronous
-    /// whole-frame fetch on single-stream traffic: prefix-monotone booking
-    /// at frozen dispatch anchors reproduces the exact same descriptor
-    /// sequence, so every service time and every counter matches.
+    /// A fetch abandoned a quarter into the frame books less traffic up
+    /// front, but `finish_pending_fetch` settles it to the frame's full
+    /// descriptor and beat count — what a scan of the whole frame books.
+    /// Whole-system runs rely on this at measurement end.
     #[test]
-    fn incremental_full_scan_is_bit_identical_to_synchronous() {
-        let sync = full_scan(false, Some(4 * 1024), MvccConfig::Disabled);
-        let evt = full_scan(true, Some(4 * 1024), MvccConfig::Disabled);
-        assert_eq!(sync.0, evt.0, "per-line service times must match");
-        assert_eq!(sync.1, evt.1, "packed data must match");
-        assert_eq!(sync.2, evt.2, "engine stats must match");
-        assert_eq!(sync.3, evt.3, "DRAM stats must match");
-    }
-
-    /// Same identity with MVCC filtering active: header-inspection traffic
-    /// is charged eagerly at activation on both paths.
-    #[test]
-    fn incremental_scan_matches_synchronous_under_mvcc() {
-        let sync = full_scan(false, None, MvccConfig::Enabled);
-        let evt = full_scan(true, None, MvccConfig::Enabled);
-        assert_eq!(sync.0, evt.0);
-        assert_eq!(sync.1, evt.1);
-        assert_eq!(sync.2, evt.2);
-        assert_eq!(sync.3, evt.3);
-    }
-
-    /// A scan abandoned mid-frame books less traffic up front, but
-    /// `finish_pending_fetch` settles the remainder so totals match the
-    /// synchronous fetch — the invariant whole-system runs rely on at
-    /// measurement end.
-    #[test]
-    fn abandoned_incremental_fetch_settles_to_synchronous_traffic() {
-        let run = |incremental: bool| {
+    fn an_abandoned_fetch_settles_to_the_whole_frame() {
+        let run = |fraction: u64| {
             let mut f = fixture(2_000, HwRevision::Mlp, MvccConfig::Disabled);
-            f.engine.set_incremental(incremental);
             configure(&mut f, vec![0], None);
-            // Demand only the first quarter of the frame, then stop.
-            let total = f.engine.packed_total_bytes() / 4;
+            let total = f.engine.packed_total_bytes() / fraction;
             let mut now = SimTime::ZERO;
             let mut addr = f.ephemeral_base;
             while addr < f.ephemeral_base + total {
@@ -1145,23 +1086,27 @@ mod tests {
             f.engine.finish_pending_fetch(&f.mem, &mut f.dram);
             (booked_early, f.dram.stats().accesses, f.engine.stats())
         };
-        let (sync_early, sync_total, sync_stats) = run(false);
-        let (evt_early, evt_total, evt_stats) = run(true);
+        let (early, abandoned_total, abandoned) = run(4);
+        let (_, whole_total, whole) = run(1);
         assert!(
-            evt_early < sync_early,
-            "incremental mode must defer traffic ({evt_early} vs {sync_early})"
+            early < whole_total,
+            "booking follows demand ({early} vs {whole_total})"
         );
-        assert_eq!(sync_total, evt_total, "settled traffic totals must match");
-        assert_eq!(sync_stats, evt_stats);
+        assert_eq!(
+            abandoned_total, whole_total,
+            "settled traffic totals must match"
+        );
+        assert_eq!(abandoned.frames_fetched, 1);
+        assert_eq!(abandoned.descriptors, whole.descriptors);
+        assert_eq!(abandoned.dram_beats, whole.dram_beats);
     }
 
     /// Functional reads never observe a half-fetched line: bytes the demand
     /// cursor has not reached come from the memory-packing fallback and are
     /// still correct.
     #[test]
-    fn incremental_reads_ahead_of_the_cursor_stay_correct() {
+    fn reads_ahead_of_the_cursor_stay_correct() {
         let mut f = fixture(500, HwRevision::Mlp, MvccConfig::Disabled);
-        f.engine.set_incremental(true);
         configure(&mut f, vec![1, 3], None);
         let total = f.engine.packed_total_bytes();
         // Demand exactly one line, leaving the rest of the frame unbooked.

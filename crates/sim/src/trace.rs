@@ -5,7 +5,7 @@
 //! models emit typed [`TraceEvent`]s stamped with simulated time: op
 //! lifecycle spans, L2 bank bookings, line fills and writebacks, DRAM
 //! command activity (ACT/PRE/RD/WR, refresh, tFAW stalls, FR-FCFS
-//! reorders, completion-queue drains), RME frame-fetch windows and
+//! reorders), RME frame-fetch windows and
 //! overload/degrade transitions. `System::take_trace` merges the
 //! per-component buffers into one deterministic [`Trace`], which exports as
 //! Chrome-trace / Perfetto JSON (one track per core, L2 bank, DRAM bank,
@@ -37,8 +37,8 @@ use crate::time::SimTime;
 /// (`tid`) each.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Track {
-    /// Cross-cutting system events: degrade transitions, completion-queue
-    /// drains, DRAM admission stalls.
+    /// Cross-cutting system events: degrade transitions, FR-FCFS reorders,
+    /// DRAM admission stalls.
     System,
     /// One CPU core: op lifecycle, txn lifecycle, line fills, writebacks.
     Core(u32),
@@ -147,10 +147,8 @@ pub enum TraceEventKind {
     FrFcfsReorder,
     /// A transaction-queue admission stall (arg0 = outstanding requests).
     DramQueueStall,
-    /// A completion-queue drain delivered events (arg0 = completions).
-    CompletionDrain,
     // --- RME (engine track) ---
-    /// A frame activation (incremental fetch start; arg0 = frame).
+    /// A frame activation (fetch start; arg0 = frame).
     FrameActivate,
     /// A frame-fetch window, activation → last buffer write (arg0 =
     /// frame, arg1 = lines fetched).
@@ -182,7 +180,6 @@ impl TraceEventKind {
             TraceEventKind::TfawStall => "tfaw_stall",
             TraceEventKind::FrFcfsReorder => "fr_fcfs_reorder",
             TraceEventKind::DramQueueStall => "dram_queue_stall",
-            TraceEventKind::CompletionDrain => "completion_drain",
             TraceEventKind::FrameActivate => "frame_activate",
             TraceEventKind::FrameFetch => "frame_fetch",
         }
@@ -192,7 +189,7 @@ impl TraceEventKind {
     /// are provably disjoint-or-nested per track may be [`SpanStyle::Sync`]
     /// (the invariant tests enforce this): line fills overlap each other
     /// (a straddling access issues both lines at once), DRAM bursts
-    /// pipeline at tCCD, and an incrementally fetched frame's tail —
+    /// pipeline at tCCD, and a frame's tail —
     /// booked at frozen anchors during turnover — can outlast the next
     /// frame's activation, so all of those render as async pairs.
     pub fn style(self) -> SpanStyle {
@@ -226,7 +223,6 @@ impl TraceEventKind {
             TraceEventKind::TfawStall => ("row", "stall_ps"),
             TraceEventKind::FrFcfsReorder => ("pending_writes", "arg1"),
             TraceEventKind::DramQueueStall => ("outstanding", "arg1"),
-            TraceEventKind::CompletionDrain => ("completions", "arg1"),
             TraceEventKind::FrameActivate => ("frame", "arg1"),
             TraceEventKind::FrameFetch => ("frame", "lines"),
         }

@@ -1,6 +1,7 @@
-//! The figures README.md and docs/ARCHITECTURE.md quote from the committed
-//! `BENCH_scan_throughput*.json`, `BENCH_fig13.json` and
-//! `BENCH_columnar_ff.json` records must match those records.
+//! The figures README.md, docs/ARCHITECTURE.md and docs/FIGURES.md quote
+//! from the committed `BENCH_scan_throughput*.json`, `BENCH_fig13.json`,
+//! `BENCH_columnar_ff.json` and `BENCH_htap_memory_path.json` records must
+//! match those records.
 //!
 //! Each check names the record field, the document, and the text that
 //! follows the quoted number there. A quoted figure passes when it is
@@ -153,4 +154,38 @@ fn architecture_quotes_the_columnar_fast_forward_record() {
     ] {
         check("docs/ARCHITECTURE.md", follows, record, key, 1.0);
     }
+}
+
+#[test]
+fn figures_quotes_the_htap_memory_path_record() {
+    let record = "BENCH_htap_memory_path.json";
+    for (follows, key) in [
+        (" µs at the default size and", "default_sync_max_us"),
+        (" µs with `--quick`, against", "quick_sync_max_us"),
+        (" µs on the current path", "default_event_max_us"),
+        (" µs on the current path", "quick_event_max_us"),
+        (" µs on both (", "default_sync_p50_us"),
+        (" µs on both (", "default_event_p50_us"),
+    ] {
+        check("docs/FIGURES.md", follows, record, key, 1.0);
+    }
+}
+
+#[test]
+fn architecture_quotes_the_htap_memory_path_record() {
+    let record = "BENCH_htap_memory_path.json";
+    check(
+        "docs/ARCHITECTURE.md",
+        " µs, against 0.0910 µs here",
+        record,
+        "default_sync_max_us",
+        1.0,
+    );
+    check(
+        "docs/ARCHITECTURE.md",
+        " µs here (`BENCH_htap_memory_path.json`)",
+        record,
+        "default_event_max_us",
+        1.0,
+    );
 }
