@@ -593,6 +593,62 @@ mod tests {
         );
     }
 
+    /// Reads one column of a relation straight from simulated memory.
+    fn column(b: &Benchmark, table: &RowTable, col: usize) -> Vec<u64> {
+        (0..table.num_rows())
+            .map(|row| table.read_field(b.system().mem(), row, col).unwrap().as_u64())
+            .collect()
+    }
+
+    #[test]
+    fn hash_queries_match_an_independent_reference_on_every_path() {
+        let mut b = bench();
+        b.ensure_inner();
+        let (s_a1, s_a2, s_a3) = (
+            column(&b, b.table(), 0),
+            column(&b, b.table(), 1),
+            column(&b, b.table(), 2),
+        );
+        let inner = b.inner.as_ref().unwrap();
+        let (r_a2, r_a3) = (column(&b, inner, 1), column(&b, inner, 2));
+
+        // Q4: AVG(A1) WHERE A3 < T GROUP BY A2, one (key, avg) term per group.
+        let mut groups = std::collections::BTreeMap::<u64, (u64, u64)>::new();
+        for row in 0..s_a1.len() {
+            if s_a3[row] < Q3_THRESHOLD {
+                let group = groups.entry(s_a2[row]).or_default();
+                group.0 += s_a1[row];
+                group.1 += 1;
+            }
+        }
+        let mut checksum = 0;
+        for (&key, &(sum, count)) in &groups {
+            checksum = checksum_accumulate(checksum, &[key, sum / count]);
+        }
+        let q4 = QueryOutput::Set {
+            rows: groups.len() as u64,
+            checksum,
+        };
+
+        // Q5: nested-loop join of S and R on A2, emitting (S.A1, R.A3).
+        let (mut rows, mut checksum) = (0, 0);
+        for (&key, &r3) in r_a2.iter().zip(&r_a3) {
+            for (&s2, &s1) in s_a2.iter().zip(&s_a1) {
+                if s2 == key {
+                    rows += 1;
+                    checksum = checksum_accumulate(checksum, &[s1, r3]);
+                }
+            }
+        }
+        let q5 = QueryOutput::Set { rows, checksum };
+        assert!(rows > 0, "the reference join must produce rows");
+
+        for path in AccessPath::all() {
+            assert_eq!(b.run(Query::Q4, path).output, q4, "Q4 on {}", path.label());
+            assert_eq!(b.run(Query::Q5, path).output, q5, "Q5 on {}", path.label());
+        }
+    }
+
     #[test]
     fn rme_beats_direct_row_wise_on_the_projection_query() {
         let mut b = bench();

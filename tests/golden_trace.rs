@@ -768,3 +768,40 @@ fn golden_openloop_overload_2core() {
     render_rme(&mut snapshot, &sys.engine().stats());
     check_golden("openloop_overload_2core", &snapshot);
 }
+
+/// The benchmark's hash queries, Q4 (group-by) and Q5 (hash join), on the
+/// direct row, direct columnar and RME-cold paths of a small [`Benchmark`].
+/// Each section renders the functional output (rows, checksum), the run's
+/// elapsed and CPU time and the counters its measurement left in the
+/// system, so the hash tables' host-side implementation can change only
+/// if every output and simulated number stays put.
+#[test]
+fn golden_benchmark_hash_queries_1core() {
+    let mut bench = Benchmark::new(BenchmarkParams {
+        rows: 4_000,
+        inner_rows: 1_000,
+        seed: SEED,
+        ..BenchmarkParams::default()
+    });
+    let mut snapshot = String::new();
+    for (query, name) in [(Query::Q4, "q4"), (Query::Q5, "q5")] {
+        for (path, label) in [
+            (AccessPath::DirectRowWise, "row"),
+            (AccessPath::DirectColumnar, "columnar"),
+            (AccessPath::RmeCold, "rme_cold"),
+        ] {
+            let run = bench.run(query, path);
+            let QueryOutput::Set { rows, checksum } = run.output else {
+                panic!("{name} returns a row set");
+            };
+            let m = &run.measurement;
+            writeln!(snapshot, "[{name}.{label}]").expect("string write");
+            put(&mut snapshot, "output.checksum", checksum);
+            snapshot.push_str(&render_snapshot(bench.system(), m.elapsed, m.cpu_time, rows));
+            if path.uses_rme() {
+                render_rme(&mut snapshot, &m.rme);
+            }
+        }
+    }
+    check_golden("benchmark_hash_queries_1core", &snapshot);
+}
