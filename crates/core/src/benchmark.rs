@@ -15,7 +15,7 @@ use relmem_storage::{
 
 use crate::access_path::AccessPath;
 use crate::ephemeral::EphemeralVariable;
-use crate::hashtbl::{checksum_accumulate, SimHashTable};
+use crate::hashtbl::{checksum_accumulate, MixMap, SimHashTable};
 use crate::measure::{QueryOutput, QueryRun};
 use crate::queries::{spread_columns, Query, Q2_THRESHOLD, Q3_THRESHOLD};
 use crate::system::{RowEffect, ScanSource, System};
@@ -295,15 +295,13 @@ impl Benchmark {
     fn q4(&mut self, path: AccessPath) -> QueryRun {
         let cols = vec![0, 1, 2];
         let prepared = self.prepare(path, &cols, Relation::Outer, None);
-        let group_region = self.ensure_group_region();
+        self.ensure_group_region();
         self.system.begin_measurement(path);
         let cost = *self.system.cost_model();
         let (predicate, group_by) = (cost.predicate(), cost.group_by());
         // The group-by hash table (≤ VALUE_RANGE entries) fits comfortably in
-        // the caches, so its maintenance is charged as CPU work; `group_region`
-        // documents where it would live.
-        let _ = SimHashTable::new(group_region, relmem_storage::datagen::VALUE_RANGE);
-        let mut sums: std::collections::HashMap<u64, (u64, u64)> = std::collections::HashMap::new();
+        // the caches, so its maintenance is charged as CPU work.
+        let mut sums = MixMap::<(u64, u64)>::default();
         let src = scan_source(&prepared, &self.table, self.columnar.as_ref(), None);
         let (end, cpu, _) = self.system.scan(&src, SimTime::ZERO, |_, v| {
             let mut extra = predicate;
@@ -331,7 +329,7 @@ impl Benchmark {
     /// join: build on `S`, probe with `R`.
     fn q5(&mut self, path: AccessPath) -> QueryRun {
         self.ensure_inner();
-        let hash_region = self.ensure_hash_region();
+        self.ensure_hash_region();
 
         // The Reorganization Buffer cannot hold two relations' projections
         // at once, so the join is always a "cold" RME run.
@@ -352,7 +350,7 @@ impl Benchmark {
         // constants include the average cache behaviour of a table this
         // size); the paper likewise observes that hashing is a CPU-dominated,
         // path-independent cost (Figure 12b).
-        let mut hash = SimHashTable::new(hash_region, self.params.rows);
+        let mut hash = SimHashTable::default();
         let src = scan_source(&prepared_build, &self.table, self.columnar.as_ref(), None);
         let (build_end, build_cpu, _) = self.system.scan(&src, SimTime::ZERO, |_, v| {
             hash.insert(v[1], v[0]);
@@ -367,13 +365,20 @@ impl Benchmark {
         let mut checksum = 0u64;
         let src = scan_source(&prepared_probe, inner, self.inner_columnar.as_ref(), None);
         let (end, probe_cpu, _) = self.system.scan(&src, build_end, |_, v| {
-            let mut extra = probe_cost;
-            for &s_a1 in hash.get(v[0]) {
-                matches += 1;
-                checksum = checksum_accumulate(checksum, &[s_a1, v[1]]);
-                extra += out_cost;
+            // One charge per probe row: `SimTime` saturates, so the product
+            // equals one `+= out_cost` per match, and the checksum is a
+            // wrapping sum, so the row's terms can be added at once.
+            let partners = hash.get(v[0]);
+            let mut terms = 0u64;
+            for &s_a1 in partners {
+                terms = checksum_accumulate(terms, &[s_a1, v[1]]);
             }
-            RowEffect { cpu: extra, touch: None }
+            checksum = checksum.wrapping_add(terms);
+            matches += partners.len() as u64;
+            RowEffect {
+                cpu: probe_cost + out_cost * partners.len() as u64,
+                touch: None,
+            }
         });
 
         let output = QueryOutput::Set {
@@ -464,26 +469,20 @@ impl Benchmark {
         self.inner = Some(inner);
     }
 
-    fn ensure_hash_region(&mut self) -> u64 {
-        if let Some(base) = self.hash_region {
-            return base;
+    // No query touches the hash tables' regions; they are reserved because
+    // they fix the address of everything allocated after them.
+    fn ensure_hash_region(&mut self) {
+        if self.hash_region.is_none() {
+            let bytes = SimHashTable::region_bytes(self.params.rows);
+            self.hash_region = Some(self.system.alloc_scratch(bytes));
         }
-        let base = self
-            .system
-            .alloc_scratch(SimHashTable::region_bytes(self.params.rows));
-        self.hash_region = Some(base);
-        base
     }
 
-    fn ensure_group_region(&mut self) -> u64 {
-        if let Some(base) = self.group_region {
-            return base;
+    fn ensure_group_region(&mut self) {
+        if self.group_region.is_none() {
+            let bytes = SimHashTable::region_bytes(relmem_storage::datagen::VALUE_RANGE);
+            self.group_region = Some(self.system.alloc_scratch(bytes));
         }
-        let base = self
-            .system
-            .alloc_scratch(SimHashTable::region_bytes(relmem_storage::datagen::VALUE_RANGE));
-        self.group_region = Some(base);
-        base
     }
 
     fn finish(

@@ -1,82 +1,72 @@
-//! A simulated hash table used by group-by and hash-join.
+//! The functional hash tables behind the benchmark's group-by (Q4) and
+//! hash join (Q5).
 //!
-//! Functional behaviour is an ordinary open hash map; what matters for the
-//! timing model is that probes and inserts touch *memory*: each operation
-//! derives a pseudo-random bucket address inside a region allocated in
-//! simulated physical memory and performs a cache access there. For the
-//! small group-by tables of Q4 the region fits in cache and the cost is CPU
-//! dominated; for the 44 K-entry join table of Q5 the probes miss often,
-//! which is exactly why the paper's Figure 12 shows the (path-independent)
-//! hashing cost dominating the join.
+//! Hashing is modelled as CPU time, not as memory traffic: each insert and
+//! probe is charged `cost.hash_build`/`hash_probe` (and each group update
+//! `cost.group_by`), constants that include the average cache behaviour of
+//! the table, because the paper observes that hashing is a CPU-dominated,
+//! path-independent cost (Figure 12b). The maps here therefore only compute
+//! the queries' answers; they grow with the keys they hold and share one
+//! deterministic hasher built on splitmix64.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
-/// Simulated hash table: functional map + memory region for timing.
-#[derive(Debug, Clone)]
+/// A `u64`-keyed map hashed by [`MixHasher`].
+pub(crate) type MixMap<V> = HashMap<u64, V, BuildHasherDefault<MixHasher>>;
+
+/// Multimap from join key to the payloads stored under it. It starts empty
+/// and grows as keys arrive.
+#[derive(Debug, Clone, Default)]
 pub struct SimHashTable {
-    map: HashMap<u64, Vec<u64>>,
-    /// Base address of the bucket array in simulated memory.
-    region_base: u64,
-    /// Number of buckets (power of two).
-    buckets: u64,
-    /// Bytes per bucket entry.
-    entry_bytes: u64,
+    map: MixMap<Vec<u64>>,
 }
 
 impl SimHashTable {
-    /// Bytes per bucket entry (key + payload + next pointer).
-    pub const ENTRY_BYTES: u64 = 24;
-
-    /// Creates a table whose bucket array lives at `region_base` and is
-    /// sized for `expected_entries`.
-    pub fn new(region_base: u64, expected_entries: u64) -> Self {
-        let buckets = expected_entries.next_power_of_two().max(16);
-        SimHashTable {
-            map: HashMap::with_capacity(expected_entries as usize),
-            region_base,
-            buckets,
-            entry_bytes: Self::ENTRY_BYTES,
-        }
-    }
-
-    /// Bytes of simulated memory the bucket array needs.
+    /// Bytes of simulated memory a bucket array for `expected_entries`
+    /// would need, at 24 bytes (key, payload, next pointer) per bucket.
     pub fn region_bytes(expected_entries: u64) -> u64 {
-        expected_entries.next_power_of_two().max(16) * Self::ENTRY_BYTES
+        expected_entries.next_power_of_two().max(16) * 24
     }
 
-    /// The simulated address touched by an operation on `key`.
-    pub fn bucket_addr(&self, key: u64) -> u64 {
-        self.region_base + (Self::mix(key) % self.buckets) * self.entry_bytes
-    }
-
-    /// Inserts a `(key, value)` pair (functional part).
+    /// Inserts a `(key, value)` pair.
     pub fn insert(&mut self, key: u64, value: u64) {
         self.map.entry(key).or_default().push(value);
     }
 
-    /// Values stored under `key` (functional part).
+    /// Values stored under `key`.
     pub fn get(&self, key: u64) -> &[u64] {
         self.map.get(&key).map(Vec::as_slice).unwrap_or(&[])
     }
+}
 
-    /// Number of distinct keys.
-    pub fn distinct_keys(&self) -> usize {
-        self.map.len()
+/// A deterministic hasher for integer keys: splitmix64's finaliser over
+/// each written word.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct MixHasher(u64);
+
+impl Hasher for MixHasher {
+    fn finish(&self) -> u64 {
+        self.0
     }
 
-    /// Total number of stored values.
-    pub fn entries(&self) -> usize {
-        self.map.values().map(Vec::len).sum()
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
     }
 
-    /// A simple 64-bit finaliser (splitmix64) for spreading keys over
-    /// buckets deterministically.
-    fn mix(mut x: u64) -> u64 {
-        x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        x ^ (x >> 31)
+    fn write_u64(&mut self, x: u64) {
+        self.0 = mix(self.0 ^ x);
     }
+}
+
+/// splitmix64's 64-bit finaliser.
+fn mix(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
 }
 
 /// Order-insensitive checksum helper used to validate row-set results
@@ -96,33 +86,25 @@ mod tests {
 
     #[test]
     fn functional_map_behaviour() {
-        let mut t = SimHashTable::new(0x8000, 100);
+        let mut t = SimHashTable::default();
         t.insert(1, 10);
         t.insert(1, 11);
         t.insert(2, 20);
         assert_eq!(t.get(1), &[10, 11]);
+        assert_eq!(t.get(2), &[20]);
         assert_eq!(t.get(3), &[] as &[u64]);
-        assert_eq!(t.distinct_keys(), 2);
-        assert_eq!(t.entries(), 3);
     }
 
     #[test]
-    fn bucket_addresses_stay_inside_the_region() {
-        let t = SimHashTable::new(0x10_000, 1_000);
-        let region = SimHashTable::region_bytes(1_000);
-        for key in 0..10_000u64 {
-            let a = t.bucket_addr(key);
-            assert!(a >= 0x10_000 && a < 0x10_000 + region);
-        }
-    }
-
-    #[test]
-    fn bucket_addresses_spread() {
-        let t = SimHashTable::new(0, 1_024);
-        let distinct: std::collections::HashSet<u64> =
-            (0..1_024u64).map(|k| t.bucket_addr(k)).collect();
-        // At least half of sequential keys land in distinct buckets.
-        assert!(distinct.len() > 512, "only {} distinct buckets", distinct.len());
+    fn mix_hasher_is_deterministic_and_spreads_keys() {
+        use std::hash::BuildHasher;
+        let build = BuildHasherDefault::<MixHasher>::default();
+        assert_eq!(build.hash_one(7u64), build.hash_one(7u64));
+        // Sequential keys land in distinct 1,024-slot buckets at least half
+        // the time, by the hash's low bits.
+        let buckets: std::collections::HashSet<u64> =
+            (0..1_024u64).map(|k| build.hash_one(k) % 1_024).collect();
+        assert!(buckets.len() > 512, "only {} distinct buckets", buckets.len());
     }
 
     #[test]

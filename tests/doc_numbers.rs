@@ -1,7 +1,7 @@
 //! The figures README.md, docs/ARCHITECTURE.md and docs/FIGURES.md quote
 //! from the committed `BENCH_scan_throughput*.json`, `BENCH_fig13.json`,
-//! `BENCH_columnar_ff.json` and `BENCH_htap_memory_path.json` records must
-//! match those records.
+//! `BENCH_columnar_ff.json`, `BENCH_htap_memory_path.json` and
+//! `BENCH_hash_queries.json` records must match those records.
 //!
 //! Each check names the record field, the document, and the text that
 //! follows the quoted number there. A quoted figure passes when it is
@@ -188,4 +188,17 @@ fn architecture_quotes_the_htap_memory_path_record() {
         "default_event_max_us",
         1.0,
     );
+}
+
+#[test]
+fn architecture_quotes_the_hash_queries_record() {
+    let record = "BENCH_hash_queries.json";
+    for (follows, key) in [
+        (" s (parent commit) to 0.893 s", "run_s_parent_median"),
+        (" s, and peak RSS from", "run_s_change_median"),
+        (" MB to 175.4 MB", "peak_rss_mb_parent_median"),
+        (" MB, with every simulated counter", "peak_rss_mb_change_median"),
+    ] {
+        check("docs/ARCHITECTURE.md", follows, record, key, 1.0);
+    }
 }

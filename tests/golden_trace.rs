@@ -3,9 +3,10 @@
 //! Every simulator counter is deterministic: identical inputs produce
 //! bit-identical statistics. This suite pins that behaviour down as data —
 //! it runs a fixed seed matrix of `scan` / `scan_sharded` / `run_workload`
-//! / `run_open_loop` measurements and compares the end-of-run counter
-//! snapshots (`HierarchyStats` per core, `SharedL2Stats`, `DramStats`,
-//! timing) against checked-in fixtures under `tests/golden/`.
+//! / `run_open_loop` measurements and the benchmark's hash queries (Q4,
+//! Q5) and compares the end-of-run counter snapshots (`HierarchyStats` per
+//! core, `SharedL2Stats`, `DramStats`, timing) against checked-in fixtures
+//! under `tests/golden/`.
 //!
 //! An *intended* timing-model change will shift these numbers. Regenerate
 //! the fixtures with
