@@ -197,8 +197,7 @@ fn run_multicore(rows: u64, reps: usize, quick: bool, cores: usize) {
         let mut checksum = 0u64;
         let started = Instant::now();
         let run = sys.scan_sharded(&src, SimTime::ZERO, |_core, _row, values: &[u64]| {
-            checksum =
-                checksum.wrapping_add(values.iter().fold(0u64, |a, &v| a.wrapping_add(v)));
+            checksum = checksum.wrapping_add(values.iter().fold(0u64, |a, &v| a.wrapping_add(v)));
             RowEffect::default()
         });
         per_core = run.per_core;
@@ -241,10 +240,7 @@ fn run_multicore(rows: u64, reps: usize, quick: bool, cores: usize) {
         );
     }
 
-    let per_core_json: Vec<String> = contention
-        .iter()
-        .map(|d| format!("{d:.1}"))
-        .collect();
+    let per_core_json: Vec<String> = contention.iter().map(|d| format!("{d:.1}")).collect();
     let json = format!(
         "{{\n  \"bench\": \"scan_throughput_multicore\",\n  \"rows\": {rows},\n  \
          \"columns\": {},\n  \"cores\": {cores},\n  \
@@ -398,9 +394,9 @@ fn main() {
             "--model" => match args.next().as_deref() {
                 Some("ca" | "cycle-accurate") => model_ca = true,
                 Some("occupancy") => model_ca = false,
-                Some(other) => usage_error(&format!(
-                    "unknown model {other:?} (expected ca|occupancy)"
-                )),
+                Some(other) => {
+                    usage_error(&format!("unknown model {other:?} (expected ca|occupancy)"))
+                }
                 None => usage_error("--model requires a name"),
             },
             // `cargo bench` appends harness flags like --bench; ignore them.
@@ -503,7 +499,9 @@ fn main() {
     // …including every hierarchy counter (one verification pass each).
     sys.begin_measurement(AccessPath::DirectRowWise);
     let (end, cpu, _) = sys.scan(&source, SimTime::ZERO, |_, _| RowEffect::default());
-    let optimized_stats = sys.finish_measurement(end, cpu, AccessPath::DirectRowWise).cache;
+    let optimized_stats = sys
+        .finish_measurement(end, cpu, AccessPath::DirectRowWise)
+        .cache;
     let mut hierarchy = relmem_bench::baseline::BaselineHierarchy::new(sys.config());
     relmem_bench::baseline::scan_rows_baseline(
         &mut hierarchy,
@@ -551,7 +549,10 @@ fn main() {
             "/../../BENCH_scan_throughput.quick.json"
         )
     } else {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_scan_throughput.json")
+        concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../BENCH_scan_throughput.json"
+        )
     };
     write_report(out, &json, quick, rows);
 }

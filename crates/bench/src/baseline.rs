@@ -86,7 +86,11 @@ impl BaselineCache {
             ways.insert(0, l);
             return None;
         }
-        let evicted = if ways.len() == assoc { ways.pop() } else { None };
+        let evicted = if ways.len() == assoc {
+            ways.pop()
+        } else {
+            None
+        };
         ways.insert(0, line);
         evicted
     }

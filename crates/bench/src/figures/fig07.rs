@@ -37,9 +37,8 @@ pub fn fig07(quick: bool) -> Experiment {
             .measurement
             .elapsed
             .as_nanos_f64();
-        let normalized = |b: &mut Benchmark, path| {
-            b.run(query, path).measurement.elapsed.as_nanos_f64() / base
-        };
+        let normalized =
+            |b: &mut Benchmark, path| b.run(query, path).measurement.elapsed.as_nanos_f64() / base;
         series[0].push(width, 1.0);
         series[1].push(width, normalized(&mut bench, AccessPath::RmeCold));
         series[2].push(width, normalized(&mut bench, AccessPath::RmeHot));

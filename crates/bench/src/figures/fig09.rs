@@ -39,7 +39,11 @@ pub fn fig09(quick: bool) -> Experiment {
             .measurement
             .elapsed
             .as_nanos_f64();
-        let cold = bench.run(query, AccessPath::RmeCold).measurement.elapsed.as_nanos_f64();
+        let cold = bench
+            .run(query, AccessPath::RmeCold)
+            .measurement
+            .elapsed
+            .as_nanos_f64();
         let columnar = bench
             .run(query, AccessPath::DirectColumnar)
             .measurement

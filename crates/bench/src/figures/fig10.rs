@@ -30,8 +30,16 @@ fn sub_figure(query: Query, label: &str, rows: u64) -> Table {
             .measurement
             .elapsed
             .as_nanos_f64();
-        let cold = bench.run(query, AccessPath::RmeCold).measurement.elapsed.as_nanos_f64();
-        let hot = bench.run(query, AccessPath::RmeHot).measurement.elapsed.as_nanos_f64();
+        let cold = bench
+            .run(query, AccessPath::RmeCold)
+            .measurement
+            .elapsed
+            .as_nanos_f64();
+        let hot = bench
+            .run(query, AccessPath::RmeHot)
+            .measurement
+            .elapsed
+            .as_nanos_f64();
         series[0].push(width, 1.0);
         series[1].push(width, cold / base);
         series[2].push(width, hot / base);

@@ -31,8 +31,14 @@ fn sub_figure(query: Query, label: &str, rows: u64) -> Table {
             .run(query, AccessPath::DirectRowWise)
             .measurement
             .elapsed_us();
-        let cold = bench.run(query, AccessPath::RmeCold).measurement.elapsed_us();
-        let hot = bench.run(query, AccessPath::RmeHot).measurement.elapsed_us();
+        let cold = bench
+            .run(query, AccessPath::RmeCold)
+            .measurement
+            .elapsed_us();
+        let hot = bench
+            .run(query, AccessPath::RmeHot)
+            .measurement
+            .elapsed_us();
         series[0].push(row_bytes, direct);
         series[1].push(row_bytes, cold);
         series[2].push(row_bytes, hot);

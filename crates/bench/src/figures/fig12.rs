@@ -28,7 +28,11 @@ fn by_column_width(rows: u64) -> Table {
             .measurement
             .elapsed
             .as_nanos_f64();
-        let rme = bench.run(Query::Q5, AccessPath::RmeCold).measurement.elapsed.as_nanos_f64();
+        let rme = bench
+            .run(Query::Q5, AccessPath::RmeCold)
+            .measurement
+            .elapsed
+            .as_nanos_f64();
         series[0].push(width, 1.0);
         series[1].push(width, rme / base);
     }
@@ -67,9 +71,7 @@ fn by_row_width(rows: u64) -> Table {
         let direct = bench.run(Query::Q5, AccessPath::DirectRowWise).measurement;
         let rme = bench.run(Query::Q5, AccessPath::RmeCold).measurement;
         let reduction = 100.0
-            * (1.0
-                - rme.data_time().as_nanos_f64()
-                    / direct.data_time().as_nanos_f64().max(1.0));
+            * (1.0 - rme.data_time().as_nanos_f64() / direct.data_time().as_nanos_f64().max(1.0));
         table.push_row(vec![
             row_bytes.to_string(),
             format!("{:.3}", direct.elapsed.as_millis_f64()),

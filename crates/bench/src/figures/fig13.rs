@@ -54,7 +54,10 @@ pub fn fig13(quick: bool, full: bool) -> Experiment {
             .as_nanos_f64();
         let rme = bench.run(query, AccessPath::RmeCold);
         series[0].push(label.clone(), 1.0);
-        series[1].push(label.clone(), rme.measurement.elapsed.as_nanos_f64() / direct);
+        series[1].push(
+            label.clone(),
+            rme.measurement.elapsed.as_nanos_f64() / direct,
+        );
         frames.push(label, rme.measurement.rme.frames_fetched as f64);
     }
 

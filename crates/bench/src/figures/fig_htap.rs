@@ -263,9 +263,7 @@ fn calibrate(rows: u64, oltp_ops: u64) -> (f64, SimTime) {
         .fill_table(sys.mem_mut(), &mut table, rows)
         .expect("fill");
 
-    let oltp: Vec<WorkloadOp> = (0..oltp_ops)
-        .map(|i| oltp_op(&table, i, rows))
-        .collect();
+    let oltp: Vec<WorkloadOp> = (0..oltp_ops).map(|i| oltp_op(&table, i, rows)).collect();
     let scan = ScanSource::Rows {
         table: &table,
         columns: &SCAN_COLUMNS,
@@ -277,11 +275,9 @@ fn calibrate(rows: u64, oltp_ops: u64) -> (f64, SimTime) {
     }
     sys.begin_measurement(AccessPath::DirectRowWise);
     let run = sys
-        .run_workload(
-            &Workload::new(streams),
-            SimTime::ZERO,
-            |_, _, _, _| RowEffect::default(),
-        )
+        .run_workload(&Workload::new(streams), SimTime::ZERO, |_, _, _, _| {
+            RowEffect::default()
+        })
         .expect("valid workload");
     let mean_ns = run.oltp_latencies().mean_nanos().max(1.0);
     let scan_dur = run.streams[1].ops[0].latency().max(SimTime::from_nanos(1));

@@ -71,9 +71,7 @@ fn build_system(rows: u64, cores: usize, mvcc: MvccConfig) -> (System, RowTable)
         ..SystemConfig::default()
     });
     let schema = Schema::benchmark(4, 4, 64);
-    let mut table = sys
-        .create_table(schema, rows, mvcc)
-        .expect("table fits");
+    let mut table = sys.create_table(schema, rows, mvcc).expect("table fits");
     DataGen::new(3)
         .fill_table(sys.mem_mut(), &mut table, rows)
         .expect("fill");

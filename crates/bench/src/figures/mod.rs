@@ -69,9 +69,21 @@ impl Experiment {
 /// Identifiers of every experiment, in paper order.
 pub fn all_experiments() -> Vec<&'static str> {
     vec![
-        "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13",
-        "fig13_multicore", "fig_htap", "fig_htap_openloop", "fig_txn", "fig_dram_fidelity",
-        "table1", "table2",
+        "fig6",
+        "fig7",
+        "fig8",
+        "fig9",
+        "fig10",
+        "fig11",
+        "fig12",
+        "fig13",
+        "fig13_multicore",
+        "fig_htap",
+        "fig_htap_openloop",
+        "fig_txn",
+        "fig_dram_fidelity",
+        "table1",
+        "table2",
     ]
 }
 

@@ -118,9 +118,7 @@ impl Cache {
             sets,
             assoc: cfg.associativity,
             line_shift: cfg.line_bytes.trailing_zeros(),
-            set_mask: sets
-                .is_power_of_two()
-                .then_some(sets as u64 - 1),
+            set_mask: sets.is_power_of_two().then_some(sets as u64 - 1),
             set_shift: sets.trailing_zeros(),
             tags: vec![EMPTY; sets * cfg.associativity],
             ranks: Self::identity_ranks(sets, cfg.associativity),
@@ -378,10 +376,7 @@ impl Cache {
             let victim = (_mm_movemask_epi8(is_zero) as u32).trailing_zeros() as usize;
             let dec = _mm_sub_epi8(v, _mm_set1_epi8(1));
             let top = _mm_set1_epi8(15);
-            let rotated = _mm_or_si128(
-                _mm_andnot_si128(is_zero, dec),
-                _mm_and_si128(is_zero, top),
-            );
+            let rotated = _mm_or_si128(_mm_andnot_si128(is_zero, dec), _mm_and_si128(is_zero, top));
             _mm_storeu_si128(p, rotated);
             victim
         }
@@ -972,7 +967,11 @@ mod tests {
                 ways.insert(0, l);
                 return None;
             }
-            let evicted = if ways.len() == assoc { ways.pop() } else { None };
+            let evicted = if ways.len() == assoc {
+                ways.pop()
+            } else {
+                None
+            };
             ways.insert(0, line);
             evicted
         }

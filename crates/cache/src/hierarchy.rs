@@ -830,7 +830,10 @@ mod tests {
         assert!(mem.fills >= 2);
         assert_eq!(h.stats().l1.requests, 2);
         // Both halves now hit in L1.
-        assert_eq!(h.access(60, 8, out.completion, &mut mem).level, HitLevel::L1);
+        assert_eq!(
+            h.access(60, 8, out.completion, &mut mem).level,
+            HitLevel::L1
+        );
     }
 
     #[test]
@@ -1016,7 +1019,9 @@ mod tests {
         // 16+ distinct lines. Large stride ⇒ no new prefetcher streams.
         let set_stride = 8 * 64u64;
         for i in 1..=17u64 {
-            now = h.access(victim + i * set_stride, 8, now, &mut mem).completion;
+            now = h
+                .access(victim + i * set_stride, 8, now, &mut mem)
+                .completion;
             now += ns(1);
         }
 
@@ -1028,7 +1033,9 @@ mod tests {
         let mut now = out.completion;
         let l1_set_stride = 4 * 64u64; // L1: 1 KB, 4-way, 4 sets
         for i in 1..=5u64 {
-            now = h.access(victim + i * l1_set_stride, 8, now, &mut mem).completion;
+            now = h
+                .access(victim + i * l1_set_stride, 8, now, &mut mem)
+                .completion;
         }
         let before = h.stats().prefetch_hits;
         let again = h.access(victim, 8, now, &mut mem);
@@ -1101,7 +1108,14 @@ mod tests {
         assert_eq!(ff_start, now);
         let mut mem_ff = FixedLatencyBackend::new(ns(90));
         assert_eq!(
-            stream(&mut front_ff, &mut l2_ff, &mut mem_ff, 7 * lines, lines, ff_start),
+            stream(
+                &mut front_ff,
+                &mut l2_ff,
+                &mut mem_ff,
+                7 * lines,
+                lines,
+                ff_start
+            ),
             stream(&mut front, &mut l2, &mut mem, 7 * lines, lines, now),
         );
         assert_eq!(front_ff.stats(), front.stats());

@@ -142,9 +142,11 @@ impl StreamPrefetcher {
 
         // Continuation of an existing stream? Allow the demand pointer to be
         // anywhere between the stream head and its prefetch horizon.
-        if let Some(idx) = self.streams.iter().position(|s| {
-            line > s.last_demand && line <= s.last_prefetched + 1
-        }) {
+        if let Some(idx) = self
+            .streams
+            .iter()
+            .position(|s| line > s.last_demand && line <= s.last_prefetched + 1)
+        {
             let degree = self.degree as u64;
             let stream = &mut self.streams[idx];
             stream.last_demand = line;

@@ -168,7 +168,9 @@ impl SharedL2 {
     /// Resets contention counters (keeps cache contents and occupancy).
     pub fn reset_stats(&mut self) {
         self.stats = SharedL2Stats::default();
-        self.per_core.iter_mut().for_each(|s| *s = CoreL2Share::default());
+        self.per_core
+            .iter_mut()
+            .for_each(|s| *s = CoreL2Share::default());
     }
 
     /// The bank a line maps to.
@@ -272,9 +274,11 @@ impl SharedL2 {
     pub fn same_up_to_shift(&self, earlier: &SharedL2, shift: &Shift) -> bool {
         self.contended == earlier.contended
             && self.pending_len == earlier.pending_len
-            && self.cache.same_up_to_shift_with(&earlier.cache, shift, |now, was| {
-                shift.same_time(self.pending[now], earlier.pending[was])
-            })
+            && self
+                .cache
+                .same_up_to_shift_with(&earlier.cache, shift, |now, was| {
+                    shift.same_time(self.pending[now], earlier.pending[was])
+                })
             && self.banks.same_up_to_shift(&earlier.banks, shift)
     }
 
@@ -286,7 +290,10 @@ impl SharedL2 {
         self.banks.shift(&earlier.banks, shift, periods);
         self.stats.extrapolate(&earlier.stats, periods);
         for (i, share) in self.per_core.iter_mut().enumerate() {
-            share.extrapolate(&earlier.per_core.get(i).copied().unwrap_or_default(), periods);
+            share.extrapolate(
+                &earlier.per_core.get(i).copied().unwrap_or_default(),
+                periods,
+            );
         }
     }
 

@@ -89,10 +89,16 @@ impl HierarchyStats {
         self.prefetches_issued =
             extrapolate(self.prefetches_issued, earlier.prefetches_issued, periods);
         self.prefetch_hits = extrapolate(self.prefetch_hits, earlier.prefetch_hits, periods);
-        self.l2_contended_lookups =
-            extrapolate(self.l2_contended_lookups, earlier.l2_contended_lookups, periods);
-        self.l2_contention_delay =
-            extrapolate_time(self.l2_contention_delay, earlier.l2_contention_delay, periods);
+        self.l2_contended_lookups = extrapolate(
+            self.l2_contended_lookups,
+            earlier.l2_contended_lookups,
+            periods,
+        );
+        self.l2_contention_delay = extrapolate_time(
+            self.l2_contention_delay,
+            earlier.l2_contention_delay,
+            periods,
+        );
     }
 }
 

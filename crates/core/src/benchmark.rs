@@ -165,11 +165,9 @@ impl Benchmark {
 
     fn schema_for(params: &BenchmarkParams) -> Schema {
         match params.target_offset {
-            None | Some(0) => Schema::benchmark(
-                params.data_columns(),
-                params.column_width,
-                params.row_bytes,
-            ),
+            None | Some(0) => {
+                Schema::benchmark(params.data_columns(), params.column_width, params.row_bytes)
+            }
             Some(offset) => {
                 assert!(
                     offset + params.column_width <= params.row_bytes,
@@ -227,7 +225,10 @@ impl Benchmark {
         let src = scan_source(&prepared, &self.table, self.columnar.as_ref(), None);
         let (end, cpu, _) = self.system.scan(&src, SimTime::ZERO, |_, v| {
             sum = sum.wrapping_add(v[0]);
-            RowEffect { cpu: agg, touch: None }
+            RowEffect {
+                cpu: agg,
+                touch: None,
+            }
         });
         self.finish(path, QueryOutput::Scalar(sum), end, cpu)
     }
@@ -244,7 +245,10 @@ impl Benchmark {
         let (end, cpu, _) = self.system.scan(&src, SimTime::ZERO, |_, v| {
             checksum = checksum_accumulate(checksum, v);
             rows += 1;
-            RowEffect { cpu: out_cost, touch: None }
+            RowEffect {
+                cpu: out_cost,
+                touch: None,
+            }
         });
         self.finish(path, QueryOutput::Set { rows, checksum }, end, cpu)
     }
@@ -266,7 +270,10 @@ impl Benchmark {
                 rows += 1;
                 extra += out_cost;
             }
-            RowEffect { cpu: extra, touch: None }
+            RowEffect {
+                cpu: extra,
+                touch: None,
+            }
         });
         self.finish(path, QueryOutput::Set { rows, checksum }, end, cpu)
     }
@@ -286,7 +293,10 @@ impl Benchmark {
                 sum = sum.wrapping_add(v[0]);
                 extra += agg;
             }
-            RowEffect { cpu: extra, touch: None }
+            RowEffect {
+                cpu: extra,
+                touch: None,
+            }
         });
         self.finish(path, QueryOutput::Scalar(sum), end, cpu)
     }
@@ -311,7 +321,10 @@ impl Benchmark {
                 entry.1 += 1;
                 extra += group_by;
             }
-            RowEffect { cpu: extra, touch: None }
+            RowEffect {
+                cpu: extra,
+                touch: None,
+            }
         });
         let mut checksum = 0u64;
         for (&key, &(sum, count)) in &sums {
@@ -354,7 +367,10 @@ impl Benchmark {
         let src = scan_source(&prepared_build, &self.table, self.columnar.as_ref(), None);
         let (build_end, build_cpu, _) = self.system.scan(&src, SimTime::ZERO, |_, v| {
             hash.insert(v[1], v[0]);
-            RowEffect { cpu: build_cost, touch: None }
+            RowEffect {
+                cpu: build_cost,
+                touch: None,
+            }
         });
 
         // Probe side: R.A2 (key) and R.A3 (output).
@@ -595,7 +611,12 @@ mod tests {
     /// Reads one column of a relation straight from simulated memory.
     fn column(b: &Benchmark, table: &RowTable, col: usize) -> Vec<u64> {
         (0..table.num_rows())
-            .map(|row| table.read_field(b.system().mem(), row, col).unwrap().as_u64())
+            .map(|row| {
+                table
+                    .read_field(b.system().mem(), row, col)
+                    .unwrap()
+                    .as_u64()
+            })
             .collect()
     }
 

@@ -148,18 +148,18 @@ mod tests {
         let mut mem = PhysicalMemory::new(1 << 20);
         let schema = Schema::benchmark(2, 8, 16);
         let mut table = RowTable::create(&mut mem, schema, 16, MvccConfig::Enabled).unwrap();
-        DataGen::new(3).fill_table(&mut mem, &mut table, 10).unwrap();
+        DataGen::new(3)
+            .fill_table(&mut mem, &mut table, 10)
+            .unwrap();
         table.mark_deleted(&mut mem, 4, 5).unwrap();
         table
             .update(&mut mem, 7, &Row::from_u64s(&[9, 9]), 8)
             .unwrap();
 
         // No snapshot requested: no filtering.
-        assert!(
-            EphemeralVariable::visible_rows(&table, &mem, None)
-                .unwrap()
-                .is_none()
-        );
+        assert!(EphemeralVariable::visible_rows(&table, &mem, None)
+            .unwrap()
+            .is_none());
         // Snapshot after the delete and the update: row 4 and the old row 7
         // are gone, the new version (row 10) is visible.
         let visible = EphemeralVariable::visible_rows(&table, &mem, Some(Snapshot::at(9)))

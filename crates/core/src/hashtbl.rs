@@ -104,7 +104,11 @@ mod tests {
         // the time, by the hash's low bits.
         let buckets: std::collections::HashSet<u64> =
             (0..1_024u64).map(|k| build.hash_one(k) % 1_024).collect();
-        assert!(buckets.len() > 512, "only {} distinct buckets", buckets.len());
+        assert!(
+            buckets.len() > 512,
+            "only {} distinct buckets",
+            buckets.len()
+        );
     }
 
     #[test]

@@ -680,8 +680,7 @@ impl System {
                 if waited > budget {
                     stats.shed_deadline += 1;
                     account_txn_drop(cs, p.template, &mut self.txn_rt.stats);
-                    let (at, template, delay) =
-                        (cs.st.now, p.template as u64, waited.as_picos());
+                    let (at, template, delay) = (cs.st.now, p.template as u64, waited.as_picos());
                     self.tracer.emit(|| {
                         TraceEvent::instant(
                             Track::Core(core as u32),

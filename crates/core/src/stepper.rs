@@ -531,7 +531,10 @@ impl<'a> ScanJob<'a> {
                 snapshot: None,
                 ..
             } => Some(direct(
-                cursors.iter().map(|&(offset, width)| (base + offset, width)).collect(),
+                cursors
+                    .iter()
+                    .map(|&(offset, width)| (base + offset, width))
+                    .collect(),
                 *stride,
             )),
             JobKind::Columnar { cursors } => {

@@ -676,8 +676,17 @@ impl System {
                         values[slot] = mem.read_uint(addr, width.min(8));
                     }
                     let cpu = cost.row_loop() + cost.fields(columns.len());
-                    let (n2, c2) =
-                        finish_row_naive(front, l2, dram, line_bytes, row, &values, cpu, now, &mut per_row);
+                    let (n2, c2) = finish_row_naive(
+                        front,
+                        l2,
+                        dram,
+                        line_bytes,
+                        row,
+                        &values,
+                        cpu,
+                        now,
+                        &mut per_row,
+                    );
                     now = n2;
                     cpu_total += c2;
                     rows_scanned += 1;
@@ -706,8 +715,17 @@ impl System {
                     let cpu = cost.row_loop()
                         + cost.fields(columns.len())
                         + cost.tuple_reconstruction(columns.len());
-                    let (n2, c2) =
-                        finish_row_naive(front, l2, dram, line_bytes, row, &values, cpu, now, &mut per_row);
+                    let (n2, c2) = finish_row_naive(
+                        front,
+                        l2,
+                        dram,
+                        line_bytes,
+                        row,
+                        &values,
+                        cpu,
+                        now,
+                        &mut per_row,
+                    );
                     now = n2;
                     cpu_total += c2;
                     rows_scanned += 1;
@@ -737,8 +755,17 @@ impl System {
                         values[j] = engine.read_packed_u64(addr, width, mem);
                     }
                     let cpu = cost.row_loop() + cost.fields(var.num_columns());
-                    let (n2, c2) =
-                        finish_row_naive(front, l2, dram, line_bytes, row, &values, cpu, now, &mut per_row);
+                    let (n2, c2) = finish_row_naive(
+                        front,
+                        l2,
+                        dram,
+                        line_bytes,
+                        row,
+                        &values,
+                        cpu,
+                        now,
+                        &mut per_row,
+                    );
                     now = n2;
                     cpu_total += c2;
                     rows_scanned += 1;
@@ -981,16 +1008,16 @@ mod tests {
     fn build_system(rows: u64) -> (System, RowTable) {
         let mut sys = System::with_revision(HwRevision::Mlp, 64 << 20);
         let schema = Schema::benchmark(8, 4, 64);
-        let mut table = sys.create_table(schema, rows, MvccConfig::Disabled).unwrap();
-        DataGen::new(1).fill_table(sys.mem_mut(), &mut table, rows).unwrap();
+        let mut table = sys
+            .create_table(schema, rows, MvccConfig::Disabled)
+            .unwrap();
+        DataGen::new(1)
+            .fill_table(sys.mem_mut(), &mut table, rows)
+            .unwrap();
         (sys, table)
     }
 
-    fn sum_column(
-        sys: &mut System,
-        source: &ScanSource<'_>,
-        path: AccessPath,
-    ) -> (u64, SimTime) {
+    fn sum_column(sys: &mut System, source: &ScanSource<'_>, path: AccessPath) -> (u64, SimTime) {
         sys.begin_measurement(path);
         let mut sum = 0u64;
         let (end, _cpu, _) = sys.scan(source, SimTime::ZERO, |_, values| {
@@ -1036,7 +1063,10 @@ mod tests {
         assert_eq!(sum_rows, sum_cols);
         assert_eq!(sum_rows, sum_cold);
         assert_eq!(sum_rows, sum_hot);
-        assert!(t_hot <= t_cold, "hot ({t_hot}) should not exceed cold ({t_cold})");
+        assert!(
+            t_hot <= t_cold,
+            "hot ({t_hot}) should not exceed cold ({t_cold})"
+        );
         assert!(t_rows > SimTime::ZERO && t_cold > SimTime::ZERO);
     }
 
@@ -1071,7 +1101,9 @@ mod tests {
         let mut sys = System::with_revision(HwRevision::Mlp, 16 << 20);
         let schema = Schema::benchmark(4, 8, 64);
         let mut table = sys.create_table(schema, 100, MvccConfig::Enabled).unwrap();
-        DataGen::new(2).fill_table(sys.mem_mut(), &mut table, 100).unwrap();
+        DataGen::new(2)
+            .fill_table(sys.mem_mut(), &mut table, 100)
+            .unwrap();
         for row in 0..50 {
             table.mark_deleted(sys.mem_mut(), row, 5).unwrap();
         }
@@ -1087,7 +1119,11 @@ mod tests {
 
         // And through the RME, with the same snapshot.
         let var = sys
-            .register_ephemeral(&table, ColumnGroup::new(vec![0]).unwrap(), Some(Snapshot::at(10)))
+            .register_ephemeral(
+                &table,
+                ColumnGroup::new(vec![0]).unwrap(),
+                Some(Snapshot::at(10)),
+            )
             .unwrap();
         assert_eq!(var.rows(), 50);
         let eph = ScanSource::Ephemeral { var: &var };

@@ -280,7 +280,13 @@ impl System {
         self.txn_rt.next_id += 1;
         let at = st.now;
         self.tracer.emit(|| {
-            TraceEvent::instant(Track::Core(core as u32), TraceEventKind::TxnBegin, at, id, 0)
+            TraceEvent::instant(
+                Track::Core(core as u32),
+                TraceEventKind::TxnBegin,
+                at,
+                id,
+                0,
+            )
         });
         st.active_txn = Some(ActiveTxn {
             spec,
@@ -412,7 +418,13 @@ impl System {
         });
         let (id, at) = (txn.id, st.now);
         self.tracer.emit(|| {
-            TraceEvent::instant(Track::Core(core as u32), TraceEventKind::TxnAbort, at, id, 0)
+            TraceEvent::instant(
+                Track::Core(core as u32),
+                TraceEventKind::TxnAbort,
+                at,
+                id,
+                0,
+            )
         });
         let outcome = OpOutcome {
             op: txn.op_idx,
@@ -499,7 +511,13 @@ impl System {
             });
             let (id, at) = (txn.id, st.now);
             self.tracer.emit(|| {
-                TraceEvent::instant(Track::Core(core as u32), TraceEventKind::TxnAbort, at, id, 1)
+                TraceEvent::instant(
+                    Track::Core(core as u32),
+                    TraceEventKind::TxnAbort,
+                    at,
+                    id,
+                    1,
+                )
             });
             let outcome = OpOutcome {
                 op: txn.op_idx,
@@ -527,15 +545,14 @@ impl System {
                 } => {
                     // The exact in-place point-update body, charged at
                     // commit time...
-                    let out =
-                        self.point_update(core, st, txn.op_idx, table, row, column, value, observer);
+                    let out = self
+                        .point_update(core, st, txn.op_idx, table, row, column, value, observer);
                     txn.rows += out.rows;
                     // ...plus, on MVCC tables, the version handoff: the
                     // header is restamped to begin at the commit
                     // timestamp and forced to DRAM.
                     if table.mvcc().is_enabled() {
-                        self.mem
-                            .write(table.row_addr(row), &encode_header(cts, 0));
+                        self.mem.write(table.row_addr(row), &encode_header(cts, 0));
                         self.commit_stamp(core, st, table.row_addr(row));
                     }
                 }

@@ -95,10 +95,7 @@ impl AddressMapping {
             ),
         };
         let (bank_raw, row) = match self.bank_mask {
-            Some(mask) => (
-                (row_global & mask) as usize,
-                row_global >> self.bank_shift,
-            ),
+            Some(mask) => ((row_global & mask) as usize, row_global >> self.bank_shift),
             None => (
                 (row_global % self.banks as u64) as usize,
                 row_global / self.banks as u64,

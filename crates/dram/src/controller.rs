@@ -119,7 +119,11 @@ impl DramStats {
         self.row_misses = e(self.row_misses, earlier.row_misses);
         self.bytes_transferred = e(self.bytes_transferred, earlier.bytes_transferred);
         self.beats = e(self.beats, earlier.beats);
-        extrapolate_all(&mut self.per_core_accesses, &earlier.per_core_accesses, periods);
+        extrapolate_all(
+            &mut self.per_core_accesses,
+            &earlier.per_core_accesses,
+            periods,
+        );
         self.rme_accesses = e(self.rme_accesses, earlier.rme_accesses);
         self.writes = e(self.writes, earlier.writes);
         self.refreshes = e(self.refreshes, earlier.refreshes);
@@ -217,7 +221,9 @@ impl DramController {
         let mapping = AddressMapping::with_hash(cfg.banks, cfg.row_bytes, cfg.xor_bank_hash);
         DramController {
             open_rows: vec![None; cfg.banks],
-            banks: (0..cfg.banks).map(|_| PriorityResource::new("dram-bank")).collect(),
+            banks: (0..cfg.banks)
+                .map(|_| PriorityResource::new("dram-bank"))
+                .collect(),
             bus: PriorityResource::new("dram-bus"),
             streak: Streak::broken(),
             coalesce: true,
@@ -856,7 +862,10 @@ mod tests {
         assert_eq!(c.coalesced_chunks(), 1);
         c.reset();
         let post = c.access(MemRequest::new(128, 64, ns(0)));
-        assert!(!post.row_hit, "post-reset access must observe the precharge");
+        assert!(
+            !post.row_hit,
+            "post-reset access must observe the precharge"
+        );
         assert_eq!(c.coalesced_chunks(), 1);
     }
 

@@ -165,7 +165,12 @@ mod tests {
     #[test]
     fn uint_roundtrip_all_widths() {
         let mut mem = PhysicalMemory::new(1024);
-        for (width, value) in [(1usize, 0xAAu64), (2, 0xBEEF), (4, 0xDEADBEEF), (8, u64::MAX - 5)] {
+        for (width, value) in [
+            (1usize, 0xAAu64),
+            (2, 0xBEEF),
+            (4, 0xDEADBEEF),
+            (8, u64::MAX - 5),
+        ] {
             mem.write_uint(64, width, value);
             let mask = if width == 8 {
                 u64::MAX

@@ -80,7 +80,9 @@ impl CdcModel {
     pub fn response_into_ps(&mut self, ready: SimTime, bytes: usize) -> SimTime {
         self.crossings += 1;
         let cycles = bytes.div_ceil(self.cfg.port_bytes_per_cycle) as u64;
-        let (_, end) = self.port.acquire(ready, SimTime::from_picos(self.pl_cycle_ps * cycles));
+        let (_, end) = self
+            .port
+            .acquire(ready, SimTime::from_picos(self.pl_cycle_ps * cycles));
         end + self.response_latency
     }
 

@@ -112,7 +112,8 @@ impl ConfigPort {
             regs::EPHEMERAL_BASE_HI => {
                 self.ephemeral_base = (self.ephemeral_base & 0xFFFF_FFFF) | ((value as u64) << 32)
             }
-            o if (regs::COLUMN_WIDTH_BASE..regs::COLUMN_WIDTH_BASE + 2 * regs::MAX_COLUMNS as u64)
+            o if (regs::COLUMN_WIDTH_BASE
+                ..regs::COLUMN_WIDTH_BASE + 2 * regs::MAX_COLUMNS as u64)
                 .contains(&o)
                 && (o - regs::COLUMN_WIDTH_BASE).is_multiple_of(2) =>
             {
@@ -146,7 +147,8 @@ impl ConfigPort {
             regs::SOURCE_BASE_HI => (self.source_base >> 32) as u32,
             regs::EPHEMERAL_BASE_LO => self.ephemeral_base as u32,
             regs::EPHEMERAL_BASE_HI => (self.ephemeral_base >> 32) as u32,
-            o if (regs::COLUMN_WIDTH_BASE..regs::COLUMN_WIDTH_BASE + 2 * regs::MAX_COLUMNS as u64)
+            o if (regs::COLUMN_WIDTH_BASE
+                ..regs::COLUMN_WIDTH_BASE + 2 * regs::MAX_COLUMNS as u64)
                 .contains(&o)
                 && (o - regs::COLUMN_WIDTH_BASE).is_multiple_of(2) =>
             {

@@ -125,8 +125,14 @@ mod tests {
             row_bytes: 64,
             row_count: 10,
             columns: vec![
-                ColumnSpec { width: 4, oa_delta: 0 },
-                ColumnSpec { width: 8, oa_delta: 24 },
+                ColumnSpec {
+                    width: 4,
+                    oa_delta: 0,
+                },
+                ColumnSpec {
+                    width: 8,
+                    oa_delta: 24,
+                },
             ],
             source_base: 0x1000,
             ephemeral_base: 0,

@@ -338,7 +338,10 @@ impl RmeEngine {
         let (frame, line_in_frame) = {
             let p = self.programmed.as_ref().expect("engine configured");
             let offset = addr - p.geometry.ephemeral_base;
-            (p.frame_of(offset), ((offset % p.frame_bytes()) / self.line_bytes as u64) as usize)
+            (
+                p.frame_of(offset),
+                ((offset % p.frame_bytes()) / self.line_bytes as u64) as usize,
+            )
         };
 
         let (axi, at_pl) = self.trapper.accept(addr, ready);
@@ -513,7 +516,11 @@ impl RmeEngine {
         mem: &PhysicalMemory,
         dram: &mut DramModel,
     ) {
-        let geometry = &self.programmed.as_ref().expect("engine configured").geometry;
+        let geometry = &self
+            .programmed
+            .as_ref()
+            .expect("engine configured")
+            .geometry;
         if !geometry.needs_visibility_filter() {
             return;
         }
@@ -550,9 +557,11 @@ impl RmeEngine {
         let chunk = self.fetch_units[unit].process(&d.descriptor, d.dispatch_at, mem, dram);
         self.stats.dram_beats += chunk.beats as u64;
         self.stats.useful_bytes += chunk.data.len() as u64;
-        self.monitor
-            .buffer_mut()
-            .write_chunk(d.descriptor.waddr as usize, chunk.data, chunk.written_at);
+        self.monitor.buffer_mut().write_chunk(
+            d.descriptor.waddr as usize,
+            chunk.data,
+            chunk.written_at,
+        );
         chunk.written_at
     }
 
@@ -570,11 +579,19 @@ impl RmeEngine {
         dram: &mut DramModel,
     ) {
         let p = self.programmed.as_ref().expect("engine configured");
-        let cursor = self.requestor.activate(&p.plan, p.frame_rows(frame), start_pl);
+        let cursor = self
+            .requestor
+            .activate(&p.plan, p.frame_rows(frame), start_pl);
         self.stats.frames_fetched += 1;
         self.charge_mvcc_headers(cursor.rows(), start_pl, mem, dram);
         self.tracer.emit(|| {
-            TraceEvent::instant(Track::Rme, TraceEventKind::FrameActivate, start_pl, frame, 0)
+            TraceEvent::instant(
+                Track::Rme,
+                TraceEventKind::FrameActivate,
+                start_pl,
+                frame,
+                0,
+            )
         });
         self.progress = Some(FrameProgress {
             frame,
@@ -645,7 +662,14 @@ impl RmeEngine {
         let (frame, activated, latest) =
             (progress.frame, progress.cursor.activated(), progress.latest);
         self.tracer.emit(|| {
-            TraceEvent::span(Track::Rme, TraceEventKind::FrameFetch, activated, latest, frame, lines)
+            TraceEvent::span(
+                Track::Rme,
+                TraceEventKind::FrameFetch,
+                activated,
+                latest,
+                frame,
+                lines,
+            )
         });
     }
 
@@ -731,7 +755,9 @@ impl RmeEngine {
             && earlier.progress.is_none()
             && self.trapper.same_up_to_shift(&earlier.trapper, shift)
             && same_units_up_to_shift(&self.fetch_units, &earlier.fetch_units, shift)
-            && self.monitor.same_up_to_shift(&earlier.monitor, shift, frames)
+            && self
+                .monitor
+                .same_up_to_shift(&earlier.monitor, shift, frames)
     }
 
     /// Moves the engine's timing state forward by `periods` periods and
@@ -748,8 +774,16 @@ impl RmeEngine {
         self.requestor.extrapolate(&earlier.requestor, periods);
         self.monitor.shift(&earlier.monitor, shift, frames, periods);
         self.stats.extrapolate(&earlier.stats, periods);
-        extrapolate_all(&mut self.per_core_requests, &earlier.per_core_requests, periods);
-        extrapolate_all_times(&mut self.per_core_service, &earlier.per_core_service, periods);
+        extrapolate_all(
+            &mut self.per_core_requests,
+            &earlier.per_core_requests,
+            periods,
+        );
+        extrapolate_all_times(
+            &mut self.per_core_service,
+            &earlier.per_core_service,
+            periods,
+        );
     }
 
     /// Largest frame the Reorganization Buffer can currently hold, in
@@ -816,7 +850,9 @@ mod tests {
         let mut mem = PhysicalMemory::new(32 << 20);
         let schema = Schema::benchmark(8, 4, 64);
         let mut table = RowTable::create(&mut mem, schema, rows, mvcc).unwrap();
-        DataGen::new(11).fill_table(&mut mem, &mut table, rows).unwrap();
+        DataGen::new(11)
+            .fill_table(&mut mem, &mut table, rows)
+            .unwrap();
         let dram = DramModel::new(cfg.dram);
         let engine = RmeEngine::new(cfg.rme, cfg.cdc, revision, cfg.dram.bus_bytes, 64);
         let ephemeral_base = 16 << 20;
@@ -882,7 +918,9 @@ mod tests {
                 .serve_line(f.ephemeral_base + line, now, &f.mem, &mut f.dram);
             line += 64;
         }
-        let packed = f.engine.read_packed(f.ephemeral_base, total as usize, &f.mem);
+        let packed = f
+            .engine
+            .read_packed(f.ephemeral_base, total as usize, &f.mem);
         assert_eq!(packed, reference_packed(&f, &[1, 3, 6], None));
         let stats = f.engine.stats();
         assert_eq!(stats.frames_fetched, 1);
@@ -939,7 +977,10 @@ mod tests {
         let pck = run(HwRevision::Pck);
         let mlp = run(HwRevision::Mlp);
         assert!(pck < bsl);
-        assert!(mlp.as_nanos_f64() < 0.3 * bsl.as_nanos_f64(), "mlp {mlp} vs bsl {bsl}");
+        assert!(
+            mlp.as_nanos_f64() < 0.3 * bsl.as_nanos_f64(),
+            "mlp {mlp} vs bsl {bsl}"
+        );
     }
 
     #[test]
@@ -965,7 +1006,7 @@ mod tests {
         assert_eq!(packed, reference_packed(&f, &[0], None));
         let stats = f.engine.stats();
         assert_eq!(stats.frames_fetched, 3); // 3000 rows / 1024 rows per frame
-        // Two frame turnovers, plus the reset performed at configuration.
+                                             // Two frame turnovers, plus the reset performed at configuration.
         assert_eq!(stats.epoch_resets, 3);
     }
 
@@ -987,7 +1028,9 @@ mod tests {
             now = f.engine.serve_line(addr, now, &f.mem, &mut f.dram);
             addr += 64;
         }
-        let packed = f.engine.read_packed(f.ephemeral_base, total as usize, &f.mem);
+        let packed = f
+            .engine
+            .read_packed(f.ephemeral_base, total as usize, &f.mem);
         assert_eq!(packed, reference_packed(&f, &[1, 2], snapshot));
         assert!(f.engine.stats().rows_filtered > 0);
 
@@ -1113,7 +1156,9 @@ mod tests {
         let _ = f
             .engine
             .serve_line(f.ephemeral_base, SimTime::ZERO, &f.mem, &mut f.dram);
-        let packed = f.engine.read_packed(f.ephemeral_base, total as usize, &f.mem);
+        let packed = f
+            .engine
+            .read_packed(f.ephemeral_base, total as usize, &f.mem);
         assert_eq!(packed, reference_packed(&f, &[1, 3], None));
     }
 
@@ -1150,6 +1195,8 @@ mod tests {
     fn serving_an_unowned_address_panics() {
         let mut f = fixture(10, HwRevision::Mlp, MvccConfig::Disabled);
         configure(&mut f, vec![0], None);
-        let _ = f.engine.serve_line(0x10, SimTime::ZERO, &f.mem, &mut f.dram);
+        let _ = f
+            .engine
+            .serve_line(0x10, SimTime::ZERO, &f.mem, &mut f.dram);
     }
 }

@@ -128,9 +128,16 @@ impl FetchUnit {
 
         // 4. The Reader slot stays occupied until the whole chunk has
         //    retired (this is what serialises BSL/PCK).
-        debug_assert!(self.slots.iter().all(|&t| t <= written_at), "write times decreased");
+        debug_assert!(
+            self.slots.iter().all(|&t| t <= written_at),
+            "write times decreased"
+        );
         self.slots[self.next_slot] = written_at;
-        self.next_slot = if self.next_slot + 1 == self.slots.len() { 0 } else { self.next_slot + 1 };
+        self.next_slot = if self.next_slot + 1 == self.slots.len() {
+            0
+        } else {
+            self.next_slot + 1
+        };
 
         ChunkResult {
             data: extract(descriptor, payload, self.bus_bytes),
@@ -155,7 +162,8 @@ impl FetchUnit {
                 pipeline_cycles += self.cfg.spm_access_cycles * beats + 2;
             }
             let pipeline = self.cycle_ps * pipeline_cycles;
-            self.burst_times.push((SimTime::from_picos(port), SimTime::from_picos(pipeline)));
+            self.burst_times
+                .push((SimTime::from_picos(port), SimTime::from_picos(pipeline)));
         }
         self.burst_times[rburst]
     }
@@ -201,7 +209,10 @@ pub(crate) fn same_units_up_to_shift(
                 && u.pipeline.same_up_to_shift(&e.pipeline, shift)
                 && u.port.same_up_to_shift(&e.port, shift)
                 && u.slots.len() == e.slots.len()
-                && u.slots.iter().zip(&e.slots).all(|(&t, &w)| shift.same_free_time(t, w))
+                && u.slots
+                    .iter()
+                    .zip(&e.slots)
+                    .all(|(&t, &w)| shift.same_free_time(t, w))
         })
         && settled_picks(now, shift.start) == settled_picks(earlier, shift.earlier_start())
 }
@@ -260,7 +271,10 @@ mod tests {
         let geometry = TableGeometry {
             row_bytes: 64,
             row_count: rows,
-            columns: vec![ColumnSpec { width: 4, oa_delta: 8 }],
+            columns: vec![ColumnSpec {
+                width: 4,
+                oa_delta: 8,
+            }],
             source_base: base,
             ephemeral_base: 0,
             mvcc_header_bytes: 0,
@@ -294,7 +308,9 @@ mod tests {
     #[test]
     fn mlp_overlaps_where_bsl_serialises() {
         let (mem, _, g) = setup(256);
-        let descriptors: Vec<_> = (0..64u64).map(|i| descriptor_for(&g, i, i, 0, 16)).collect();
+        let descriptors: Vec<_> = (0..64u64)
+            .map(|i| descriptor_for(&g, i, i, 0, 16))
+            .collect();
 
         let run = |rev: HwRevision| {
             let mut dram = DramModel::new(DramConfig::default());

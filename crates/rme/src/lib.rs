@@ -42,6 +42,6 @@ pub use config_port::ConfigPort;
 pub use descriptor::Descriptor;
 pub use engine::RmeEngine;
 pub use geometry::{ColumnSpec, TableGeometry};
-pub use resources::{AreaReport, estimate_area};
+pub use resources::{estimate_area, AreaReport};
 pub use revision::HwRevision;
 pub use stats::RmeStats;

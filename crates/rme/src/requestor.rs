@@ -318,8 +318,14 @@ mod tests {
             row_bytes: 64,
             row_count: rows,
             columns: vec![
-                ColumnSpec { width: 4, oa_delta: 0 },
-                ColumnSpec { width: 8, oa_delta: 24 },
+                ColumnSpec {
+                    width: 4,
+                    oa_delta: 0,
+                },
+                ColumnSpec {
+                    width: 8,
+                    oa_delta: 24,
+                },
             ],
             source_base: 0,
             ephemeral_base: 0x1000_0000,
@@ -381,7 +387,10 @@ mod tests {
         let mut cursor = r.activate(&plan, FrameRows::Range { start: 4, end: 4 }, SimTime::ZERO);
         assert!(cursor.is_done());
         assert_eq!(cursor.next(), None);
-        assert!(r.activate(&plan, visible(&[]), SimTime::ZERO).next().is_none());
+        assert!(r
+            .activate(&plan, visible(&[]), SimTime::ZERO)
+            .next()
+            .is_none());
         assert_eq!(r.generated(), 0);
     }
 

@@ -81,7 +81,10 @@ pub struct AreaReport {
 impl AreaReport {
     /// Whether the design fits the device at all.
     pub fn fits(&self) -> bool {
-        self.lut_pct <= 100.0 && self.ff_pct <= 100.0 && self.bram_pct <= 100.0 && self.dsp_pct <= 100.0
+        self.lut_pct <= 100.0
+            && self.ff_pct <= 100.0
+            && self.bram_pct <= 100.0
+            && self.dsp_pct <= 100.0
     }
 }
 
@@ -131,7 +134,11 @@ pub fn estimate_usage(cfg: &RmeHwConfig, revision: HwRevision) -> AreaUsage {
 
 /// Estimates utilisation of `device` for an engine configuration — the
 /// reproduction of Table 2.
-pub fn estimate_area(cfg: &RmeHwConfig, revision: HwRevision, device: DeviceCapacity) -> AreaReport {
+pub fn estimate_area(
+    cfg: &RmeHwConfig,
+    revision: HwRevision,
+    device: DeviceCapacity,
+) -> AreaReport {
     let usage = estimate_usage(cfg, revision);
     let pct = |used: u64, total: u64| 100.0 * used as f64 / total as f64;
     AreaReport {
@@ -155,10 +162,22 @@ mod tests {
             DeviceCapacity::zcu102(),
         );
         // Paper: LUT 2.78 %, FF 0.68 %, BRAM 60.69 %, DSP 0.08 %.
-        assert!((report.lut_pct - 2.78).abs() < 0.5, "LUT {}", report.lut_pct);
+        assert!(
+            (report.lut_pct - 2.78).abs() < 0.5,
+            "LUT {}",
+            report.lut_pct
+        );
         assert!((report.ff_pct - 0.68).abs() < 0.2, "FF {}", report.ff_pct);
-        assert!((report.bram_pct - 60.69).abs() < 4.0, "BRAM {}", report.bram_pct);
-        assert!((report.dsp_pct - 0.08).abs() < 0.05, "DSP {}", report.dsp_pct);
+        assert!(
+            (report.bram_pct - 60.69).abs() < 4.0,
+            "BRAM {}",
+            report.bram_pct
+        );
+        assert!(
+            (report.dsp_pct - 0.08).abs() < 0.05,
+            "DSP {}",
+            report.dsp_pct
+        );
         assert!(report.fits());
     }
 

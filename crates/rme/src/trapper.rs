@@ -69,12 +69,7 @@ impl Trapper {
     /// Forms the response for transaction `id`: the line data of `bytes`
     /// bytes is ready inside the PL at `data_ready_pl`; the returned
     /// response carries the time the CPU receives it.
-    pub fn respond(
-        &mut self,
-        id: u16,
-        data_ready_pl: SimTime,
-        bytes: usize,
-    ) -> AxiReadResponse {
+    pub fn respond(&mut self, id: u16, data_ready_pl: SimTime, bytes: usize) -> AxiReadResponse {
         let data_ready = self.cdc.response_into_ps(data_ready_pl, bytes);
         self.inflight.push(data_ready);
         AxiReadResponse { id, data_ready }

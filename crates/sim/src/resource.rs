@@ -189,8 +189,7 @@ impl MultiResource {
         if horizon.is_zero() {
             0.0
         } else {
-            self.busy.as_picos() as f64
-                / (horizon.as_picos() as f64 * self.servers.len() as f64)
+            self.busy.as_picos() as f64 / (horizon.as_picos() as f64 * self.servers.len() as f64)
         }
     }
 
@@ -432,7 +431,10 @@ mod tests {
         let mut pr = PriorityResource::new("bus");
         let reqs = [(0u64, 10u64), (2, 5), (100, 1), (90, 7), (100, 3)];
         for (ready, occ) in reqs {
-            assert_eq!(res.acquire(ns(ready), ns(occ)), pr.acquire(ns(ready), ns(occ)));
+            assert_eq!(
+                res.acquire(ns(ready), ns(occ)),
+                pr.acquire(ns(ready), ns(occ))
+            );
         }
         assert_eq!(res.next_free(), pr.next_free());
         assert_eq!(res.busy_time(), pr.busy_time());
@@ -480,8 +482,8 @@ mod tests {
     fn priority_demand_overlap_is_allowed_and_counted() {
         let mut pr = PriorityResource::new("bus");
         pr.acquire(ns(0), ns(100)); // paced transfer occupies [0, 100]
-        // The demand read preempts: it starts at its ready time even though
-        // the paced transfer is in flight, and busy time counts both.
+                                    // The demand read preempts: it starts at its ready time even though
+                                    // the paced transfer is in flight, and busy time counts both.
         assert_eq!(pr.acquire_demand(ns(40), ns(10)), (ns(40), ns(50)));
         assert_eq!(pr.busy_time(), ns(110));
         assert_eq!(pr.next_free(), ns(100));

@@ -154,7 +154,14 @@ mod tests {
             TraceEvent::instant(Track::Core(0), TraceEventKind::OpAdmitted, us(1), 0, 3),
             TraceEvent::instant(Track::Core(0), TraceEventKind::OpAdmitted, us(12), 0, 5),
             TraceEvent::span(Track::Core(0), TraceEventKind::OpSpan, us(1), us(15), 0, 8),
-            TraceEvent::span(Track::DramBank(0), TraceEventKind::DramRead, us(0), us(5), 0, 1),
+            TraceEvent::span(
+                Track::DramBank(0),
+                TraceEventKind::DramRead,
+                us(0),
+                us(5),
+                0,
+                1,
+            ),
             TraceEvent::instant(Track::Core(0), TraceEventKind::TxnAbort, us(2), 1, 0),
             TraceEvent::instant(Track::Core(0), TraceEventKind::TxnCommit, us(3), 2, 1),
         ]]);

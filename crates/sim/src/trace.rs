@@ -356,11 +356,7 @@ impl Tracer {
     /// Installs (or removes) the recording sink. Enabling clears any
     /// previously recorded events.
     pub fn set_enabled(&mut self, on: bool) {
-        self.sink = if on {
-            Some(Box::default())
-        } else {
-            None
-        };
+        self.sink = if on { Some(Box::default()) } else { None };
     }
 
     /// Takes the recorded events, leaving recording state as-is.
@@ -437,10 +433,7 @@ impl Trace {
         }
         for (seq, e) in self.events.iter().enumerate() {
             let (a0, a1) = e.kind.arg_names();
-            let args = format!(
-                "{{\"{}\":{},\"{}\":{}}}",
-                a0, e.arg0, a1, e.arg1
-            );
+            let args = format!("{{\"{}\":{},\"{}\":{}}}", a0, e.arg0, a1, e.arg1);
             let name = e.kind.name();
             let tid = e.track.tid();
             match e.kind.style() {
@@ -770,7 +763,8 @@ pub fn validate_chrome_trace(src: &str) -> Result<TraceSummary, String> {
                 let tid = event
                     .get("tid")
                     .and_then(Json::as_num)
-                    .ok_or_else(|| format!("event {i}: thread_name without tid"))? as u64;
+                    .ok_or_else(|| format!("event {i}: thread_name without tid"))?
+                    as u64;
                 let name = event
                     .get("args")
                     .and_then(|a| a.get("name"))
@@ -917,7 +911,10 @@ mod tests {
         let doc = Json::parse(r#"{"a": [1, 2.5, -3e2], "b": "x\ny", "c": true, "d": null}"#)
             .expect("valid JSON");
         assert_eq!(doc.get("a").unwrap().as_arr().unwrap().len(), 3);
-        assert_eq!(doc.get("a").unwrap().as_arr().unwrap()[2].as_num(), Some(-300.0));
+        assert_eq!(
+            doc.get("a").unwrap().as_arr().unwrap()[2].as_num(),
+            Some(-300.0)
+        );
         assert_eq!(doc.get("b").unwrap().as_str(), Some("x\ny"));
         assert_eq!(doc.get("c"), Some(&Json::Bool(true)));
         assert_eq!(doc.get("d"), Some(&Json::Null));
@@ -930,8 +927,10 @@ mod tests {
     fn validator_rejects_malformed_traces() {
         assert!(validate_chrome_trace("[]").is_err(), "no traceEvents");
         assert!(
-            validate_chrome_trace(r#"{"traceEvents":[{"ph":"X","name":"n","pid":0,"tid":1,"ts":0}]}"#)
-                .is_err(),
+            validate_chrome_trace(
+                r#"{"traceEvents":[{"ph":"X","name":"n","pid":0,"tid":1,"ts":0}]}"#
+            )
+            .is_err(),
             "X without dur"
         );
         assert!(

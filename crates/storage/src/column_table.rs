@@ -32,10 +32,7 @@ pub struct ColumnarTable {
 
 impl ColumnarTable {
     /// Materialises every column of `table` into new contiguous arrays.
-    pub fn materialize(
-        mem: &mut PhysicalMemory,
-        table: &RowTable,
-    ) -> Result<Self, StorageError> {
+    pub fn materialize(mem: &mut PhysicalMemory, table: &RowTable) -> Result<Self, StorageError> {
         Self::materialize_with_capacity(mem, table, table.num_rows())
     }
 
@@ -84,11 +81,7 @@ impl ColumnarTable {
 
     /// Appends one row's values (one per column, in schema order) into the
     /// column arrays. Returns the new row's index.
-    pub fn append(
-        &self,
-        mem: &mut PhysicalMemory,
-        values: &[Value],
-    ) -> Result<u64, StorageError> {
+    pub fn append(&self, mem: &mut PhysicalMemory, values: &[Value]) -> Result<u64, StorageError> {
         self.schema.check_values(values)?;
         let idx = self.rows.get();
         if idx == self.capacity_rows {
@@ -209,7 +202,9 @@ mod tests {
         let schema = Schema::benchmark(2, 8, 64);
         let table = RowTable::create(&mut mem, schema, 4, MvccConfig::Disabled).unwrap();
         for i in 0..2u64 {
-            table.append(&mut mem, &Row::from_u64s(&[i, i, 0]), 0).unwrap();
+            table
+                .append(&mut mem, &Row::from_u64s(&[i, i, 0]), 0)
+                .unwrap();
         }
         let cols = ColumnarTable::materialize_with_capacity(&mut mem, &table, 4).unwrap();
         assert_eq!(cols.num_rows(), 2);

@@ -30,7 +30,11 @@ impl DeltaBlock {
             };
         }
         let reference = *values.iter().min().expect("non-empty");
-        let max_delta = values.iter().map(|v| v - reference).max().expect("non-empty");
+        let max_delta = values
+            .iter()
+            .map(|v| v - reference)
+            .max()
+            .expect("non-empty");
         let width = if max_delta < 1 << 8 {
             1
         } else if max_delta < 1 << 16 {

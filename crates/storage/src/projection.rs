@@ -56,7 +56,12 @@ impl ColumnGroup {
     }
 
     /// Validates the group against a schema and the RME's structural limits.
-    pub fn validate(&self, schema: &Schema, max_columns: usize, max_width: usize) -> Result<(), StorageError> {
+    pub fn validate(
+        &self,
+        schema: &Schema,
+        max_columns: usize,
+        max_width: usize,
+    ) -> Result<(), StorageError> {
         if self.columns.len() > max_columns {
             return Err(StorageError::InvalidColumnGroup(format!(
                 "{} columns requested but the engine supports at most {max_columns}",

@@ -197,7 +197,11 @@ impl RowTable {
 
     /// Reads the MVCC header of a row (begin, end). Rows of non-MVCC tables
     /// report `(0, 0)` — visible to every snapshot.
-    pub fn version(&self, mem: &PhysicalMemory, row: u64) -> Result<(Timestamp, Timestamp), StorageError> {
+    pub fn version(
+        &self,
+        mem: &PhysicalMemory,
+        row: u64,
+    ) -> Result<(Timestamp, Timestamp), StorageError> {
         self.check_row(row)?;
         if !self.mvcc.is_enabled() {
             return Ok((0, 0));
@@ -341,9 +345,7 @@ mod tests {
         t.append(&mut m, &Row::from_u64s(&[1, 2]), 0).unwrap();
         t.write_field(&mut m, 0, 1, &Value::UInt(42)).unwrap();
         assert_eq!(t.read_field(&m, 0, 1).unwrap(), Value::UInt(42));
-        assert!(t
-            .write_field(&mut m, 0, 1, &Value::UInt(u64::MAX))
-            .is_err());
+        assert!(t.write_field(&mut m, 0, 1, &Value::UInt(u64::MAX)).is_err());
     }
 
     #[test]

@@ -43,10 +43,7 @@ fn main() {
     }
     for i in (0..20_000u64).step_by(3) {
         if i % 10 != 0 {
-            let amount = orders
-                .read_field(system.mem(), i, 2)
-                .unwrap()
-                .as_u64();
+            let amount = orders.read_field(system.mem(), i, 2).unwrap().as_u64();
             let new = Row::from_u64s(&[i, i % 500, amount, 2]);
             orders.update(system.mem_mut(), i, &new, 15).unwrap();
         }
@@ -63,7 +60,11 @@ fn main() {
     let amount_col = orders.schema().index_of("amount").unwrap();
     let mut revenue_at = |snap: Snapshot| {
         let var = system
-            .register_ephemeral(&orders, ColumnGroup::new(vec![amount_col]).unwrap(), Some(snap))
+            .register_ephemeral(
+                &orders,
+                ColumnGroup::new(vec![amount_col]).unwrap(),
+                Some(snap),
+            )
             .expect("registration succeeds");
         system.begin_measurement(AccessPath::RmeCold);
         let agg = system.cost_model().aggregate();
@@ -71,7 +72,10 @@ fn main() {
         let src = ScanSource::Ephemeral { var: &var };
         let (end, cpu, rows) = system.scan(&src, SimTime::ZERO, |_, v| {
             sum = sum.wrapping_add(v[0]);
-            RowEffect { cpu: agg, touch: None }
+            RowEffect {
+                cpu: agg,
+                touch: None,
+            }
         });
         let m = system.finish_measurement(end, cpu, AccessPath::RmeCold);
         (sum, rows, m)
@@ -96,6 +100,9 @@ fn main() {
     // Sanity: snapshot A must be completely unaffected by phase-2 activity.
     assert_eq!(rows_a, 20_000);
     assert!(rows_b > 20_000, "phase-2 inserts are visible at snapshot B");
-    assert!(m_b.rme.rows_filtered > 0, "old versions are filtered while packing");
+    assert!(
+        m_b.rme.rows_filtered > 0,
+        "old versions are filtered while packing"
+    );
     println!("\nsnapshot isolation holds: the ts=10 snapshot is unaffected by later updates.");
 }

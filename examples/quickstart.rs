@@ -13,8 +13,8 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use relational_memory::prelude::*;
 use relational_memory::core::system::{RowEffect, ScanSource};
+use relational_memory::prelude::*;
 use relmem_sim::SimTime;
 
 fn main() {
@@ -61,7 +61,10 @@ fn main() {
                 sum = sum.wrapping_add(v[0].wrapping_mul(v[2]));
                 extra += agg;
             }
-            RowEffect { cpu: extra, touch: None }
+            RowEffect {
+                cpu: extra,
+                touch: None,
+            }
         });
         let m = system.finish_measurement(end, cpu, path);
         (sum, m)
@@ -80,7 +83,10 @@ fn main() {
     };
     let (sum_direct, m_direct) = run_query(&mut system, &rows_src, AccessPath::DirectRowWise);
 
-    assert_eq!(sum_rme, sum_direct, "both paths must compute the same result");
+    assert_eq!(
+        sum_rme, sum_direct,
+        "both paths must compute the same result"
+    );
     println!("\nSELECT sum(num_fld1 * num_fld4) WHERE num_fld3 > 10  =  {sum_rme}");
     println!(
         "  direct row-wise : {:>10.1} us   ({} L1 misses, {} DRAM bytes)",

@@ -44,8 +44,8 @@ pub mod prelude {
     pub use relmem_core::{
         AccessPath, AdmissionConfig, Benchmark, BenchmarkParams, CoreScan, CpuCostModel,
         DegradePolicy, EphemeralVariable, OpenLoopOp, OpenLoopRun, OpenLoopStream,
-        OpenLoopWorkload, Query, QueryMeasurement, QueryOutput, ShardedScan, System,
-        SystemConfig, WorkloadError,
+        OpenLoopWorkload, Query, QueryMeasurement, QueryOutput, ShardedScan, System, SystemConfig,
+        WorkloadError,
     };
     pub use relmem_rme::{HwRevision, RmeEngine, TableGeometry};
     pub use relmem_sim::{PlatformConfig, SimTime};

@@ -4,8 +4,8 @@
 //! identical results on every access path.
 
 use proptest::prelude::*;
-use relational_memory::prelude::*;
 use relational_memory::core::system::{RowEffect, ScanSource};
+use relational_memory::prelude::*;
 use relational_memory::storage::ColumnDef;
 use relmem_sim::SimTime;
 
@@ -175,10 +175,7 @@ mod scan_equivalence {
         columns: &[usize],
         batched: bool,
     ) -> ScanRecord {
-        let mvcc = matches!(
-            kind,
-            Kind::RowsMvccSnapshot | Kind::EphemeralMvccSnapshot
-        );
+        let mvcc = matches!(kind, Kind::RowsMvccSnapshot | Kind::EphemeralMvccSnapshot);
         let mut sys = System::with_revision(HwRevision::Mlp, 32 << 20);
         let schema = schema_from_widths(widths);
         let mut table = sys
@@ -253,7 +250,9 @@ mod scan_equivalence {
         // every third row.
         let effect_of = |row: u64| RowEffect {
             cpu: SimTime::from_nanos(row % 5),
-            touch: row.is_multiple_of(3).then(|| (scratch + (row % 64) * 64, 8)),
+            touch: row
+                .is_multiple_of(3)
+                .then(|| (scratch + (row % 64) * 64, 8)),
         };
         let per_row = |row: u64, vals: &[u64]| {
             values.push(vals.to_vec());
@@ -492,11 +491,8 @@ mod open_loop_equivalence {
             // enough that the queue sees light (but occasionally nonzero)
             // backlog. The admission policy is inert: ample capacity, no
             // deadline, no timeout, no degradation.
-            let workload = OpenLoopWorkload::new(vec![OpenLoopStream::new(
-                template,
-                50_000.0,
-                n_ops,
-            )]);
+            let workload =
+                OpenLoopWorkload::new(vec![OpenLoopStream::new(template, 50_000.0, n_ops)]);
             let cfg = AdmissionConfig {
                 seed: seed ^ 0xBEEF,
                 queue_capacity: 4096,
@@ -608,7 +604,13 @@ mod txn_equivalence {
         updates: Vec<(u64, usize, u64)>,
     }
 
-    fn gen_txns(n_txns: u64, ops_per_txn: u64, rows: u64, update_col: usize, seed: u64) -> Vec<GenTxn> {
+    fn gen_txns(
+        n_txns: u64,
+        ops_per_txn: u64,
+        rows: u64,
+        update_col: usize,
+        seed: u64,
+    ) -> Vec<GenTxn> {
         (0..n_txns)
             .map(|t| {
                 // Disjoint per-transaction stripe, so no two transactions
@@ -772,9 +774,7 @@ mod txn_equivalence {
                 ..Default::default()
             });
             let schema = schema_from_widths(&[4, 4, 8]);
-            let mut table = sys
-                .create_table(schema, rows, MvccConfig::Enabled)
-                .unwrap();
+            let mut table = sys.create_table(schema, rows, MvccConfig::Enabled).unwrap();
             DataGen::new(7)
                 .fill_table(sys.mem_mut(), &mut table, rows)
                 .unwrap();
@@ -782,9 +782,7 @@ mod txn_equivalence {
             // Every core hammers row 0 (plus a private row), with one
             // in-place retry — guaranteed first-updater-wins conflicts.
             let specs: Vec<TxnSpec> = (0..4usize)
-                .flat_map(|core| {
-                    (0..6u64).map(move |i| (core, i))
-                })
+                .flat_map(|core| (0..6u64).map(move |i| (core, i)))
                 .map(|(core, i)| {
                     TxnSpec::new(vec![
                         TxnOp::Read {
@@ -1018,7 +1016,9 @@ mod skip_vs_step {
         };
         let rows = case.frames * unit + case.extra_rows;
         let mut table = sys.create_table(schema, rows, mvcc).unwrap();
-        DataGen::new(case.seed).fill_table(sys.mem_mut(), &mut table, rows).unwrap();
+        DataGen::new(case.seed)
+            .fill_table(sys.mem_mut(), &mut table, rows)
+            .unwrap();
         if case.mvcc {
             for row in (0..rows).step_by(7) {
                 table.mark_deleted(sys.mem_mut(), row, 5).unwrap();
@@ -1085,9 +1085,11 @@ mod skip_vs_step {
             }
         };
         let m = sys.finish_measurement(end, cpu, access);
-        let packed = sys
-            .engine()
-            .read_packed(var.base(), sys.engine().packed_total_bytes() as usize, sys.mem());
+        let packed = sys.engine().read_packed(
+            var.base(),
+            sys.engine().packed_total_bytes() as usize,
+            sys.mem(),
+        );
         let resident_frame = sys.engine().resident_frame();
         let skipped = sys.fast_forwarded_periods();
         let outcome = Outcome {
@@ -1223,7 +1225,11 @@ mod skip_vs_step {
     fn check(case: &Case) -> Result<(), proptest::TestCaseError> {
         let (scan, skipped, expect_skip) = run(case, Path::Scan);
         let (per_field, per_field_skips, _) = run(case, Path::PerField);
-        prop_assert_eq!(per_field_skips, 0, "the per-field oracle mode steps every row");
+        prop_assert_eq!(
+            per_field_skips,
+            0,
+            "the per-field oracle mode steps every row"
+        );
         prop_assert_eq!(&scan, &per_field);
         let (naive, naive_skips, _) = run(case, Path::Naive);
         prop_assert_eq!(naive_skips, 0, "the naive loop steps every row");

@@ -147,10 +147,19 @@ fn architecture_quotes_the_fig13_record() {
 fn architecture_quotes_the_columnar_fast_forward_record() {
     let record = "BENCH_columnar_ff.json";
     for (follows, key) in [
-        (" s at the parent commit to", "run_s_seed4242_parent_median_s"),
-        (" s (seed 4242, 10 alternating", "run_s_seed4242_change_median_s"),
+        (
+            " s at the parent commit to",
+            "run_s_seed4242_parent_median_s",
+        ),
+        (
+            " s (seed 4242, 10 alternating",
+            "run_s_seed4242_change_median_s",
+        ),
         (" s to 0.058 s", "scan_columnar_s_seed4242_parent_median_s"),
-        (" s (5 pairs; `BENCH_columnar_ff.json`)", "scan_columnar_s_seed4242_change_median_s"),
+        (
+            " s (5 pairs; `BENCH_columnar_ff.json`)",
+            "scan_columnar_s_seed4242_change_median_s",
+        ),
     ] {
         check("docs/ARCHITECTURE.md", follows, record, key, 1.0);
     }
@@ -197,7 +206,10 @@ fn architecture_quotes_the_hash_queries_record() {
         (" s (parent commit) to 0.893 s", "run_s_parent_median"),
         (" s, and peak RSS from", "run_s_change_median"),
         (" MB to 175.4 MB", "peak_rss_mb_parent_median"),
-        (" MB, with every simulated counter", "peak_rss_mb_change_median"),
+        (
+            " MB, with every simulated counter",
+            "peak_rss_mb_change_median",
+        ),
     ] {
         check("docs/ARCHITECTURE.md", follows, record, key, 1.0);
     }

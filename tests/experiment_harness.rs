@@ -11,7 +11,11 @@ fn every_experiment_runs_at_quick_scale() {
         assert_eq!(experiment.id, id);
         assert!(!experiment.tables.is_empty(), "{id} produced no tables");
         for table in &experiment.tables {
-            assert!(!table.rows.is_empty(), "{id}: table {:?} is empty", table.title);
+            assert!(
+                !table.rows.is_empty(),
+                "{id}: table {:?} is empty",
+                table.title
+            );
             let text = table.render_text();
             assert!(text.contains('|'), "{id}: table did not render");
         }
@@ -32,8 +36,16 @@ fn figure7_quick_output_shows_rme_beating_direct_access() {
         let direct: f64 = row[1].parse().unwrap();
         let cold: f64 = row[2].parse().unwrap();
         let hot: f64 = row[3].parse().unwrap();
-        assert!(cold < direct, "RME cold must beat direct row-wise at width {}", row[0]);
-        assert!(hot <= cold * 1.01, "RME hot must not exceed cold at width {}", row[0]);
+        assert!(
+            cold < direct,
+            "RME cold must beat direct row-wise at width {}",
+            row[0]
+        );
+        assert!(
+            hot <= cold * 1.01,
+            "RME hot must not exceed cold at width {}",
+            row[0]
+        );
     }
 }
 
@@ -43,6 +55,12 @@ fn table2_quick_output_matches_the_papers_magnitudes() {
     let row = &experiment.tables[0].rows[0];
     let lut: f64 = row[1].parse().unwrap();
     let bram: f64 = row[3].parse().unwrap();
-    assert!(lut < 5.0, "LUT utilisation should stay in single digits, got {lut}");
-    assert!((bram - 60.69).abs() < 10.0, "BRAM utilisation should be ~60%, got {bram}");
+    assert!(
+        lut < 5.0,
+        "LUT utilisation should stay in single digits, got {lut}"
+    );
+    assert!(
+        (bram - 60.69).abs() < 10.0,
+        "BRAM utilisation should be ~60%, got {bram}"
+    );
 }

@@ -47,7 +47,11 @@ fn render_hierarchy(out: &mut String, prefix: &str, h: &HierarchyStats) {
     put(out, &format!("{prefix}.l2.hits"), h.l2.hits);
     put(out, &format!("{prefix}.l2.misses"), h.l2.misses);
     put(out, &format!("{prefix}.backend_fills"), h.backend_fills);
-    put(out, &format!("{prefix}.prefetches_issued"), h.prefetches_issued);
+    put(
+        out,
+        &format!("{prefix}.prefetches_issued"),
+        h.prefetches_issued,
+    );
     put(out, &format!("{prefix}.prefetch_hits"), h.prefetch_hits);
     put(
         out,
@@ -80,10 +84,18 @@ fn render_snapshot(sys: &System, end: SimTime, cpu: SimTime, rows: u64) -> Strin
 
     let l2 = sys.l2_stats();
     put(&mut out, "shared_l2.lookups", l2.lookups);
-    put(&mut out, "shared_l2.contended_lookups", l2.contended_lookups);
+    put(
+        &mut out,
+        "shared_l2.contended_lookups",
+        l2.contended_lookups,
+    );
     put_time(&mut out, "shared_l2.contention_delay", l2.contention_delay);
     for (core, share) in sys.l2_shares().iter().enumerate() {
-        put(&mut out, &format!("shared_l2.core{core}.lookups"), share.lookups);
+        put(
+            &mut out,
+            &format!("shared_l2.core{core}.lookups"),
+            share.lookups,
+        );
         put(
             &mut out,
             &format!("shared_l2.core{core}.contended_lookups"),
@@ -119,7 +131,11 @@ fn render_snapshot(sys: &System, end: SimTime, cpu: SimTime, rows: u64) -> Strin
         put(&mut out, "dram.refreshes", dram.refreshes);
         put(&mut out, "dram.tfaw_stalls", dram.tfaw_stalls);
         put(&mut out, "dram.queue_stalls", dram.queue_stalls);
-        put(&mut out, "dram.queue_occupancy_sum", dram.queue_occupancy_sum);
+        put(
+            &mut out,
+            "dram.queue_occupancy_sum",
+            dram.queue_occupancy_sum,
+        );
     }
     // Writeback traffic and FR-FCFS reorders occur only under the
     // cycle-accurate model; rendering them only when nonzero keeps every
@@ -339,7 +355,10 @@ fn golden_scan_ephemeral_multiframe_mvcc_1core() {
         |_, _| RowEffect::default(),
     );
     let rme = sys.engine().stats();
-    assert!(rme.frames_fetched >= 3, "the scan must cross several frames");
+    assert!(
+        rme.frames_fetched >= 3,
+        "the scan must cross several frames"
+    );
     assert!(rme.rows_filtered > 0, "the snapshot must drop rows");
     let mut snapshot = render_snapshot(&sys, end, cpu, rows);
     render_rme(&mut snapshot, &rme);
@@ -577,9 +596,7 @@ fn golden_txn_insert_1core() {
         .unwrap();
 
     let read_columns = [0usize, 2];
-    let value_rows: Vec<[u64; 5]> = (0..16u64)
-        .map(|i| [i, i + 1, i + 2, i + 3, 0])
-        .collect();
+    let value_rows: Vec<[u64; 5]> = (0..16u64).map(|i| [i, i + 1, i + 2, i + 3, 0]).collect();
     let specs: Vec<TxnSpec> = value_rows
         .chunks(2)
         .enumerate()
@@ -798,7 +815,12 @@ fn golden_benchmark_hash_queries_1core() {
             let m = &run.measurement;
             writeln!(snapshot, "[{name}.{label}]").expect("string write");
             put(&mut snapshot, "output.checksum", checksum);
-            snapshot.push_str(&render_snapshot(bench.system(), m.elapsed, m.cpu_time, rows));
+            snapshot.push_str(&render_snapshot(
+                bench.system(),
+                m.elapsed,
+                m.cpu_time,
+                rows,
+            ));
             if path.uses_rme() {
                 render_rme(&mut snapshot, &m.rme);
             }

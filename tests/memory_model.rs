@@ -19,7 +19,9 @@ fn build(model: MemoryModel, cores: usize, rows: u64) -> (System, RowTable) {
     config.platform.dram.model = model;
     let mut sys = System::with_config(config);
     let schema = Schema::benchmark(4, 4, 64);
-    let mut table = sys.create_table(schema, rows, MvccConfig::Disabled).unwrap();
+    let mut table = sys
+        .create_table(schema, rows, MvccConfig::Disabled)
+        .unwrap();
     DataGen::new(5)
         .fill_table(sys.mem_mut(), &mut table, rows)
         .unwrap();
@@ -74,7 +76,10 @@ fn both_models_scan_identical_data_on_every_path() {
     ] {
         let (occ_sum, occ_end) = scan_checksum(MemoryModel::Occupancy, 3_000, path);
         let (ca_sum, ca_end) = scan_checksum(MemoryModel::CycleAccurate, 3_000, path);
-        assert_eq!(occ_sum, ca_sum, "{path:?}: the timing model changed the data");
+        assert_eq!(
+            occ_sum, ca_sum,
+            "{path:?}: the timing model changed the data"
+        );
         assert!(occ_end > SimTime::ZERO && ca_end > SimTime::ZERO);
     }
 }
@@ -103,7 +108,10 @@ fn cycle_accurate_counters_reach_the_measurement() {
         m.dram.refreshes > 0,
         "a long cycle-accurate scan must observe refreshes"
     );
-    assert!(m.dram.queue_occupancy_sum > 0, "prefetches overlap in the queue");
+    assert!(
+        m.dram.queue_occupancy_sum > 0,
+        "prefetches overlap in the queue"
+    );
     // And begin_measurement resets the command-level state too.
     sys.begin_measurement(AccessPath::DirectRowWise);
     assert_eq!(sys.dram_stats().refreshes, 0);

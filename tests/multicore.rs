@@ -177,7 +177,10 @@ fn single_threaded_scan_on_a_multicore_system_models_self_contention() {
     let (end4, contended4) = run(4);
     assert_eq!(contended1, 0, "cores=1 bypasses the bank model");
     assert!(contended4 > 0, "core 0 self-contends on a 4-core system");
-    assert!(end4 > end1, "self-contention must cost time ({end4} vs {end1})");
+    assert!(
+        end4 > end1,
+        "self-contention must cost time ({end4} vs {end1})"
+    );
     assert!(
         end4.as_nanos_f64() < end1.as_nanos_f64() * 1.15,
         "self-contention should stay a small effect ({end4} vs {end1})"
@@ -238,7 +241,10 @@ fn sharded_ephemeral_scan_spanning_many_frames_stays_frame_granular() {
     // so 12 000 rows span ~24 frames and every 4-core shard crosses frames.
     let (mut sys, _table, var) = make(4);
     let frames = rows.div_ceil(sys.engine().rows_per_frame().unwrap());
-    assert!(frames >= 8, "test needs a multi-frame variable, got {frames}");
+    assert!(
+        frames >= 8,
+        "test needs a multi-frame variable, got {frames}"
+    );
     let src = ScanSource::Ephemeral { var: &var };
     sys.begin_measurement(AccessPath::RmeCold);
     let mut sum4 = 0u64;

@@ -114,11 +114,7 @@ fn overloaded_htap(trace: bool) -> (OpenLoopRun, Option<Trace>) {
         }),
         WorkloadOp::olap(ScanSource::Ephemeral { var: &var }),
     )];
-    let mut streams = vec![OpenLoopStream::new(
-        oltp_template,
-        1e9 / mean_ns * 4.0,
-        400,
-    )];
+    let mut streams = vec![OpenLoopStream::new(oltp_template, 1e9 / mean_ns * 4.0, 400)];
     for _ in 1..4 {
         streams.push(OpenLoopStream::new(
             scan_template.clone(),
@@ -255,7 +251,11 @@ fn trace_invariants_hold_on_an_overloaded_open_loop_run() {
     let summary = validate_chrome_trace(&trace.to_chrome_json()).expect("export validates");
     let mut expected: BTreeMap<u64, usize> = BTreeMap::new();
     for e in &trace.events {
-        let weight = if e.kind.style() == SpanStyle::Async { 2 } else { 1 };
+        let weight = if e.kind.style() == SpanStyle::Async {
+            2
+        } else {
+            1
+        };
         *expected.entry(e.track.tid() as u64).or_insert(0) += weight;
     }
     assert_eq!(summary.events_per_tid, expected);

@@ -132,7 +132,11 @@ fn transfer_hotrow_4core() {
         .expect("valid workload");
 
     let expected_commits = TRANSFER_CORES as u64 * TRANSFER_TXNS_PER_CORE;
-    assert!(run.txn.is_consistent(), "accounting identity: {:?}", run.txn);
+    assert!(
+        run.txn.is_consistent(),
+        "accounting identity: {:?}",
+        run.txn
+    );
     assert_eq!(
         run.txn.committed, expected_commits,
         "every transfer must eventually commit: {:?}",
@@ -233,7 +237,11 @@ fn insert_append_stream() {
         .run_workload(&workload, SimTime::ZERO, |_, _, _, _| RowEffect::default())
         .expect("valid workload");
 
-    assert!(run.txn.is_consistent(), "accounting identity: {:?}", run.txn);
+    assert!(
+        run.txn.is_consistent(),
+        "accounting identity: {:?}",
+        run.txn
+    );
     assert_eq!(run.txn.begun, total_txns);
     assert_eq!(run.txn.committed, INSERT_TXNS);
     assert_eq!(
@@ -459,7 +467,11 @@ fn mixed_htap_txn() {
         .expect("valid workload");
 
     let total_txns = MIXED_RMW_TXNS + MIXED_INSERT_TXNS + MIXED_DELETE_TXNS;
-    assert!(run.txn.is_consistent(), "accounting identity: {:?}", run.txn);
+    assert!(
+        run.txn.is_consistent(),
+        "accounting identity: {:?}",
+        run.txn
+    );
     assert_eq!(run.txn.begun, total_txns);
     assert_eq!(
         run.txn.committed, total_txns,

@@ -634,8 +634,9 @@ fn open_loop_htap_at(factor: f64) -> (OpenLoopRun, SimTime) {
     let var = sys
         .register_ephemeral(&table, ColumnGroup::new(vec![0]).unwrap(), None)
         .unwrap();
-    let oltp_template: Vec<OpenLoopOp> =
-        (0..100).map(|i| OpenLoopOp::new(oltp_op(&table, i))).collect();
+    let oltp_template: Vec<OpenLoopOp> = (0..100)
+        .map(|i| OpenLoopOp::new(oltp_op(&table, i)))
+        .collect();
     let scan_template = vec![OpenLoopOp::with_degraded(
         WorkloadOp::olap(ScanSource::Rows {
             table: &table,
