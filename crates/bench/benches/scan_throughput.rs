@@ -1,7 +1,8 @@
 //! Simulator-throughput micro-benchmark: simulated field accesses per
 //! wall-clock second through `System::scan`, optimized hot path vs. the
-//! preserved pre-optimization reference loop (`System::scan_naive` with the
-//! cache hierarchy's line-resident fast path disabled).
+//! pre-optimization baseline (`relmem_bench::baseline`: the seed's scan loop
+//! over the seed's cache data structures), with bit-identical simulated
+//! output asserted between the two.
 //!
 //! This measures the *simulator*, not the modelled hardware: the number is
 //! how fast experiments run, and it gates how large the scaling sweeps
@@ -44,11 +45,7 @@ use relmem_storage::{DataGen, MvccConfig, RowTable, Schema};
 
 /// One timed scan pass. Returns (wall seconds, simulated end, cpu, rows,
 /// checksum) so the caller can both rate it and check equivalence.
-fn timed_scan(
-    sys: &mut System,
-    source: &ScanSource<'_>,
-    naive: bool,
-) -> (f64, SimTime, SimTime, u64, u64) {
+fn timed_scan(sys: &mut System, source: &ScanSource<'_>) -> (f64, SimTime, SimTime, u64, u64) {
     sys.begin_measurement(AccessPath::DirectRowWise);
     let mut checksum = 0u64;
     let started = Instant::now();
@@ -56,11 +53,7 @@ fn timed_scan(
         checksum = checksum.wrapping_add(values.iter().fold(0u64, |a, &v| a.wrapping_add(v)));
         RowEffect::default()
     };
-    let (end, cpu, rows) = if naive {
-        sys.scan_naive(source, SimTime::ZERO, per_row)
-    } else {
-        sys.scan(source, SimTime::ZERO, per_row)
-    };
+    let (end, cpu, rows) = sys.scan(source, SimTime::ZERO, per_row);
     (started.elapsed().as_secs_f64(), end, cpu, rows, checksum)
 }
 
@@ -180,7 +173,7 @@ fn run_multicore(rows: u64, reps: usize, quick: bool, cores: usize) {
         columns: &COLUMNS,
         snapshot: None,
     };
-    let (_, solo_end, _, _, solo_sum) = run_reps(reps, || timed_scan(&mut solo, &solo_src, false));
+    let (_, solo_end, _, _, solo_sum) = run_reps(reps, || timed_scan(&mut solo, &solo_src));
 
     // Sharded run on N cores.
     let (mut sys, table) = build_system(cores, rows, relmem_sim::MemoryModel::Occupancy);
@@ -289,8 +282,7 @@ fn run_model_comparison(rows: u64, reps: usize, quick: bool) {
             columns: &COLUMNS,
             snapshot: None,
         };
-        let (samples, end, _, scanned, sum) =
-            run_reps(reps, || timed_scan(&mut sys, &source, false));
+        let (samples, end, _, scanned, sum) = run_reps(reps, || timed_scan(&mut sys, &source));
         assert_eq!(scanned, rows);
         (samples, end, sum, sys.dram_stats().clone())
     };
@@ -435,23 +427,13 @@ fn main() {
         COLUMNS.len()
     );
 
-    // Optimized hot path (line-resident fast path + per-scan cursors).
-    sys.set_cache_fast_path(true);
+    // Optimized hot path (line plans, line-resident fast path, periodic
+    // fast-forward).
     let (opt_samples, opt_end, opt_cpu, opt_rows, opt_sum) =
-        run_reps(reps, || timed_scan(&mut sys, &source, false));
+        run_reps(reps, || timed_scan(&mut sys, &source));
     let opt_secs = best(&opt_samples);
     let opt_rate = fields as f64 / opt_secs;
     println!("  optimized:  {opt_secs:.3} s wall  ({opt_rate:.3e} fields/s)");
-
-    // Intermediate: the old scan loop (per-field lookups, per-access
-    // backend construction) on the new cache internals, fast path off.
-    sys.set_cache_fast_path(false);
-    let (naive_samples, naive_end, naive_cpu, naive_rows, naive_sum) =
-        run_reps(reps, || timed_scan(&mut sys, &source, true));
-    sys.set_cache_fast_path(true);
-    let naive_secs = best(&naive_samples);
-    let naive_rate = fields as f64 / naive_secs;
-    println!("  naive loop: {naive_secs:.3} s wall  ({naive_rate:.3e} fields/s)");
 
     // Pre-optimization baseline: the seed's scan loop over the seed's data
     // structures (Vec<Vec> tag stores, HashMap pending map, Vec MSHRs,
@@ -484,12 +466,7 @@ fn main() {
     let base_rate = fields as f64 / base_secs;
     println!("  baseline:   {base_secs:.3} s wall  ({base_rate:.3e} fields/s)");
 
-    // All three must agree on simulated results exactly.
-    assert_eq!(
-        (opt_end, opt_cpu, opt_rows, opt_sum),
-        (naive_end, naive_cpu, naive_rows, naive_sum),
-        "optimized scan diverged from the naive reference loop"
-    );
+    // Both must agree on simulated results exactly.
     assert_eq!(
         (opt_end, opt_cpu, opt_rows, opt_sum),
         (base_end, base_cpu, base_rows, base_sum),
@@ -517,26 +494,20 @@ fn main() {
         "optimized hierarchy counters diverged from the baseline"
     );
     let speedup = base_secs / opt_secs;
-    let loop_speedup = naive_secs / opt_secs;
-    println!("  speedup vs baseline:   {speedup:.2}x  (simulated output bit-identical)");
-    println!("  speedup vs naive loop: {loop_speedup:.2}x");
+    println!("  speedup vs baseline: {speedup:.2}x  (simulated output bit-identical)");
 
     let json = format!(
         "{{\n  \"bench\": \"scan_throughput\",\n  \"rows\": {rows},\n  \"columns\": {},\n  \
          \"quick\": {quick},\n  \"reps\": {reps},\n  \
          \"simulated_field_accesses\": {fields},\n  \
          \"optimized_fields_per_sec\": {opt_rate:.1},\n  \
-         \"naive_loop_fields_per_sec\": {naive_rate:.1},\n  \
          \"baseline_fields_per_sec\": {base_rate:.1},\n  \
          \"speedup_vs_baseline\": {speedup:.3},\n  \
-         \"speedup_vs_naive_loop\": {loop_speedup:.3},\n  \
          \"optimized_wall_secs\": {},\n  \
-         \"naive_loop_wall_secs\": {},\n  \
          \"baseline_wall_secs\": {},\n  \
          \"outputs_identical\": true\n}}\n",
         COLUMNS.len(),
         wall_stats_json(&opt_samples),
-        wall_stats_json(&naive_samples),
         wall_stats_json(&base_samples)
     );
     // `cargo bench` runs with the package as cwd; anchor the report at the

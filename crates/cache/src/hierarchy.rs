@@ -300,8 +300,8 @@ impl CoreFrontend {
 
     /// Enables or disables the line-resident fast path. Timing and
     /// statistics are identical either way (asserted by the cross-path
-    /// equivalence tests); disabling exists so tests and benchmarks can
-    /// compare against the full walk.
+    /// equivalence tests); disabling exists so tests can compare against
+    /// the full walk.
     pub fn set_fast_path(&mut self, enabled: bool) {
         self.fast_path = enabled;
         if !enabled {

@@ -23,7 +23,7 @@
 //! With `cores == 1` the bank booking is bypassed entirely, keeping every
 //! timestamp bit-identical to the pre-multi-core hierarchy (which charged
 //! no bank occupancy at all) — the cross-path equivalence tests assert
-//! this against the preserved naive scan. Note the bypass is a fidelity
+//! this against the reference stepping mode. Note the bypass is a fidelity
 //! choice, not a physical law: a core's stream prefetches are issued at
 //! the same instant as its demand lookup, so even one core *can* collide
 //! with itself on a bank. On a multi-core `SharedL2` that self-contention

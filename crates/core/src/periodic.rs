@@ -34,9 +34,9 @@
 //! first period, resource free times converging onto the period) settle
 //! within a few periods — and later ones at doubling distances, so a scan
 //! that never becomes periodic pays O(log periods) snapshots. Scans with a
-//! recording tracer, batched stepping off, MVCC visibility, a columnar
-//! projection of mixed widths, memory-touching effects, the cycle-accurate
-//! DRAM model or fewer than four periods step every row.
+//! recording tracer, in the reference stepping mode, with MVCC visibility,
+//! a columnar projection of mixed widths, memory-touching effects, the
+//! cycle-accurate DRAM model or fewer than four periods step every row.
 
 use std::ops::Range;
 
@@ -115,9 +115,10 @@ struct Divergence {
 impl System {
     /// The steady-state period [`scan`](Self::scan) may fast-forward over,
     /// or `None` when the scan must step every row: always with a recording
-    /// tracer or with batched stepping off (the per-field oracle mode).
+    /// tracer or in the reference stepping mode
+    /// ([`set_reference_stepping`](Self::set_reference_stepping)).
     pub(crate) fn steady_state_period(&self, job: &ScanJob<'_>) -> Option<ScanPeriod> {
-        if self.tracing() || !self.batched_stepping {
+        if self.tracing() || self.reference_stepping {
             return None;
         }
         let period = job.period(&self.cfg, &self.dram, &self.engine)?;

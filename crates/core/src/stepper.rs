@@ -11,8 +11,7 @@
 //!
 //! [`Parts`] is the split-borrow view of the [`System`] a step works on:
 //! the per-core frontends, the shared L2, the DRAM controller, physical
-//! memory and the RME, borrowed simultaneously the way the scan loops in
-//! `system.rs` destructure the platform.
+//! memory and the RME, borrowed simultaneously.
 
 use std::ops::Range;
 
@@ -44,7 +43,7 @@ impl System {
             &self.cost,
             &self.engine,
             self.cfg.l1.line_bytes,
-            self.batched_stepping,
+            !self.reference_stepping,
         )
     }
 
@@ -91,7 +90,7 @@ enum JobKind<'a> {
         snapshot: Option<Snapshot>,
         visibility_cpu: SimTime,
         /// Line-granular step schedule, one plan per row-base alignment
-        /// (`None`: step per field — the oracle path).
+        /// (`None`: step per field — the reference stepping mode).
         plans: Option<Vec<LinePlan>>,
     },
     Columnar {
@@ -195,8 +194,8 @@ impl<'a> ScanJob<'a> {
     /// of [`Parts`] borrows. With `batched` set, row-layout sources
     /// precompute [`LinePlan`]s so [`step_row`](Self::step_row) advances
     /// whole-line runs of fields; without it every field steps through the
-    /// hierarchy individually (the reference path the equivalence suite
-    /// uses as its oracle).
+    /// hierarchy individually (the reference stepping mode,
+    /// [`System::set_reference_stepping`]).
     pub(crate) fn new(
         source: &ScanSource<'a>,
         cost: &CpuCostModel,
@@ -717,7 +716,7 @@ fn plan_for(plans: &Option<Vec<LinePlan>>, row: u64) -> Option<&LinePlan> {
 /// Accesses one row's projected fields, starting at `now`, and returns the
 /// clock after the last one. With a `plan`, each same-line run of fields
 /// is one [`CoreFrontend::access_run`] and each line-straddling field one
-/// [`CoreFrontend::access`]; without one (the per-field oracle), every
+/// [`CoreFrontend::access`]; without one (the reference stepping mode), every
 /// field is its own access. `read` yields a field's value from
 /// `(backend, address, width)`; value reads are pure, so reading a run's
 /// values after its access keeps slot order.
@@ -768,4 +767,130 @@ fn walk_fields<B: MemoryBackend>(
         }
     }
     now
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use relmem_rme::HwRevision;
+    use relmem_storage::{ColumnDef, ColumnGroup, ColumnType, DataGen, MvccConfig, Schema};
+
+    /// The (address, width) of every access `job` makes for `row`, in step
+    /// order, computed from its cursors: a row scan's 16 B MVCC header when
+    /// it checks visibility, then each projected field.
+    fn job_accesses(job: &ScanJob<'_>, row: u64) -> Vec<(u64, usize)> {
+        match &job.kind {
+            JobKind::Rows {
+                cursors,
+                base,
+                stride,
+                snapshot,
+                ..
+            } => {
+                let row_base = base + row * stride;
+                let header = snapshot.map(|_| (row_base, 16));
+                header
+                    .into_iter()
+                    .chain(cursors.iter().map(|&(offset, w)| (row_base + offset, w)))
+                    .collect()
+            }
+            JobKind::Columnar { cursors } => cursors
+                .iter()
+                .map(|&(col_base, w)| (col_base + row * w as u64, w))
+                .collect(),
+            JobKind::Ephemeral {
+                cursors,
+                base,
+                stride,
+                ..
+            } => cursors
+                .iter()
+                .map(|&(offset, w)| (base + row * stride + offset, w))
+                .collect(),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// `ScanJob`'s precomputed cursors address exactly the bytes the
+        /// storage layer's own per-field lookups name, for every row and
+        /// projected column: `RowTable::row_addr` (the MVCC header) and
+        /// `RowTable::field_addr`, `ColumnarTable::field_addr`, and
+        /// `EphemeralVariable::field_addr`, each with the schema's or the
+        /// variable's width — over random widths and projections, MVCC on
+        /// and off, with and without a snapshot.
+        #[test]
+        fn cursors_address_what_the_storage_lookups_name(
+            widths in proptest::collection::vec(1usize..=12, 1..=6),
+            pick in proptest::collection::vec(any::<bool>(), 6),
+            mvcc in any::<bool>(),
+            with_snapshot in any::<bool>(),
+            rows in 1u64..48,
+            seed in 0u64..1_000,
+        ) {
+            let columns: Vec<usize> = (0..widths.len()).filter(|&i| pick[i]).collect();
+            prop_assume!(!columns.is_empty());
+            let defs = widths
+                .iter()
+                .enumerate()
+                .map(|(i, &w)| {
+                    let ty = if w <= 8 { ColumnType::UInt(w) } else { ColumnType::Bytes(w) };
+                    ColumnDef::new(format!("c{i}"), ty)
+                })
+                .collect();
+            let schema = Schema::new(defs).unwrap();
+            let mut sys = System::with_revision(HwRevision::Mlp, 4 << 20);
+            let config = if mvcc { MvccConfig::Enabled } else { MvccConfig::Disabled };
+            let mut table = sys.create_table(schema, rows, config).unwrap();
+            DataGen::new(seed).fill_table(sys.mem_mut(), &mut table, rows).unwrap();
+            if mvcc {
+                for row in (0..rows).step_by(3) {
+                    table.mark_deleted(sys.mem_mut(), row, 5).unwrap();
+                }
+            }
+            let snapshot = with_snapshot.then(|| Snapshot::at(7));
+            let columnar = sys.materialize_columnar(&table).unwrap();
+            let group = ColumnGroup::new(columns.clone()).unwrap();
+            let var = sys.register_ephemeral(&table, group, snapshot).unwrap();
+
+            let source = ScanSource::Rows { table: &table, columns: &columns, snapshot };
+            let job = sys.scan_job(&source);
+            prop_assert_eq!(job.rows(), rows);
+            for row in 0..rows {
+                let header = (mvcc && with_snapshot).then(|| (table.row_addr(row), 16));
+                let expected: Vec<(u64, usize)> = header
+                    .into_iter()
+                    .chain(columns.iter().map(|&c| {
+                        (table.field_addr(row, c).unwrap(), table.schema().width(c).unwrap())
+                    }))
+                    .collect();
+                prop_assert_eq!(job_accesses(&job, row), expected, "row table, row {}", row);
+            }
+
+            let source = ScanSource::Columnar { table: &columnar, columns: &columns };
+            let job = sys.scan_job(&source);
+            prop_assert_eq!(job.rows(), rows);
+            for row in 0..rows {
+                let expected: Vec<(u64, usize)> = columns
+                    .iter()
+                    .map(|&c| {
+                        (columnar.field_addr(row, c).unwrap(), columnar.schema().width(c).unwrap())
+                    })
+                    .collect();
+                prop_assert_eq!(job_accesses(&job, row), expected, "columnar, row {}", row);
+            }
+
+            let source = ScanSource::Ephemeral { var: &var };
+            let job = sys.scan_job(&source);
+            prop_assert_eq!(job.rows(), var.rows());
+            for row in 0..var.rows() {
+                let expected: Vec<(u64, usize)> = (0..var.num_columns())
+                    .map(|j| (var.field_addr(row, j), var.width(j)))
+                    .collect();
+                prop_assert_eq!(job_accesses(&job, row), expected, "ephemeral, row {}", row);
+            }
+        }
+    }
 }

@@ -169,7 +169,7 @@ impl Default for SystemConfig {
 /// The simulated platform.
 ///
 /// Fields are `pub(crate)` so the sibling `stepper`/`workload` modules can
-/// split-borrow the platform the way the scan loops in this module do.
+/// split-borrow the platform.
 pub struct System {
     pub(crate) cfg: PlatformConfig,
     pub(crate) cost: CpuCostModel,
@@ -189,9 +189,9 @@ pub struct System {
     /// plus degradation transitions (system track). A no-op unless
     /// [`Self::set_tracing`] enables recording; timing is never affected.
     pub(crate) tracer: Tracer,
-    /// Whether scans step whole-line runs of fields (on by default; see
-    /// [`Self::set_batched_stepping`]).
-    pub(crate) batched_stepping: bool,
+    /// Whether scans run in the reference stepping mode (off by default;
+    /// see [`Self::set_reference_stepping`]).
+    pub(crate) reference_stepping: bool,
     /// Scan periods fast-forwarded so far (host-side; see
     /// [`Self::fast_forwarded_periods`]).
     pub(crate) fast_forwarded_periods: u64,
@@ -247,7 +247,7 @@ impl System {
             txn_rt: TxnRuntime::default(),
             ephemeral_cursor: EPHEMERAL_REGION_BASE,
             tracer: Tracer::new(),
-            batched_stepping: true,
+            reference_stepping: false,
             fast_forwarded_periods: 0,
         }
     }
@@ -492,16 +492,6 @@ impl System {
         }
     }
 
-    /// Enables or disables the cache hierarchy's line-resident fast path
-    /// (on by default). Timing and statistics are identical either way —
-    /// the switch exists so equivalence tests and benchmarks can compare
-    /// the optimized scan against the full cache walk.
-    pub fn set_cache_fast_path(&mut self, enabled: bool) {
-        for core in &mut self.cores {
-            core.set_fast_path(enabled);
-        }
-    }
-
     /// How many scan periods [`scan`](Self::scan) has fast-forwarded over
     /// since this system was built, instead of stepping them row by row.
     ///
@@ -514,15 +504,18 @@ impl System {
         self.fast_forwarded_periods
     }
 
-    /// Enables or disables batched line-granular scan stepping (on by
-    /// default). When on, scans precompute per-alignment line plans and
-    /// step whole-line runs of fields through one hierarchy walk each,
-    /// replaying the per-field cost arithmetically; when off every field
-    /// steps individually. Timing and statistics are identical either way
-    /// — the switch exists so the equivalence suite can hold the
-    /// per-field path up as the oracle.
-    pub fn set_batched_stepping(&mut self, enabled: bool) {
-        self.batched_stepping = enabled;
+    /// Switches every scan to the reference stepping mode (off by
+    /// default). In it, each projected field is its own hierarchy access
+    /// (no line plans), every core's cache frontend walks the full
+    /// hierarchy (its line-resident fast path is off) and
+    /// [`scan`](Self::scan) never fast-forwards. Timing, statistics and
+    /// values are identical either way: the mode is the oracle the
+    /// equivalence suite holds the optimized stepping to.
+    pub fn set_reference_stepping(&mut self, on: bool) {
+        self.reference_stepping = on;
+        for core in &mut self.cores {
+            core.set_fast_path(!on);
+        }
     }
 
     /// Runs a measured scan over `source`, invoking `per_row` for every
@@ -564,18 +557,15 @@ impl System {
     /// time and every counter advance arithmetically; the last period is
     /// always stepped. The result is identical to stepping every row (the
     /// `skip_vs_step` proptest in `tests/cross_path_equivalence.rs` holds
-    /// it to [`scan_sharded`](Self::scan_sharded) on one core and to
-    /// [`scan_naive`](Self::scan_naive)). A recording tracer, batched
-    /// stepping turned off, MVCC visibility, a columnar projection of mixed
-    /// widths, effects with a memory `touch`, the cycle-accurate DRAM
-    /// model or any state difference keep the scan stepping row by row;
+    /// it to [`scan_sharded`](Self::scan_sharded) on one core and to the
+    /// [reference stepping mode](Self::set_reference_stepping)). A
+    /// recording tracer, the reference stepping mode, MVCC visibility, a
+    /// columnar projection of mixed widths, effects with a memory `touch`,
+    /// the cycle-accurate DRAM model or any state difference keep the scan
+    /// stepping row by row;
     /// [`fast_forwarded_periods`](Self::fast_forwarded_periods) counts the
     /// periods skipped. `docs/ARCHITECTURE.md` ("Periodic fast-forward")
     /// gives the invariant.
-    ///
-    /// [`scan_naive`](Self::scan_naive) keeps the original per-field-lookup
-    /// loop; `tests/cross_path_equivalence.rs` asserts both produce
-    /// bit-identical timing, statistics and values.
     pub fn scan<F>(
         &mut self,
         source: &ScanSource<'_>,
@@ -594,227 +584,6 @@ impl System {
         self.settle_memory();
         out
     }
-
-    /// The pre-optimization reference scan: one `field_addr()` /
-    /// `schema().width()` lookup and one freshly constructed backend per
-    /// field access, exactly as the seed implementation did. Kept (not
-    /// cfg(test)-gated) so the equivalence suite and the `scan_throughput`
-    /// benchmark can prove the optimized [`scan`](Self::scan) is
-    /// bit-identical in timing/statistics and measure its speedup.
-    pub fn scan_naive<F>(
-        &mut self,
-        source: &ScanSource<'_>,
-        start: SimTime,
-        mut per_row: F,
-    ) -> (SimTime, SimTime, u64)
-    where
-        F: FnMut(u64, &[u64]) -> RowEffect,
-    {
-        let mut now = start;
-        let mut cpu_total = SimTime::ZERO;
-        let mut values: Vec<u64> = vec![0; source.num_columns()];
-        let mut rows_scanned = 0u64;
-
-        let System {
-            cores,
-            l2,
-            dram,
-            mem,
-            engine,
-            cfg,
-            cost,
-            ..
-        } = self;
-        let front = &mut cores[0];
-        let line_bytes = cfg.l1.line_bytes;
-
-        match source {
-            ScanSource::Rows {
-                table,
-                columns,
-                snapshot,
-            } => {
-                let rows = table.num_rows();
-                for row in 0..rows {
-                    // MVCC: read the version header and check visibility.
-                    if let Some(snap) = snapshot {
-                        if table.mvcc().is_enabled() {
-                            let header_addr = table.row_addr(row);
-                            let out = front.access(
-                                header_addr,
-                                16,
-                                now,
-                                l2,
-                                &mut DramBackend {
-                                    dram: &mut *dram,
-                                    line_bytes,
-                                    core: 0,
-                                },
-                            );
-                            now = out.completion + cost.visibility();
-                            cpu_total += cost.visibility();
-                            if !table.visible(mem, row, *snap).unwrap_or(false) {
-                                continue;
-                            }
-                        }
-                    }
-                    for (slot, &col) in columns.iter().enumerate() {
-                        let addr = table.field_addr(row, col).expect("valid column");
-                        let width = table.schema().width(col).expect("valid column");
-                        let out = front.access(
-                            addr,
-                            width,
-                            now,
-                            l2,
-                            &mut DramBackend {
-                                dram: &mut *dram,
-                                line_bytes,
-                                core: 0,
-                            },
-                        );
-                        now = out.completion;
-                        values[slot] = mem.read_uint(addr, width.min(8));
-                    }
-                    let cpu = cost.row_loop() + cost.fields(columns.len());
-                    let (n2, c2) = finish_row_naive(
-                        front,
-                        l2,
-                        dram,
-                        line_bytes,
-                        row,
-                        &values,
-                        cpu,
-                        now,
-                        &mut per_row,
-                    );
-                    now = n2;
-                    cpu_total += c2;
-                    rows_scanned += 1;
-                }
-            }
-            ScanSource::Columnar { table, columns } => {
-                let rows = table.num_rows();
-                for row in 0..rows {
-                    for (slot, &col) in columns.iter().enumerate() {
-                        let addr = table.field_addr(row, col).expect("valid column");
-                        let width = table.schema().width(col).expect("valid column");
-                        let out = front.access(
-                            addr,
-                            width,
-                            now,
-                            l2,
-                            &mut DramBackend {
-                                dram: &mut *dram,
-                                line_bytes,
-                                core: 0,
-                            },
-                        );
-                        now = out.completion;
-                        values[slot] = mem.read_uint(addr, width.min(8));
-                    }
-                    let cpu = cost.row_loop()
-                        + cost.fields(columns.len())
-                        + cost.tuple_reconstruction(columns.len());
-                    let (n2, c2) = finish_row_naive(
-                        front,
-                        l2,
-                        dram,
-                        line_bytes,
-                        row,
-                        &values,
-                        cpu,
-                        now,
-                        &mut per_row,
-                    );
-                    now = n2;
-                    cpu_total += c2;
-                    rows_scanned += 1;
-                }
-            }
-            ScanSource::Ephemeral { var } => {
-                let rows = var.rows();
-                for row in 0..rows {
-                    #[allow(clippy::needless_range_loop)] // kept in the seed's shape
-                    for j in 0..var.num_columns() {
-                        let addr = var.field_addr(row, j);
-                        let width = var.width(j);
-                        let out = front.access(
-                            addr,
-                            width,
-                            now,
-                            l2,
-                            &mut RmeBackend {
-                                engine: &mut *engine,
-                                dram: &mut *dram,
-                                mem,
-                                line_bytes,
-                                core: 0,
-                            },
-                        );
-                        now = out.completion;
-                        values[j] = engine.read_packed_u64(addr, width, mem);
-                    }
-                    let cpu = cost.row_loop() + cost.fields(var.num_columns());
-                    let (n2, c2) = finish_row_naive(
-                        front,
-                        l2,
-                        dram,
-                        line_bytes,
-                        row,
-                        &values,
-                        cpu,
-                        now,
-                        &mut per_row,
-                    );
-                    now = n2;
-                    cpu_total += c2;
-                    rows_scanned += 1;
-                }
-            }
-        }
-        engine.finish_pending_fetch(mem, dram);
-        dram.drain_all();
-        (now, cpu_total, rows_scanned)
-    }
-}
-
-/// Charges the per-row CPU work, runs the closure and applies its effect.
-/// Returns the advanced `(now, cpu_spent_this_row)`. Only used by
-/// [`System::scan_naive`]; the optimized scans inline this with the
-/// per-scan backend.
-#[allow(clippy::too_many_arguments)] // mirrors the seed's finish_row shape
-fn finish_row_naive<F>(
-    front: &mut CoreFrontend,
-    l2: &mut SharedL2,
-    dram: &mut DramModel,
-    line_bytes: usize,
-    row: u64,
-    values: &[u64],
-    base_cpu: SimTime,
-    now: SimTime,
-    per_row: &mut F,
-) -> (SimTime, SimTime)
-where
-    F: FnMut(u64, &[u64]) -> RowEffect,
-{
-    let effect = per_row(row, values);
-    let cpu = base_cpu + effect.cpu;
-    let mut now = now + cpu;
-    if let Some((addr, bytes)) = effect.touch {
-        let out = front.access(
-            addr,
-            bytes,
-            now,
-            l2,
-            &mut DramBackend {
-                dram,
-                line_bytes,
-                core: 0,
-            },
-        );
-        now = out.completion;
-    }
-    (now, cpu)
 }
 
 /// Normal-route backend: L2 misses go straight to the DRAM controller,

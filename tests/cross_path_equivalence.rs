@@ -85,7 +85,7 @@ fn width_mask(width: usize) -> u64 {
 }
 
 // ---------------------------------------------------------------------------
-// Optimized scan ≡ naive reference scan
+// Optimized scan ≡ reference stepping mode
 // ---------------------------------------------------------------------------
 
 mod scan_equivalence {
@@ -131,20 +131,22 @@ mod scan_equivalence {
     /// Which scan engine a case runs through.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     enum Engine {
-        /// `System::scan` with the cache fast path on.
+        /// `System::scan`: line plans, the cache fast path and the
+        /// periodic fast-forward.
         Optimized,
-        /// `System::scan_naive` with the cache fast path off.
-        Naive,
-        /// `System::scan_sharded` on a single core (fast path on). Must be
-        /// bit-identical to `Optimized`: one core means one shard covering
-        /// every row, stepped in order, with the L2 contention model
-        /// bypassed.
+        /// `System::scan` in the reference stepping mode
+        /// (`System::set_reference_stepping`): every field is its own
+        /// access through the full hierarchy walk, and nothing is skipped.
+        Reference,
+        /// `System::scan_sharded` on a single core. Must be bit-identical
+        /// to `Optimized`: one core means one shard covering every row,
+        /// stepped in order, with the L2 contention model bypassed.
         ShardedOneCore,
         /// `System::run_workload` with a single one-scan stream on a
-        /// single core (fast path on). Must be bit-identical to
-        /// `Optimized`: the workload scheduler has one stream to pick, so
-        /// the scan's rows execute in order through the same per-row
-        /// stepper, with the L2 contention model bypassed.
+        /// single core. Must be bit-identical to `Optimized`: the workload
+        /// scheduler has one stream to pick, so the scan's rows execute in
+        /// order through the same per-row stepper, with the L2 contention
+        /// model bypassed.
         WorkloadOneCore,
     }
 
@@ -158,22 +160,6 @@ mod scan_equivalence {
         widths: &[usize],
         rows: u64,
         columns: &[usize],
-    ) -> ScanRecord {
-        run_case_stepping(kind, engine, seed, widths, rows, columns, true)
-    }
-
-    /// [`run_case`] with explicit control of batched line-granular
-    /// stepping (`System::set_batched_stepping`); `false` holds the
-    /// per-field stepper up as the oracle.
-    #[allow(clippy::too_many_arguments)]
-    fn run_case_stepping(
-        kind: Kind,
-        engine: Engine,
-        seed: u64,
-        widths: &[usize],
-        rows: u64,
-        columns: &[usize],
-        batched: bool,
     ) -> ScanRecord {
         let mvcc = matches!(kind, Kind::RowsMvccSnapshot | Kind::EphemeralMvccSnapshot);
         let mut sys = System::with_revision(HwRevision::Mlp, 32 << 20);
@@ -241,8 +227,7 @@ mod scan_equivalence {
             }
         };
 
-        sys.set_cache_fast_path(engine != Engine::Naive);
-        sys.set_batched_stepping(batched);
+        sys.set_reference_stepping(engine == Engine::Reference);
         sys.begin_measurement(path);
         let mut values: Vec<Vec<u64>> = Vec::new();
         // Exercise the closure-effect paths: extra CPU on some rows and
@@ -259,8 +244,7 @@ mod scan_equivalence {
             effect_of(row)
         };
         let (end, cpu, rows_scanned) = match engine {
-            Engine::Optimized => sys.scan(&source, SimTime::ZERO, per_row),
-            Engine::Naive => sys.scan_naive(&source, SimTime::ZERO, per_row),
+            Engine::Optimized | Engine::Reference => sys.scan(&source, SimTime::ZERO, per_row),
             Engine::ShardedOneCore => {
                 let run = sys.scan_sharded(&source, SimTime::ZERO, |core, row, vals: &[u64]| {
                     assert_eq!(core, 0, "one core owns every shard");
@@ -298,28 +282,6 @@ mod scan_equivalence {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(8))]
 
-        /// The optimized scan (per-scan column cursors + per-scan backend +
-        /// cache line-resident fast path) must produce the exact same
-        /// completion time, CPU time, row count, projected values, cache
-        /// counters, DRAM counters and RME counters as the preserved naive
-        /// reference loop, for every source kind, with and without MVCC
-        /// snapshot filtering.
-        #[test]
-        fn optimized_scan_is_bit_identical_to_naive_reference(
-            widths in proptest::collection::vec(1usize..=12, 2..=6),
-            rows in 1u64..250,
-            seed in 0u64..1_000,
-            pick in proptest::collection::vec(any::<bool>(), 6),
-        ) {
-            let columns: Vec<usize> = (0..widths.len()).filter(|&i| pick[i]).collect();
-            prop_assume!(!columns.is_empty());
-            for kind in ALL_KINDS {
-                let fast = run_case(kind, Engine::Optimized, seed, &widths, rows, &columns);
-                let naive = run_case(kind, Engine::Naive, seed, &widths, rows, &columns);
-                prop_assert_eq!(&fast, &naive, "diverged for {:?}", kind);
-            }
-        }
-
         /// A sharded scan on one core must also be bit-identical to
         /// `System::scan` — same completion time, CPU time, values and
         /// every cache/DRAM/RME counter — for every source kind, with and
@@ -341,15 +303,14 @@ mod scan_equivalence {
             }
         }
 
-        /// Batched line-granular stepping (whole-line runs of fields
-        /// through one hierarchy walk, per-field cost replayed
-        /// arithmetically) must be bit-identical to stepping every field
-        /// individually — same completion time, CPU time, values and every
-        /// cache/DRAM/RME counter — for every source kind, with and
-        /// without MVCC snapshot filtering, through the single-core, the
-        /// sharded and the workload scan paths. This pins the tentpole
-        /// optimization: the line plans are a pure reformulation of the
-        /// per-field access sequence.
+        /// The optimized scan paths — line plans stepping whole-line runs
+        /// of fields through one hierarchy walk, the cache's line-resident
+        /// fast path and the periodic fast-forward — must be bit-identical
+        /// to the reference stepping mode, which steps every field through
+        /// the full hierarchy walk: same completion time, CPU time, row
+        /// count, values and every cache/DRAM/RME counter, for every source
+        /// kind, with and without MVCC snapshot filtering, through the
+        /// single-core, the sharded and the workload scan paths.
         #[test]
         fn batched_stepping_is_bit_identical_to_per_field(
             widths in proptest::collection::vec(1usize..=12, 2..=6),
@@ -360,14 +321,12 @@ mod scan_equivalence {
             let columns: Vec<usize> = (0..widths.len()).filter(|&i| pick[i]).collect();
             prop_assume!(!columns.is_empty());
             for kind in ALL_KINDS {
+                let reference = run_case(kind, Engine::Reference, seed, &widths, rows, &columns);
                 for engine in [Engine::Optimized, Engine::ShardedOneCore, Engine::WorkloadOneCore] {
-                    let batched =
-                        run_case_stepping(kind, engine, seed, &widths, rows, &columns, true);
-                    let per_field =
-                        run_case_stepping(kind, engine, seed, &widths, rows, &columns, false);
+                    let optimized = run_case(kind, engine, seed, &widths, rows, &columns);
                     prop_assert_eq!(
-                        &batched,
-                        &per_field,
+                        &optimized,
+                        &reference,
                         "diverged for {:?} via {:?}",
                         kind,
                         engine
@@ -923,12 +882,11 @@ mod skip_vs_step {
     enum Path {
         /// `System::scan`: cut into periods, fast-forwarded when periodic.
         Scan,
-        /// `System::scan` with batched stepping off: steps every field.
-        PerField,
+        /// `System::scan` in the reference stepping mode: steps every
+        /// field through the full hierarchy walk.
+        Reference,
         /// `System::scan_sharded` on one core: steps every row.
         ShardedOneCore,
-        /// `System::scan_naive`: the per-field reference loop.
-        Naive,
     }
 
     /// Everything observable about one scan, plus the skip count.
@@ -1054,7 +1012,7 @@ mod skip_vs_step {
             Layout::Ephemeral => (ScanSource::Ephemeral { var: &var }, AccessPath::RmeCold),
         };
         sys.set_tracing(case.traced);
-        sys.set_batched_stepping(path != Path::PerField);
+        sys.set_reference_stepping(path == Path::Reference);
         sys.begin_measurement(access);
         let mut values: Vec<Vec<u64>> = Vec::new();
         let effects = match case.effects {
@@ -1075,8 +1033,7 @@ mod skip_vs_step {
             }
         };
         let (end, cpu, rows) = match path {
-            Path::Scan | Path::PerField => sys.scan(&source, SimTime::ZERO, &mut per_row),
-            Path::Naive => sys.scan_naive(&source, SimTime::ZERO, &mut per_row),
+            Path::Scan | Path::Reference => sys.scan(&source, SimTime::ZERO, &mut per_row),
             Path::ShardedOneCore => {
                 let run = sys.scan_sharded(&source, SimTime::ZERO, |_, row, vals: &[u64]| {
                     per_row(row, vals)
@@ -1219,21 +1176,18 @@ mod skip_vs_step {
         })
     }
 
-    /// Runs `case` through `System::scan`, the same scan with batched
-    /// stepping off, the naive loop and, on one core, the sharded scan;
-    /// asserts they agree and the skip count matches [`periodic`].
+    /// Runs `case` through `System::scan`, the same scan in the reference
+    /// stepping mode and, on one core, the sharded scan; asserts they agree
+    /// and the skip count matches [`periodic`].
     fn check(case: &Case) -> Result<(), proptest::TestCaseError> {
         let (scan, skipped, expect_skip) = run(case, Path::Scan);
-        let (per_field, per_field_skips, _) = run(case, Path::PerField);
+        let (reference, reference_skips, _) = run(case, Path::Reference);
         prop_assert_eq!(
-            per_field_skips,
+            reference_skips,
             0,
-            "the per-field oracle mode steps every row"
+            "the reference stepping mode steps every row"
         );
-        prop_assert_eq!(&scan, &per_field);
-        let (naive, naive_skips, _) = run(case, Path::Naive);
-        prop_assert_eq!(naive_skips, 0, "the naive loop steps every row");
-        prop_assert_eq!(&scan, &naive);
+        prop_assert_eq!(&scan, &reference);
         if case.cores == 1 {
             let (sharded, sharded_skips, _) = run(case, Path::ShardedOneCore);
             prop_assert_eq!(sharded_skips, 0, "the sharded scan steps every row");
@@ -1253,11 +1207,11 @@ mod skip_vs_step {
         /// `System::scan` — fast-forwarding the periodic steady state of
         /// row, columnar and ephemeral scans — produces the same end time,
         /// CPU time, row count, values, cache/DRAM/RME counters and buffer
-        /// contents as itself with batched stepping off, the full-stepping
-        /// sharded scan on one core and the naive reference loop, for
-        /// random geometries, all three layouts and revisions, 1–8 frames
-        /// or columnar periods, MVCC on and off, constant, one-off, varying and
-        /// touching effects, tracing on and off, and one or two cores
+        /// contents as itself in the reference stepping mode and the
+        /// full-stepping sharded scan on one core, for random geometries,
+        /// all three layouts and revisions, 1–8 frames or columnar periods,
+        /// MVCC on and off, constant, one-off, varying and touching
+        /// effects, tracing on and off, and one or two cores
         /// (the sharded scan only compares on one). The fast-forward
         /// engages (a non-zero skip count) exactly in the periodic,
         /// untraced cases with enough periods, and never otherwise.
