@@ -5,6 +5,7 @@
 
 use relational_memory::core::system::{RowEffect, ScanSource, SystemConfig};
 use relational_memory::core::workload::{OpKind, QueryStream, Workload, WorkloadError, WorkloadOp};
+use relational_memory::core::{TxnOp, TxnSpec};
 use relational_memory::prelude::*;
 use relmem_sim::SimTime;
 
@@ -472,6 +473,68 @@ fn invalid_closed_loop_ops_are_rejected_before_any_work_runs() {
             rows,
         }
     );
+    // A transaction's ops are held to the same checks as the flat point
+    // ops; the error names the transaction's op index in its stream.
+    let specs = [
+        TxnSpec::new(vec![TxnOp::Read {
+            table: &table,
+            columns: &cols,
+            row: rows,
+        }]),
+        TxnSpec::new(vec![TxnOp::Update {
+            table: &table,
+            row: 0,
+            column: 4,
+            value: 1,
+        }]),
+        TxnSpec::new(vec![TxnOp::Delete {
+            table: &table,
+            row: 0,
+        }]),
+        TxnSpec::new(vec![TxnOp::Insert {
+            table: &table,
+            columnar: None,
+            values: &[1, 2, 3],
+        }]),
+        TxnSpec::new(vec![TxnOp::Insert {
+            table: &table,
+            columnar: None,
+            values: &[1, 1 << 32, 3, 4, 5],
+        }]),
+    ];
+    let expected = [
+        WorkloadError::RowOutOfRange {
+            stream: 0,
+            op: 1,
+            row: rows,
+            rows,
+        },
+        WorkloadError::NonUIntUpdate {
+            stream: 0,
+            op: 1,
+            column: 4,
+        },
+        WorkloadError::MvccRequired { stream: 0, op: 1 },
+        WorkloadError::ColumnOutOfRange {
+            stream: 0,
+            op: 1,
+            column: 3,
+            columns: 5,
+        },
+        WorkloadError::InsertValueOverflow {
+            stream: 0,
+            op: 1,
+            column: 1,
+        },
+    ];
+    for (spec, expected) in specs.iter().zip(expected) {
+        let lookup = WorkloadOp::PointLookup {
+            table: &table,
+            columns: &cols,
+            row: 0,
+        };
+        assert_eq!(run(vec![lookup, WorkloadOp::Txn { spec }]), expected);
+    }
 }
 
 #[test]
