@@ -344,11 +344,6 @@ impl System {
         &self.cost
     }
 
-    /// Replaces the CPU cost model (for ablations).
-    pub fn set_cost_model(&mut self, cost: CpuCostModel) {
-        self.cost = cost;
-    }
-
     /// Physical memory (read access).
     pub fn mem(&self) -> &PhysicalMemory {
         &self.mem

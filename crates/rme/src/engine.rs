@@ -20,7 +20,7 @@
 use std::sync::Arc;
 
 use relmem_dram::{DramModel, PhysicalMemory};
-use relmem_sim::shift::{extrapolate_all, extrapolate_all_times};
+use relmem_sim::shift::extrapolate_all;
 use relmem_sim::{
     CdcConfig, RmeHwConfig, Shift, SimTime, TraceEvent, TraceEventKind, Tracer, Track,
 };
@@ -66,12 +66,6 @@ pub struct RmeEngine {
     /// funnel through the one Trapper, whose outstanding-transaction limit
     /// is what arbitrates concurrent CPU-side traffic.
     per_core_requests: Vec<u64>,
-    /// Total service time (request ready → line delivered) attributed per
-    /// CPU core. Per-stream cost attribution for HTAP workloads: each core
-    /// runs one query stream, so this is how long each *stream* spent
-    /// waiting on the engine — including any frame turnovers its requests
-    /// triggered.
-    per_core_service: Vec<SimTime>,
     /// Trace hook for frame activations and fetch windows. A no-op unless
     /// the system enables recording; timing is never affected.
     tracer: Tracer,
@@ -192,7 +186,6 @@ impl RmeEngine {
             progress: None,
             stats: RmeStats::default(),
             per_core_requests: Vec::new(),
-            per_core_service: Vec::new(),
             tracer: Tracer::new(),
         }
     }
@@ -219,11 +212,6 @@ impl RmeEngine {
         s.descriptors = self.requestor.generated();
         s.epoch_resets = self.monitor.buffer().resets();
         s
-    }
-
-    /// The configuration port (for register-level programming and tests).
-    pub fn config_port_mut(&mut self) -> &mut ConfigPort {
-        &mut self.port
     }
 
     /// Programs the engine for a projection described by `geometry`,
@@ -328,7 +316,6 @@ impl RmeEngine {
     ) -> SimTime {
         if self.per_core_requests.len() <= core {
             self.per_core_requests.resize(core + 1, 0);
-            self.per_core_service.resize(core + 1, SimTime::ZERO);
         }
         self.per_core_requests[core] += 1;
         assert!(
@@ -380,12 +367,9 @@ impl RmeEngine {
             }
         };
 
-        let finish = self
-            .trapper
+        self.trapper
             .respond(axi.id, data_ready_pl, self.line_bytes)
-            .data_ready;
-        self.per_core_service[core] += finish.saturating_sub(ready);
-        finish
+            .data_ready
     }
 
     /// Reads `len` packed bytes at ephemeral-range offset `addr`. Falls back
@@ -475,20 +459,12 @@ impl RmeEngine {
         }
         self.stats = RmeStats::default();
         self.per_core_requests.clear();
-        self.per_core_service.clear();
     }
 
     /// Line requests served per CPU core since the last timing reset
     /// (indexed by core; empty if no requests were served).
     pub fn per_core_requests(&self) -> &[u64] {
         &self.per_core_requests
-    }
-
-    /// Total engine service time (request ready → line delivered)
-    /// attributed per CPU core since the last timing reset. With one query
-    /// stream per core this is per-*stream* attribution of engine cost.
-    pub fn per_core_service_time(&self) -> &[SimTime] {
-        &self.per_core_service
     }
 
     /// The frame currently resident in the Reorganization Buffer, if any.
@@ -777,11 +753,6 @@ impl RmeEngine {
         extrapolate_all(
             &mut self.per_core_requests,
             &earlier.per_core_requests,
-            periods,
-        );
-        extrapolate_all_times(
-            &mut self.per_core_service,
-            &earlier.per_core_service,
             periods,
         );
     }

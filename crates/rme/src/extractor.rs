@@ -29,12 +29,6 @@ pub fn extract<'p>(descriptor: &Descriptor, payload: &'p [u8], bus_bytes: usize)
     &payload[descriptor.es..descriptor.es + descriptor.len]
 }
 
-/// Number of bus beats the extractor must inspect for a descriptor — the
-/// basis of its per-beat processing cost.
-pub fn beats_to_process(descriptor: &Descriptor) -> usize {
-    descriptor.rburst
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -55,7 +49,6 @@ mod tests {
         };
         let payload: Vec<u8> = (0..16).collect();
         assert_eq!(extract(&d, &payload, 16), &[5, 6, 7, 8]);
-        assert_eq!(beats_to_process(&d), 1);
     }
 
     #[test]

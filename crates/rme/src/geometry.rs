@@ -109,11 +109,6 @@ impl TableGeometry {
         self.columns[..j].iter().map(|c| c.width).sum()
     }
 
-    /// Total size of the packed projection if every source row is visible.
-    pub fn packed_bytes_total(&self) -> u64 {
-        self.packed_row_bytes() as u64 * self.row_count
-    }
-
     /// Whether this geometry requires MVCC visibility filtering.
     pub fn needs_visibility_filter(&self) -> bool {
         self.mvcc_header_bytes > 0 && self.snapshot.is_some()
@@ -192,7 +187,6 @@ mod tests {
         assert_eq!(g.packed_row_bytes(), 24);
         assert_eq!(g.packed_column_offset(0), 0);
         assert_eq!(g.packed_column_offset(2), 16);
-        assert_eq!(g.packed_bytes_total(), 24_000);
     }
 
     #[test]

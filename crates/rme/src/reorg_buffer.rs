@@ -65,11 +65,6 @@ impl ReorganizationBuffer {
         self.data.len()
     }
 
-    /// Number of cache lines the buffer holds.
-    pub fn num_lines(&self) -> usize {
-        self.meta.len()
-    }
-
     /// Current epoch.
     pub fn epoch(&self) -> u64 {
         self.epoch

@@ -38,16 +38,6 @@ impl RmeStats {
         self.epoch_resets = e(self.epoch_resets, earlier.epoch_resets);
     }
 
-    /// Hit rate of the Reorganization Buffer in `[0, 1]`.
-    pub fn buffer_hit_rate(&self) -> f64 {
-        let total = self.buffer_hits + self.buffer_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.buffer_hits as f64 / total as f64
-        }
-    }
-
     /// Bytes moved over the PL↔DRAM interface (beats × 16).
     pub fn dram_bytes(&self, bus_bytes: usize) -> u64 {
         self.dram_beats * bus_bytes as u64
@@ -78,11 +68,9 @@ mod tests {
             useful_bytes: 40,
             ..Default::default()
         };
-        assert!((s.buffer_hit_rate() - 0.75).abs() < 1e-12);
         assert_eq!(s.dram_bytes(16), 160);
         assert!((s.efficiency(16) - 0.25).abs() < 1e-12);
         let empty = RmeStats::default();
-        assert_eq!(empty.buffer_hit_rate(), 0.0);
         assert_eq!(empty.efficiency(16), 0.0);
     }
 }

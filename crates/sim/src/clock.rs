@@ -40,12 +40,6 @@ impl ClockDomain {
         let cycle = self.cycle().as_picos().max(1);
         t.as_picos().div_ceil(cycle)
     }
-
-    /// Converts a duration measured in this domain's cycles into the
-    /// equivalent number of cycles of another domain (rounded up).
-    pub fn convert_cycles(&self, n: u64, target: &ClockDomain) -> u64 {
-        target.cycles_in(self.cycles(n))
-    }
 }
 
 #[cfg(test)]
@@ -70,13 +64,5 @@ mod tests {
         assert_eq!(pl.cycles_in(SimTime::from_nanos(10)), 1);
         assert_eq!(pl.cycles_in(SimTime::from_nanos(11)), 2);
         assert_eq!(pl.cycles_in(SimTime::from_nanos(0)), 0);
-    }
-
-    #[test]
-    fn cross_domain_conversion() {
-        let pl = ClockDomain::new("pl", 100.0);
-        let cpu = ClockDomain::new("cpu", 1_000.0);
-        // 2 PL cycles = 20 ns = 20 CPU cycles at 1 GHz.
-        assert_eq!(pl.convert_cycles(2, &cpu), 20);
     }
 }

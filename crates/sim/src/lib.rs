@@ -33,7 +33,7 @@ pub use config::{
 };
 pub use resource::{MultiResource, PriorityResource, Resource};
 pub use shift::Shift;
-pub use stats::{Counter, DegradeTransition, LatencyProfile, MeanStd, OverloadStats, TxnStats};
+pub use stats::{DegradeTransition, LatencyProfile, OverloadStats, TxnStats};
 pub use time::SimTime;
 pub use timeseries::{default_bucket, series_from_trace};
 pub use trace::{

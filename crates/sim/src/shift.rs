@@ -155,17 +155,6 @@ pub fn extrapolate_all(now: &mut [u64], earlier: &[u64], periods: u64) {
     }
 }
 
-/// [`extrapolate_all`] for time-valued counters.
-pub fn extrapolate_all_times(now: &mut [SimTime], earlier: &[SimTime], periods: u64) {
-    for (i, c) in now.iter_mut().enumerate() {
-        *c = extrapolate_time(
-            *c,
-            earlier.get(i).copied().unwrap_or(SimTime::ZERO),
-            periods,
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,14 +1,8 @@
 //! Lightweight statistics helpers.
 //!
-//! The paper repeats each measurement 30 times and reports averages and
-//! standard deviations; [`MeanStd`] provides the same summary for the
-//! harness. [`Counter`] is a named event counter used by the hardware
-//! models (cache requests, DRAM bursts, RME buffer hits, ...).
 //! [`LatencyProfile`] summarises per-operation latency samples into the
 //! percentiles the HTAP workload harness reports (OLTP p50/p99 under
 //! concurrent analytical scans).
-
-use std::fmt;
 
 use crate::time::SimTime;
 
@@ -239,174 +233,9 @@ impl TxnStats {
     }
 }
 
-/// A named monotonically increasing event counter.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Counter {
-    value: u64,
-}
-
-impl Counter {
-    /// A counter starting at zero.
-    pub const fn new() -> Self {
-        Counter { value: 0 }
-    }
-
-    /// Adds one.
-    pub fn incr(&mut self) {
-        self.value += 1;
-    }
-
-    /// Adds `n`.
-    pub fn add(&mut self, n: u64) {
-        self.value += n;
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.value
-    }
-
-    /// Resets to zero.
-    pub fn reset(&mut self) {
-        self.value = 0;
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.value)
-    }
-}
-
-/// Online mean / standard deviation accumulator (Welford's algorithm).
-#[derive(Debug, Clone, Default)]
-pub struct MeanStd {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl MeanStd {
-    /// An empty accumulator.
-    pub fn new() -> Self {
-        MeanStd {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Adds one observation.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Sample mean (0 if empty).
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population standard deviation (0 for fewer than 2 observations).
-    pub fn std_dev(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            (self.m2 / self.n as f64).sqrt()
-        }
-    }
-
-    /// Smallest observation (0 if empty).
-    pub fn min(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.min
-        }
-    }
-
-    /// Largest observation (0 if empty).
-    pub fn max(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.max
-        }
-    }
-}
-
-impl FromIterator<f64> for MeanStd {
-    fn from_iter<T: IntoIterator<Item = f64>>(iter: T) -> Self {
-        let mut acc = MeanStd::new();
-        for x in iter {
-            acc.push(x);
-        }
-        acc
-    }
-}
-
-impl fmt::Display for MeanStd {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:.3} ± {:.3}", self.mean(), self.std_dev())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_counts() {
-        let mut c = Counter::new();
-        c.incr();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-        c.reset();
-        assert_eq!(c.get(), 0);
-    }
-
-    #[test]
-    fn mean_std_matches_reference() {
-        let acc: MeanStd = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]
-            .into_iter()
-            .collect();
-        assert_eq!(acc.count(), 8);
-        assert!((acc.mean() - 5.0).abs() < 1e-12);
-        // Population std dev of that classic data set is 2.
-        assert!((acc.std_dev() - 2.0).abs() < 1e-12);
-        assert_eq!(acc.min(), 2.0);
-        assert_eq!(acc.max(), 9.0);
-    }
-
-    #[test]
-    fn empty_and_single_observation_are_safe() {
-        let empty = MeanStd::new();
-        assert_eq!(empty.mean(), 0.0);
-        assert_eq!(empty.std_dev(), 0.0);
-        assert_eq!(empty.min(), 0.0);
-
-        let mut one = MeanStd::new();
-        one.push(42.0);
-        assert_eq!(one.mean(), 42.0);
-        assert_eq!(one.std_dev(), 0.0);
-    }
 
     #[test]
     fn latency_percentiles_use_nearest_rank() {
@@ -493,15 +322,6 @@ mod tests {
         assert!((t.conflict_abort_rate() - 0.2).abs() < 1e-12);
         t.committed = 8;
         assert!(!t.is_consistent(), "a double-counted commit must be caught");
-    }
-
-    #[test]
-    fn display_formats() {
-        let mut c = Counter::new();
-        c.add(3);
-        assert_eq!(c.to_string(), "3");
-        let acc: MeanStd = [1.0, 3.0].into_iter().collect();
-        assert_eq!(acc.to_string(), "2.000 ± 1.000");
     }
 
     mod prop {

@@ -102,11 +102,6 @@ impl RowTable {
         Ok(self.row_data_addr(row) + self.schema.offset(col)? as u64)
     }
 
-    /// Total bytes occupied by the populated part of the table.
-    pub fn data_bytes(&self) -> u64 {
-        self.rows.get() * self.physical_row_bytes() as u64
-    }
-
     /// Appends a row, visible from `begin_ts` onwards. Returns its index.
     /// Takes `&self`: transactional inserts publish rows through the shared
     /// references held by in-flight workload ops.

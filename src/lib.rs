@@ -9,8 +9,8 @@
 //! * [`sim`] — timebase, clock domains, platform configuration, reporting.
 //! * [`dram`] — byte-accurate physical memory + DRAM controller model.
 //! * [`cache`] — L1/L2 cache hierarchy with a stream prefetcher.
-//! * [`storage`] — schemas, row tables, column-store baseline, MVCC,
-//!   compression, data generation.
+//! * [`storage`] — schemas, row tables, column-store baseline, MVCC, data
+//!   generation.
 //! * [`rme`] — the Relational Memory Engine itself (configuration port,
 //!   requestor, fetch units, reorganization buffer, BSL/PCK/MLP revisions,
 //!   area model).
