@@ -387,32 +387,31 @@ impl<'a> WorkloadOp<'a> {
             WorkloadOp::TakeSnapshot { .. } => Ok(()),
             WorkloadOp::Txn { spec } => {
                 for top in &spec.ops {
-                    match *top {
+                    // Reads, updates and deletes are held to the checks of
+                    // the flat point ops whose bodies they run.
+                    let point = match *top {
                         TxnOp::Read {
                             table,
                             columns,
                             row,
-                        } => {
-                            check_row(table, row)?;
-                            check_columns(table.schema().num_columns(), columns)?;
-                        }
+                        } => WorkloadOp::PointLookup {
+                            table,
+                            columns,
+                            row,
+                        },
                         TxnOp::Update {
-                            table, row, column, ..
-                        } => {
-                            check_row(table, row)?;
-                            check_columns(table.schema().num_columns(), &[column])?;
-                            match table.schema().column(column) {
-                                Ok(def) if matches!(def.ty, ColumnType::UInt(_)) => {}
-                                _ => {
-                                    return Err(WorkloadError::NonUIntUpdate { stream, op, column })
-                                }
-                            }
-                        }
+                            table,
+                            row,
+                            column,
+                            value,
+                        } => WorkloadOp::PointUpdate {
+                            table,
+                            row,
+                            column,
+                            value,
+                        },
                         TxnOp::Delete { table, row } => {
-                            check_row(table, row)?;
-                            if !table.mvcc().is_enabled() {
-                                return Err(WorkloadError::MvccRequired { stream, op });
-                            }
+                            WorkloadOp::PointDelete { table, row, ts: 0 }
                         }
                         TxnOp::Insert {
                             table,
@@ -443,8 +442,10 @@ impl<'a> WorkloadOp<'a> {
                                     });
                                 }
                             }
+                            continue;
                         }
-                    }
+                    };
+                    point.validate(stream, op)?;
                 }
                 Ok(())
             }
