@@ -404,21 +404,24 @@ impl DegradeState {
             self.calm_run = 0;
         }
         if !self.degraded && self.pressure_run >= p.trigger_after.max(1) {
-            self.degraded = true;
             self.pressure_run = 0;
-            stats
-                .transitions
-                .push(DegradeTransition { at, degraded: true });
-            tracer.emit(|| TraceEvent::instant(Track::System, TraceEventKind::Degrade, at, 1, 0));
         } else if self.degraded && self.calm_run >= p.clear_after.max(1) {
-            self.degraded = false;
             self.calm_run = 0;
-            stats.transitions.push(DegradeTransition {
-                at,
-                degraded: false,
-            });
-            tracer.emit(|| TraceEvent::instant(Track::System, TraceEventKind::Degrade, at, 0, 0));
+        } else {
+            return;
         }
+        self.degraded = !self.degraded;
+        let degraded = self.degraded;
+        stats.transitions.push(DegradeTransition { at, degraded });
+        tracer.emit(|| {
+            TraceEvent::instant(
+                Track::System,
+                TraceEventKind::Degrade,
+                at,
+                u64::from(degraded),
+                0,
+            )
+        });
     }
 }
 
@@ -446,7 +449,7 @@ impl Lane for CoreState<'_, '_> {
     /// The core's clock while it has work, its next arrival while idle,
     /// `None` once fully drained.
     fn ready_at(&self) -> Option<SimTime> {
-        if self.st.active.is_some() || self.st.active_txn.is_some() || !self.queue.is_empty() {
+        if self.st.busy() || !self.queue.is_empty() {
             Some(self.st.now)
         } else {
             self.next_event_time().map(|t| self.st.now.max(t))
@@ -470,10 +473,17 @@ impl CoreState<'_, '_> {
         }
     }
 
-    /// Schedules a retry, keeping the list sorted by arrival time.
-    fn schedule_retry(&mut self, p: Pending) {
-        let at = self.retries.partition_point(|q| q.arrival <= p.arrival);
-        self.retries.insert(at, p);
+    /// Schedules the next attempt of `p` at `after` plus the exponential
+    /// backoff `retry_backoff · 2^attempt`, keeping the list sorted by
+    /// arrival time.
+    fn schedule_retry(&mut self, p: Pending, after: SimTime, cfg: &AdmissionConfig) {
+        let retry = Pending {
+            template: p.template,
+            arrival: after + cfg.retry_backoff.scaled(1u64 << p.attempt.min(20)),
+            attempt: p.attempt + 1,
+        };
+        let at = self.retries.partition_point(|q| q.arrival <= retry.arrival);
+        self.retries.insert(at, retry);
     }
 }
 
@@ -592,8 +602,9 @@ impl System {
         })
     }
 
-    /// Advances one core by one unit: a row of its active scan, or one
-    /// dequeue decision (shed / timeout / start an op). An idle core first
+    /// Advances one core by one unit: a row of its active scan, a unit of
+    /// its active transaction, or one dequeue decision (shed / timeout /
+    /// start an op). An idle core first
     /// advances its clock to the next arrival. Admissions are drained
     /// lazily — every event at or before the core's clock is admitted (or
     /// rejected) before the unit runs.
@@ -610,7 +621,7 @@ impl System {
         F: FnMut(usize, usize, u64, &[u64]) -> RowEffect,
     {
         // An idle core sleeps until its next arrival.
-        if cs.st.active.is_none() && cs.st.active_txn.is_none() && cs.queue.is_empty() {
+        if !cs.st.busy() && cs.queue.is_empty() {
             if let Some(t) = cs.next_event_time() {
                 cs.st.now = cs.st.now.max(t);
             }
@@ -625,95 +636,83 @@ impl System {
             &mut self.tracer,
         );
 
-        // One row of the in-progress scan, if any.
-        if self.step_scan_row(core, &mut cs.st, observer) {
-            if cs.st.active.is_none() {
-                finish_op(cs, cfg, stats);
-            }
-            return;
-        }
-        // One unit of the in-progress transaction, if any. A conflict
-        // abort frees the queue slot immediately; `finish_op` reschedules
-        // it through the admission queue when retries remain.
-        if self.step_txn_unit(core, &mut cs.st, observer) {
-            if cs.st.active_txn.is_none() {
-                finish_op(cs, cfg, stats);
-            }
-            return;
-        }
-
-        // Dequeue until something runs: sheds and abandoned timeouts are
-        // pure bookkeeping and consume no simulated time.
-        while let Some(p) = cs.queue.pop_front() {
-            let waited = cs.st.now.saturating_sub(p.arrival);
-            if let Some(timeout) = cfg.timeout {
-                if waited > timeout {
-                    stats.timed_out += 1;
-                    let (at, template, attempt) =
-                        (cs.st.now, p.template as u64, u64::from(p.attempt));
-                    self.tracer.emit(|| {
-                        TraceEvent::instant(
-                            Track::Core(core as u32),
-                            TraceEventKind::OpTimeout,
-                            at,
-                            template,
-                            attempt,
-                        )
-                    });
-                    if p.attempt < cfg.max_retries {
-                        let backoff = cfg.retry_backoff.scaled(1u64 << p.attempt.min(20));
-                        cs.schedule_retry(Pending {
-                            template: p.template,
-                            arrival: p.arrival + timeout + backoff,
-                            attempt: p.attempt + 1,
+        // One row of the in-progress scan or one unit of the in-progress
+        // transaction, if any; otherwise dequeue until something runs:
+        // sheds and abandoned timeouts are pure bookkeeping and consume no
+        // simulated time.
+        let stepped = self.step_scan_row(core, &mut cs.st, observer)
+            || self.step_txn_unit(core, &mut cs.st, observer);
+        if !stepped {
+            while let Some(p) = cs.queue.pop_front() {
+                let waited = cs.st.now.saturating_sub(p.arrival);
+                if let Some(timeout) = cfg.timeout {
+                    if waited > timeout {
+                        stats.timed_out += 1;
+                        let (at, template, attempt) =
+                            (cs.st.now, p.template as u64, u64::from(p.attempt));
+                        self.tracer.emit(|| {
+                            TraceEvent::instant(
+                                Track::Core(core as u32),
+                                TraceEventKind::OpTimeout,
+                                at,
+                                template,
+                                attempt,
+                            )
                         });
-                    } else {
-                        // The final attempt of a transaction template was
-                        // abandoned before it could begin: account it as
-                        // begun-and-shed so the txn identity holds.
-                        account_txn_drop(cs, p.template, &mut self.txn_rt.stats);
+                        if p.attempt < cfg.max_retries {
+                            cs.schedule_retry(p, p.arrival + timeout, cfg);
+                        } else {
+                            // The final attempt of a transaction template was
+                            // abandoned before it could begin: account it as
+                            // begun-and-shed so the txn identity holds.
+                            account_txn_drop(cs, p.template, &mut self.txn_rt.stats);
+                        }
+                        continue;
                     }
-                    continue;
                 }
-            }
-            if let Some(budget) = cfg.delay_budget {
-                if waited > budget {
-                    stats.shed_deadline += 1;
-                    account_txn_drop(cs, p.template, &mut self.txn_rt.stats);
-                    let (at, template, delay) = (cs.st.now, p.template as u64, waited.as_picos());
-                    self.tracer.emit(|| {
-                        TraceEvent::instant(
-                            Track::Core(core as u32),
-                            TraceEventKind::OpShedDeadline,
-                            at,
-                            template,
-                            delay,
-                        )
-                    });
-                    degrade.observe(cs.st.now, true, cs.queue.len(), stats, &mut self.tracer);
-                    continue;
+                if let Some(budget) = cfg.delay_budget {
+                    if waited > budget {
+                        stats.shed_deadline += 1;
+                        account_txn_drop(cs, p.template, &mut self.txn_rt.stats);
+                        let (at, template, delay) =
+                            (cs.st.now, p.template as u64, waited.as_picos());
+                        self.tracer.emit(|| {
+                            TraceEvent::instant(
+                                Track::Core(core as u32),
+                                TraceEventKind::OpShedDeadline,
+                                at,
+                                template,
+                                delay,
+                            )
+                        });
+                        degrade.observe(cs.st.now, true, cs.queue.len(), stats, &mut self.tracer);
+                        continue;
+                    }
                 }
+                let tmpl = &cs.template[p.template];
+                let degraded = degrade.degraded && tmpl.degraded.is_some();
+                let op = if degraded {
+                    tmpl.degraded.expect("checked above")
+                } else {
+                    tmpl.op
+                };
+                if degraded {
+                    stats.degraded_ops += 1;
+                }
+                cs.inflight = Some(Inflight {
+                    pending: p,
+                    degraded,
+                });
+                self.start_op(core, &mut cs.st, p.template, op, observer);
+                break;
             }
-            let tmpl = &cs.template[p.template];
-            let degraded = degrade.degraded && tmpl.degraded.is_some();
-            let op = if degraded {
-                tmpl.degraded.expect("checked above")
-            } else {
-                tmpl.op
-            };
-            if degraded {
-                stats.degraded_ops += 1;
-            }
-            cs.inflight = Some(Inflight {
-                pending: p,
-                degraded,
-            });
-            self.start_op(core, &mut cs.st, p.template, op, observer);
-            if cs.st.active.is_none() && cs.st.active_txn.is_none() {
-                // Point ops, snapshots and empty scans complete in-call.
-                finish_op(cs, cfg, stats);
-            }
-            return;
+        }
+        // The op in service completed in this unit: point ops, snapshots
+        // and empty scans complete in the call that starts them. A
+        // conflict abort frees the queue slot immediately; `finish_op`
+        // reschedules it through the admission queue when retries remain.
+        if cs.inflight.is_some() && !cs.st.busy() {
+            finish_op(cs, cfg, stats);
         }
     }
 }
@@ -841,14 +840,7 @@ fn finish_op(cs: &mut CoreState<'_, '_>, cfg: &AdmissionConfig, stats: &mut Over
         degraded: inflight.degraded,
     });
     if out.kind == OpKind::TxnAbortConflict && inflight.pending.attempt < cfg.max_retries {
-        let backoff = cfg
-            .retry_backoff
-            .scaled(1u64 << inflight.pending.attempt.min(20));
-        cs.schedule_retry(Pending {
-            template: inflight.pending.template,
-            arrival: cs.st.now + backoff,
-            attempt: inflight.pending.attempt + 1,
-        });
+        cs.schedule_retry(inflight.pending, cs.st.now, cfg);
     }
 }
 

@@ -84,7 +84,7 @@ use relmem_sim::{SimTime, TraceEvent, TraceEventKind, Track, TxnStats};
 use relmem_storage::mvcc::encode_header;
 use relmem_storage::{ColumnarTable, Row, RowTable, Snapshot, Timestamp, Value};
 
-use crate::system::{DramBackend, RowEffect, System};
+use crate::system::{RowEffect, System};
 use crate::workload::{OpKind, OpOutcome, StreamState};
 
 /// First commit timestamp a run hands out. Far above any timestamp the
@@ -275,6 +275,19 @@ impl System {
         op_idx: usize,
         spec: &'a TxnSpec<'a>,
     ) {
+        self.begin_attempt(core, st, op_idx, spec, 0);
+    }
+
+    /// Makes attempt `attempt` of `spec` the stream's active transaction,
+    /// under a fresh id, starting at the stream's clock.
+    fn begin_attempt<'a>(
+        &mut self,
+        core: usize,
+        st: &mut StreamState<'a, '_>,
+        op_idx: usize,
+        spec: &'a TxnSpec<'a>,
+        attempt: u32,
+    ) {
         self.txn_rt.stats.begun += 1;
         let id = self.txn_rt.next_id;
         self.txn_rt.next_id += 1;
@@ -285,14 +298,14 @@ impl System {
                 TraceEventKind::TxnBegin,
                 at,
                 id,
-                0,
+                u64::from(attempt),
             )
         });
         st.active_txn = Some(ActiveTxn {
             spec,
             op_idx,
             id,
-            attempt: 0,
+            attempt,
             next: 0,
             intents: Vec::new(),
             claimed: Vec::new(),
@@ -356,26 +369,16 @@ impl System {
                 if let Some(ts) = txn.spec.read_ts {
                     st.snapshot = Some(Snapshot::at(ts));
                 }
-                let out = self.point_lookup(core, st, txn.op_idx, table, columns, row, observer);
+                txn.rows += self.point_lookup(core, st, txn.op_idx, table, columns, row, observer);
                 if txn.spec.read_ts.is_some() {
                     st.snapshot = saved;
                 }
-                txn.rows += out.rows;
                 true
             }
             TxnOp::Update { table, row, .. } | TxnOp::Delete { table, row } => {
                 if table.mvcc().is_enabled() {
                     // The intent check reads the row's version header.
-                    let front = &mut self.cores[core];
-                    let mut backend = DramBackend {
-                        dram: &mut self.dram,
-                        line_bytes: self.cfg.l1.line_bytes,
-                        core,
-                    };
-                    let out =
-                        front.access(table.row_addr(row), 16, st.now, &mut self.l2, &mut backend);
-                    st.now = out.completion + self.cost.visibility();
-                    st.cpu += self.cost.visibility();
+                    self.header_access(core, st, table, row, false);
                 }
                 let key = (table.base_addr(), row);
                 match self.txn_rt.claims.get(&key) {
@@ -397,19 +400,39 @@ impl System {
         }
     }
 
-    /// Aborts a transaction on a write-write conflict, releasing its
-    /// claims. Closed-loop streams with retry budget re-run in place as a
-    /// fresh attempt.
+    /// Aborts a transaction on a write-write conflict. Closed-loop streams
+    /// with retry budget re-run in place as a fresh attempt.
     fn abort_conflict<'a>(
         &mut self,
         core: usize,
         st: &mut StreamState<'a, '_>,
         mut txn: ActiveTxn<'a>,
     ) {
-        for key in txn.claimed.drain(..) {
-            self.txn_rt.claims.remove(&key);
+        self.abort_txn(core, st, &mut txn, OpKind::TxnAbortConflict);
+        if !self.txn_rt.open_loop && txn.attempt < txn.spec.retries {
+            // In-place retry: the stream immediately re-runs the
+            // transaction from its first op as a fresh attempt. Charges
+            // the aborted attempt paid stay paid.
+            self.begin_attempt(core, st, txn.op_idx, txn.spec, txn.attempt + 1);
         }
-        self.txn_rt.stats.aborted_conflict += 1;
+    }
+
+    /// Aborts `txn` as `kind` — a conflict, or a shed at commit — logging
+    /// the abort and marking it on the core's trace track (arg1 = 1 for a
+    /// shed) before [`end_txn`](Self::end_txn).
+    fn abort_txn(
+        &mut self,
+        core: usize,
+        st: &mut StreamState<'_, '_>,
+        txn: &mut ActiveTxn<'_>,
+        kind: OpKind,
+    ) {
+        let shed = kind == OpKind::TxnAbortShed;
+        if shed {
+            self.txn_rt.stats.aborted_shed += 1;
+        } else {
+            self.txn_rt.stats.aborted_conflict += 1;
+        }
         self.txn_rt.aborts.push(TxnAbort {
             core,
             op: txn.op_idx,
@@ -423,42 +446,32 @@ impl System {
                 TraceEventKind::TxnAbort,
                 at,
                 id,
-                0,
+                u64::from(shed),
             )
         });
+        self.end_txn(core, st, txn, kind);
+    }
+
+    /// Ends `txn` as `kind`: releases its intent claims and records its
+    /// outcome.
+    fn end_txn(
+        &mut self,
+        core: usize,
+        st: &mut StreamState<'_, '_>,
+        txn: &mut ActiveTxn<'_>,
+        kind: OpKind,
+    ) {
+        for key in txn.claimed.drain(..) {
+            self.txn_rt.claims.remove(&key);
+        }
         let outcome = OpOutcome {
             op: txn.op_idx,
-            kind: OpKind::TxnAbortConflict,
+            kind,
             start: txn.start,
             end: st.now,
             rows: txn.rows,
         };
-        self.emit_op_span(core, &outcome);
-        st.outcomes.push(outcome);
-        if !self.txn_rt.open_loop && txn.attempt < txn.spec.retries {
-            // In-place retry: the stream immediately re-runs the
-            // transaction from its first op as a fresh attempt. Charges
-            // the aborted attempt paid stay paid.
-            self.txn_rt.stats.begun += 1;
-            txn.attempt += 1;
-            txn.id = self.txn_rt.next_id;
-            self.txn_rt.next_id += 1;
-            txn.next = 0;
-            txn.intents.clear();
-            txn.start = st.now;
-            txn.rows = 0;
-            let (id, attempt, at) = (txn.id, u64::from(txn.attempt), st.now);
-            self.tracer.emit(|| {
-                TraceEvent::instant(
-                    Track::Core(core as u32),
-                    TraceEventKind::TxnBegin,
-                    at,
-                    id,
-                    attempt,
-                )
-            });
-            st.active_txn = Some(txn);
-        }
+        self.record_op(core, st, outcome);
     }
 
     /// Commits a transaction: capacity-checks every insert (a full table
@@ -499,35 +512,7 @@ impl System {
             }
         }
         if shed {
-            for key in txn.claimed.drain(..) {
-                self.txn_rt.claims.remove(&key);
-            }
-            self.txn_rt.stats.aborted_shed += 1;
-            self.txn_rt.aborts.push(TxnAbort {
-                core,
-                op: txn.op_idx,
-                attempt: txn.attempt,
-                at: st.now,
-            });
-            let (id, at) = (txn.id, st.now);
-            self.tracer.emit(|| {
-                TraceEvent::instant(
-                    Track::Core(core as u32),
-                    TraceEventKind::TxnAbort,
-                    at,
-                    id,
-                    1,
-                )
-            });
-            let outcome = OpOutcome {
-                op: txn.op_idx,
-                kind: OpKind::TxnAbortShed,
-                start: txn.start,
-                end: st.now,
-                rows: txn.rows,
-            };
-            self.emit_op_span(core, &outcome);
-            st.outcomes.push(outcome);
+            self.abort_txn(core, st, &mut txn, OpKind::TxnAbortShed);
             return;
         }
 
@@ -545,23 +530,20 @@ impl System {
                 } => {
                     // The exact in-place point-update body, charged at
                     // commit time...
-                    let out = self
-                        .point_update(core, st, txn.op_idx, table, row, column, value, observer);
-                    txn.rows += out.rows;
+                    self.point_update(core, st, txn.op_idx, table, row, column, value, observer);
                     // ...plus, on MVCC tables, the version handoff: the
                     // header is restamped to begin at the commit
                     // timestamp and forced to DRAM.
                     if table.mvcc().is_enabled() {
                         self.mem.write(table.row_addr(row), &encode_header(cts, 0));
-                        self.commit_stamp(core, st, table.row_addr(row));
+                        self.force_write(core, st, table.row_addr(row), 16);
                     }
                 }
                 TxnOp::Delete { table, row } => {
                     // The exact point-delete body (ending the version at
                     // the commit timestamp), plus the durability write.
-                    let out = self.point_delete(core, st, txn.op_idx, table, row, cts);
-                    txn.rows += out.rows;
-                    self.commit_stamp(core, st, table.row_addr(row));
+                    self.point_delete(core, st, table, row, cts);
+                    self.force_write(core, st, table.row_addr(row), 16);
                 }
                 TxnOp::Insert {
                     table,
@@ -570,14 +552,11 @@ impl System {
                 } => {
                     self.publish_insert(core, st, table, columnar, values, cts);
                     self.txn_rt.stats.rows_inserted += 1;
-                    txn.rows += 1;
                     st.rows += 1;
                 }
                 TxnOp::Read { .. } => unreachable!("reads are never buffered as intents"),
             }
-        }
-        for key in txn.claimed.drain(..) {
-            self.txn_rt.claims.remove(&key);
+            txn.rows += 1;
         }
         self.txn_rt.stats.committed += 1;
         let (id, at) = (txn.id, st.now);
@@ -590,35 +569,19 @@ impl System {
                 num_intents,
             )
         });
-        let outcome = OpOutcome {
-            op: txn.op_idx,
-            kind: OpKind::TxnCommit,
-            start: txn.start,
-            end: st.now,
-            rows: txn.rows,
-        };
-        self.emit_op_span(core, &outcome);
-        st.outcomes.push(outcome);
+        self.end_txn(core, st, &mut txn, OpKind::TxnCommit);
     }
 
-    /// Forces 16 bytes at `addr` (a version header) to DRAM: one cache
-    /// write for the stamp itself plus an explicit, *synchronous* DRAM
-    /// write request — durability means the commit is not observable
-    /// before its write is ordered, so this never goes through the
-    /// cycle-accurate model's write buffer and its tWR/tWTR constraints
-    /// always bite on commits. (Dirty-eviction writebacks are the posted
-    /// counterpart, which only the cycle-accurate model keeps.)
-    fn commit_stamp(&mut self, core: usize, st: &mut StreamState<'_, '_>, addr: u64) {
-        let front = &mut self.cores[core];
-        let mut backend = DramBackend {
-            dram: &mut self.dram,
-            line_bytes: self.cfg.l1.line_bytes,
-            core,
-        };
-        let out = front.write(addr, 16, st.now, &mut self.l2, &mut backend);
-        st.now = out.completion;
+    /// Forces `bytes` at `addr` to DRAM: one cache write plus an explicit,
+    /// *synchronous* DRAM write request — durability means the commit is
+    /// not observable before its write is ordered, so this never goes
+    /// through the cycle-accurate model's write buffer and its tWR/tWTR
+    /// constraints always bite on commits. (Dirty-eviction writebacks are
+    /// the posted counterpart, which only the cycle-accurate model keeps.)
+    fn force_write(&mut self, core: usize, st: &mut StreamState<'_, '_>, addr: u64, bytes: usize) {
+        self.op_access(core, st, addr, bytes, true);
         let done = self.dram.access(
-            MemRequest::new(addr, 16, st.now)
+            MemRequest::new(addr, bytes, st.now)
                 .with_requestor(Requestor::Core(core))
                 .as_write(),
         );
@@ -642,24 +605,7 @@ impl System {
         let idx = table
             .append(&mut self.mem, &Row::from_u64s(values), cts)
             .expect("capacity pre-checked at commit");
-        let addr = table.row_addr(idx);
-        let bytes = table.physical_row_bytes();
-        {
-            let front = &mut self.cores[core];
-            let mut backend = DramBackend {
-                dram: &mut self.dram,
-                line_bytes: self.cfg.l1.line_bytes,
-                core,
-            };
-            let out = front.write(addr, bytes, st.now, &mut self.l2, &mut backend);
-            st.now = out.completion;
-        }
-        let done = self.dram.access(
-            MemRequest::new(addr, bytes, st.now)
-                .with_requestor(Requestor::Core(core))
-                .as_write(),
-        );
-        st.now = done.finish;
+        self.force_write(core, st, table.row_addr(idx), table.physical_row_bytes());
         let cpu = self.cost.fields(values.len());
         st.now += cpu;
         st.cpu += cpu;
@@ -672,22 +618,7 @@ impl System {
             for col in 0..ct.schema().num_columns() {
                 let width = ct.schema().width(col).expect("valid column");
                 let addr = ct.column_base(col).expect("valid column") + cidx * width as u64;
-                {
-                    let front = &mut self.cores[core];
-                    let mut backend = DramBackend {
-                        dram: &mut self.dram,
-                        line_bytes: self.cfg.l1.line_bytes,
-                        core,
-                    };
-                    let out = front.write(addr, width, st.now, &mut self.l2, &mut backend);
-                    st.now = out.completion;
-                }
-                let done = self.dram.access(
-                    MemRequest::new(addr, width, st.now)
-                        .with_requestor(Requestor::Core(core))
-                        .as_write(),
-                );
-                st.now = done.finish;
+                self.force_write(core, st, addr, width);
             }
         }
     }

@@ -656,8 +656,13 @@ impl<'a, 'w> StreamState<'a, 'w> {
         }
     }
 
+    /// Whether a scan or transaction is in progress.
+    pub(crate) fn busy(&self) -> bool {
+        self.active.is_some() || self.active_txn.is_some()
+    }
+
     pub(crate) fn finished(&self) -> bool {
-        self.active.is_none() && self.active_txn.is_none() && self.next_op >= self.ops.len()
+        !self.busy() && self.next_op >= self.ops.len()
     }
 
     /// The Reorganization-Buffer frame holding the stream's next unit, if
@@ -772,11 +777,12 @@ impl System {
         self.start_op(core, st, op_idx, op, observer);
     }
 
-    /// Records a completed op as a span on its core's trace track
-    /// (arg0 = op ordinal in its stream, arg1 = rows touched). Per-core
-    /// op servicing is sequential, so these spans never overlap.
+    /// Records a finished op: its outcome in the stream, and a span on its
+    /// core's trace track (arg0 = op ordinal in its stream, arg1 = rows
+    /// touched). Per-core op servicing is sequential, so these spans never
+    /// overlap.
     #[inline(always)]
-    pub(crate) fn emit_op_span(&mut self, core: usize, out: &OpOutcome) {
+    pub(crate) fn record_op(&mut self, core: usize, st: &mut StreamState<'_, '_>, out: OpOutcome) {
         let (op, rows, start, end) = (out.op as u64, out.rows, out.start, out.end);
         self.tracer.emit(|| {
             TraceEvent::span(
@@ -788,6 +794,7 @@ impl System {
                 rows,
             )
         });
+        st.outcomes.push(out);
     }
 
     /// Advances one row of the stream's active scan, recording the
@@ -831,16 +838,15 @@ impl System {
                 rows: active.rows_scanned,
             };
             st.active = None;
-            self.emit_op_span(core, &outcome);
-            st.outcomes.push(outcome);
+            self.record_op(core, st, outcome);
         }
         true
     }
 
-    /// Starts (scans) or executes (point ops, snapshots) `op`, labelling
-    /// its outcome `op_idx`. Scans with rows become the stream's active
-    /// scan; every other op completes within the call and pushes its
-    /// [`OpOutcome`].
+    /// Starts (scans, transactions) or executes (point ops, snapshots)
+    /// `op`, labelling its outcome `op_idx`. Scans with rows and
+    /// transactions become the stream's active work; every other op
+    /// completes within the call and records its [`OpOutcome`].
     pub(crate) fn start_op<'a, F>(
         &mut self,
         core: usize,
@@ -851,81 +857,132 @@ impl System {
     ) where
         F: FnMut(usize, usize, u64, &[u64]) -> RowEffect,
     {
-        match &op {
+        let start = st.now;
+        let rows = match op {
             WorkloadOp::OlapScan {
-                source,
+                mut source,
                 stream_snapshot,
             } => {
-                let mut source = *source;
-                if *stream_snapshot {
+                if stream_snapshot {
                     if let ScanSource::Rows { snapshot, .. } = &mut source {
                         *snapshot = st.snapshot;
                     }
                 }
                 let job = self.scan_job(&source);
-                if job.rows() == 0 {
-                    let outcome = OpOutcome {
-                        op: op_idx,
-                        kind: OpKind::OlapScan,
-                        start: st.now,
-                        end: st.now,
-                        rows: 0,
-                    };
-                    self.emit_op_span(core, &outcome);
-                    st.outcomes.push(outcome);
+                if job.rows() > 0 {
+                    let rows = 0..job.rows();
+                    st.begin_scan(job, rows, op_idx);
                     return;
                 }
-                let rows = 0..job.rows();
-                st.begin_scan(job, rows, op_idx);
+                0
             }
             WorkloadOp::PointLookup {
                 table,
                 columns,
                 row,
-            } => {
-                let outcome = self.point_lookup(core, st, op_idx, table, columns, *row, observer);
-                self.emit_op_span(core, &outcome);
-                st.outcomes.push(outcome);
-            }
+            } => self.point_lookup(core, st, op_idx, table, columns, row, observer),
             WorkloadOp::PointUpdate {
                 table,
                 row,
                 column,
                 value,
             } => {
-                let outcome =
-                    self.point_update(core, st, op_idx, table, *row, *column, *value, observer);
-                self.emit_op_span(core, &outcome);
-                st.outcomes.push(outcome);
+                self.point_update(core, st, op_idx, table, row, column, value, observer);
+                1
             }
             WorkloadOp::PointDelete { table, row, ts } => {
-                let outcome = self.point_delete(core, st, op_idx, table, *row, *ts);
-                self.emit_op_span(core, &outcome);
-                st.outcomes.push(outcome);
+                self.point_delete(core, st, table, row, ts);
+                1
             }
             WorkloadOp::TakeSnapshot { ts } => {
-                st.snapshot = Some(Snapshot::at(*ts));
-                let outcome = OpOutcome {
-                    op: op_idx,
-                    kind: OpKind::TakeSnapshot,
-                    start: st.now,
-                    end: st.now,
-                    rows: 0,
-                };
-                self.emit_op_span(core, &outcome);
-                st.outcomes.push(outcome);
+                st.snapshot = Some(Snapshot::at(ts));
+                0
             }
             WorkloadOp::Txn { spec } => {
                 // Zero-time begin; subsequent units execute the ops and
                 // the commit (see `step_txn_unit`).
                 self.begin_txn(core, st, op_idx, spec);
+                return;
             }
+        };
+        let outcome = OpOutcome {
+            op: op_idx,
+            kind: op.kind(),
+            start,
+            end: st.now,
+            rows,
+        };
+        self.record_op(core, st, outcome);
+    }
+
+    /// One cache read — or, with `write`, a write-allocate cache write
+    /// that marks its L2 lines dirty — of `bytes` at `addr` by an op on
+    /// `core`, issued at the stream's clock, which moves to its completion.
+    pub(crate) fn op_access(
+        &mut self,
+        core: usize,
+        st: &mut StreamState<'_, '_>,
+        addr: u64,
+        bytes: usize,
+        write: bool,
+    ) {
+        let mut backend = DramBackend {
+            dram: &mut self.dram,
+            line_bytes: self.cfg.l1.line_bytes,
+            core,
+        };
+        let front = &mut self.cores[core];
+        let out = if write {
+            front.write(addr, bytes, st.now, &mut self.l2, &mut backend)
+        } else {
+            front.access(addr, bytes, st.now, &mut self.l2, &mut backend)
+        };
+        st.now = out.completion;
+    }
+
+    /// The MVCC step of a point op: one access to the row's 16-byte version
+    /// header (a write when the op rewrites it), then the visibility-check
+    /// CPU cost.
+    pub(crate) fn header_access(
+        &mut self,
+        core: usize,
+        st: &mut StreamState<'_, '_>,
+        table: &RowTable,
+        row: u64,
+        write: bool,
+    ) {
+        self.op_access(core, st, table.row_addr(row), 16, write);
+        st.now += self.cost.visibility();
+        st.cpu += self.cost.visibility();
+    }
+
+    /// Hands a point op's first `fields` values of `row` to the observer and
+    /// charges the per-field CPU cost plus the observer's [`RowEffect`].
+    fn observe_point<F>(
+        &mut self,
+        core: usize,
+        st: &mut StreamState<'_, '_>,
+        op_idx: usize,
+        row: u64,
+        fields: usize,
+        observer: &mut F,
+    ) where
+        F: FnMut(usize, usize, u64, &[u64]) -> RowEffect,
+    {
+        let effect = observer(core, op_idx, row, &st.values[..fields]);
+        let cpu = self.cost.fields(fields) + effect.cpu;
+        st.now += cpu;
+        st.cpu += cpu;
+        if let Some((addr, bytes)) = effect.touch {
+            self.op_access(core, st, addr, bytes, false);
         }
+        st.rows += 1;
     }
 
     /// A point read: optional MVCC visibility check under the stream's
-    /// snapshot, then one cache access per projected field. Shared with
-    /// the transaction layer ([`TxnOp::Read`] is this exact body).
+    /// snapshot, then one cache access per projected field. Returns the
+    /// rows read (0 when the row is invisible). Shared with the
+    /// transaction layer ([`TxnOp::Read`] is this exact body).
     #[allow(clippy::too_many_arguments)] // private scheduler helper
     pub(crate) fn point_lookup<F>(
         &mut self,
@@ -936,32 +993,15 @@ impl System {
         columns: &[usize],
         row: u64,
         observer: &mut F,
-    ) -> OpOutcome
+    ) -> u64
     where
         F: FnMut(usize, usize, u64, &[u64]) -> RowEffect,
     {
-        let start = st.now;
-        let mut now = st.now;
-        let front = &mut self.cores[core];
-        let mut backend = DramBackend {
-            dram: &mut self.dram,
-            line_bytes: self.cfg.l1.line_bytes,
-            core,
-        };
         if table.mvcc().is_enabled() {
             if let Some(snap) = st.snapshot {
-                let out = front.access(table.row_addr(row), 16, now, &mut self.l2, &mut backend);
-                now = out.completion + self.cost.visibility();
-                st.cpu += self.cost.visibility();
+                self.header_access(core, st, table, row, false);
                 if !table.visible(&self.mem, row, snap).unwrap_or(false) {
-                    st.now = now;
-                    return OpOutcome {
-                        op: op_idx,
-                        kind: OpKind::PointLookup,
-                        start,
-                        end: now,
-                        rows: 0,
-                    };
+                    return 0;
                 }
             }
         }
@@ -969,28 +1009,11 @@ impl System {
         for (slot, &col) in columns.iter().enumerate() {
             let addr = table.field_addr(row, col).expect("row in range");
             let width = table.schema().width(col).expect("valid column");
-            let out = front.access(addr, width, now, &mut self.l2, &mut backend);
-            now = out.completion;
+            self.op_access(core, st, addr, width, false);
             st.values[slot] = self.mem.read_uint(addr, width.min(8));
         }
-        let effect = observer(core, op_idx, row, &st.values);
-        let cpu = self.cost.fields(columns.len()) + effect.cpu;
-        now += cpu;
-        st.cpu += cpu;
-        if let Some((addr, bytes)) = effect.touch {
-            now = front
-                .access(addr, bytes, now, &mut self.l2, &mut backend)
-                .completion;
-        }
-        st.now = now;
-        st.rows += 1;
-        OpOutcome {
-            op: op_idx,
-            kind: OpKind::PointLookup,
-            start,
-            end: now,
-            rows: 1,
-        }
+        self.observe_point(core, st, op_idx, row, columns.len(), observer);
+        1
     }
 
     /// An in-place field update: one cache write (timing) plus the actual
@@ -1008,18 +1031,9 @@ impl System {
         column: usize,
         value: u64,
         observer: &mut F,
-    ) -> OpOutcome
-    where
+    ) where
         F: FnMut(usize, usize, u64, &[u64]) -> RowEffect,
     {
-        let start = st.now;
-        let mut now = st.now;
-        let front = &mut self.cores[core];
-        let mut backend = DramBackend {
-            dram: &mut self.dram,
-            line_bytes: self.cfg.l1.line_bytes,
-            core,
-        };
         let addr = table.field_addr(row, column).expect("row in range");
         let width = table.schema().width(column).expect("valid column");
         let masked = if width >= 8 {
@@ -1027,31 +1041,13 @@ impl System {
         } else {
             value & ((1u64 << (8 * width)) - 1)
         };
-        let out = front.write(addr, width, now, &mut self.l2, &mut backend);
-        now = out.completion;
+        self.op_access(core, st, addr, width, true);
         table
             .write_field(&mut self.mem, row, column, &Value::UInt(masked))
             .expect("point updates target UInt columns");
         st.values.resize(1, 0);
         st.values[0] = masked;
-        let effect = observer(core, op_idx, row, &st.values[..1]);
-        let cpu = self.cost.fields(1) + effect.cpu;
-        now += cpu;
-        st.cpu += cpu;
-        if let Some((addr, bytes)) = effect.touch {
-            now = front
-                .access(addr, bytes, now, &mut self.l2, &mut backend)
-                .completion;
-        }
-        st.now = now;
-        st.rows += 1;
-        OpOutcome {
-            op: op_idx,
-            kind: OpKind::PointUpdate,
-            start,
-            end: now,
-            rows: 1,
-        }
+        self.observe_point(core, st, op_idx, row, 1, observer);
     }
 
     /// A delete: one cache write of the 16-byte version header plus the
@@ -1062,32 +1058,14 @@ impl System {
         &mut self,
         core: usize,
         st: &mut StreamState<'_, '_>,
-        op_idx: usize,
         table: &RowTable,
         row: u64,
         ts: Timestamp,
-    ) -> OpOutcome {
-        let start = st.now;
-        let front = &mut self.cores[core];
-        let mut backend = DramBackend {
-            dram: &mut self.dram,
-            line_bytes: self.cfg.l1.line_bytes,
-            core,
-        };
-        let out = front.write(table.row_addr(row), 16, st.now, &mut self.l2, &mut backend);
-        let now = out.completion + self.cost.visibility();
-        st.cpu += self.cost.visibility();
+    ) {
+        self.header_access(core, st, table, row, true);
         table
             .mark_deleted(&mut self.mem, row, ts)
             .expect("point deletes require an MVCC table and a row in range");
-        st.now = now;
         st.rows += 1;
-        OpOutcome {
-            op: op_idx,
-            kind: OpKind::PointDelete,
-            start,
-            end: now,
-            rows: 1,
-        }
     }
 }
