@@ -409,10 +409,10 @@ impl CoreFrontend {
     /// — an L1 request + hit and one L1-hit latency each. The batch replays
     /// that arithmetically (`SimTime` is integer picoseconds, so
     /// `l1_hit * (n-1)` equals the per-field chain bit for bit) instead of
-    /// re-entering the hierarchy per field. With the fast path disabled
-    /// ([`set_fast_path`](Self::set_fast_path)) the batch degenerates to
-    /// the per-field loop, keeping the two configurations comparable the
-    /// same way they are for `access`.
+    /// re-entering the hierarchy per field. The replay is exact with the
+    /// fast path disabled ([`set_fast_path`](Self::set_fast_path)) too: the
+    /// first field leaves the line at rank 0 of its L1 set, so a full walk
+    /// of each later field is an L1 hit that changes no cache state.
     #[inline]
     pub fn access_run<B: MemoryBackend>(
         &mut self,
@@ -424,15 +424,6 @@ impl CoreFrontend {
     ) -> AccessOutcome {
         debug_assert!(fields >= 1);
         debug_assert_eq!(line_addr & (self.line_bytes - 1), 0);
-        if !self.fast_path {
-            // Reference behavior: the fast path is off, so every field
-            // walks the full hierarchy (fields 2..n hit in L1).
-            let mut out = self.access_line(line_addr, now, l2, backend);
-            for _ in 1..fields {
-                out = self.access_line(line_addr, out.completion, l2, backend);
-            }
-            return out;
-        }
         let extra = u64::from(fields) - 1;
         if line_addr == self.mru_line {
             self.stats.l1.requests += extra + 1;
@@ -443,8 +434,8 @@ impl CoreFrontend {
             };
         }
         let first = self.access_line(line_addr, now, l2, backend);
-        // access_line made the line MRU (fast path is on), so fields 2..n
-        // are MRU fast-path hits: replay their counters and latency.
+        // access_line left the line at L1 rank 0, so fields 2..n are L1
+        // hits: replay their counters and latency.
         self.stats.l1.requests += extra;
         self.stats.l1.hits += extra;
         AccessOutcome {
@@ -1147,6 +1138,40 @@ mod tests {
                 prop_assert_eq!(a, b);
                 now_a = a.completion;
                 now_b = b.completion;
+            }
+            prop_assert_eq!(fast.stats(), full.stats());
+            prop_assert_eq!(mem_a.fills, mem_b.fills);
+        }
+
+        /// `access_run`'s arithmetic replay is the per-field walk: a run of
+        /// same-line fields on the fast side takes exactly the time, stats
+        /// and backend traffic of one full-walk `access` per field.
+        #[test]
+        fn access_run_equals_one_full_access_per_field(
+            runs in proptest::collection::vec((0u64..600, 1u32..=16, any::<bool>()), 1..600),
+        ) {
+            let cfg = cfg();
+            let (mut fast, mut full) = (CoreFrontend::new(&cfg), CoreFrontend::new(&cfg));
+            full.set_fast_path(false);
+            let (mut l2_a, mut l2_b) = (SharedL2::new(&cfg, 1), SharedL2::new(&cfg, 1));
+            let mut mem_a = FixedLatencyBackend::new(ns(90));
+            let mut mem_b = FixedLatencyBackend::new(ns(90));
+            let (mut now_a, mut now_b) = (SimTime::ZERO, SimTime::ZERO);
+            let mut last = 0u64;
+            for (line, fields, repeat) in runs {
+                // Repeated lines take access_run's resident-line branch.
+                let line_addr = if repeat { last } else { line * cfg.l1.line_bytes as u64 };
+                last = line_addr;
+                let run = fast.access_run(line_addr, fields, now_a, &mut l2_a, &mut mem_a);
+                let mut first_level = None;
+                for k in 0..u64::from(fields) {
+                    let out = full.access(line_addr + 4 * k, 4, now_b, &mut l2_b, &mut mem_b);
+                    first_level.get_or_insert(out.level);
+                    now_b = out.completion;
+                }
+                prop_assert_eq!(run.completion, now_b);
+                prop_assert_eq!(Some(run.level), first_level);
+                now_a = run.completion;
             }
             prop_assert_eq!(fast.stats(), full.stats());
             prop_assert_eq!(mem_a.fills, mem_b.fills);
