@@ -264,23 +264,12 @@ pub(crate) struct ActiveTxn<'a> {
 }
 
 impl System {
-    /// Begins `spec` on a stream (zero simulated time — acquiring a
-    /// transaction id is a counter increment): the transaction becomes
-    /// the stream's active transaction and subsequent scheduler units
-    /// execute one [`TxnOp`] (or the commit) each.
+    /// Begins attempt `attempt` (0 for the first) of `spec` on a stream
+    /// (zero simulated time — acquiring a transaction id is a counter
+    /// increment): the transaction becomes the stream's active transaction
+    /// and subsequent scheduler units execute one [`TxnOp`] (or the
+    /// commit) each.
     pub(crate) fn begin_txn<'a>(
-        &mut self,
-        core: usize,
-        st: &mut StreamState<'a, '_>,
-        op_idx: usize,
-        spec: &'a TxnSpec<'a>,
-    ) {
-        self.begin_attempt(core, st, op_idx, spec, 0);
-    }
-
-    /// Makes attempt `attempt` of `spec` the stream's active transaction,
-    /// under a fresh id, starting at the stream's clock.
-    fn begin_attempt<'a>(
         &mut self,
         core: usize,
         st: &mut StreamState<'a, '_>,
@@ -337,7 +326,14 @@ impl System {
             if self.execute_txn_op(core, st, &mut txn, op, observer) {
                 st.active_txn = Some(txn);
             } else {
-                self.abort_conflict(core, st, txn);
+                self.abort_txn(core, st, &mut txn, OpKind::TxnAbortConflict);
+                if !self.txn_rt.open_loop && txn.attempt < txn.spec.retries {
+                    // In-place retry (closed loop only): the stream
+                    // immediately re-runs the transaction from its first
+                    // op as a fresh attempt. Charges the aborted attempt
+                    // paid stay paid.
+                    self.begin_txn(core, st, txn.op_idx, txn.spec, txn.attempt + 1);
+                }
             }
         } else {
             self.commit_txn(core, st, txn, observer);
@@ -397,23 +393,6 @@ impl System {
                 txn.intents.push(op);
                 true
             }
-        }
-    }
-
-    /// Aborts a transaction on a write-write conflict. Closed-loop streams
-    /// with retry budget re-run in place as a fresh attempt.
-    fn abort_conflict<'a>(
-        &mut self,
-        core: usize,
-        st: &mut StreamState<'a, '_>,
-        mut txn: ActiveTxn<'a>,
-    ) {
-        self.abort_txn(core, st, &mut txn, OpKind::TxnAbortConflict);
-        if !self.txn_rt.open_loop && txn.attempt < txn.spec.retries {
-            // In-place retry: the stream immediately re-runs the
-            // transaction from its first op as a fresh attempt. Charges
-            // the aborted attempt paid stay paid.
-            self.begin_attempt(core, st, txn.op_idx, txn.spec, txn.attempt + 1);
         }
     }
 

@@ -901,7 +901,7 @@ impl System {
             WorkloadOp::Txn { spec } => {
                 // Zero-time begin; subsequent units execute the ops and
                 // the commit (see `step_txn_unit`).
-                self.begin_txn(core, st, op_idx, spec);
+                self.begin_txn(core, st, op_idx, spec, 0);
                 return;
             }
         };
