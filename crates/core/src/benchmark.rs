@@ -95,8 +95,6 @@ pub struct Benchmark {
     inner_columnar: Option<ColumnarTable>,
     /// Column index of `A1` (differs from 0 only in the Figure 6 layout).
     target_col: usize,
-    hash_region: Option<u64>,
-    group_region: Option<u64>,
 }
 
 /// Which relation a scan runs over.
@@ -143,8 +141,6 @@ impl Benchmark {
             inner: None,
             inner_columnar: None,
             target_col,
-            hash_region: None,
-            group_region: None,
         }
     }
 
@@ -305,7 +301,6 @@ impl Benchmark {
     fn q4(&mut self, path: AccessPath) -> QueryRun {
         let cols = vec![0, 1, 2];
         let prepared = self.prepare(path, &cols, Relation::Outer, None);
-        self.ensure_group_region();
         self.system.begin_measurement(path);
         let cost = *self.system.cost_model();
         let (predicate, group_by) = (cost.predicate(), cost.group_by());
@@ -342,7 +337,6 @@ impl Benchmark {
     /// join: build on `S`, probe with `R`.
     fn q5(&mut self, path: AccessPath) -> QueryRun {
         self.ensure_inner();
-        self.ensure_hash_region();
 
         // The Reorganization Buffer cannot hold two relations' projections
         // at once, so the join is always a "cold" RME run.
@@ -483,22 +477,6 @@ impl Benchmark {
             )
             .expect("join data generation succeeds");
         self.inner = Some(inner);
-    }
-
-    // No query touches the hash tables' regions; they are reserved because
-    // they fix the address of everything allocated after them.
-    fn ensure_hash_region(&mut self) {
-        if self.hash_region.is_none() {
-            let bytes = SimHashTable::region_bytes(self.params.rows);
-            self.hash_region = Some(self.system.alloc_scratch(bytes));
-        }
-    }
-
-    fn ensure_group_region(&mut self) {
-        if self.group_region.is_none() {
-            let bytes = SimHashTable::region_bytes(relmem_storage::datagen::VALUE_RANGE);
-            self.group_region = Some(self.system.alloc_scratch(bytes));
-        }
     }
 
     fn finish(

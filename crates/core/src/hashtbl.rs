@@ -23,12 +23,6 @@ pub struct SimHashTable {
 }
 
 impl SimHashTable {
-    /// Bytes of simulated memory a bucket array for `expected_entries`
-    /// would need, at 24 bytes (key, payload, next pointer) per bucket.
-    pub fn region_bytes(expected_entries: u64) -> u64 {
-        expected_entries.next_power_of_two().max(16) * 24
-    }
-
     /// Inserts a `(key, value)` pair.
     pub fn insert(&mut self, key: u64, value: u64) {
         self.map.entry(key).or_default().push(value);
