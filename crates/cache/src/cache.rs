@@ -150,19 +150,6 @@ impl Cache {
         addr & !(self.cfg.line_bytes as u64 - 1)
     }
 
-    /// Set base index of a line address (the tag-free half of
-    /// [`locate`](Self::locate); kept for tests that check set mapping).
-    #[cfg(test)]
-    #[inline]
-    fn set_base(&self, line_addr: u64) -> usize {
-        let line_number = line_addr >> self.line_shift;
-        let set = match self.set_mask {
-            Some(mask) => line_number & mask,
-            None => line_number % self.sets as u64,
-        };
-        set as usize * self.assoc
-    }
-
     /// Splits a line address into its set's base index and its
     /// set-relative tag. The tag uniquely identifies the line within the
     /// set (`line_number = tag * sets + set`), so nothing is lost by not
@@ -780,6 +767,19 @@ impl Cache {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    impl Cache {
+        /// Set base index of a line address (the tag-free half of
+        /// [`locate`](Cache::locate)).
+        fn set_base(&self, line_addr: u64) -> usize {
+            let line_number = line_addr >> self.line_shift;
+            let set = match self.set_mask {
+                Some(mask) => line_number & mask,
+                None => line_number % self.sets as u64,
+            };
+            set as usize * self.assoc
+        }
+    }
 
     fn small_cache(assoc: usize, sets: usize) -> Cache {
         Cache::new(CacheLevelConfig {

@@ -76,8 +76,9 @@ impl BenchmarkParams {
         }
     }
 
-    /// Physical memory needed to hold both relations, their columnar copies
-    /// and scratch space.
+    /// Physical memory needed to hold both relations (each row with room
+    /// for a 16 B MVCC header) and their columnar copies, plus a fixed
+    /// 16 MiB margin. Nothing else is allocated in it.
     fn mem_bytes(&self) -> usize {
         let main = self.rows as usize * (self.row_bytes + 16);
         let inner = self.inner_rows as usize * (self.row_bytes + 16);

@@ -195,7 +195,8 @@ impl System {
                             i if i == d.matched => d.effect,
                             _ => per_row(row, values),
                         };
-                        let (n, c, s) = job.run_range(self, 0, bounds(p), now, values, &mut replay);
+                        let (n, c, s) =
+                            job.step_rows(self.parts(), 0, bounds(p), now, values, &mut replay);
                         (now, cpu, scanned) = (n, cpu + c, scanned + s);
                         p += 1;
                         failures += 1;
@@ -220,7 +221,7 @@ impl System {
                     }
                     effect
                 };
-                let (n, c, s) = job.run_range(self, 0, range, now, values, &mut record);
+                let (n, c, s) = job.step_rows(self.parts(), 0, range, now, values, &mut record);
                 (now, cpu, scanned) = (n, cpu + c, scanned + s);
                 if touched {
                     // Extra memory touches land outside the scanned range, so
@@ -230,7 +231,7 @@ impl System {
                     reference = Some(snap);
                 }
             } else {
-                let (n, c, s) = job.run_range(self, 0, range, now, values, per_row);
+                let (n, c, s) = job.step_rows(self.parts(), 0, range, now, values, per_row);
                 (now, cpu, scanned) = (n, cpu + c, scanned + s);
             }
             p += 1;

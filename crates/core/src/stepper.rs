@@ -1,13 +1,16 @@
 //! The reusable per-core scan stepper.
 //!
-//! [`ScanJob`] is the per-row body of every scan: it captures the per-scan
+//! [`ScanJob`] is the body of every scan: it captures the per-scan
 //! precomputation (column cursors, MVCC snapshot, per-row CPU charge, line
-//! plans) once and then steps any row on any core. [`System::scan`] runs
-//! it in a loop on core 0; the multi-core schedulers step it one row at a
-//! time under the crate's interleaver. Row and ephemeral layouts share one
-//! field walk (`walk_fields`), generic over the memory backend and the
-//! value reader. The cross-path equivalence proptests pin the single-core
-//! scan, the sharded scan and the workload scheduler to each other.
+//! plans) once, and [`ScanJob::step_rows`] then steps any range of rows on
+//! any core. [`System::scan`] calls it on core 0 with whole ranges; the
+//! multi-core schedulers call it one row at a time under the crate's
+//! interleaver. Row and ephemeral layouts share one field walk
+//! (`walk_fields`), generic over the memory backend and the value reader,
+//! and the reference stepping mode is a line plan of per-field steps, not
+//! a separate walk. The cross-path equivalence proptests pin the
+//! single-core scan, the sharded scan and the workload scheduler to each
+//! other.
 //!
 //! [`Parts`] is the split-borrow view of the [`System`] a step works on:
 //! the per-core frontends, the shared L2, the DRAM controller, physical
@@ -60,16 +63,6 @@ impl System {
     }
 }
 
-/// Outcome of stepping one row.
-pub(crate) struct RowStep {
-    /// The core's local clock after the row.
-    pub now: SimTime,
-    /// CPU time charged for the row.
-    pub cpu: SimTime,
-    /// Whether the row was processed (false: skipped by MVCC visibility).
-    pub scanned: bool,
-}
-
 /// The per-scan precomputation of one [`ScanSource`], ready to step any
 /// row on any core.
 pub(crate) struct ScanJob<'a> {
@@ -89,9 +82,8 @@ enum JobKind<'a> {
         stride: u64,
         snapshot: Option<Snapshot>,
         visibility_cpu: SimTime,
-        /// Line-granular step schedule, one plan per row-base alignment
-        /// (`None`: step per field — the reference stepping mode).
-        plans: Option<Vec<LinePlan>>,
+        /// Line-granular step schedule, one plan per row-base alignment.
+        plans: Vec<LinePlan>,
     },
     Columnar {
         /// (column array base, width) per projected column.
@@ -106,7 +98,7 @@ enum JobKind<'a> {
         /// scheduling; `u64::MAX` when the engine holds no configuration).
         frame_rows: u64,
         /// Line-granular step schedule (see [`JobKind::Rows`]).
-        plans: Option<Vec<LinePlan>>,
+        plans: Vec<LinePlan>,
     },
 }
 
@@ -139,7 +131,8 @@ enum PlanStep {
         fields: u32,
         first_slot: u32,
     },
-    /// A cursor straddling a line boundary: full per-field access.
+    /// A cursor straddling a line boundary, or any cursor in the reference
+    /// stepping mode: full per-field access.
     Field { slot: u32 },
 }
 
@@ -151,10 +144,22 @@ fn gcd(mut a: u64, mut b: u64) -> u64 {
 }
 
 /// Builds the per-alignment [`LinePlan`]s for cursors relative to a
-/// `base`/`stride` row layout. `line_bytes` is a power of two.
-fn build_plans(cursors: &[(u64, usize)], base: u64, stride: u64, line_bytes: u64) -> Vec<LinePlan> {
+/// `base`/`stride` row layout. `line_bytes` is a power of two. Without
+/// `batched` (the reference stepping mode) there is one plan and every
+/// field is its own [`PlanStep::Field`].
+fn build_plans(
+    cursors: &[(u64, usize)],
+    base: u64,
+    stride: u64,
+    line_bytes: u64,
+    batched: bool,
+) -> Vec<LinePlan> {
     let l = line_bytes;
-    let period = l / gcd(stride % l, l).max(1);
+    let period = if batched {
+        l / gcd(stride % l, l).max(1)
+    } else {
+        1
+    };
     (0..period)
         .map(|r| {
             let align = (base + r * stride) % l;
@@ -163,7 +168,7 @@ fn build_plans(cursors: &[(u64, usize)], base: u64, stride: u64, line_bytes: u64
                 let start = align + offset;
                 let line = start & !(l - 1);
                 let last_line = (start + width.max(1) as u64 - 1) & !(l - 1);
-                if line != last_line {
+                if !batched || line != last_line {
                     steps.push(PlanStep::Field { slot: slot as u32 });
                     continue;
                 }
@@ -191,10 +196,10 @@ fn build_plans(cursors: &[(u64, usize)], base: u64, stride: u64, line_bytes: u64
 impl<'a> ScanJob<'a> {
     /// Captures the per-scan constants of `source`. Borrows only the
     /// source's tables — not the system — so a job can outlive any number
-    /// of [`Parts`] borrows. With `batched` set, row-layout sources
-    /// precompute [`LinePlan`]s so [`step_row`](Self::step_row) advances
-    /// whole-line runs of fields; without it every field steps through the
-    /// hierarchy individually (the reference stepping mode,
+    /// of [`Parts`] borrows. Row-layout sources precompute [`LinePlan`]s;
+    /// with `batched` set, [`step_rows`](Self::step_rows) advances
+    /// whole-line runs of fields, and without it every field steps through
+    /// the hierarchy individually (the reference stepping mode,
     /// [`System::set_reference_stepping`]).
     pub(crate) fn new(
         source: &ScanSource<'a>,
@@ -228,8 +233,7 @@ impl<'a> ScanJob<'a> {
                     num_columns: columns.len(),
                     kind: JobKind::Rows {
                         table,
-                        plans: batched
-                            .then(|| build_plans(&cursors, base, stride, line_bytes as u64)),
+                        plans: build_plans(&cursors, base, stride, line_bytes as u64, batched),
                         cursors,
                         base,
                         stride,
@@ -270,8 +274,7 @@ impl<'a> ScanJob<'a> {
                     row_cpu: cost.row_loop() + cost.fields(num_columns),
                     num_columns,
                     kind: JobKind::Ephemeral {
-                        plans: batched
-                            .then(|| build_plans(&cursors, base, stride, line_bytes as u64)),
+                        plans: build_plans(&cursors, base, stride, line_bytes as u64, batched),
                         cursors,
                         base,
                         stride,
@@ -302,32 +305,32 @@ impl<'a> ScanJob<'a> {
         }
     }
 
-    /// Simulates row `row` on `core` starting at local time `now`: the
-    /// row's access chain, the per-row closure, its [`RowEffect`].
-    /// `values` must hold [`num_columns`](Self::num_columns) slots.
-    pub(crate) fn step_row<F>(
+    /// Steps rows `rows` on `core` in order, starting at local time `now`,
+    /// and returns `(end, cpu, rows_scanned)`: per row, its access chain,
+    /// the per-row closure and its [`RowEffect`]. The layout is matched
+    /// once per call and its per-row invariants (frontend borrow, backend,
+    /// value reader) are hoisted out of the row loop. `values` must hold
+    /// [`num_columns`](Self::num_columns) slots.
+    pub(crate) fn step_rows<F>(
         &self,
         p: Parts<'_>,
         core: usize,
-        row: u64,
+        rows: Range<u64>,
         now: SimTime,
         values: &mut [u64],
         per_row: &mut F,
-    ) -> RowStep
+    ) -> (SimTime, SimTime, u64)
     where
         F: FnMut(u64, &[u64]) -> RowEffect,
     {
-        let Parts {
-            cores,
-            l2,
-            dram,
-            mem,
-            engine,
-            line_bytes,
-        } = p;
-        let front = &mut cores[core];
-        let mut cpu = SimTime::ZERO;
-        let mut now = now;
+        let (front, l2, mem) = (&mut p.cores[core], p.l2, &*p.mem);
+        let mut backend = DramBackend {
+            dram: p.dram,
+            line_bytes: p.line_bytes,
+            core,
+        };
+        let (mut now, mut cpu) = (now, SimTime::ZERO);
+        let mut scanned = rows.end - rows.start;
         match &self.kind {
             JobKind::Rows {
                 table,
@@ -338,48 +341,57 @@ impl<'a> ScanJob<'a> {
                 visibility_cpu,
                 plans,
             } => {
-                let mut backend = DramBackend {
-                    dram: &mut *dram,
-                    line_bytes,
-                    core,
-                };
-                let row_base = base + row * stride;
-                if let Some(snap) = *snapshot {
-                    let out = front.access(row_base, 16, now, l2, &mut backend);
-                    now = out.completion + *visibility_cpu;
-                    cpu += *visibility_cpu;
-                    if !table.visible(mem, row, snap).unwrap_or(false) {
-                        return RowStep {
-                            now,
-                            cpu,
-                            scanned: false,
-                        };
+                for row in rows {
+                    let row_base = base + row * stride;
+                    if let Some(snap) = *snapshot {
+                        let out = front.access(row_base, 16, now, l2, &mut backend);
+                        now = out.completion + *visibility_cpu;
+                        cpu += *visibility_cpu;
+                        if !table.visible(mem, row, snap).unwrap_or(false) {
+                            scanned -= 1;
+                            continue;
+                        }
                     }
+                    now = walk_fields(
+                        front,
+                        l2,
+                        &mut backend,
+                        |_, addr, width| mem.read_uint(addr, width.min(8)),
+                        cursors,
+                        plan_for(plans, row),
+                        row_base,
+                        now,
+                        values,
+                    );
+                    now = self.finish_row(
+                        front,
+                        l2,
+                        &mut backend,
+                        row,
+                        now,
+                        &mut cpu,
+                        values,
+                        per_row,
+                    );
                 }
-                let mem = &*mem;
-                now = walk_fields(
-                    front,
-                    l2,
-                    &mut backend,
-                    |_, addr, width| mem.read_uint(addr, width.min(8)),
-                    cursors,
-                    plan_for(plans, row),
-                    row_base,
-                    now,
-                    values,
-                );
             }
             JobKind::Columnar { cursors } => {
-                let mut backend = DramBackend {
-                    dram: &mut *dram,
-                    line_bytes,
-                    core,
-                };
-                for (slot, &(col_base, width)) in cursors.iter().enumerate() {
-                    let addr = col_base + row * width as u64;
-                    let out = front.access(addr, width, now, l2, &mut backend);
-                    now = out.completion;
-                    values[slot] = mem.read_uint(addr, width.min(8));
+                for row in rows {
+                    for (slot, &(col_base, width)) in cursors.iter().enumerate() {
+                        let addr = col_base + row * width as u64;
+                        now = front.access(addr, width, now, l2, &mut backend).completion;
+                        values[slot] = mem.read_uint(addr, width.min(8));
+                    }
+                    now = self.finish_row(
+                        front,
+                        l2,
+                        &mut backend,
+                        row,
+                        now,
+                        &mut cpu,
+                        values,
+                        per_row,
+                    );
                 }
             }
             JobKind::Ephemeral {
@@ -389,42 +401,43 @@ impl<'a> ScanJob<'a> {
                 plans,
                 ..
             } => {
-                let mut backend = RmeBackend {
-                    engine,
-                    dram: &mut *dram,
+                let mut rme = RmeBackend {
+                    engine: p.engine,
                     mem,
-                    line_bytes,
-                    core,
+                    dram: backend,
                 };
-                now = walk_fields(
-                    front,
-                    l2,
-                    &mut backend,
-                    |b, addr, width| b.engine.read_packed_u64(addr, width, b.mem),
-                    cursors,
-                    plan_for(plans, row),
-                    base + row * stride,
-                    now,
-                    values,
-                );
+                for row in rows {
+                    now = walk_fields(
+                        front,
+                        l2,
+                        &mut rme,
+                        |b, addr, width| b.engine.read_packed_u64(addr, width, b.mem),
+                        cursors,
+                        plan_for(plans, row),
+                        base + row * stride,
+                        now,
+                        values,
+                    );
+                    // The closure's extra touch is an ordinary DRAM access.
+                    now = self.finish_row(
+                        front,
+                        l2,
+                        &mut rme.dram,
+                        row,
+                        now,
+                        &mut cpu,
+                        values,
+                        per_row,
+                    );
+                }
             }
         }
-        let mut backend = DramBackend {
-            dram,
-            line_bytes,
-            core,
-        };
-        let (now, row_cpu) = self.finish_row(front, l2, &mut backend, row, now, values, per_row);
-        RowStep {
-            now,
-            cpu: cpu + row_cpu,
-            scanned: true,
-        }
+        (now, cpu, scanned)
     }
 
     /// Runs the per-row closure over a row's values, charges the row's CPU
-    /// work and applies the closure's extra memory touch. Returns the
-    /// advanced clock and the CPU time charged.
+    /// work to `cpu` and applies the closure's extra memory touch. Returns
+    /// the advanced clock.
     #[allow(clippy::too_many_arguments)] // the split-borrowed platform
     #[inline(always)]
     fn finish_row<F>(
@@ -434,52 +447,21 @@ impl<'a> ScanJob<'a> {
         backend: &mut DramBackend<'_>,
         row: u64,
         now: SimTime,
+        cpu: &mut SimTime,
         values: &[u64],
         per_row: &mut F,
-    ) -> (SimTime, SimTime)
+    ) -> SimTime
     where
         F: FnMut(u64, &[u64]) -> RowEffect,
     {
         let effect = per_row(row, values);
         let row_cpu = self.row_cpu + effect.cpu;
+        *cpu += row_cpu;
         let mut now = now + row_cpu;
         if let Some((addr, bytes)) = effect.touch {
             now = front.access(addr, bytes, now, l2, backend).completion;
         }
-        (now, row_cpu)
-    }
-
-    /// Steps rows `rows` on `core` in order, starting at local time `now`,
-    /// and returns `(end, cpu, rows_scanned)`: the single-lane scan loop,
-    /// through [`run_rows_fast`](Self::run_rows_fast) when the job has that
-    /// shape and row by row through [`step_row`](Self::step_row) otherwise.
-    pub(crate) fn run_range<F>(
-        &self,
-        sys: &mut System,
-        core: usize,
-        rows: Range<u64>,
-        now: SimTime,
-        values: &mut [u64],
-        per_row: &mut F,
-    ) -> (SimTime, SimTime, u64)
-    where
-        F: FnMut(u64, &[u64]) -> RowEffect,
-    {
-        if self.fast_rows_shape() {
-            let scanned = rows.end - rows.start;
-            let (now, cpu) = self.run_rows_fast(sys.parts(), core, rows, now, values, per_row);
-            return (now, cpu, scanned);
-        }
-        let mut now = now;
-        let mut cpu_total = SimTime::ZERO;
-        let mut rows_scanned = 0u64;
-        for row in rows {
-            let step = self.step_row(sys.parts(), core, row, now, values, per_row);
-            now = step.now;
-            cpu_total += step.cpu;
-            rows_scanned += step.scanned as u64;
-        }
-        (now, cpu_total, rows_scanned)
+        now
     }
 
     /// The scan's steady-state period, if it has one the timing models can
@@ -580,88 +562,6 @@ impl<'a> ScanJob<'a> {
             _ => None,
         }
     }
-
-    /// Whether [`run_rows_fast`](Self::run_rows_fast) covers this job: a
-    /// row-table scan with no MVCC snapshot and a single (stride-aligned)
-    /// line plan. This is the shape every non-MVCC benchmark table has.
-    fn fast_rows_shape(&self) -> bool {
-        matches!(
-            &self.kind,
-            JobKind::Rows {
-                snapshot: None,
-                plans: Some(plans),
-                ..
-            } if plans.len() == 1
-        )
-    }
-
-    /// The whole-scan loop for the [`fast_rows_shape`](Self::fast_rows_shape)
-    /// case: the same per-row work as [`step_row`](Self::step_row) with the
-    /// per-row invariants (kind dispatch, frontend borrow, backend
-    /// construction, plan selection) hoisted out of the loop. Single-core
-    /// scans spend their whole life here.
-    ///
-    /// Returns `(end, cpu_total)` over `rows` exactly as the caller's
-    /// per-row accumulation over `step_row` would.
-    fn run_rows_fast<F>(
-        &self,
-        p: Parts<'_>,
-        core: usize,
-        rows: Range<u64>,
-        start: SimTime,
-        values: &mut [u64],
-        per_row: &mut F,
-    ) -> (SimTime, SimTime)
-    where
-        F: FnMut(u64, &[u64]) -> RowEffect,
-    {
-        let Parts {
-            cores,
-            l2,
-            dram,
-            mem,
-            engine: _,
-            line_bytes,
-        } = p;
-        let JobKind::Rows {
-            cursors,
-            base,
-            stride,
-            plans: Some(plans),
-            ..
-        } = &self.kind
-        else {
-            unreachable!("run_rows_fast requires fast_rows_shape");
-        };
-        let plan = &plans[0];
-        let front = &mut cores[core];
-        let mut backend = DramBackend {
-            dram,
-            line_bytes,
-            core,
-        };
-        let mem = &*mem;
-        let mut now = start;
-        let mut cpu_total = SimTime::ZERO;
-        for row in rows {
-            now = walk_fields(
-                front,
-                l2,
-                &mut backend,
-                |_, addr, width| mem.read_uint(addr, width.min(8)),
-                cursors,
-                Some(plan),
-                base + row * stride,
-                now,
-                values,
-            );
-            let (next, row_cpu) =
-                self.finish_row(front, l2, &mut backend, row, now, values, per_row);
-            now = next;
-            cpu_total += row_cpu;
-        }
-        (now, cpu_total)
-    }
 }
 
 /// The steady-state period of a scan (see [`ScanJob::period`]) and what
@@ -699,25 +599,22 @@ fn lcm(a: u64, b: u64) -> u64 {
     a / gcd(a, b) * b
 }
 
-/// The line plan for `row`, or `None` when the job steps per field.
+/// The line plan for `row`.
 #[inline(always)]
-fn plan_for(plans: &Option<Vec<LinePlan>>, row: u64) -> Option<&LinePlan> {
-    plans.as_ref().map(|plans| {
-        if plans.len() == 1 {
-            // The common aligned layout has one plan; skip the per-row
-            // modulo (an integer divide).
-            &plans[0]
-        } else {
-            &plans[(row % plans.len() as u64) as usize]
-        }
-    })
+fn plan_for(plans: &[LinePlan], row: u64) -> &LinePlan {
+    if plans.len() == 1 {
+        // The common aligned layout has one plan; skip the per-row modulo
+        // (an integer divide).
+        &plans[0]
+    } else {
+        &plans[(row % plans.len() as u64) as usize]
+    }
 }
 
 /// Accesses one row's projected fields, starting at `now`, and returns the
-/// clock after the last one. With a `plan`, each same-line run of fields
-/// is one [`CoreFrontend::access_run`] and each line-straddling field one
-/// [`CoreFrontend::access`]; without one (the reference stepping mode), every
-/// field is its own access. `read` yields a field's value from
+/// clock after the last one: each same-line run of fields in `plan` is one
+/// [`CoreFrontend::access_run`] and each [`PlanStep::Field`] one
+/// [`CoreFrontend::access`]. `read` yields a field's value from
 /// `(backend, address, width)`; value reads are pure, so reading a run's
 /// values after its access keeps slot order.
 #[allow(clippy::too_many_arguments)] // the split-borrowed platform
@@ -728,19 +625,11 @@ fn walk_fields<B: MemoryBackend>(
     backend: &mut B,
     read: impl Fn(&B, u64, usize) -> u64,
     cursors: &[(u64, usize)],
-    plan: Option<&LinePlan>,
+    plan: &LinePlan,
     row_base: u64,
     mut now: SimTime,
     values: &mut [u64],
 ) -> SimTime {
-    let Some(plan) = plan else {
-        for (slot, &(offset, width)) in cursors.iter().enumerate() {
-            let addr = row_base + offset;
-            now = front.access(addr, width, now, l2, backend).completion;
-            values[slot] = read(backend, addr, width);
-        }
-        return now;
-    };
     let aligned = row_base - plan.align;
     for step in &plan.steps {
         match *step {

@@ -377,12 +377,6 @@ impl System {
         ColumnarTable::materialize(&mut self.mem, table)
     }
 
-    /// Allocates a scratch region (e.g. for a hash table) in physical
-    /// memory and returns its base address.
-    pub fn alloc_scratch(&mut self, bytes: u64) -> u64 {
-        self.mem.alloc(bytes as usize, 64)
-    }
-
     /// Registers an ephemeral variable over `table` for the given column
     /// group: programs the RME configuration port and returns the handle.
     /// The engine holds a single configuration, so registering a new
@@ -529,12 +523,12 @@ impl System {
     /// single-threaded setup. Use `cores = 1` for paper-faithful
     /// single-threaded measurements; `multicore.rs` pins this distinction.
     ///
-    /// This is the simulator's hot path, the same per-row stepper the
-    /// multi-core schedulers use (`ScanJob::step_row`): per-column
-    /// cursors, the per-row CPU charge and — for row layouts — the
-    /// line-granular step plans are computed once per scan, and each row
-    /// then advances whole-line runs of fields through one hierarchy walk
-    /// each (see `crates/core/src/stepper.rs`).
+    /// This is the simulator's hot path, the same stepping body the
+    /// multi-core schedulers use (`ScanJob::step_rows`), here called with
+    /// whole row ranges: per-column cursors, the per-row CPU charge and —
+    /// for row layouts — the line-granular step plans are computed once
+    /// per scan, and each row then advances whole-line runs of fields
+    /// through one hierarchy walk each (see `crates/core/src/stepper.rs`).
     ///
     /// # Periodic fast-forward
     ///
@@ -574,7 +568,14 @@ impl System {
         let mut values = vec![0u64; job.num_columns()];
         let out = match self.steady_state_period(&job) {
             Some(period) => self.scan_periodic(&job, &period, start, &mut values, &mut per_row),
-            None => job.run_range(self, 0, 0..job.rows(), start, &mut values, &mut per_row),
+            None => job.step_rows(
+                self.parts(),
+                0,
+                0..job.rows(),
+                start,
+                &mut values,
+                &mut per_row,
+            ),
         };
         self.settle_memory();
         out
@@ -608,28 +609,23 @@ impl MemoryBackend for DramBackend<'_> {
     }
 }
 
-/// Ephemeral-route backend: L2 misses are served by the RME, attributed to
+/// Ephemeral-route backend: L2 misses are served by the RME, which fetches
+/// from `dram.dram`; writebacks go to DRAM through `dram`, attributed to
 /// the issuing core.
 pub(crate) struct RmeBackend<'a> {
     pub(crate) engine: &'a mut RmeEngine,
-    pub(crate) dram: &'a mut DramModel,
     pub(crate) mem: &'a PhysicalMemory,
-    pub(crate) line_bytes: usize,
-    pub(crate) core: usize,
+    pub(crate) dram: DramBackend<'a>,
 }
 
 impl MemoryBackend for RmeBackend<'_> {
     fn fill_line(&mut self, line_addr: u64, ready: SimTime) -> SimTime {
         self.engine
-            .serve_line_from(self.core, line_addr, ready, self.mem, self.dram)
+            .serve_line(line_addr, ready, self.mem, self.dram.dram)
     }
 
     fn writeback_line(&mut self, line_addr: u64, ready: SimTime) {
-        self.dram.post_write(
-            MemRequest::new(line_addr, self.line_bytes, ready)
-                .with_requestor(Requestor::Core(self.core))
-                .as_write(),
-        );
+        self.dram.writeback_line(line_addr, ready);
     }
 
     fn prefetchable(&self, line_addr: u64) -> bool {

@@ -27,8 +27,9 @@
 //! A workload of **one stream holding one OLAP scan on a 1-core system is
 //! counter-identical to [`System::scan`]** — same timestamps, values and
 //! every cache/DRAM/RME counter — which `tests/cross_path_equivalence.rs`
-//! asserts by proptest. The per-row body is literally the same code: the
-//! crate-private `stepper::ScanJob`.
+//! asserts by proptest. The scan body is literally the same code: the
+//! crate-private `stepper::ScanJob::step_rows`, here called one row at a
+//! time.
 //!
 //! # Open-loop traffic
 //!
@@ -815,20 +816,18 @@ impl System {
         let row = active.next_row;
         active.next_row += 1;
         let op = active.op;
-        let step = active.job.step_row(
+        let (now, cpu, scanned) = active.job.step_rows(
             self.parts(),
             core,
-            row,
+            row..row + 1,
             st.now,
             &mut st.values,
             &mut |r, v| observer(core, op, r, v),
         );
-        st.now = step.now;
-        st.cpu += step.cpu;
-        if step.scanned {
-            active.rows_scanned += 1;
-            st.rows += 1;
-        }
+        st.now = now;
+        st.cpu += cpu;
+        active.rows_scanned += scanned;
+        st.rows += scanned;
         if active.next_row >= active.end_row {
             let outcome = OpOutcome {
                 op: active.op,

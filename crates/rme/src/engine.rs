@@ -20,7 +20,6 @@
 use std::sync::Arc;
 
 use relmem_dram::{DramModel, PhysicalMemory};
-use relmem_sim::shift::extrapolate_all;
 use relmem_sim::{
     CdcConfig, RmeHwConfig, Shift, SimTime, TraceEvent, TraceEventKind, Tracer, Track,
 };
@@ -61,11 +60,6 @@ pub struct RmeEngine {
     /// the fetch units.
     progress: Option<FrameProgress>,
     stats: RmeStats,
-    /// Line requests served per CPU core (indexed by core, grown on
-    /// demand). The engine is a shared device: requests from all cores
-    /// funnel through the one Trapper, whose outstanding-transaction limit
-    /// is what arbitrates concurrent CPU-side traffic.
-    per_core_requests: Vec<u64>,
     /// Trace hook for frame activations and fetch windows. A no-op unless
     /// the system enables recording; timing is never affected.
     tracer: Tracer,
@@ -185,7 +179,6 @@ impl RmeEngine {
             line_bytes,
             progress: None,
             stats: RmeStats::default(),
-            per_core_requests: Vec::new(),
             tracer: Tracer::new(),
         }
     }
@@ -286,6 +279,10 @@ impl RmeEngine {
 
     /// Serves a CPU cache-line request for ephemeral address `addr`, issued
     /// at `ready`. Returns the time the line's data arrives at the CPU side.
+    /// The engine is core-agnostic: all cores share one Trapper (whose
+    /// `max_outstanding` limit arbitrates concurrent requests), one
+    /// Reorganization Buffer and one resident frame, so cores scanning
+    /// different frames of the same variable contend for the buffer.
     ///
     /// # Panics
     /// Panics if the engine has not been configured or the address is
@@ -297,27 +294,6 @@ impl RmeEngine {
         mem: &PhysicalMemory,
         dram: &mut DramModel,
     ) -> SimTime {
-        self.serve_line_from(0, addr, ready, mem, dram)
-    }
-
-    /// [`serve_line`](Self::serve_line) with the requesting CPU core made
-    /// explicit, so multi-core callers can attribute engine traffic. The
-    /// engine itself is core-agnostic: all cores share one Trapper (whose
-    /// `max_outstanding` limit arbitrates concurrent requests), one
-    /// Reorganization Buffer and one resident frame, so cores scanning
-    /// different frames of the same variable will contend for the buffer.
-    pub fn serve_line_from(
-        &mut self,
-        core: usize,
-        addr: u64,
-        ready: SimTime,
-        mem: &PhysicalMemory,
-        dram: &mut DramModel,
-    ) -> SimTime {
-        if self.per_core_requests.len() <= core {
-            self.per_core_requests.resize(core + 1, 0);
-        }
-        self.per_core_requests[core] += 1;
         assert!(
             self.owns_address(addr),
             "address 0x{addr:x} is not part of the programmed ephemeral range"
@@ -458,13 +434,6 @@ impl RmeEngine {
             fu.reset();
         }
         self.stats = RmeStats::default();
-        self.per_core_requests.clear();
-    }
-
-    /// Line requests served per CPU core since the last timing reset
-    /// (indexed by core; empty if no requests were served).
-    pub fn per_core_requests(&self) -> &[u64] {
-        &self.per_core_requests
     }
 
     /// The frame currently resident in the Reorganization Buffer, if any.
@@ -750,11 +719,6 @@ impl RmeEngine {
         self.requestor.extrapolate(&earlier.requestor, periods);
         self.monitor.shift(&earlier.monitor, shift, frames, periods);
         self.stats.extrapolate(&earlier.stats, periods);
-        extrapolate_all(
-            &mut self.per_core_requests,
-            &earlier.per_core_requests,
-            periods,
-        );
     }
 
     /// Largest frame the Reorganization Buffer can currently hold, in

@@ -37,6 +37,5 @@ pub use stats::{DegradeTransition, LatencyProfile, OverloadStats, TxnStats};
 pub use time::SimTime;
 pub use timeseries::{default_bucket, series_from_trace};
 pub use trace::{
-    validate_chrome_trace, NoopSink, RecordingSink, Trace, TraceEvent, TraceEventKind, TraceSink,
-    TraceSummary, Tracer, Track,
+    validate_chrome_trace, Trace, TraceEvent, TraceEventKind, TraceSummary, Tracer, Track,
 };

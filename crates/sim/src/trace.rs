@@ -1,7 +1,7 @@
-//! Simulated-time tracing: typed events, zero-cost sinks, Perfetto export.
+//! Simulated-time tracing: typed events, a zero-cost handle, Perfetto export.
 //!
 //! Every hardware model in the workspace can carry a [`Tracer`] — a handle
-//! that is a no-op until a recording sink is installed. When recording, the
+//! that is a no-op until recording is enabled. When recording, the
 //! models emit typed [`TraceEvent`]s stamped with simulated time: op
 //! lifecycle spans, L2 bank bookings, line fills and writebacks, DRAM
 //! command activity (ACT/PRE/RD/WR, refresh, tFAW stalls, FR-FCFS
@@ -13,9 +13,9 @@
 //!
 //! Design rules, enforced by tests:
 //!
-//! 1. **Zero cost when off.** [`Tracer::emit`] takes a closure; with no
-//!    sink installed the closure is never called, nothing allocates, and
-//!    the only cost is one pointer-null branch. The no-op path changes no
+//! 1. **Zero cost when off.** [`Tracer::emit`] takes a closure; when not
+//!    recording the closure is never called, nothing allocates, and the
+//!    only cost is one branch. The no-op path changes no
 //!    counter and no timing — the golden fixtures stay byte-identical.
 //! 2. **Observation only.** Emission sites read values the model already
 //!    computed; they never book resources or advance clocks.
@@ -285,40 +285,8 @@ impl TraceEvent {
 }
 
 // ---------------------------------------------------------------------------
-// Sinks and the Tracer handle
+// The Tracer handle
 // ---------------------------------------------------------------------------
-
-/// Where emitted events go. The workspace ships two implementations: the
-/// zero-cost [`NoopSink`] (the default — no `Tracer` even holds one; the
-/// handle skips the call entirely) and the buffering [`RecordingSink`].
-pub trait TraceSink {
-    /// Accepts one event.
-    fn record(&mut self, event: TraceEvent);
-}
-
-/// Discards every event. The reference no-op implementation; `Tracer`
-/// without a sink behaves identically without the virtual call.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NoopSink;
-
-impl TraceSink for NoopSink {
-    #[inline(always)]
-    fn record(&mut self, _event: TraceEvent) {}
-}
-
-/// Buffers every event in emission order.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RecordingSink {
-    /// Recorded events, in emission order.
-    pub events: Vec<TraceEvent>,
-}
-
-impl TraceSink for RecordingSink {
-    #[inline]
-    fn record(&mut self, event: TraceEvent) {
-        self.events.push(event);
-    }
-}
 
 /// The per-component tracing handle.
 ///
@@ -328,7 +296,8 @@ impl TraceSink for RecordingSink {
 /// collects the buffers afterwards.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Tracer {
-    sink: Option<Box<RecordingSink>>,
+    /// Recorded events, in emission order (`None`: not recording).
+    events: Option<Vec<TraceEvent>>,
 }
 
 impl Tracer {
@@ -337,34 +306,31 @@ impl Tracer {
         Tracer::default()
     }
 
-    /// Whether a recording sink is installed.
+    /// Whether the tracer is recording.
     #[inline(always)]
     pub fn enabled(&self) -> bool {
-        self.sink.is_some()
+        self.events.is_some()
     }
 
-    /// Emits an event. `build` runs only when recording — with the
-    /// default no-op sink this is a single branch, no allocation, no
-    /// borrow of anything but the tracer itself.
+    /// Emits an event. `build` runs only when recording — otherwise this
+    /// is a single branch, no allocation, no borrow of anything but the
+    /// tracer itself.
     #[inline(always)]
     pub fn emit(&mut self, build: impl FnOnce() -> TraceEvent) {
-        if let Some(sink) = self.sink.as_deref_mut() {
-            sink.record(build());
+        if let Some(events) = &mut self.events {
+            events.push(build());
         }
     }
 
-    /// Installs (or removes) the recording sink. Enabling clears any
-    /// previously recorded events.
+    /// Starts (or stops) recording. Enabling clears any previously
+    /// recorded events.
     pub fn set_enabled(&mut self, on: bool) {
-        self.sink = if on { Some(Box::default()) } else { None };
+        self.events = on.then(Vec::new);
     }
 
     /// Takes the recorded events, leaving recording state as-is.
     pub fn take(&mut self) -> Vec<TraceEvent> {
-        match self.sink.as_deref_mut() {
-            Some(sink) => std::mem::take(&mut sink.events),
-            None => Vec::new(),
-        }
+        self.events.as_mut().map(std::mem::take).unwrap_or_default()
     }
 }
 
@@ -832,7 +798,7 @@ mod tests {
             built = true;
             ev(Track::System, TraceEventKind::Degrade, 0, 0)
         });
-        assert!(!built, "the closure must not run with no sink installed");
+        assert!(!built, "the closure must not run when not recording");
         assert!(tracer.take().is_empty());
     }
 

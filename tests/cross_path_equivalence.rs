@@ -145,7 +145,7 @@ mod scan_equivalence {
         /// `System::run_workload` with a single one-scan stream on a
         /// single core. Must be bit-identical to `Optimized`: the workload
         /// scheduler has one stream to pick, so the scan's rows execute in
-        /// order through the same per-row stepper, with the L2 contention
+        /// order through the same stepping body, with the L2 contention
         /// model bypassed.
         WorkloadOneCore,
     }
@@ -187,7 +187,7 @@ mod scan_equivalence {
             }
         }
         let snapshot = mvcc.then(|| Snapshot::at(7));
-        let scratch = sys.alloc_scratch(64 * 64);
+        let scratch = sys.mem_mut().alloc(64 * 64, 64);
 
         let columnar;
         let var;
@@ -983,7 +983,7 @@ mod skip_vs_step {
             }
         }
         let snapshot = case.mvcc.then(|| Snapshot::at(9));
-        let scratch = sys.alloc_scratch(4096);
+        let scratch = sys.mem_mut().alloc(4096, 64);
         let var = sys.register_ephemeral(&table, group, snapshot).unwrap();
         let expect_skip = periodic(
             case,
