@@ -38,16 +38,30 @@ impl PhysicalMemory {
     /// # Panics
     /// Panics if the region does not fit or `align` is not a power of two.
     pub fn alloc(&mut self, size: usize, align: u64) -> u64 {
+        self.try_alloc(size, align).unwrap_or_else(|| {
+            panic!(
+                "physical memory exhausted: need {size} bytes aligned to {align} after {}, have {}",
+                self.next_alloc,
+                self.bytes.len()
+            )
+        })
+    }
+
+    /// Like [`alloc`](Self::alloc), but returns `None`, allocating nothing,
+    /// when the region does not fit once the cursor is padded up to
+    /// `align`.
+    ///
+    /// # Panics
+    /// Panics if `align` is not a power of two.
+    pub fn try_alloc(&mut self, size: usize, align: u64) -> Option<u64> {
         assert!(align.is_power_of_two(), "alignment must be a power of two");
         let base = (self.next_alloc + align - 1) & !(align - 1);
-        let end = base + size as u64;
-        assert!(
-            end <= self.bytes.len() as u64,
-            "physical memory exhausted: need {end} bytes, have {}",
-            self.bytes.len()
-        );
+        let end = base.checked_add(size as u64)?;
+        if end > self.bytes.len() as u64 {
+            return None;
+        }
         self.next_alloc = end;
-        base
+        Some(base)
     }
 
     /// Reads `len` bytes starting at `addr`.
@@ -67,6 +81,17 @@ impl PhysicalMemory {
     pub fn slice_mut(&mut self, addr: u64, len: usize) -> &mut [u8] {
         let start = addr as usize;
         &mut self.bytes[start..start + len]
+    }
+
+    /// Splits memory at `addr`: every byte below it shared, every byte
+    /// from it on mutable, so one region can be copied into a region
+    /// allocated after it without an intermediate buffer.
+    ///
+    /// # Panics
+    /// Panics if `addr` is past the end of memory.
+    pub fn split_at_mut(&mut self, addr: u64) -> (&[u8], &mut [u8]) {
+        let (below, above) = self.bytes.split_at_mut(addr as usize);
+        (below, above)
     }
 
     /// Copies `len` bytes starting at `addr` into `dst` (which must be at
@@ -107,18 +132,6 @@ impl PhysicalMemory {
         let start = addr as usize;
         self.bytes[start..start + data.len()].copy_from_slice(data);
     }
-
-    /// Writes a little-endian unsigned integer of `width` ∈ {1,2,4,8} bytes.
-    pub fn write_uint(&mut self, addr: u64, width: usize, value: u64) {
-        let bytes = value.to_le_bytes();
-        self.write(addr, &bytes[..width]);
-    }
-
-    /// Fills a region with a byte value.
-    pub fn fill(&mut self, addr: u64, len: usize, value: u8) {
-        let start = addr as usize;
-        self.bytes[start..start + len].fill(value);
-    }
 }
 
 #[cfg(test)]
@@ -134,6 +147,28 @@ mod tests {
         assert_eq!(b % 64, 0);
         assert!(b >= 10);
         assert_eq!(mem.allocated(), b + 16);
+    }
+
+    #[test]
+    fn try_alloc_counts_the_alignment_padding() {
+        let mut mem = PhysicalMemory::new(128);
+        mem.alloc(12, 1);
+        // 116 bytes are free, but a 64-aligned region starts at 64.
+        assert_eq!(mem.try_alloc(65, 64), None);
+        assert_eq!(mem.allocated(), 12);
+        assert_eq!(mem.try_alloc(usize::MAX, 64), None);
+        assert_eq!(mem.try_alloc(64, 64), Some(64));
+        assert_eq!(mem.allocated(), 128);
+    }
+
+    #[test]
+    fn split_at_mut_shares_below_and_lends_above() {
+        let mut mem = PhysicalMemory::new(16);
+        mem.write(2, &[5]);
+        let (below, above) = mem.split_at_mut(8);
+        above[1] = below[2];
+        assert_eq!((below.len(), above.len()), (8, 8));
+        assert_eq!(mem.read(9, 1), &[5]);
     }
 
     #[test]
@@ -160,32 +195,5 @@ mod tests {
         assert_eq!(buf, [2, 3]);
         mem.slice_mut(102, 2).copy_from_slice(&[7, 8]);
         assert_eq!(mem.read(100, 4), &[1, 2, 7, 8]);
-    }
-
-    #[test]
-    fn uint_roundtrip_all_widths() {
-        let mut mem = PhysicalMemory::new(1024);
-        for (width, value) in [
-            (1usize, 0xAAu64),
-            (2, 0xBEEF),
-            (4, 0xDEADBEEF),
-            (8, u64::MAX - 5),
-        ] {
-            mem.write_uint(64, width, value);
-            let mask = if width == 8 {
-                u64::MAX
-            } else {
-                (1u64 << (8 * width)) - 1
-            };
-            assert_eq!(mem.read_uint(64, width), value & mask);
-        }
-    }
-
-    #[test]
-    fn fill_fills() {
-        let mut mem = PhysicalMemory::new(256);
-        mem.fill(10, 5, 0x7f);
-        assert_eq!(mem.read(10, 5), &[0x7f; 5]);
-        assert_eq!(mem.read(15, 1), &[0]);
     }
 }

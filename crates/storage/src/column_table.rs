@@ -16,6 +16,23 @@ use crate::schema::Schema;
 use crate::table::RowTable;
 use crate::types::Value;
 
+/// Rows per tile of the columnar transpose: a tile of 64-byte rows (32 KB)
+/// and the arrays' share of it stay in cache while every column is copied.
+const TILE_ROWS: usize = 512;
+
+/// Copies the `width`-byte field at `at` of each `row_bytes`-byte row of
+/// `rows` into consecutive entries of `dst`. Always inlined, so the calls
+/// with a literal width compile to fixed-size moves.
+#[inline(always)]
+fn copy_field(dst: &mut [u8], rows: &[u8], row_bytes: usize, at: usize, width: usize) {
+    for (entry, row) in dst
+        .chunks_exact_mut(width)
+        .zip(rows.chunks_exact(row_bytes))
+    {
+        entry.copy_from_slice(&row[at..at + width]);
+    }
+}
+
 /// A column-major copy of a table.
 #[derive(Debug, Clone)]
 pub struct ColumnarTable {
@@ -39,43 +56,66 @@ impl ColumnarTable {
     /// Materialises every column of `table`, sizing each array for
     /// `capacity_rows` rows so the table can later grow via
     /// [`append`](Self::append) (transactional inserts).
+    ///
+    /// The arrays are laid out one after another, each 64-byte aligned, and
+    /// allocated together, so a copy that does not fit allocates nothing.
+    /// The copy then reads the source rows in place (the arrays sit above
+    /// the table) and transposes them in tiles of `TILE_ROWS` (512) rows: each
+    /// tile is copied into every column's array before the next is read,
+    /// so the tile stays in cache across the columns.
     pub fn materialize_with_capacity(
         mem: &mut PhysicalMemory,
         table: &RowTable,
         capacity_rows: u64,
     ) -> Result<Self, StorageError> {
         let schema = table.schema().clone();
-        let rows = table.num_rows();
-        let capacity_rows = capacity_rows.max(rows);
+        let rows = table.num_rows() as usize;
+        let capacity_rows = capacity_rows.max(rows as u64);
 
-        // Allocate every column array, then transpose the rows into them in
-        // one pass. (column base, offset in the row, width) per column:
+        // (start of the column's array within the block, its offset in the
+        // physical row, its width) per column.
+        let header = table.mvcc().header_bytes();
         let mut fields = Vec::with_capacity(schema.num_columns());
+        let mut block = 0u64;
         for (col, def) in schema.columns().iter().enumerate() {
             let width = def.ty.width();
-            let available = mem.capacity() - mem.allocated() as usize;
-            let needed = (width as u64).saturating_mul(capacity_rows).max(1) as usize;
-            if needed > available {
-                return Err(StorageError::OutOfMemory {
-                    requested: needed,
-                    available,
-                });
-            }
-            fields.push((mem.alloc(needed, 64), schema.offset(col)?, width));
+            let start = block.checked_next_multiple_of(64).unwrap_or(u64::MAX);
+            fields.push((start as usize, header + schema.offset(col)?, width));
+            let bytes = (width as u64).saturating_mul(capacity_rows).max(1);
+            block = start.saturating_add(bytes);
         }
-        let mut row = vec![0u8; schema.row_bytes()];
-        for r in 0..rows {
-            mem.read_into(table.row_data_addr(r), &mut row);
-            for &(base, off, width) in &fields {
-                mem.write(base + r * width as u64, &row[off..off + width]);
+        let requested = usize::try_from(block).unwrap_or(usize::MAX);
+        let available = mem.capacity() - mem.allocated() as usize;
+        let base = mem
+            .try_alloc(requested, 64)
+            .ok_or(StorageError::OutOfMemory {
+                requested,
+                available,
+            })?;
+
+        let row_bytes = table.physical_row_bytes();
+        let (below, arrays) = mem.split_at_mut(base);
+        let source = &below[table.base_addr() as usize..][..rows * row_bytes];
+        for (tile, src) in source.chunks(TILE_ROWS * row_bytes).enumerate() {
+            let first = tile * TILE_ROWS;
+            for &(start, at, width) in &fields {
+                let dst = &mut arrays[start + first * width..][..src.len() / row_bytes * width];
+                match width {
+                    4 => copy_field(dst, src, row_bytes, at, 4),
+                    8 => copy_field(dst, src, row_bytes, at, 8),
+                    _ => copy_field(dst, src, row_bytes, at, width),
+                }
             }
         }
 
         Ok(ColumnarTable {
             schema,
-            column_bases: fields.iter().map(|&(base, _, _)| base).collect(),
+            column_bases: fields
+                .iter()
+                .map(|&(start, _, _)| base + start as u64)
+                .collect(),
             capacity_rows,
-            rows: Cell::new(rows),
+            rows: Cell::new(rows as u64),
         })
     }
 
@@ -248,6 +288,81 @@ mod tests {
             ColumnarTable::materialize_with_capacity(&mut mem, &table, 1 << 61),
             Err(StorageError::OutOfMemory { .. })
         ));
+    }
+
+    #[test]
+    fn a_column_that_does_not_fit_allocates_no_array() {
+        let mut mem = PhysicalMemory::new(1024);
+        let table = RowTable::create(
+            &mut mem,
+            Schema::benchmark(2, 8, 16),
+            4,
+            MvccConfig::Disabled,
+        )
+        .unwrap();
+        table.append(&mut mem, &Row::from_u64s(&[1, 2]), 0).unwrap();
+        // The first 512-byte array fits at 64; the second would end at 1088.
+        assert!(matches!(
+            ColumnarTable::materialize_with_capacity(&mut mem, &table, 64),
+            Err(StorageError::OutOfMemory { .. })
+        ));
+        assert_eq!(mem.allocated(), 64);
+    }
+
+    #[test]
+    fn tiled_copy_equals_the_row_fields_across_tiles() {
+        // Three whole tiles and a partial one, mixed widths, MVCC headers.
+        let schema = schema_of(
+            &[(true, 1), (false, 3), (true, 4), (true, 8), (false, 13)],
+            0,
+        );
+        let rows = 3 * TILE_ROWS as u64 + 77;
+        let mut mem = PhysicalMemory::new(1 << 18);
+        let mut table = RowTable::create(&mut mem, schema, rows, MvccConfig::Enabled).unwrap();
+        DataGen::new(11)
+            .fill_table(&mut mem, &mut table, rows)
+            .unwrap();
+        let columnar = ColumnarTable::materialize(&mut mem, &table).unwrap();
+        for row in 0..rows {
+            for col in 0..5 {
+                assert_eq!(
+                    columnar.read_field(&mem, row, col).unwrap(),
+                    table.read_field(&mem, row, col).unwrap(),
+                    "row {row} col {col}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn bulk_builders_write_nothing_past_their_regions() {
+        // The last column ends the row with 4 bytes, so a stray 8-byte
+        // store there would spill into the next row or past the table.
+        let schema = schema_of(&[(true, 8), (true, 1), (false, 3), (true, 4)], 0);
+        for mvcc in [false, true] {
+            let rows = 1_600;
+            let mut mem = PhysicalMemory::new(1 << 18);
+            let mut table =
+                RowTable::create(&mut mem, schema.clone(), rows, mvcc_of(mvcc)).unwrap();
+            let canary = mem.alloc(64, 64);
+            assert_eq!(canary, table.row_addr(rows));
+            mem.write(canary, &[0xA5; 64]);
+            // Mark everything above the first canary too: the column
+            // arrays overwrite their own bytes, and the second canary is
+            // allocated where the last array ends.
+            let free = mem.capacity() - mem.allocated() as usize;
+            mem.slice_mut(mem.allocated(), free).fill(0x5A);
+            DataGen::new(3)
+                .fill_table(&mut mem, &mut table, rows)
+                .unwrap();
+            assert_eq!(table.num_rows(), rows);
+            assert_eq!(mem.read(canary, 64), &[0xA5; 64]);
+            let columnar = ColumnarTable::materialize(&mut mem, &table).unwrap();
+            let after = mem.alloc(64, 64);
+            assert_eq!(after, columnar.column_base(3).unwrap() + rows * 4);
+            assert_eq!(mem.read(canary, 64), &[0xA5; 64]);
+            assert_eq!(mem.read(after, 64), &[0x5A; 64]);
+        }
     }
 
     proptest! {

@@ -82,7 +82,17 @@ impl DataGen {
 
     /// The row kernel behind both fills. Per row it draws one value per
     /// column, in column order, and writes its low bytes at the column's
-    /// offset; then `finish` may draw more and overwrite fields.
+    /// offset, straight into the row's slot; then `finish` may draw more
+    /// and overwrite fields.
+    ///
+    /// The per-schema plan is resolved once. Every column with at least 8
+    /// bytes of room before the row's end takes one 8-byte little-endian
+    /// store; offsets ascend, so these columns are a prefix. A store may
+    /// spill past its column, but only into the columns after it (rows are
+    /// packed), whose stores come later and overwrite the spill; bytes of a
+    /// wide `Bytes` column beyond its first 8 stay as `append_encoded`
+    /// zeroed them. The suffix columns, narrower than 8 bytes, take an
+    /// exact-width store, so nothing is written past the row's end.
     fn fill_rows(
         &mut self,
         mem: &mut PhysicalMemory,
@@ -91,18 +101,28 @@ impl DataGen {
         mut finish: impl FnMut(&mut StdRng, &mut [u8]),
     ) -> Result<(), StorageError> {
         let schema = table.schema();
-        // (offset, bytes written, exclusive bound of the drawn value)
-        let mut columns = Vec::with_capacity(schema.num_columns());
+        // (offset, exclusive bound of the drawn value) per prefix column,
+        // and (offset, width, bound) per suffix column.
+        let (mut prefix, mut suffix) = (Vec::new(), Vec::new());
         for (idx, col) in schema.columns().iter().enumerate() {
+            let at = schema.offset(idx)?;
             let bound = match col.ty {
                 ColumnType::UInt(w) if w < 8 => VALUE_RANGE.min(1 << (8 * w)),
                 _ => VALUE_RANGE,
             };
-            columns.push((schema.offset(idx)?, col.ty.width().min(8), bound));
+            if at + 8 <= schema.row_bytes() {
+                prefix.push((at, bound));
+            } else {
+                suffix.push((at, col.ty.width(), bound));
+            }
         }
         let rng = &mut self.rng;
         table.append_encoded(mem, rows, 1, |row| {
-            for &(at, bytes, bound) in &columns {
+            for &(at, bound) in &prefix {
+                let v = rng.random_range(0..bound);
+                row[at..at + 8].copy_from_slice(&v.to_le_bytes());
+            }
+            for &(at, bytes, bound) in &suffix {
                 let v = rng.random_range(0..bound);
                 row[at..at + bytes].copy_from_slice(&v.to_le_bytes()[..bytes]);
             }
@@ -256,8 +276,9 @@ pub(crate) mod tests {
                 }
                 (Some((col, frac)), false) => gen.reference_join(&mut mem, &table, rows, col, frac),
             };
-            // `append` shares the row buffer with the kernel, so check the
-            // MVCC header against its value rather than the reference.
+            // `append` writes headers through the kernel's own
+            // `append_encoded`, so check them against their value rather
+            // than the reference.
             let begin = u64::from(self.mvcc);
             for row in 0..table.num_rows() {
                 assert_eq!(table.version(&mem, row).unwrap(), (begin, 0));

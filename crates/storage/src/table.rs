@@ -38,15 +38,12 @@ impl RowTable {
         mvcc: MvccConfig,
     ) -> Result<Self, StorageError> {
         let phys_row = schema.row_bytes() + mvcc.header_bytes();
-        let needed = (phys_row as u64).saturating_mul(capacity_rows);
-        let available = mem.capacity() as u64 - mem.allocated();
-        if needed > available {
-            return Err(StorageError::OutOfMemory {
-                requested: needed as usize,
-                available: available as usize,
-            });
-        }
-        let base = mem.alloc(needed as usize, 64);
+        let needed = (phys_row as u64).saturating_mul(capacity_rows) as usize;
+        let available = mem.capacity() - mem.allocated() as usize;
+        let base = mem.try_alloc(needed, 64).ok_or(StorageError::OutOfMemory {
+            requested: needed,
+            available,
+        })?;
         Ok(RowTable {
             schema,
             mvcc,
@@ -116,11 +113,13 @@ impl RowTable {
         Ok(idx)
     }
 
-    /// Appends up to `rows` rows visible from `begin_ts`. `encode` writes
-    /// each row's data bytes into one reused buffer, zeroed once, so bytes
-    /// it never writes stay zero; a row it rejects is not written. When the
-    /// table fills up, the rows that fit stay and the call fails with
-    /// `OutOfMemory`.
+    /// Appends up to `rows` rows visible from `begin_ts`, each encoded
+    /// straight into its slot of the table's memory: the slot's data bytes
+    /// are zeroed, so bytes `encode` never writes read as zero, then
+    /// `encode` fills them, then the row's MVCC header is written. `encode`
+    /// must validate before it writes: a row it rejects gets no header and
+    /// is not counted. When the table fills up, the rows that fit stay and
+    /// the call fails with `OutOfMemory`.
     pub(crate) fn append_encoded(
         &self,
         mem: &mut PhysicalMemory,
@@ -129,18 +128,21 @@ impl RowTable {
         mut encode: impl FnMut(&mut [u8]) -> Result<(), StorageError>,
     ) -> Result<(), StorageError> {
         let header = self.mvcc.header_bytes();
-        let mut buf = vec![0u8; self.physical_row_bytes()];
-        buf[..header].copy_from_slice(&encode_header(begin_ts, 0)[..header]);
+        let version = encode_header(begin_ts, 0);
+        let row_bytes = self.physical_row_bytes();
         let start = self.rows.get();
         let room = self.capacity_rows - start;
-        for idx in start..start + rows.min(room) {
-            encode(&mut buf[header..])?;
-            mem.write(self.row_addr(idx), &buf);
-            self.rows.set(idx + 1);
+        let slots = mem.slice_mut(self.row_addr(start), rows.min(room) as usize * row_bytes);
+        for slot in slots.chunks_exact_mut(row_bytes) {
+            let (head, data) = slot.split_at_mut(header);
+            data.fill(0);
+            encode(data)?;
+            head.copy_from_slice(&version[..header]);
+            self.rows.set(self.rows.get() + 1);
         }
         if rows > room {
             return Err(StorageError::OutOfMemory {
-                requested: self.physical_row_bytes(),
+                requested: row_bytes,
                 available: 0,
             });
         }
@@ -331,6 +333,21 @@ mod tests {
             Err(StorageError::OutOfMemory { .. })
         ));
         assert_eq!(m.allocated(), 0);
+    }
+
+    #[test]
+    fn alignment_padding_counts_against_the_room() {
+        // A 12-byte table leaves the cursor off a 64-byte boundary, so a
+        // table that fits the bytes left does not fit once padded.
+        let mut m = PhysicalMemory::new(1024);
+        let schema = Schema::new(vec![ColumnDef::new("a", ColumnType::UInt(4))]).unwrap();
+        RowTable::create(&mut m, schema.clone(), 3, MvccConfig::Disabled).unwrap();
+        let rows = (1024 - m.allocated()) / 4;
+        assert!(matches!(
+            RowTable::create(&mut m, schema, rows, MvccConfig::Disabled),
+            Err(StorageError::OutOfMemory { .. })
+        ));
+        assert_eq!(m.allocated(), 12);
     }
 
     #[test]

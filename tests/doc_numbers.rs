@@ -1,7 +1,8 @@
 //! The figures README.md, docs/ARCHITECTURE.md and docs/FIGURES.md quote
 //! from the committed `BENCH_scan_throughput*.json`, `BENCH_fig13.json`,
-//! `BENCH_columnar_ff.json`, `BENCH_htap_memory_path.json` and
-//! `BENCH_hash_queries.json` records must match those records.
+//! `BENCH_columnar_ff.json`, `BENCH_htap_memory_path.json`,
+//! `BENCH_hash_queries.json` and `BENCH_setup.json` records must match
+//! those records.
 //!
 //! Each check names the record field, the document, and the text that
 //! follows the quoted number there. A quoted figure passes when it is
@@ -141,6 +142,28 @@ fn architecture_quotes_the_fig13_record() {
         "change_median_s",
         1.0,
     );
+}
+
+#[test]
+fn architecture_quotes_the_setup_record() {
+    for (follows, key) in [
+        (" s of set-up at the parent commit", "setup_s_parent_median"),
+        (" s with the direct row kernel", "setup_s_change_median"),
+        (" ns per row before", "traced_fill_ns_per_row_parent_median"),
+        (" ns per row after", "traced_fill_ns_per_row_change_median"),
+        (" s of host time before", "traced_columnar_s_parent_median"),
+        (" s of host time after", "traced_columnar_s_change_median"),
+        (" s on the parent and", "fig13_parent_median_s"),
+        (" s on the change (medians", "fig13_change_median_s"),
+    ] {
+        check(
+            "docs/ARCHITECTURE.md",
+            follows,
+            "BENCH_setup.json",
+            key,
+            1.0,
+        );
+    }
 }
 
 #[test]
