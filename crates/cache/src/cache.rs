@@ -3,8 +3,9 @@
 //! The model tracks which line addresses are resident; data always comes
 //! from the functional layer (`relmem_dram::PhysicalMemory` or the RME's
 //! reorganization buffer), so the cache only needs tags. This keeps the
-//! model fast enough to sweep gigabyte tables while still producing the
-//! request/miss counts of Figure 8.
+//! model fast enough to sweep gigabyte tables. A level keeps no counters:
+//! the hierarchy counts its requests, hits and misses once, in
+//! [`HierarchyStats`](crate::stats::HierarchyStats), which Figure 8 reads.
 //!
 //! # Layout
 //!
@@ -41,8 +42,6 @@
 
 use relmem_sim::{CacheLevelConfig, Shift};
 
-use crate::stats::CacheLevelStats;
-
 /// Sentinel marking an unoccupied way. The tag walk asserts every real
 /// set-relative tag stays below it, so it can never collide.
 const EMPTY: u32 = u32::MAX;
@@ -56,7 +55,6 @@ const MEMO_WAYS: usize = 16;
 /// A set-associative, true-LRU, tag-only cache.
 #[derive(Debug, Clone)]
 pub struct Cache {
-    cfg: CacheLevelConfig,
     sets: usize,
     assoc: usize,
     /// `log2(line_bytes)` — the line size is asserted to be a power of two.
@@ -93,7 +91,6 @@ pub struct Cache {
     /// set scan for a single tag compare.
     memo_lines: [u64; MEMO_WAYS],
     memo_slots: [u32; MEMO_WAYS],
-    stats: CacheLevelStats,
 }
 
 impl Cache {
@@ -127,8 +124,6 @@ impl Cache {
             // addresses shifted right), so fresh entries can never verify.
             memo_lines: [u64::MAX; MEMO_WAYS],
             memo_slots: [0; MEMO_WAYS],
-            cfg,
-            stats: CacheLevelStats::default(),
         }
     }
 
@@ -139,15 +134,10 @@ impl Cache {
         (0..sets * assoc).map(|i| (i % assoc) as u8).collect()
     }
 
-    /// The cache's configuration.
-    pub fn config(&self) -> &CacheLevelConfig {
-        &self.cfg
-    }
-
     /// Line-aligns an address.
-    #[inline]
-    pub fn line_addr(&self, addr: u64) -> u64 {
-        addr & !(self.cfg.line_bytes as u64 - 1)
+    #[inline(always)]
+    fn line_addr(&self, addr: u64) -> u64 {
+        addr & !((1u64 << self.line_shift) - 1)
     }
 
     /// Splits a line address into its set's base index and its
@@ -459,51 +449,10 @@ impl Cache {
         set[way] = 15;
     }
 
-    /// Residency probe that refreshes the line's recency on a hit but does
-    /// not touch the request/hit/miss counters. This is the hierarchy's
-    /// hot-path entry point: level counters are kept once, in
-    /// [`HierarchyStats`](crate::stats::HierarchyStats).
-    #[inline]
-    pub fn probe(&mut self, addr: u64) -> bool {
-        let (base, tag) = self.locate(self.line_addr(addr));
-        match self.find_way(base, tag) {
-            Some(way) => {
-                self.touch(base, way);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Looks up the line containing `addr`, updating LRU order and counters.
-    /// Returns `true` on a hit.
-    #[inline]
-    pub fn access(&mut self, addr: u64) -> bool {
-        self.stats.requests += 1;
-        if self.probe(addr) {
-            self.stats.hits += 1;
-            true
-        } else {
-            self.stats.misses += 1;
-            false
-        }
-    }
-
-    /// Checks residency without updating LRU order or counters.
-    pub fn peek(&self, addr: u64) -> bool {
-        let (base, tag) = self.locate(self.line_addr(addr));
-        self.find_way(base, tag).is_some()
-    }
-
-    /// One-walk combination of [`probe`](Self::probe) and
-    /// [`fill`](Self::fill): refreshes recency and reports `None` if the
-    /// line is resident, otherwise installs it as MRU in the same set walk
-    /// and reports `Some(evicted)`. This is the hierarchy's per-miss entry
-    /// point — it halves the set scans of a probe-then-fill pair, and is
-    /// state-equivalent as long as nothing else touches this cache level
-    /// between the lookup and the fill (which is the case in the
-    /// hierarchy: prefetches only touch the L2, demand fills only follow
-    /// their own lookup).
+    /// Looks up the line containing `addr` and fills it on a miss, in one
+    /// set walk: refreshes recency and reports `None` if the line is
+    /// resident, otherwise installs it as MRU and reports `Some(evicted)`.
+    /// This is the L1's entry point; the hierarchy counts the lookup.
     #[inline(always)]
     pub fn probe_else_fill(&mut self, addr: u64) -> Option<Option<u64>> {
         let (base, tag) = self.locate(self.line_addr(addr));
@@ -521,19 +470,13 @@ impl Cache {
         Some((old != EMPTY).then(|| self.line_of(base, old)))
     }
 
-    /// Like [`probe_else_fill`](Self::probe_else_fill), but reports the
-    /// evicted line's dirty status alongside its address — the entry point
-    /// for levels that owe the backend writebacks of dirty victims.
-    #[inline]
-    pub fn probe_else_fill_dirty(&mut self, addr: u64) -> Option<(Option<u64>, bool)> {
-        self.probe_else_fill_dirty_slot(addr).1
-    }
-
-    /// [`probe_else_fill_dirty`](Self::probe_else_fill_dirty) exposing the
-    /// touched way's flat slot index (`set * assoc + way` — the hit way on
-    /// a hit, the filled way on a miss). Owners key parallel per-way
-    /// metadata off it: the shared L2 stores pending-fill arrival times in
-    /// a slot-indexed array, so the metadata of a line is found by the set
+    /// [`probe_else_fill`](Self::probe_else_fill) reporting the evicted
+    /// line's dirty status alongside its address, and the touched way's
+    /// flat slot index (`set * assoc + way` — the hit way on a hit, the
+    /// filled way on a miss). This is the L2's entry point: it owes the
+    /// backend writebacks of dirty victims, and it keys parallel per-way
+    /// metadata off the slot — pending-fill arrival times live in a
+    /// slot-indexed array, so the metadata of a line is found by the set
     /// walk that just located it instead of a second, hashed lookup.
     #[inline(always)]
     pub(crate) fn probe_else_fill_dirty_slot(
@@ -588,8 +531,8 @@ impl Cache {
     }
 
     /// Marks the line containing `addr` dirty if resident, without touching
-    /// LRU order or counters (so the mark is unobservable to replacement
-    /// and timing). Returns whether the line was resident.
+    /// LRU order (so the mark is unobservable to replacement and timing).
+    /// Returns whether the line was resident.
     #[inline]
     pub fn mark_dirty(&mut self, addr: u64) -> bool {
         let (base, tag) = self.locate(self.line_addr(addr));
@@ -602,73 +545,11 @@ impl Cache {
         }
     }
 
-    /// Whether the line containing `addr` is resident and dirty.
-    pub fn is_dirty(&self, addr: u64) -> bool {
-        let (base, tag) = self.locate(self.line_addr(addr));
-        self.find_way(base, tag)
-            .is_some_and(|way| self.dirty[base + way])
-    }
-
-    /// Inserts a line the caller knows is absent (a just-missed probe) as
-    /// MRU, returning the evicted line address if the set was full. Skips
-    /// the residency re-check [`fill`](Self::fill) pays.
-    #[inline]
-    pub fn fill_absent(&mut self, addr: u64) -> Option<u64> {
-        let (base, tag) = self.locate(self.line_addr(addr));
-        let (found, first_empty) = self.scan_set(base, tag);
-        debug_assert!(found.is_none(), "line already resident");
-        let victim = self.claim_victim(base, first_empty);
-        let old = self.tags[base + victim];
-        self.tags[base + victim] = tag;
-        self.dirty[base + victim] = false;
-        (old != EMPTY).then(|| self.line_of(base, old))
-    }
-
-    /// Inserts the line containing `addr` as MRU, returning the evicted line
-    /// address if the set was full. Filling an already-resident line only
-    /// refreshes its LRU position.
-    pub fn fill(&mut self, addr: u64) -> Option<u64> {
-        let (base, tag) = self.locate(self.line_addr(addr));
-        if let Some(way) = self.find_way(base, tag) {
-            self.touch(base, way);
-            return None;
-        }
-        self.fill_absent(addr)
-    }
-
-    /// Removes a specific line if resident.
-    pub fn invalidate(&mut self, addr: u64) {
-        let (base, tag) = self.locate(self.line_addr(addr));
-        if let Some(way) = self.find_way(base, tag) {
-            self.tags[base + way] = EMPTY;
-            // The way's rank stays in place: it keeps the set's permutation
-            // closed, and victim selection prefers empty ways by tag, so a
-            // stale rank can never influence replacement.
-            self.dirty[base + way] = false;
-        }
-    }
-
-    /// Empties the cache (keeps statistics).
+    /// Empties the cache.
     pub fn flush(&mut self) {
         self.tags.fill(EMPTY);
         self.ranks = Self::identity_ranks(self.sets, self.assoc);
         self.dirty.fill(false);
-    }
-
-    /// Number of resident lines.
-    pub fn resident_lines(&self) -> usize {
-        self.tags.iter().filter(|&&t| t != EMPTY).count()
-    }
-
-    /// Counters accumulated so far (only tracked through
-    /// [`access`](Self::access); the hierarchy counts at its own level).
-    pub fn stats(&self) -> &CacheLevelStats {
-        &self.stats
-    }
-
-    /// Resets counters to zero (keeps contents).
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheLevelStats::default();
     }
 
     /// The set-relative tag of the line stored as `tag` in the set at
@@ -684,13 +565,12 @@ impl Cache {
 
     /// Whether this tag store holds `earlier`'s lines moved by one period
     /// (see [`relmem_sim::shift`]), with the same recency order and dirty
-    /// bits. The walk memo is a verified hint and the counters are not
-    /// state, so neither is compared.
+    /// bits. The walk memo is a verified hint, so it is not compared.
     ///
     /// Which way of a *full* set holds a line is unobservable: lookups
     /// match tags, replacement picks by rank, and a full set stays full
-    /// (scans never invalidate). Full sets therefore compare way by way in
-    /// recency order, so a stream that advances a set by a fraction of its
+    /// until a flush. Full sets therefore compare way by way in recency
+    /// order, so a stream that advances a set by a fraction of its
     /// associativity per period still matches; sets with an empty way
     /// compare way for way, because the lowest empty way is filled next.
     pub fn same_up_to_shift(&self, earlier: &Cache, shift: &Shift) -> bool {
@@ -742,13 +622,12 @@ impl Cache {
     }
 
     /// Moves every resident line forward by `periods` periods (each stays
-    /// in its set and way), forgets the walk memo and advances the
-    /// counters by their increment since `earlier`.
+    /// in its set and way) and forgets the walk memo.
     ///
     /// # Panics
     /// Panics if a line would change sets — callers check
     /// [`same_up_to_shift`](Self::same_up_to_shift) first.
-    pub fn shift(&mut self, earlier: &Cache, shift: &Shift, periods: u64) {
+    pub fn shift(&mut self, shift: &Shift, periods: u64) {
         for slot in 0..self.tags.len() {
             let tag = self.tags[slot];
             if tag != EMPTY {
@@ -759,7 +638,6 @@ impl Cache {
             }
         }
         self.memo_lines = [u64::MAX; MEMO_WAYS];
-        self.stats.extrapolate(&earlier.stats, periods);
     }
 }
 
@@ -767,6 +645,8 @@ impl Cache {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use relmem_sim::SimTime;
+    use std::collections::HashSet;
 
     impl Cache {
         /// Set base index of a line address (the tag-free half of
@@ -779,6 +659,30 @@ mod tests {
             };
             set as usize * self.assoc
         }
+
+        /// The flat slot holding the line containing `addr`, if resident;
+        /// reads the tag store without touching recency.
+        fn slot_of(&self, addr: u64) -> Option<usize> {
+            let (base, tag) = self.locate(self.line_addr(addr));
+            self.find_way(base, tag).map(|way| base + way)
+        }
+
+        fn resident(&self, addr: u64) -> bool {
+            self.slot_of(addr).is_some()
+        }
+
+        fn is_dirty(&self, addr: u64) -> bool {
+            self.slot_of(addr).is_some_and(|slot| self.dirty[slot])
+        }
+
+        fn resident_lines(&self) -> usize {
+            self.tags.iter().filter(|&&t| t != EMPTY).count()
+        }
+
+        /// The L2 entry point without its slot.
+        fn fill_dirty(&mut self, addr: u64) -> Option<(Option<u64>, bool)> {
+            self.probe_else_fill_dirty_slot(addr).1
+        }
     }
 
     fn small_cache(assoc: usize, sets: usize) -> Cache {
@@ -790,117 +694,84 @@ mod tests {
         })
     }
 
+    /// A translation of physical addresses by `bytes` per period.
+    fn shift_by(bytes: u64) -> Shift {
+        Shift {
+            time: SimTime::from_nanos(100),
+            start: SimTime::from_nanos(100),
+            source: bytes,
+            ephemeral: 0,
+            ephemeral_base: u64::MAX,
+        }
+    }
+
     #[test]
-    fn miss_then_hit_after_fill() {
+    fn miss_fills_and_the_line_then_hits() {
         let mut c = small_cache(2, 4);
-        assert!(!c.access(100));
-        c.fill(100);
-        assert!(c.access(100));
-        assert!(c.access(127)); // same line
-        assert!(!c.access(128)); // next line
-        assert_eq!(c.stats().requests, 4);
-        assert_eq!(c.stats().hits, 2);
-        assert_eq!(c.stats().misses, 2);
+        assert_eq!(c.probe_else_fill(100), Some(None), "cold miss, no victim");
+        assert_eq!(c.probe_else_fill(100), None);
+        assert_eq!(c.probe_else_fill(127), None, "same line");
+        assert_eq!(c.probe_else_fill(128), Some(None), "next line");
+        assert_eq!(c.resident_lines(), 2);
     }
 
     #[test]
     fn lru_evicts_least_recently_used() {
         let mut c = small_cache(2, 1);
-        c.fill(0); // line 0
-        c.fill(64); // line 1 — set is now full
-        assert!(c.access(0)); // touch line 0 so line 1 becomes LRU
-        let evicted = c.fill(128); // line 2 must evict line 1
-        assert_eq!(evicted, Some(64));
-        assert!(c.peek(0));
-        assert!(!c.peek(64));
-        assert!(c.peek(128));
+        c.probe_else_fill(0);
+        c.probe_else_fill(64); // the set is now full
+        assert_eq!(c.probe_else_fill(0), None); // line 1 becomes LRU
+        assert_eq!(c.probe_else_fill(128), Some(Some(64)));
+        assert!(c.resident(0));
+        assert!(!c.resident(64));
+        assert!(c.resident(128));
     }
 
     #[test]
-    fn fill_of_resident_line_does_not_evict() {
-        let mut c = small_cache(2, 1);
-        c.fill(0);
-        c.fill(64);
-        assert_eq!(c.fill(0), None);
-        assert_eq!(c.resident_lines(), 2);
-    }
-
-    #[test]
-    fn fill_refreshes_lru_position_of_resident_line() {
-        let mut c = small_cache(2, 1);
-        c.fill(0);
-        c.fill(64); // order (MRU→LRU): 64, 0
-        c.fill(0); // refresh: 0, 64
-        assert_eq!(c.fill(128), Some(64));
-    }
-
-    #[test]
-    fn invalidate_and_flush() {
-        let mut c = small_cache(4, 2);
-        c.fill(0);
-        c.fill(64);
-        c.invalidate(0);
-        assert!(!c.peek(0));
-        assert!(c.peek(64));
-        c.flush();
-        assert_eq!(c.resident_lines(), 0);
-    }
-
-    #[test]
-    fn invalidate_preserves_lru_order_of_survivors() {
-        let mut c = small_cache(4, 1);
-        for line in [0u64, 64, 128, 192] {
-            c.fill(line);
+    fn both_entry_points_evict_alike() {
+        let mut l1 = small_cache(2, 1);
+        let mut l2 = small_cache(2, 1);
+        for addr in [0u64, 64, 0, 128, 192, 64, 0] {
+            let evicted = l1.probe_else_fill(addr);
+            assert_eq!(l2.fill_dirty(addr).map(|(e, _)| e), evicted);
         }
-        // Order (MRU→LRU): 192, 128, 64, 0. Drop 128 from the middle.
-        c.invalidate(128);
-        // Set has a free way; next fill evicts nothing.
-        assert_eq!(c.fill(256), None);
-        // Now full with order: 256, 192, 64, 0 — filling evicts 0, then 64.
-        assert_eq!(c.fill(320), Some(0));
-        assert_eq!(c.fill(384), Some(64));
     }
 
     #[test]
-    fn probe_refreshes_recency_without_counting() {
-        let mut c = small_cache(2, 1);
-        c.fill(0);
-        c.fill(64);
-        assert!(c.probe(0)); // 0 becomes MRU, 64 LRU
-        assert!(!c.probe(128));
-        assert_eq!(c.stats().requests, 0);
-        assert_eq!(c.fill_absent(128), Some(64));
+    fn flush_empties_the_cache_and_restarts_its_fill_order() {
+        let mut used = small_cache(4, 2);
+        for addr in [0u64, 64, 128, 192, 256] {
+            used.probe_else_fill(addr);
+        }
+        used.mark_dirty(0);
+        used.flush();
+        assert_eq!(used.resident_lines(), 0);
+        let mut fresh = small_cache(4, 2);
+        for addr in [512u64, 640, 768, 896, 1024, 512, 1152] {
+            assert_eq!(
+                used.probe_else_fill_dirty_slot(addr),
+                fresh.probe_else_fill_dirty_slot(addr)
+            );
+        }
     }
 
     #[test]
     fn dirty_bits_track_writes_and_clear_on_install() {
         let mut c = small_cache(2, 1);
         assert!(!c.mark_dirty(0), "marking an absent line is a no-op");
-        c.fill(0);
+        c.fill_dirty(0);
         assert!(!c.is_dirty(0));
         assert!(c.mark_dirty(0));
         assert!(c.is_dirty(0));
-        c.fill(64);
-        // Evicting the dirty line (LRU is 0 after 64's fill refreshed
-        // nothing — touch 64 so 0 stays LRU) reports its dirty status.
-        assert!(c.probe(64));
-        let (evicted, was_dirty) = c.probe_else_fill_dirty(128).expect("miss");
-        assert_eq!(evicted, Some(0));
-        assert!(was_dirty, "the evicted line was written");
-        // The recycled way starts clean.
-        assert!(!c.is_dirty(128));
-        // A clean eviction reports clean.
-        let (evicted, was_dirty) = c.probe_else_fill_dirty(192).expect("miss");
-        assert_eq!(evicted, Some(64));
-        assert!(!was_dirty);
-        // Invalidate and flush clear dirty state.
-        c.mark_dirty(128);
-        c.invalidate(128);
-        c.fill(128);
-        assert!(!c.is_dirty(128));
+        c.fill_dirty(64);
+        assert_eq!(c.fill_dirty(64), None, "a hit; 0 is now LRU");
+        assert_eq!(c.fill_dirty(128), Some((Some(0), true)), "dirty victim");
+        assert!(!c.is_dirty(128), "the recycled way starts clean");
+        assert_eq!(c.fill_dirty(192), Some((Some(64), false)), "clean victim");
+        // A flush clears dirty state.
         c.mark_dirty(128);
         c.flush();
-        c.fill(128);
+        c.fill_dirty(128);
         assert!(!c.is_dirty(128));
     }
 
@@ -909,30 +780,107 @@ mod tests {
         let mut a = small_cache(2, 1);
         let mut b = small_cache(2, 1);
         for c in [&mut a, &mut b] {
-            c.fill(0);
-            c.fill(64); // order (MRU→LRU): 64, 0
+            c.probe_else_fill(0);
+            c.probe_else_fill(64); // order (MRU→LRU): 64, 0
         }
         a.mark_dirty(0); // must NOT promote line 0
-        let (ea, eb) = (a.fill(128), b.fill(128));
+        let (ea, eb) = (a.probe_else_fill(128), b.probe_else_fill(128));
         assert_eq!(ea, eb, "replacement diverged");
-        assert_eq!(ea, Some(0));
+        assert_eq!(ea, Some(Some(0)));
+    }
+
+    /// The slot is the way holding the line, on a memoized hit, a walked
+    /// hit and a fill into a recycled way alike.
+    #[test]
+    fn the_slot_is_the_way_holding_the_line() {
+        let mut c = small_cache(2, 4);
+        let (slot, filled) = c.probe_else_fill_dirty_slot(0);
+        assert_eq!((Some(slot), filled), (c.slot_of(0), Some((None, false))));
+        assert_eq!(
+            c.probe_else_fill_dirty_slot(0),
+            (slot, None),
+            "memoized hit"
+        );
+        // Lines 16 sets apart share the memo entry, so the next hit on 0
+        // walks the set.
+        c.probe_else_fill_dirty_slot(16 * 64);
+        assert_eq!(c.probe_else_fill_dirty_slot(0), (slot, None), "walked hit");
+        // Lines 256 and 512 share line 0's set too: the first evicts line
+        // 16, the second the LRU line 0, into its way.
+        c.probe_else_fill_dirty_slot(256);
+        let (recycled, filled) = c.probe_else_fill_dirty_slot(512);
+        assert_eq!(filled, Some((Some(0), false)));
+        assert_eq!(recycled, slot);
+        assert_eq!(c.slot_of(512), Some(slot));
+        assert_eq!(c.slots(), 8);
     }
 
     #[test]
     fn addresses_map_to_distinct_sets() {
         let c = small_cache(1, 8);
         // Lines 0..8 should map to 8 distinct sets.
-        let sets: std::collections::HashSet<usize> =
-            (0..8u64).map(|i| c.set_base(i * 64)).collect();
+        let sets: HashSet<usize> = (0..8u64).map(|i| c.set_base(i * 64)).collect();
         assert_eq!(sets.len(), 8);
     }
 
-    /// Reference model: the seed's `Vec<Vec<u64>>` MRU-ordered cache. The
-    /// flat-array implementation must match it decision-for-decision.
+    /// Builds a 2-way, 4-set cache (a 256 B set span) from the same
+    /// accesses and dirty mark, every address moved by `offset`: lines 0
+    /// and 512 fill set 0 (256 is evicted), 64 (dirty) and 128 one way of
+    /// sets 1 and 2.
+    fn filled_at(offset: u64) -> Cache {
+        let mut c = small_cache(2, 4);
+        for addr in [0u64, 64, 256, 128, 0, 512] {
+            c.probe_else_fill(offset + addr);
+        }
+        c.mark_dirty(offset + 64);
+        c
+    }
+
+    #[test]
+    fn same_up_to_shift_needs_moved_lines_recency_and_dirty_bits() {
+        let earlier = filled_at(0);
+        let now = filled_at(1024);
+        assert!(now.same_up_to_shift(&earlier, &shift_by(1024)));
+        assert!(
+            !now.same_up_to_shift(&earlier, &shift_by(2048)),
+            "wrong move"
+        );
+        assert!(
+            !filled_at(64).same_up_to_shift(&earlier, &shift_by(64)),
+            "a move that changes sets"
+        );
+        let mut dirtier = now.clone();
+        dirtier.mark_dirty(1024);
+        assert!(!dirtier.same_up_to_shift(&earlier, &shift_by(1024)));
+        let mut reordered = now.clone();
+        reordered.probe_else_fill(1024); // promote the LRU line of a full set
+        assert!(!reordered.same_up_to_shift(&earlier, &shift_by(1024)));
+    }
+
+    #[test]
+    fn shift_moves_every_line_by_whole_periods() {
+        let mut c = filled_at(0);
+        c.shift(&shift_by(1024), 3);
+        let expected = filled_at(3 * 1024);
+        assert!(c.same_up_to_shift(&expected, &shift_by(0)));
+        assert!(c.is_dirty(3 * 1024 + 64));
+        assert!(!c.resident(0));
+        // The walk memo was forgotten: every hit still finds its own way.
+        for addr in [0u64, 64, 128, 512] {
+            let addr = 3 * 1024 + addr;
+            let slot = c.slot_of(addr).expect("moved line is resident");
+            assert_eq!(c.probe_else_fill_dirty_slot(addr), (slot, None));
+        }
+    }
+
+    /// Reference model: the seed's `Vec<Vec<u64>>` MRU-ordered cache, with
+    /// a set of dirty lines. The flat-array implementation must match it
+    /// decision for decision.
     struct VecCache {
         sets: usize,
         assoc: usize,
         ways: Vec<Vec<u64>>,
+        dirty: HashSet<u64>,
     }
 
     impl VecCache {
@@ -941,24 +889,18 @@ mod tests {
                 sets,
                 assoc,
                 ways: vec![Vec::new(); sets],
+                dirty: HashSet::new(),
             }
         }
+
         fn set(&mut self, line: u64) -> &mut Vec<u64> {
             let s = ((line / 64) % self.sets as u64) as usize;
             &mut self.ways[s]
         }
-        fn access(&mut self, addr: u64) -> bool {
-            let line = addr & !63;
-            let ways = self.set(line);
-            if let Some(pos) = ways.iter().position(|&l| l == line) {
-                let l = ways.remove(pos);
-                ways.insert(0, l);
-                true
-            } else {
-                false
-            }
-        }
-        fn fill(&mut self, addr: u64) -> Option<u64> {
+
+        /// `None` on a hit (promoted to MRU), else the evicted line and
+        /// whether it was dirty.
+        fn probe_else_fill(&mut self, addr: u64) -> Option<(Option<u64>, bool)> {
             let line = addr & !63;
             let assoc = self.assoc;
             let ways = self.set(line);
@@ -973,11 +915,22 @@ mod tests {
                 None
             };
             ways.insert(0, line);
-            evicted
+            let was_dirty = evicted.is_some_and(|e| self.dirty.remove(&e));
+            Some((evicted, was_dirty))
         }
-        fn invalidate(&mut self, addr: u64) {
+
+        fn mark_dirty(&mut self, addr: u64) -> bool {
             let line = addr & !63;
-            self.set(line).retain(|&l| l != line);
+            let resident = self.set(line).contains(&line);
+            if resident {
+                self.dirty.insert(line);
+            }
+            resident
+        }
+
+        fn flush(&mut self) {
+            self.ways.iter_mut().for_each(Vec::clear);
+            self.dirty.clear();
         }
     }
 
@@ -986,49 +939,35 @@ mod tests {
         fn residency_never_exceeds_capacity(addrs in proptest::collection::vec(0u64..100_000, 1..500)) {
             let mut c = small_cache(4, 8);
             for a in addrs {
-                if !c.access(a) {
-                    c.fill_absent(a);
-                }
+                c.probe_else_fill(a);
+                prop_assert!(c.resident(a));
                 prop_assert!(c.resident_lines() <= 4 * 8);
             }
         }
 
-        #[test]
-        fn peek_agrees_with_access_hit(addrs in proptest::collection::vec(0u64..10_000, 1..200)) {
-            let mut c = small_cache(2, 4);
-            for a in addrs {
-                let resident = c.peek(a);
-                let hit = c.access(a);
-                prop_assert_eq!(resident, hit);
-                if !hit {
-                    c.fill(a);
-                }
-            }
-        }
-
-        /// Bit-identical replacement vs. the seed's Vec<Vec<u64>> model
-        /// under an arbitrary interleaving of accesses, fills and
-        /// invalidations.
+        /// Bit-identical replacement and dirty victims vs. the seed's
+        /// `Vec<Vec<u64>>` model under an arbitrary interleaving of both
+        /// lookup entry points, dirty marks and flushes.
         #[test]
         fn flat_tags_match_vec_of_vecs_reference(
-            ops in proptest::collection::vec((0u64..4_096, 0u8..8), 1..600),
+            ops in proptest::collection::vec((0u64..4_096, 0u8..16), 1..600),
         ) {
             let mut flat = small_cache(4, 4);
             let mut reference = VecCache::new(4, 4);
             for (addr, op) in ops {
                 match op {
-                    // Bias towards the demand pattern: access, fill on miss.
-                    0..=4 => {
-                        let hit = flat.access(addr);
-                        prop_assert_eq!(hit, reference.access(addr));
-                        if !hit {
-                            prop_assert_eq!(flat.fill_absent(addr), reference.fill(addr));
-                        }
+                    0..=6 => {
+                        let expected = reference.probe_else_fill(addr);
+                        prop_assert_eq!(flat.fill_dirty(addr), expected);
                     }
-                    5..=6 => prop_assert_eq!(flat.fill(addr), reference.fill(addr)),
+                    7..=11 => {
+                        let expected = reference.probe_else_fill(addr).map(|(e, _)| e);
+                        prop_assert_eq!(flat.probe_else_fill(addr), expected);
+                    }
+                    12..=14 => prop_assert_eq!(flat.mark_dirty(addr), reference.mark_dirty(addr)),
                     _ => {
-                        flat.invalidate(addr);
-                        reference.invalidate(addr);
+                        flat.flush();
+                        reference.flush();
                     }
                 }
             }

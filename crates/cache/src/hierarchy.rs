@@ -353,7 +353,7 @@ impl CoreFrontend {
     /// drops the MRU hint and advances the counters by their increment
     /// since `earlier`.
     pub fn shift(&mut self, earlier: &CoreFrontend, shift: &Shift, periods: u64) {
-        self.l1.shift(&earlier.l1, shift, periods);
+        self.l1.shift(shift, periods);
         self.prefetcher.shift(&earlier.prefetcher, shift, periods);
         let len = self.inflight.len;
         shift.shift_times(&mut self.inflight.completions[..len], periods);
@@ -936,8 +936,8 @@ mod tests {
     }
 
     /// A write is observationally identical to a read in timing, levels
-    /// and statistics; only the dirty marks (and hence later writeback
-    /// notifications) differ.
+    /// and statistics; only the dirty marks, and hence the writebacks once
+    /// the lines are evicted, differ.
     #[test]
     fn writes_time_like_reads_and_mark_dirty() {
         let mut reads = CacheHierarchy::new(&cfg());
@@ -956,9 +956,16 @@ mod tests {
         }
         assert_eq!(reads.stats(), writes.stats());
         assert_eq!(mem_r.fills, mem_w.fills);
-        assert_eq!(mem_r.writebacks, 0, "no evictions yet in either run");
-        assert!(writes.l2.cache().is_dirty(0), "written lines are dirty");
-        assert!(!reads.l2.cache().is_dirty(0), "read lines stay clean");
+        assert_eq!(mem_w.writebacks, 0, "no evictions yet in either run");
+        // Stream twice the L2's capacity of other lines through both.
+        let l2_lines = (cfg().l2.size_bytes / 64) as u64;
+        for i in 0..2 * l2_lines {
+            let addr = (1 << 20) + i * 64;
+            now_r = reads.access(addr, 8, now_r, &mut mem_r).completion;
+            now_w = writes.access(addr, 8, now_w, &mut mem_w).completion;
+        }
+        assert_eq!(mem_w.writebacks, 64, "every written line writes back");
+        assert_eq!(mem_r.writebacks, 0, "read lines stay clean");
     }
 
     /// Dirty L2 victims notify the backend exactly once, at eviction.

@@ -9,7 +9,8 @@
 //! exactly those effects:
 //!
 //! * [`Cache`] — a tag-only set-associative cache with LRU replacement and
-//!   request/hit/miss counters (Figure 8 is read straight off these).
+//!   dirty bits. It keeps no counters: the frontend counts each level's
+//!   requests, hits and misses in [`HierarchyStats`], which Figure 8 reads.
 //! * [`StreamPrefetcher`] — detects sequential line streams and issues
 //!   prefetches for a configurable number of concurrent streams.
 //! * [`CoreFrontend`] — one core's private side: L1, prefetcher,

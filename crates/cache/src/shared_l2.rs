@@ -263,11 +263,6 @@ impl SharedL2 {
         self.pending_len
     }
 
-    /// The L2 tag store (read access, for capacity checks in tests).
-    pub fn cache(&self) -> &Cache {
-        &self.cache
-    }
-
     /// Whether this L2's timing state is `earlier`'s moved by one period
     /// (see [`relmem_sim::shift`]): tag store, each line's pending-fill
     /// arrival and the bank free times.
@@ -285,7 +280,7 @@ impl SharedL2 {
     /// Moves this L2's timing state forward by `periods` periods and
     /// advances the counters by their increment since `earlier`.
     pub fn shift(&mut self, earlier: &SharedL2, shift: &Shift, periods: u64) {
-        self.cache.shift(&earlier.cache, shift, periods);
+        self.cache.shift(shift, periods);
         shift.shift_times(&mut self.pending, periods);
         self.banks.shift(&earlier.banks, shift, periods);
         self.stats.extrapolate(&earlier.stats, periods);

@@ -572,8 +572,16 @@ impl System {
         let mut stats = OverloadStats::default();
         let mut degrade = DegradeState::new(cfg.degrade);
 
-        let totals = self.interleave(&mut lanes, |sys, core, cs| {
-            sys.step_open_core(core, cs, cfg, &mut stats, &mut degrade, &mut observer)
+        let totals = self.interleave(&mut lanes, |sys, core, cs, alone| {
+            sys.step_open_core(
+                core,
+                cs,
+                alone,
+                cfg,
+                &mut stats,
+                &mut degrade,
+                &mut observer,
+            )
         });
         let streams = lanes
             .into_iter()
@@ -602,17 +610,20 @@ impl System {
         })
     }
 
-    /// Advances one core by one unit: a row of its active scan, a unit of
-    /// its active transaction, or one dequeue decision (shed / timeout /
-    /// start an op). An idle core first
-    /// advances its clock to the next arrival. Admissions are drained
+    /// Advances one core by one unit: a row of its active scan (all its
+    /// rows when the core is `alone`), a unit of its active transaction, or
+    /// one dequeue decision (shed / timeout / start an op). An idle core
+    /// first advances its clock to the next arrival. Admissions are drained
     /// lazily — every event at or before the core's clock is admitted (or
-    /// rejected) before the unit runs.
+    /// rejected) before the unit runs; a scan never dequeues, so draining
+    /// the arrivals of a whole-scan unit after it decides each of them as
+    /// row-by-row draining would.
     #[allow(clippy::too_many_arguments)] // private scheduler helper
     fn step_open_core<'a, F>(
         &mut self,
         core: usize,
         cs: &mut CoreState<'a, '_>,
+        alone: bool,
         cfg: &AdmissionConfig,
         stats: &mut OverloadStats,
         degrade: &mut DegradeState,
@@ -636,11 +647,11 @@ impl System {
             &mut self.tracer,
         );
 
-        // One row of the in-progress scan or one unit of the in-progress
+        // The in-progress scan or one unit of the in-progress
         // transaction, if any; otherwise dequeue until something runs:
         // sheds and abandoned timeouts are pure bookkeeping and consume no
         // simulated time.
-        let stepped = self.step_scan_row(core, &mut cs.st, observer)
+        let stepped = self.step_scan(core, &mut cs.st, alone, observer)
             || self.step_txn_unit(core, &mut cs.st, observer);
         if !stepped {
             while let Some(p) = cs.queue.pop_front() {

@@ -1,4 +1,4 @@
-//! Periodic fast-forward of single-lane scans.
+//! Periodic fast-forward of lone scans.
 //!
 //! A scan over a table far larger than the caches, the DRAM bank/XOR span
 //! and the Reorganization Buffer settles into a periodic steady state. A
@@ -10,13 +10,14 @@
 //! equals the state at the start of the previous period — every address
 //! moved by the period's byte span, every time by its duration (a
 //! [`Shift`]) — each later period with the same per-row effects replays
-//! the same timing, moved once more. The single-lane [`System::scan`] loop
-//! exploits this:
+//! the same timing, moved once more. When an interleaver lane with no live
+//! rival runs a whole scan in one step ([`System::scan`] always does; see
+//! `crate::interleave`), that step exploits this:
 //!
 //! 1. It steps periods as usual, and at chosen period starts clones the
-//!    timing models (core 0's frontend, the shared L2, the DRAM model and,
-//!    for ephemeral scans, the RME) and records that period's clock and CPU
-//!    deltas and its run-length-encoded [`RowEffect`]s.
+//!    timing models (the lane core's frontend, the shared L2, the DRAM
+//!    model and, for ephemeral scans, the RME) and records that period's
+//!    clock and CPU deltas and its run-length-encoded [`RowEffect`]s.
 //! 2. At the next period start it asks every model whether its state is the
 //!    snapshot's moved by one period (`same_up_to_shift`).
 //! 3. If so, every period but the last runs only its functional part: each
@@ -35,15 +36,17 @@
 //! within a few periods — and later ones at doubling distances, so a scan
 //! that never becomes periodic pays O(log periods) snapshots. Scans with a
 //! recording tracer, in the reference stepping mode, with MVCC visibility,
-//! a columnar projection of mixed widths, memory-touching effects, the
-//! cycle-accurate DRAM model or fewer than four periods step every row.
+//! a columnar projection of mixed widths, memory-touching effects or fewer
+//! than four periods step every row; under the cycle-accurate DRAM model,
+//! whose refresh grid never repeats up to a shift, no period is cut and
+//! no snapshot taken.
 
 use std::ops::Range;
 
 use relmem_cache::{CoreFrontend, SharedL2};
 use relmem_dram::DramModel;
 use relmem_rme::RmeEngine;
-use relmem_sim::{Shift, SimTime};
+use relmem_sim::{MemoryModel, Shift, SimTime};
 
 use crate::stepper::{ScanJob, ScanPeriod};
 use crate::system::{RowEffect, System, EPHEMERAL_REGION_BASE};
@@ -67,6 +70,8 @@ fn backoff(failures: u32) -> u64 {
 /// The timing models at the start of a recorded period, with what that
 /// period did.
 struct Snapshot {
+    /// The core the scan runs on, whose frontend `front` is.
+    core: usize,
     front: CoreFrontend,
     l2: SharedL2,
     dram: DramModel,
@@ -113,25 +118,32 @@ struct Divergence {
 }
 
 impl System {
-    /// The steady-state period [`scan`](Self::scan) may fast-forward over,
-    /// or `None` when the scan must step every row: always with a recording
-    /// tracer or in the reference stepping mode
-    /// ([`set_reference_stepping`](Self::set_reference_stepping)).
+    /// The steady-state period a whole scan may fast-forward over, or
+    /// `None` when the scan must step every row: always with a recording
+    /// tracer, in the reference stepping mode
+    /// ([`set_reference_stepping`](Self::set_reference_stepping)) or under
+    /// the cycle-accurate DRAM model, whose state never repeats up to a
+    /// shift.
     pub(crate) fn steady_state_period(&self, job: &ScanJob<'_>) -> Option<ScanPeriod> {
-        if self.tracing() || self.reference_stepping {
+        if self.tracing()
+            || self.reference_stepping
+            || self.dram.kind() == MemoryModel::CycleAccurate
+        {
             return None;
         }
         let period = job.period(&self.cfg, &self.dram, &self.engine)?;
         (job.rows().div_ceil(period.rows) >= MIN_PERIODS).then_some(period)
     }
 
-    /// [`scan`](Self::scan)'s single-lane loop, cut into `period`s and
-    /// fast-forwarded over its steady state (see the module docs). Returns
-    /// `(end, cpu_total, rows_scanned)`, identical to stepping every row.
+    /// A whole scan on `core`, run by a lane with no live rival, cut into
+    /// `period`s and fast-forwarded over its steady state (see the module
+    /// docs). Returns `(end, cpu_total, rows_scanned)`, identical to
+    /// stepping every row.
     pub(crate) fn scan_periodic<F>(
         &mut self,
         job: &ScanJob<'_>,
         period: &ScanPeriod,
+        core: usize,
         start: SimTime,
         values: &mut [u64],
         per_row: &mut F,
@@ -196,7 +208,7 @@ impl System {
                             _ => per_row(row, values),
                         };
                         let (n, c, s) =
-                            job.step_rows(self.parts(), 0, bounds(p), now, values, &mut replay);
+                            job.step_rows(self.parts(), core, bounds(p), now, values, &mut replay);
                         (now, cpu, scanned) = (n, cpu + c, scanned + s);
                         p += 1;
                         failures += 1;
@@ -209,7 +221,7 @@ impl System {
             }
             let range = bounds(p);
             if p == next_reference && p + 2 < count {
-                let mut snap = self.snapshot(now, cpu, period.uses_engine);
+                let mut snap = self.snapshot(core, now, cpu, period.uses_engine);
                 let mut touched = false;
                 let effects = &mut snap.effects;
                 let mut record = |row: u64, values: &[u64]| {
@@ -221,7 +233,7 @@ impl System {
                     }
                     effect
                 };
-                let (n, c, s) = job.step_rows(self.parts(), 0, range, now, values, &mut record);
+                let (n, c, s) = job.step_rows(self.parts(), core, range, now, values, &mut record);
                 (now, cpu, scanned) = (n, cpu + c, scanned + s);
                 if touched {
                     // Extra memory touches land outside the scanned range, so
@@ -231,7 +243,7 @@ impl System {
                     reference = Some(snap);
                 }
             } else {
-                let (n, c, s) = job.step_rows(self.parts(), 0, range, now, values, per_row);
+                let (n, c, s) = job.step_rows(self.parts(), core, range, now, values, per_row);
                 (now, cpu, scanned) = (n, cpu + c, scanned + s);
             }
             p += 1;
@@ -239,10 +251,11 @@ impl System {
         (now, cpu, scanned)
     }
 
-    /// Clones the timing models a single-lane scan on core 0 drives.
-    fn snapshot(&self, now: SimTime, cpu: SimTime, uses_engine: bool) -> Snapshot {
+    /// Clones the timing models a lone scan on `core` drives.
+    fn snapshot(&self, core: usize, now: SimTime, cpu: SimTime, uses_engine: bool) -> Snapshot {
         Snapshot {
-            front: self.cores[0].clone(),
+            core,
+            front: self.cores[core].clone(),
             l2: self.l2.clone(),
             dram: self.dram.clone(),
             engine: uses_engine.then(|| self.engine.clone()),
@@ -254,7 +267,7 @@ impl System {
 
     /// Whether every model's state is `snap`'s moved by one period.
     fn same_up_to_shift(&self, snap: &Snapshot, shift: &Shift) -> bool {
-        self.cores[0].same_up_to_shift(&snap.front, shift)
+        self.cores[snap.core].same_up_to_shift(&snap.front, shift)
             && self.l2.same_up_to_shift(&snap.l2, shift)
             && self.dram.same_up_to_shift(&snap.dram, shift)
             && snap
@@ -266,7 +279,7 @@ impl System {
     /// Moves every model forward by `periods` periods (the state one period
     /// after `snap` is the current one).
     fn shift_models(&mut self, snap: &Snapshot, shift: &Shift, periods: u64) {
-        self.cores[0].shift(&snap.front, shift, periods);
+        self.cores[snap.core].shift(&snap.front, shift, periods);
         self.l2.shift(&snap.l2, shift, periods);
         self.dram.shift(&snap.dram, shift, periods);
         if let Some(engine) = &snap.engine {

@@ -3,14 +3,14 @@
 //! [`ScanJob`] is the body of every scan: it captures the per-scan
 //! precomputation (column cursors, MVCC snapshot, per-row CPU charge, line
 //! plans) once, and [`ScanJob::step_rows`] then steps any range of rows on
-//! any core. [`System::scan`] calls it on core 0 with whole ranges; the
-//! multi-core schedulers call it one row at a time under the crate's
-//! interleaver. Row and ephemeral layouts share one field walk
-//! (`walk_fields`), generic over the memory backend and the value reader,
-//! and the reference stepping mode is a line plan of per-field steps, not
-//! a separate walk. The cross-path equivalence proptests pin the
-//! single-core scan, the sharded scan and the workload scheduler to each
-//! other.
+//! any core. The crate's interleaver calls it with one row per pick while
+//! a scan's lane has live rivals, and with all the remaining rows once the
+//! lane is alone ([`System::scan`] is a lane that is alone from its first
+//! row). Row and ephemeral layouts share one field walk (`walk_fields`),
+//! generic over the memory backend and the value reader, and the reference
+//! stepping mode is a line plan of per-field steps, not a separate walk.
+//! The cross-path equivalence proptests hold the optimized stepping to the
+//! reference stepping mode on every entry point.
 //!
 //! [`Parts`] is the split-borrow view of the [`System`] a step works on:
 //! the per-core frontends, the shared L2, the DRAM controller, physical
@@ -307,7 +307,9 @@ impl<'a> ScanJob<'a> {
 
     /// Steps rows `rows` on `core` in order, starting at local time `now`,
     /// and returns `(end, cpu, rows_scanned)`: per row, its access chain,
-    /// the per-row closure and its [`RowEffect`]. The layout is matched
+    /// the per-row closure and its [`RowEffect`], then a DRAM `advance` to
+    /// the row's end, so a range steps the DRAM model exactly as one
+    /// scheduler pick per row would. The layout is matched
     /// once per call and its per-row invariants (frontend borrow, backend,
     /// value reader) are hoisted out of the row loop. `values` must hold
     /// [`num_columns`](Self::num_columns) slots.
@@ -349,6 +351,7 @@ impl<'a> ScanJob<'a> {
                         cpu += *visibility_cpu;
                         if !table.visible(mem, row, snap).unwrap_or(false) {
                             scanned -= 1;
+                            backend.dram.advance(now);
                             continue;
                         }
                     }
@@ -436,8 +439,9 @@ impl<'a> ScanJob<'a> {
     }
 
     /// Runs the per-row closure over a row's values, charges the row's CPU
-    /// work to `cpu` and applies the closure's extra memory touch. Returns
-    /// the advanced clock.
+    /// work to `cpu`, applies the closure's extra memory touch and
+    /// schedules the DRAM writes buffered by the row's end, the horizon a
+    /// scheduler pick after this row would set. Returns the advanced clock.
     #[allow(clippy::too_many_arguments)] // the split-borrowed platform
     #[inline(always)]
     fn finish_row<F>(
@@ -461,6 +465,7 @@ impl<'a> ScanJob<'a> {
         if let Some((addr, bytes)) = effect.touch {
             now = front.access(addr, bytes, now, l2, backend).completion;
         }
+        backend.dram.advance(now);
         now
     }
 

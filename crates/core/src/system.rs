@@ -20,17 +20,18 @@
 //! frontends in front of one shared, banked L2 ([`relmem_cache::SharedL2`]).
 //! [`System::scan_sharded`] splits a scan's row range into N contiguous
 //! shards, one scan stream per core, and steps the cores through the same
-//! deterministic interleaver as the workload schedulers: at every step the
-//! core with the smallest local clock (ties broken by core index)
-//! processes its next *row*, so the whole run is reproducible bit for bit.
-//! The interleaving is conservative at row granularity: a row's whole access
-//! chain is simulated before the next core is stepped, so shared-resource
-//! bookings from one row may land ahead of a slightly earlier-in-time
-//! request of another core's next row — an approximation that is exact at
-//! row boundaries and standard for transaction-level models. With
-//! `cores == 1` the contention model is bypassed and every timestamp and
-//! counter is identical to [`System::scan`] — the cross-path equivalence
-//! tests assert this.
+//! deterministic interleaver as the workload schedulers and
+//! [`System::scan`], which is its one-shard case: at every step the core
+//! with the smallest local clock (ties broken by core index) processes its
+//! next *row*, so the whole run is reproducible bit for bit, and a core
+//! left alone runs the rest of its shard in one step. The interleaving is
+//! conservative at row granularity: a row's whole access chain is
+//! simulated before the next core is stepped, so shared-resource bookings
+//! from one row may land ahead of a slightly earlier-in-time request of
+//! another core's next row — an approximation that is exact at row
+//! boundaries and standard for transaction-level models. With
+//! `cores == 1` the contention model is bypassed and the sharded scan is
+//! [`System::scan`], the same code path.
 //!
 //! ```
 //! use relmem_core::system::{RowEffect, ScanSource, SystemConfig};
@@ -63,6 +64,7 @@ use relmem_storage::{
 use crate::access_path::AccessPath;
 use crate::cost::CpuCostModel;
 use crate::ephemeral::EphemeralVariable;
+use crate::interleave::Totals;
 use crate::measure::QueryMeasurement;
 use crate::txn::TxnRuntime;
 use crate::workload::StreamState;
@@ -481,8 +483,9 @@ impl System {
         }
     }
 
-    /// How many scan periods [`scan`](Self::scan) has fast-forwarded over
-    /// since this system was built, instead of stepping them row by row.
+    /// How many scan periods whole scans run by a lone interleaver lane
+    /// ([`scan`](Self::scan) always is one) have fast-forwarded over since
+    /// this system was built, instead of stepping them row by row.
     ///
     /// This measures the simulator, not the simulated hardware: a
     /// fast-forwarded period produces exactly the timing, counters and
@@ -496,8 +499,8 @@ impl System {
     /// Switches every scan to the reference stepping mode (off by
     /// default). In it, each projected field is its own hierarchy access
     /// (no line plans), every core's cache frontend walks the full
-    /// hierarchy (its line-resident fast path is off) and
-    /// [`scan`](Self::scan) never fast-forwards. Timing, statistics and
+    /// hierarchy (its line-resident fast path is off) and no scan
+    /// fast-forwards. Timing, statistics and
     /// values are identical either way: the mode is the oracle the
     /// equivalence suite holds the optimized stepping to.
     pub fn set_reference_stepping(&mut self, on: bool) {
@@ -523,12 +526,15 @@ impl System {
     /// single-threaded setup. Use `cores = 1` for paper-faithful
     /// single-threaded measurements; `multicore.rs` pins this distinction.
     ///
-    /// This is the simulator's hot path, the same stepping body the
-    /// multi-core schedulers use (`ScanJob::step_rows`), here called with
-    /// whole row ranges: per-column cursors, the per-row CPU charge and —
-    /// for row layouts — the line-granular step plans are computed once
-    /// per scan, and each row then advances whole-line runs of fields
-    /// through one hierarchy walk each (see `crates/core/src/stepper.rs`).
+    /// The scan is one lane of the crate's interleaver (the scheduler loop
+    /// behind [`scan_sharded`](Self::scan_sharded) and the workload
+    /// schedulers) that is alone from its first row, so it runs all its
+    /// rows in one step through `ScanJob::step_rows`
+    /// (`crates/core/src/stepper.rs`): per-column cursors, the per-row CPU
+    /// charge and — for row layouts — the line-granular step plans are
+    /// computed once per scan, and each row then advances whole-line runs
+    /// of fields through one hierarchy walk each. A recording tracer sees
+    /// one `OpSpan` on core 0 for a non-empty scan.
     ///
     /// # Periodic fast-forward
     ///
@@ -546,9 +552,8 @@ impl System {
     /// time and every counter advance arithmetically; the last period is
     /// always stepped. The result is identical to stepping every row (the
     /// `skip_vs_step` proptest in `tests/cross_path_equivalence.rs` holds
-    /// it to [`scan_sharded`](Self::scan_sharded) on one core and to the
-    /// [reference stepping mode](Self::set_reference_stepping)). A
-    /// recording tracer, the reference stepping mode, MVCC visibility, a
+    /// it to the [reference stepping mode](Self::set_reference_stepping)).
+    /// A recording tracer, the reference stepping mode, MVCC visibility, a
     /// columnar projection of mixed widths, effects with a memory `touch`,
     /// the cycle-accurate DRAM model or any state difference keep the scan
     /// stepping row by row;
@@ -564,21 +569,41 @@ impl System {
     where
         F: FnMut(u64, &[u64]) -> RowEffect,
     {
-        let job = self.scan_job(source);
-        let mut values = vec![0u64; job.num_columns()];
-        let out = match self.steady_state_period(&job) {
-            Some(period) => self.scan_periodic(&job, &period, start, &mut values, &mut per_row),
-            None => job.step_rows(
-                self.parts(),
-                0,
-                0..job.rows(),
-                start,
-                &mut values,
-                &mut per_row,
-            ),
-        };
-        self.settle_memory();
-        out
+        let (totals, _) = self.scan_shards(source, start, 1, |_, row, values| per_row(row, values));
+        (totals.end, totals.cpu, totals.rows)
+    }
+
+    /// Runs `source` split into `shards` contiguous shards, one scan lane
+    /// per shard on cores `0..shards`, through the crate's interleaver.
+    /// Returns the run's totals and each shard's row range with its
+    /// drained lane.
+    fn scan_shards<'a, F>(
+        &mut self,
+        source: &ScanSource<'a>,
+        start: SimTime,
+        shards: usize,
+        mut per_row: F,
+    ) -> (Totals, Vec<(Range<u64>, StreamState<'a, 'a>)>)
+    where
+        F: FnMut(usize, u64, &[u64]) -> RowEffect,
+    {
+        let ranges = shard_ranges(self.scan_job(source).rows(), shards);
+        let mut lanes: Vec<StreamState<'a, 'a>> = ranges
+            .iter()
+            .map(|rows| {
+                let mut st = StreamState::fresh(&[], start);
+                if !rows.is_empty() {
+                    st.begin_scan(self.scan_job(source), rows.clone(), 0);
+                }
+                st
+            })
+            .collect();
+        let totals = self.interleave(&mut lanes, |sys, core, st, alone| {
+            sys.step_scan(core, st, alone, &mut |core, _op, row, values| {
+                per_row(core, row, values)
+            });
+        });
+        (totals, ranges.into_iter().zip(lanes).collect())
     }
 }
 
@@ -697,13 +722,13 @@ impl System {
     /// order (see the module docs). `per_row` is invoked as
     /// `(core, row, values)` for every visible row.
     ///
-    /// With one core this is exactly [`scan`](Self::scan) — same
-    /// timestamps, counters and values — which the
-    /// `sharded_one_core_scan_is_bit_identical_to_scan` proptest asserts.
-    /// With several cores the scans proceed concurrently in simulated time
-    /// and contend on the shared L2 banks, the DRAM controller and (for
-    /// ephemeral sources) the RME. A recording trace sink sees one
-    /// `OpSpan` per non-empty shard.
+    /// With one core this is exactly [`scan`](Self::scan): the same
+    /// one-lane interleave, run to its end in one step. With several cores
+    /// the scans proceed concurrently in simulated time and contend on the
+    /// shared L2 banks, the DRAM controller and (for ephemeral sources) the
+    /// RME; a core whose rivals have all finished runs the rest of its
+    /// shard in one step. A recording trace sink sees one `OpSpan` per
+    /// non-empty shard.
     ///
     /// For ephemeral sources the schedule is *frame-aware*: the cores
     /// share one Reorganization Buffer holding a single resident frame, so
@@ -716,32 +741,16 @@ impl System {
         &mut self,
         source: &ScanSource<'_>,
         start: SimTime,
-        mut per_row: F,
+        per_row: F,
     ) -> ShardedScan
     where
         F: FnMut(usize, u64, &[u64]) -> RowEffect,
     {
-        let shards = shard_ranges(self.scan_job(source).rows(), self.cores.len());
-        let mut lanes: Vec<StreamState<'_, '_>> = shards
-            .iter()
-            .map(|rows| {
-                let mut st = StreamState::fresh(&[], start);
-                if !rows.is_empty() {
-                    st.begin_scan(self.scan_job(source), rows.clone(), 0);
-                }
-                st
-            })
-            .collect();
-        let totals = self.interleave(&mut lanes, |sys, core, st| {
-            sys.step_scan_row(core, st, &mut |core, _op, row, values| {
-                per_row(core, row, values)
-            });
-        });
+        let (totals, lanes) = self.scan_shards(source, start, self.cores.len(), per_row);
         let per_core = lanes
             .into_iter()
-            .zip(shards)
             .enumerate()
-            .map(|(core, (st, rows))| CoreScan {
+            .map(|(core, (rows, st))| CoreScan {
                 core,
                 first_row: rows.start,
                 shard_rows: rows.end - rows.start,

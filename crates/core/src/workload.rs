@@ -728,8 +728,8 @@ impl System {
             .iter()
             .map(|stream| StreamState::fresh(&stream.ops, start))
             .collect();
-        let totals = self.interleave(&mut lanes, |sys, core, st| {
-            sys.step_stream(core, st, &mut observer)
+        let totals = self.interleave(&mut lanes, |sys, core, st, alone| {
+            sys.step_stream(core, st, alone, &mut observer)
         });
         let streams = lanes
             .into_iter()
@@ -754,15 +754,21 @@ impl System {
         })
     }
 
-    /// Advances one stream by one unit: a row of the active scan, or one
-    /// whole point op. Zero-time units (scan start, empty scan,
+    /// Advances one stream by one unit: a row of the active scan (all its
+    /// rows when the stream is `alone`), a unit of the active transaction,
+    /// or one whole point op. Zero-time units (scan start, empty scan,
     /// `TakeSnapshot`) leave the clock untouched.
-    fn step_stream<F>(&mut self, core: usize, st: &mut StreamState<'_, '_>, observer: &mut F)
-    where
+    fn step_stream<F>(
+        &mut self,
+        core: usize,
+        st: &mut StreamState<'_, '_>,
+        alone: bool,
+        observer: &mut F,
+    ) where
         F: FnMut(usize, usize, u64, &[u64]) -> RowEffect,
     {
-        // One row of the in-progress scan, if any.
-        if self.step_scan_row(core, st, observer) {
+        // The in-progress scan, if any.
+        if self.step_scan(core, st, alone, observer) {
             return;
         }
         // One unit of the in-progress transaction, if any.
@@ -798,13 +804,16 @@ impl System {
         st.outcomes.push(out);
     }
 
-    /// Advances one row of the stream's active scan, recording the
-    /// [`OpOutcome`] when the scan completes. Returns `false` — and does
-    /// nothing — if no scan is active.
-    pub(crate) fn step_scan_row<F>(
+    /// Advances the stream's active scan, recording the [`OpOutcome`] when
+    /// the scan completes: by one row, or — when the stream's lane is
+    /// `alone` — by all its remaining rows, fast-forwarding a whole scan
+    /// over its periodic steady state where it has one. Returns `false` —
+    /// and does nothing — if no scan is active.
+    pub(crate) fn step_scan<F>(
         &mut self,
         core: usize,
         st: &mut StreamState<'_, '_>,
+        alone: bool,
         observer: &mut F,
     ) -> bool
     where
@@ -813,17 +822,23 @@ impl System {
         let Some(active) = &mut st.active else {
             return false;
         };
-        let row = active.next_row;
-        active.next_row += 1;
+        let end = if alone {
+            active.end_row
+        } else {
+            active.next_row + 1
+        };
+        let rows = active.next_row..end;
+        active.next_row = end;
         let op = active.op;
-        let (now, cpu, scanned) = active.job.step_rows(
-            self.parts(),
-            core,
-            row..row + 1,
-            st.now,
-            &mut st.values,
-            &mut |r, v| observer(core, op, r, v),
-        );
+        let per_row = &mut |r, v: &[u64]| observer(core, op, r, v);
+        let job = &active.job;
+        let period = (rows == (0..job.rows()))
+            .then(|| self.steady_state_period(job))
+            .flatten();
+        let (now, cpu, scanned) = match period {
+            Some(period) => self.scan_periodic(job, &period, core, st.now, &mut st.values, per_row),
+            None => job.step_rows(self.parts(), core, rows, st.now, &mut st.values, per_row),
+        };
         st.now = now;
         st.cpu += cpu;
         active.rows_scanned += scanned;

@@ -138,15 +138,10 @@ mod scan_equivalence {
         /// (`System::set_reference_stepping`): every field is its own
         /// access through the full hierarchy walk, and nothing is skipped.
         Reference,
-        /// `System::scan_sharded` on a single core. Must be bit-identical
-        /// to `Optimized`: one core means one shard covering every row,
-        /// stepped in order, with the L2 contention model bypassed.
-        ShardedOneCore,
         /// `System::run_workload` with a single one-scan stream on a
-        /// single core. Must be bit-identical to `Optimized`: the workload
-        /// scheduler has one stream to pick, so the scan's rows execute in
-        /// order through the same stepping body, with the L2 contention
-        /// model bypassed.
+        /// single core: the scan is one op among a stream's, started by
+        /// the workload scheduler's op dispatch and then run to its end by
+        /// the lone lane, as `System::scan` runs.
         WorkloadOneCore,
     }
 
@@ -245,14 +240,6 @@ mod scan_equivalence {
         };
         let (end, cpu, rows_scanned) = match engine {
             Engine::Optimized | Engine::Reference => sys.scan(&source, SimTime::ZERO, per_row),
-            Engine::ShardedOneCore => {
-                let run = sys.scan_sharded(&source, SimTime::ZERO, |core, row, vals: &[u64]| {
-                    assert_eq!(core, 0, "one core owns every shard");
-                    values.push(vals.to_vec());
-                    effect_of(row)
-                });
-                (run.end, run.cpu, run.rows)
-            }
             Engine::WorkloadOneCore => {
                 let workload =
                     Workload::new(vec![QueryStream::new(vec![WorkloadOp::olap(source)])]);
@@ -282,35 +269,14 @@ mod scan_equivalence {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(8))]
 
-        /// A sharded scan on one core must also be bit-identical to
-        /// `System::scan` — same completion time, CPU time, values and
-        /// every cache/DRAM/RME counter — for every source kind, with and
-        /// without MVCC snapshot filtering. This is the `cores = 1`
-        /// equivalence guarantee of the multi-core subsystem.
-        #[test]
-        fn sharded_one_core_scan_is_bit_identical_to_scan(
-            widths in proptest::collection::vec(1usize..=12, 2..=6),
-            rows in 1u64..250,
-            seed in 0u64..1_000,
-            pick in proptest::collection::vec(any::<bool>(), 6),
-        ) {
-            let columns: Vec<usize> = (0..widths.len()).filter(|&i| pick[i]).collect();
-            prop_assume!(!columns.is_empty());
-            for kind in ALL_KINDS {
-                let scan = run_case(kind, Engine::Optimized, seed, &widths, rows, &columns);
-                let sharded = run_case(kind, Engine::ShardedOneCore, seed, &widths, rows, &columns);
-                prop_assert_eq!(&scan, &sharded, "diverged for {:?}", kind);
-            }
-        }
-
         /// The optimized scan paths — line plans stepping whole-line runs
         /// of fields through one hierarchy walk, the cache's line-resident
         /// fast path and the periodic fast-forward — must be bit-identical
         /// to the reference stepping mode, which steps every field through
         /// the full hierarchy walk: same completion time, CPU time, row
         /// count, values and every cache/DRAM/RME counter, for every source
-        /// kind, with and without MVCC snapshot filtering, through the
-        /// single-core, the sharded and the workload scan paths.
+        /// kind, with and without MVCC snapshot filtering, through
+        /// `System::scan` and the workload scheduler.
         #[test]
         fn batched_stepping_is_bit_identical_to_per_field(
             widths in proptest::collection::vec(1usize..=12, 2..=6),
@@ -322,7 +288,7 @@ mod scan_equivalence {
             prop_assume!(!columns.is_empty());
             for kind in ALL_KINDS {
                 let reference = run_case(kind, Engine::Reference, seed, &widths, rows, &columns);
-                for engine in [Engine::Optimized, Engine::ShardedOneCore, Engine::WorkloadOneCore] {
+                for engine in [Engine::Optimized, Engine::WorkloadOneCore] {
                     let optimized = run_case(kind, engine, seed, &widths, rows, &columns);
                     prop_assert_eq!(
                         &optimized,
@@ -332,28 +298,6 @@ mod scan_equivalence {
                         engine
                     );
                 }
-            }
-        }
-
-        /// A workload holding a single one-scan stream on one core must be
-        /// bit-identical to `System::scan` — same completion time, CPU
-        /// time, values and every cache/DRAM/RME counter — for every
-        /// source kind, with and without MVCC snapshot filtering. This is
-        /// the `cores = 1` equivalence guarantee of the workload-stream
-        /// subsystem: the HTAP scheduler adds concurrency, never cost.
-        #[test]
-        fn single_stream_workload_is_bit_identical_to_scan(
-            widths in proptest::collection::vec(1usize..=12, 2..=6),
-            rows in 1u64..250,
-            seed in 0u64..1_000,
-            pick in proptest::collection::vec(any::<bool>(), 6),
-        ) {
-            let columns: Vec<usize> = (0..widths.len()).filter(|&i| pick[i]).collect();
-            prop_assume!(!columns.is_empty());
-            for kind in ALL_KINDS {
-                let scan = run_case(kind, Engine::Optimized, seed, &widths, rows, &columns);
-                let workload = run_case(kind, Engine::WorkloadOneCore, seed, &widths, rows, &columns);
-                prop_assert_eq!(&scan, &workload, "diverged for {:?}", kind);
             }
         }
     }
@@ -885,8 +829,6 @@ mod skip_vs_step {
         /// `System::scan` in the reference stepping mode: steps every
         /// field through the full hierarchy walk.
         Reference,
-        /// `System::scan_sharded` on one core: steps every row.
-        ShardedOneCore,
     }
 
     /// Everything observable about one scan, plus the skip count.
@@ -1032,15 +974,7 @@ mod skip_vs_step {
                     .then(|| (scratch + (row % 64) * 64, 8)),
             }
         };
-        let (end, cpu, rows) = match path {
-            Path::Scan | Path::Reference => sys.scan(&source, SimTime::ZERO, &mut per_row),
-            Path::ShardedOneCore => {
-                let run = sys.scan_sharded(&source, SimTime::ZERO, |_, row, vals: &[u64]| {
-                    per_row(row, vals)
-                });
-                (run.end, run.cpu, run.rows)
-            }
-        };
+        let (end, cpu, rows) = sys.scan(&source, SimTime::ZERO, &mut per_row);
         let m = sys.finish_measurement(end, cpu, access);
         let packed = sys.engine().read_packed(
             var.base(),
@@ -1176,9 +1110,9 @@ mod skip_vs_step {
         })
     }
 
-    /// Runs `case` through `System::scan`, the same scan in the reference
-    /// stepping mode and, on one core, the sharded scan; asserts they agree
-    /// and the skip count matches [`periodic`].
+    /// Runs `case` through `System::scan` and the same scan in the
+    /// reference stepping mode; asserts they agree and the skip count
+    /// matches [`periodic`].
     fn check(case: &Case) -> Result<(), proptest::TestCaseError> {
         let (scan, skipped, expect_skip) = run(case, Path::Scan);
         let (reference, reference_skips, _) = run(case, Path::Reference);
@@ -1188,11 +1122,6 @@ mod skip_vs_step {
             "the reference stepping mode steps every row"
         );
         prop_assert_eq!(&scan, &reference);
-        if case.cores == 1 {
-            let (sharded, sharded_skips, _) = run(case, Path::ShardedOneCore);
-            prop_assert_eq!(sharded_skips, 0, "the sharded scan steps every row");
-            prop_assert_eq!(&scan, &sharded);
-        }
         match expect_skip {
             Some(true) => prop_assert!(skipped > 0, "a periodic scan must fast-forward"),
             Some(false) => prop_assert_eq!(skipped, 0, "only periodic untraced scans skip"),
@@ -1207,12 +1136,12 @@ mod skip_vs_step {
         /// `System::scan` — fast-forwarding the periodic steady state of
         /// row, columnar and ephemeral scans — produces the same end time,
         /// CPU time, row count, values, cache/DRAM/RME counters and buffer
-        /// contents as itself in the reference stepping mode and the
-        /// full-stepping sharded scan on one core, for random geometries,
-        /// all three layouts and revisions, 1–8 frames or columnar periods,
-        /// MVCC on and off, constant, one-off, varying and touching
-        /// effects, tracing on and off, and one or two cores
-        /// (the sharded scan only compares on one). The fast-forward
+        /// contents as itself in the reference stepping mode, which steps
+        /// every row, for random geometries, all three layouts and
+        /// revisions, 1–8 frames or columnar periods, MVCC on and off,
+        /// constant, one-off, varying and touching effects, tracing on and
+        /// off (traced scans step every row), and one or two cores. The
+        /// fast-forward
         /// engages (a non-zero skip count) exactly in the periodic,
         /// untraced cases with enough periods, and never otherwise.
         #[test]
