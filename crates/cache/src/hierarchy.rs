@@ -711,11 +711,6 @@ impl CacheHierarchy {
         self.front.set_fast_path(enabled);
     }
 
-    /// Number of pending (in-flight prefetch) fills currently tracked.
-    pub fn pending_fills(&self) -> usize {
-        self.l2.pending_fills()
-    }
-
     /// Flushes both cache levels, forgets prefetch streams and in-flight
     /// fills. Used to make "cold" measurements.
     pub fn flush(&mut self) {
@@ -1009,7 +1004,7 @@ mod tests {
         for i in 0..4u64 {
             now = h.access(i * 64, 8, now, &mut mem).completion;
         }
-        assert!(h.pending_fills() > 0, "prefetches should be pending");
+        assert!(h.l2.pending_fills() > 0, "prefetches should be pending");
         // Pick a prefetched-but-never-demanded line.
         let victim = 6 * 64u64;
 

@@ -103,21 +103,6 @@ impl StreamPrefetcher {
         }
     }
 
-    /// Number of prefetch requests issued so far.
-    pub fn issued(&self) -> u64 {
-        self.issued
-    }
-
-    /// Number of demand accesses that continued an established stream.
-    pub fn stream_hits(&self) -> u64 {
-        self.stream_hits
-    }
-
-    /// Number of streams currently tracked.
-    pub fn active_streams(&self) -> usize {
-        self.streams.len()
-    }
-
     /// Forgets all streams and history (e.g. between queries).
     pub fn reset(&mut self) {
         self.streams.clear();
@@ -272,6 +257,18 @@ impl StreamPrefetcher {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl StreamPrefetcher {
+        /// Number of prefetch requests issued so far.
+        fn issued(&self) -> u64 {
+            self.issued
+        }
+
+        /// Number of streams currently tracked.
+        fn active_streams(&self) -> usize {
+            self.streams.len()
+        }
+    }
 
     const LINE: u64 = 64;
 

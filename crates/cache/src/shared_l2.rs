@@ -31,16 +31,6 @@
 //! genuine cross-core contention, exactly as a hardware bank-conflict
 //! counter would report it); on a single-core build it is below the
 //! model's resolution, as it was in the paper-faithful original.
-//!
-//! ```
-//! use relmem_cache::SharedL2;
-//! use relmem_sim::PlatformConfig;
-//!
-//! let cfg = PlatformConfig::zcu102();
-//! let l2 = SharedL2::new(&cfg, 4);
-//! assert!(l2.is_contended());
-//! assert_eq!(SharedL2::new(&cfg, 1).is_contended(), false);
-//! ```
 
 use relmem_sim::shift::{extrapolate, extrapolate_time};
 use relmem_sim::{
@@ -150,11 +140,6 @@ impl SharedL2 {
         &mut self.tracer
     }
 
-    /// Whether the bank contention model is active.
-    pub fn is_contended(&self) -> bool {
-        self.contended
-    }
-
     /// Aggregate contention counters.
     pub fn stats(&self) -> &SharedL2Stats {
         &self.stats
@@ -258,11 +243,6 @@ impl SharedL2 {
         arrival
     }
 
-    /// Number of pending (in-flight prefetch) fills currently tracked.
-    pub fn pending_fills(&self) -> usize {
-        self.pending_len
-    }
-
     /// Whether this L2's timing state is `earlier`'s moved by one period
     /// (see [`relmem_sim::shift`]): tag store, each line's pending-fill
     /// arrival and the bank free times.
@@ -304,6 +284,25 @@ impl SharedL2 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl SharedL2 {
+        /// Whether the bank contention model is active.
+        fn is_contended(&self) -> bool {
+            self.contended
+        }
+
+        /// Number of pending (in-flight prefetch) fills currently tracked.
+        pub(crate) fn pending_fills(&self) -> usize {
+            self.pending_len
+        }
+    }
+
+    #[test]
+    fn only_a_multi_core_l2_is_contended() {
+        let cfg = PlatformConfig::zcu102();
+        assert!(SharedL2::new(&cfg, 4).is_contended());
+        assert!(!SharedL2::new(&cfg, 1).is_contended());
+    }
 
     fn ns(n: u64) -> SimTime {
         SimTime::from_nanos(n)

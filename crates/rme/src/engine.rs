@@ -25,13 +25,11 @@ use relmem_sim::{
 };
 
 use crate::config_port::ConfigPort;
-use crate::descriptor::Descriptor;
-use crate::fetch_unit::{least_loaded, same_units_up_to_shift, FetchUnit};
+use crate::extractor::pack_row;
+use crate::fetch_unit::{least_loaded, same_units_up_to_shift, BurstTimes, FetchUnit};
 use crate::geometry::TableGeometry;
 use crate::monitor::{Lookup, MonitorBypass};
-use crate::requestor::{
-    DescriptorCursor, DispatchedDescriptor, FrameRows, ProjectionPlan, Requestor,
-};
+use crate::requestor::{DescriptorCursor, FrameRows, ProjectionPlan, Requestor};
 use crate::revision::HwRevision;
 use crate::stats::RmeStats;
 use crate::trapper::Trapper;
@@ -82,17 +80,98 @@ struct Programmed {
 /// cycle regardless of demand, and each descriptor's dispatch anchor is
 /// fixed by its position); what is deferred is presenting descriptors to
 /// the Fetch Units — i.e. booking their DRAM traffic. Booking happens in
-/// stream order as the demand cursor advances, and is completed wholesale
-/// on frame turnover or at [`RmeEngine::finish_pending_fetch`], so a run
-/// books every descriptor of every frame it activates.
+/// stream order as the demand cursor advances, a run of descriptors per
+/// call, and is completed wholesale on frame turnover or at
+/// [`RmeEngine::finish_pending_fetch`], so a run books every descriptor of
+/// every frame it activates.
 #[derive(Debug, Clone)]
 struct FrameProgress {
     frame: u64,
-    /// The frame's descriptor stream; what it has yielded is booked.
+    /// The frame's descriptor stream; the descriptors it has taken are
+    /// booked.
     cursor: DescriptorCursor,
     /// Latest buffer-write completion among booked descriptors (the tail
     /// force-complete time).
     latest: SimTime,
+    /// Per-column burst fields of the rows booked last.
+    bursts: ColumnBursts,
+}
+
+/// The burst fields of every column of interest for source rows starting
+/// `phase` bytes into a bus beat, recomputed when a row starts elsewhere
+/// (never, when rows are a whole number of beats wide).
+#[derive(Debug, Clone, Default)]
+struct ColumnBursts {
+    /// Offset into a bus beat of the rows `columns` hold for (`None`
+    /// before the first row).
+    phase: Option<u64>,
+    /// Whether every source row starts at `phase`.
+    every_row: bool,
+    columns: Vec<ColumnBurst>,
+}
+
+/// The fields of one column's descriptors that depend only on where the
+/// source row starts within a bus beat: every row starting at the same
+/// offset reads the same beats of the column (equations (2), (3) and (5))
+/// at the same port and pipeline cost.
+#[derive(Debug, Clone, Copy)]
+struct ColumnBurst {
+    /// `Raddr` minus the row's first address, wrapping below zero when the
+    /// column's first beat starts before the row.
+    raddr_offset: u64,
+    burst_bytes: usize,
+    rburst: u64,
+    times: BurstTimes,
+}
+
+impl ColumnBursts {
+    /// The burst fields of every column of the source row at `row_base`,
+    /// with `unit`'s port and pipeline costs.
+    fn at(&mut self, plan: &ProjectionPlan, row_base: u64, unit: &FetchUnit) -> &[ColumnBurst] {
+        if self.every_row {
+            return &self.columns;
+        }
+        let bus = plan.bus_bytes();
+        let phase = row_base % bus;
+        if self.phase != Some(phase) {
+            self.every_row = plan.row_bytes().is_multiple_of(bus);
+            self.columns.clear();
+            self.columns.extend(plan.columns().iter().map(|c| {
+                let es = (phase + c.source_offset) % bus;
+                let rburst = (es + c.width as u64).div_ceil(bus);
+                ColumnBurst {
+                    raddr_offset: c.source_offset.wrapping_sub(es),
+                    burst_bytes: (rburst * bus) as usize,
+                    rburst,
+                    times: unit.burst_times(rburst as usize),
+                }
+            }));
+            self.phase = Some(phase);
+        }
+        &self.columns
+    }
+}
+
+impl FrameProgress {
+    /// One past the descriptor that writes the last byte of frame line
+    /// `line`. Descriptors write the frame's packed bytes in increasing
+    /// order, so booking up to there completes the line. A line holding the
+    /// frame's last packed byte, or past it, needs the whole stream: a
+    /// partial tail line completes when the booked frame is closed.
+    fn descriptors_through_line(&self, line: usize, line_bytes: usize) -> usize {
+        let plan = self.cursor.plan();
+        let packed_row = plan.packed_row_bytes();
+        let line_end = (line + 1) * line_bytes;
+        if line_end >= self.cursor.rows().len() * packed_row {
+            return self.cursor.descriptors();
+        }
+        let last = line_end - 1;
+        let within = last % packed_row;
+        let columns = plan.columns();
+        (last / packed_row) * columns.len()
+            + columns.partition_point(|c| c.packed_offset + c.width <= within)
+            + 1
+    }
 }
 
 impl Programmed {
@@ -163,7 +242,7 @@ impl RmeEngine {
     ) -> Self {
         let pl = cdc.pl_clock();
         let fetch_units = (0..hw.fetch_units.max(1))
-            .map(|_| FetchUnit::new(hw, revision, pl, bus_bytes, cdc.pl_dram_read_latency))
+            .map(|_| FetchUnit::new(hw, revision, pl, cdc.pl_dram_read_latency))
             .collect();
         RmeEngine {
             monitor: MonitorBypass::new(hw.data_spm_bytes, line_bytes),
@@ -330,15 +409,13 @@ impl RmeEngine {
                 // activate the new frame and book up to the demand.
                 self.finish_frame_remainder(mem, dram);
                 if self.monitor.frame_miss(frame) {
-                    self.activate_frame(frame, at_pl, mem, dram);
+                    self.activate_frame(frame, at_pl, dram);
                 }
                 self.advance_booking(frame, line_in_frame, mem, dram);
                 let completed_at = match self.monitor.lookup(frame, line_in_frame) {
                     Lookup::Hit(t) => t,
                     Lookup::Miss => at_pl, // an empty frame tail; nothing to wait for
                 };
-                self.monitor.buffer_mut().stall(line_in_frame, axi.id);
-                self.monitor.buffer_mut().take_stalled(line_in_frame);
                 completed_at.max(at_pl) + self.spm_access
             }
         };
@@ -410,20 +487,23 @@ impl RmeEngine {
         let Some(p) = self.programmed.as_ref() else {
             return;
         };
-        // Walks the frame's descriptors without the Requestor: a prewarm is
-        // not a fetch, so it generates nothing.
-        let rows = p.frame_rows(frame);
-        let cursor = DescriptorCursor::new(p.plan.clone(), rows, SimTime::ZERO, SimTime::ZERO);
-        let (rows, packed_row) = (cursor.rows().len(), p.packed_row_bytes());
+        // Packs the frame without the Requestor: a prewarm is not a fetch,
+        // so it generates nothing.
+        let (rows, plan) = (p.frame_rows(frame), &p.plan);
+        let packed_row = plan.packed_row_bytes();
         self.progress = None; // prewarm materializes everything at once
         self.monitor.frame_miss(frame);
-        for DispatchedDescriptor { descriptor: d, .. } in cursor {
-            let bytes = mem.read(d.raddr + d.es as u64, d.len);
-            self.monitor
-                .buffer_mut()
-                .write_chunk(d.waddr as usize, bytes, SimTime::ZERO);
+        let buffer = self.monitor.buffer_mut();
+        for i in 0..rows.len() {
+            let waddr = i * packed_row;
+            pack_row(
+                plan.columns(),
+                mem.read(plan.row_base(rows.get(i)), plan.reach()),
+                &mut buffer.data_mut()[waddr..waddr + packed_row],
+            );
         }
-        self.finish_partial_tail(rows, packed_row, SimTime::ZERO);
+        buffer.credit_bytes(0, rows.len() * packed_row, SimTime::ZERO);
+        self.finish_partial_tail(rows.len(), packed_row, SimTime::ZERO);
     }
 
     /// Clears all timing state (resource occupancy, counters) while keeping
@@ -454,13 +534,9 @@ impl RmeEngine {
     /// source row in the frame's span, including the rows it ends up
     /// skipping. Charged eagerly at frame activation: header inspection is
     /// what *determines* the frame's rows, so it is not demand-elidable.
-    fn charge_mvcc_headers(
-        &mut self,
-        rows: &FrameRows,
-        start_pl: SimTime,
-        mem: &PhysicalMemory,
-        dram: &mut DramModel,
-    ) {
+    /// A header descriptor moves no payload, so only its timing is booked,
+    /// round-robin over the Fetch Units.
+    fn charge_mvcc_headers(&mut self, rows: &FrameRows, start_pl: SimTime, dram: &mut DramModel) {
         let geometry = &self
             .programmed
             .as_ref()
@@ -473,41 +549,113 @@ impl RmeEngine {
             let span = last - first + 1;
             self.stats.rows_filtered += span - rows.len() as u64;
             let rburst = geometry.mvcc_header_bytes.div_ceil(self.bus_bytes);
+            let times = self.fetch_units[0].burst_times(rburst);
             let units = self.fetch_units.len();
             for (k, row) in (first..=last).enumerate() {
-                let header = Descriptor {
-                    row,
-                    column: 0,
-                    raddr: geometry.source_base + row * geometry.row_bytes as u64,
-                    rburst,
-                    waddr: 0,
-                    es: 0,
-                    len: 0,
-                };
-                let chunk = self.fetch_units[k % units].process(&header, start_pl, mem, dram);
-                self.stats.dram_beats += chunk.beats as u64;
+                let raddr = geometry.source_base + row * geometry.row_bytes as u64;
+                self.fetch_units[k % units].book(
+                    start_pl,
+                    raddr,
+                    rburst * self.bus_bytes,
+                    times,
+                    dram,
+                );
             }
+            self.stats.dram_beats += span * rburst as u64;
         }
     }
 
-    /// Presents one descriptor to a fetch unit and lands its data in the
-    /// Reorganization Buffer. Returns the buffer-write completion time.
-    fn book_descriptor(
+    /// Books descriptors `cursor.taken()..end` of the activated frame, in
+    /// stream order at their frozen anchors, and lands their data in the
+    /// Reorganization Buffer.
+    ///
+    /// Timing: every descriptor goes to the least-loaded Fetch Unit, which
+    /// books its Reader slot, DRAM burst, port and pipeline
+    /// ([`FetchUnit::book`]). Functional: each source row's columns of the
+    /// run are packed from `mem` in one pass, and each line the run touches
+    /// is credited once, with its share of the run's bytes at the latest
+    /// write time among the descriptors that wrote them. The bytes are
+    /// those in memory at this call, when their descriptors are booked.
+    fn book_run(
         &mut self,
-        d: &DispatchedDescriptor,
+        progress: &mut FrameProgress,
+        end: usize,
         mem: &PhysicalMemory,
         dram: &mut DramModel,
-    ) -> SimTime {
-        let unit = least_loaded(&self.fetch_units);
-        let chunk = self.fetch_units[unit].process(&d.descriptor, d.dispatch_at, mem, dram);
-        self.stats.dram_beats += chunk.beats as u64;
-        self.stats.useful_bytes += chunk.data.len() as u64;
-        self.monitor.buffer_mut().write_chunk(
-            d.descriptor.waddr as usize,
-            chunk.data,
-            chunk.written_at,
-        );
-        chunk.written_at
+    ) {
+        let FrameProgress {
+            cursor,
+            latest: booked_latest,
+            bursts,
+            ..
+        } = progress;
+        let start = cursor.taken();
+        if end <= start {
+            return;
+        }
+        let plan = cursor.plan();
+        let (columns, packed_row) = (plan.columns(), plan.packed_row_bytes());
+        let q = columns.len();
+        let (mut k, mut row_idx, mut first) = (start, start / q, start % q);
+        let run_start = row_idx * packed_row + columns[first].packed_offset;
+        let line_bytes = self.line_bytes;
+        let buffer = self.monitor.buffer_mut();
+
+        // The line being credited: its index and end offset, the first of
+        // the run's bytes not credited yet, and the latest write time among
+        // the line's uncredited bytes.
+        let mut line = run_start / line_bytes;
+        let mut line_end = (line + 1) * line_bytes;
+        let mut credited = run_start;
+        let mut line_when = SimTime::ZERO;
+        let (mut beats, mut latest, mut run_end) = (0u64, *booked_latest, run_start);
+        while k < end {
+            let last = q.min(first + end - k);
+            let row_base = plan.row_base(cursor.rows().get(row_idx));
+            let dispatch_at = cursor.dispatch_at(row_idx);
+            let row_bursts = bursts.at(plan, row_base, &self.fetch_units[0]);
+            let waddr = row_idx * packed_row;
+            for (c, b) in columns[first..last].iter().zip(&row_bursts[first..last]) {
+                let unit = least_loaded(&self.fetch_units);
+                let written = self.fetch_units[unit].book(
+                    dispatch_at,
+                    row_base.wrapping_add(b.raddr_offset),
+                    b.burst_bytes,
+                    b.times,
+                    dram,
+                );
+                beats += b.rburst;
+                latest = latest.max(written);
+                line_when = line_when.max(written);
+                run_end = waddr + c.packed_offset + c.width;
+                while run_end >= line_end {
+                    buffer.credit(line, line_end - credited, line_when);
+                    credited = line_end;
+                    line += 1;
+                    line_end += line_bytes;
+                    line_when = if run_end > credited {
+                        written
+                    } else {
+                        SimTime::ZERO
+                    };
+                }
+            }
+            pack_row(
+                &columns[first..last],
+                mem.read(row_base, plan.reach()),
+                &mut buffer.data_mut()[waddr..waddr + packed_row],
+            );
+            k += last - first;
+            row_idx += 1;
+            first = 0;
+        }
+        if credited < run_end {
+            buffer.credit(line, run_end - credited, line_when);
+        }
+        cursor.take_until(end);
+        *booked_latest = latest;
+        self.stats.dram_beats += beats;
+        self.stats.useful_bytes += (run_end - run_start) as u64;
     }
 
     /// Activates `frame`: charges the eager MVCC header traffic, starts the
@@ -516,19 +664,13 @@ impl RmeEngine {
     /// through [`advance_booking`](Self::advance_booking), and
     /// [`finish_frame_remainder`](Self::finish_frame_remainder) books the
     /// rest.
-    fn activate_frame(
-        &mut self,
-        frame: u64,
-        start_pl: SimTime,
-        mem: &PhysicalMemory,
-        dram: &mut DramModel,
-    ) {
+    fn activate_frame(&mut self, frame: u64, start_pl: SimTime, dram: &mut DramModel) {
         let p = self.programmed.as_ref().expect("engine configured");
         let cursor = self
             .requestor
             .activate(&p.plan, p.frame_rows(frame), start_pl);
         self.stats.frames_fetched += 1;
-        self.charge_mvcc_headers(cursor.rows(), start_pl, mem, dram);
+        self.charge_mvcc_headers(cursor.rows(), start_pl, dram);
         self.tracer.emit(|| {
             TraceEvent::instant(
                 Track::Rme,
@@ -542,14 +684,15 @@ impl RmeEngine {
             frame,
             cursor,
             latest: start_pl,
+            bursts: ColumnBursts::default(),
         });
     }
 
     /// Books descriptors of the activated frame, in stream order at their
-    /// frozen anchors, until the demanded line completes (or the stream is
-    /// exhausted, which force-completes the partial tail). Prefix-monotone:
-    /// any demand order books a prefix of the same descriptor stream at the
-    /// same anchors.
+    /// frozen anchors, up to the one that completes the demanded line (or
+    /// the whole stream, which force-completes the partial tail), as one
+    /// run. Prefix-monotone: any demand order books a prefix of the same
+    /// descriptor stream at the same anchors.
     fn advance_booking(
         &mut self,
         frame: u64,
@@ -565,13 +708,8 @@ impl RmeEngine {
             self.progress = Some(progress);
             return;
         }
-        while matches!(self.monitor.lookup(frame, line_in_frame), Lookup::Miss) {
-            let Some(d) = progress.cursor.next() else {
-                break;
-            };
-            let written = self.book_descriptor(&d, mem, dram);
-            progress.latest = progress.latest.max(written);
-        }
+        let end = progress.descriptors_through_line(line_in_frame, self.line_bytes);
+        self.book_run(&mut progress, end, mem, dram);
         if progress.cursor.is_done() {
             // A fully booked frame needs no progress state: drop it,
             // closing its fetch window in the trace.
@@ -589,10 +727,8 @@ impl RmeEngine {
         let Some(mut progress) = self.progress.take() else {
             return;
         };
-        for d in progress.cursor.by_ref() {
-            let written = self.book_descriptor(&d, mem, dram);
-            progress.latest = progress.latest.max(written);
-        }
+        let end = progress.cursor.descriptors();
+        self.book_run(&mut progress, end, mem, dram);
         self.close_frame(&progress);
     }
 
@@ -713,8 +849,8 @@ impl RmeEngine {
     pub fn shift(&mut self, earlier: &RmeEngine, shift: &Shift, periods: u64) {
         let frames = self.frames_per_period(shift).unwrap_or(0);
         self.trapper.shift(&earlier.trapper, shift, periods);
-        for (unit, was) in self.fetch_units.iter_mut().zip(&earlier.fetch_units) {
-            unit.shift(was, shift, periods);
+        for unit in &mut self.fetch_units {
+            unit.shift(shift, periods);
         }
         self.requestor.extrapolate(&earlier.requestor, periods);
         self.monitor.shift(&earlier.monitor, shift, frames, periods);
@@ -769,8 +905,199 @@ fn gcd(a: usize, b: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use relmem_sim::PlatformConfig;
+    use crate::descriptor::Descriptor;
+    use crate::geometry::ColumnSpec;
+    use proptest::prelude::*;
+    use relmem_sim::{MemoryModel, PlatformConfig};
     use relmem_storage::{ColumnGroup, DataGen, MvccConfig, RowTable, Schema, Snapshot};
+
+    /// The per-descriptor booking the engine's runs are held to: the demand
+    /// cursor takes one descriptor at a time from the stream until the
+    /// Monitor reports the demanded line complete, each descriptor goes to
+    /// the least-loaded unit's [`FetchUnit::process`], and its chunk lands
+    /// through [`ReorganizationBuffer::write_chunk`](crate::reorg_buffer::ReorganizationBuffer).
+    impl RmeEngine {
+        fn serve_line_per_descriptor(
+            &mut self,
+            addr: u64,
+            ready: SimTime,
+            mem: &PhysicalMemory,
+            dram: &mut DramModel,
+        ) -> SimTime {
+            let (frame, line) = {
+                let p = self.programmed.as_ref().expect("engine configured");
+                let offset = addr - p.geometry.ephemeral_base;
+                let in_frame = offset % p.frame_bytes();
+                (
+                    p.frame_of(offset),
+                    (in_frame / self.line_bytes as u64) as usize,
+                )
+            };
+            let (axi, at_pl) = self.trapper.accept(addr, ready);
+            if self.monitor.resident_frame() == Some(frame) {
+                self.book_per_descriptor(Some((frame, line)), mem, dram);
+            }
+            let data_ready_pl = match self.monitor.lookup(frame, line) {
+                Lookup::Hit(completed_at) => {
+                    self.stats.buffer_hits += 1;
+                    completed_at.max(at_pl) + self.spm_access
+                }
+                Lookup::Miss => {
+                    self.stats.buffer_misses += 1;
+                    self.book_per_descriptor(None, mem, dram);
+                    if self.monitor.frame_miss(frame) {
+                        self.activate_frame_per_descriptor(frame, at_pl, mem, dram);
+                    }
+                    self.book_per_descriptor(Some((frame, line)), mem, dram);
+                    let completed_at = match self.monitor.lookup(frame, line) {
+                        Lookup::Hit(t) => t,
+                        Lookup::Miss => at_pl,
+                    };
+                    completed_at.max(at_pl) + self.spm_access
+                }
+            };
+            self.trapper
+                .respond(axi.id, data_ready_pl, self.line_bytes)
+                .data_ready
+        }
+
+        /// Activation with every MVCC header read through `process`.
+        fn activate_frame_per_descriptor(
+            &mut self,
+            frame: u64,
+            start_pl: SimTime,
+            mem: &PhysicalMemory,
+            dram: &mut DramModel,
+        ) {
+            let p = self.programmed.as_ref().expect("engine configured");
+            let cursor = self
+                .requestor
+                .activate(&p.plan, p.frame_rows(frame), start_pl);
+            self.stats.frames_fetched += 1;
+            let g = &p.geometry;
+            if let Some((first, last)) = cursor.rows().bounds() {
+                if g.needs_visibility_filter() {
+                    self.stats.rows_filtered += last - first + 1 - cursor.rows().len() as u64;
+                    let units = self.fetch_units.len();
+                    for (k, row) in (first..=last).enumerate() {
+                        let header = Descriptor {
+                            row,
+                            column: 0,
+                            raddr: g.source_base + row * g.row_bytes as u64,
+                            rburst: g.mvcc_header_bytes.div_ceil(self.bus_bytes),
+                            waddr: 0,
+                            es: 0,
+                            len: 0,
+                        };
+                        let chunk = self.fetch_units[k % units].process(
+                            &header,
+                            start_pl,
+                            mem,
+                            dram,
+                            self.bus_bytes,
+                        );
+                        self.stats.dram_beats += chunk.beats as u64;
+                    }
+                }
+            }
+            self.progress = Some(FrameProgress {
+                frame,
+                cursor,
+                latest: start_pl,
+                bursts: ColumnBursts::default(),
+            });
+        }
+
+        /// Books descriptors one at a time until the demanded `(frame,
+        /// line)` completes, or all of them when there is no demand.
+        fn book_per_descriptor(
+            &mut self,
+            demand: Option<(u64, usize)>,
+            mem: &PhysicalMemory,
+            dram: &mut DramModel,
+        ) {
+            let Some(mut progress) = self.progress.take() else {
+                return;
+            };
+            if let Some((frame, _)) = demand {
+                assert_eq!(
+                    progress.frame, frame,
+                    "turnover settles the old frame first"
+                );
+            }
+            while demand.is_none_or(|(f, line)| self.monitor.lookup(f, line) == Lookup::Miss) {
+                let Some(d) = progress.cursor.next() else {
+                    break;
+                };
+                let unit = least_loaded(&self.fetch_units);
+                let chunk = self.fetch_units[unit].process(
+                    &d.descriptor,
+                    d.dispatch_at,
+                    mem,
+                    dram,
+                    self.bus_bytes,
+                );
+                self.stats.dram_beats += chunk.beats as u64;
+                self.stats.useful_bytes += chunk.data.len() as u64;
+                self.monitor.buffer_mut().write_chunk(
+                    d.descriptor.waddr as usize,
+                    chunk.data,
+                    chunk.written_at,
+                );
+                progress.latest = progress.latest.max(chunk.written_at);
+            }
+            if progress.cursor.is_done() {
+                self.close_frame(&progress);
+            } else {
+                self.progress = Some(progress);
+            }
+        }
+
+        /// A prewarm that writes every descriptor's bytes as its own chunk.
+        fn prewarm_frame_per_descriptor(&mut self, frame: u64, mem: &PhysicalMemory) {
+            let p = self.programmed.as_ref().expect("engine configured");
+            let cursor = DescriptorCursor::new(
+                p.plan.clone(),
+                p.frame_rows(frame),
+                SimTime::ZERO,
+                SimTime::ZERO,
+            );
+            let (rows, packed_row) = (cursor.rows().len(), p.packed_row_bytes());
+            self.progress = None;
+            self.monitor.frame_miss(frame);
+            for d in cursor {
+                let d = d.descriptor;
+                let bytes = mem.read(d.raddr + d.es as u64, d.len);
+                self.monitor
+                    .buffer_mut()
+                    .write_chunk(d.waddr as usize, bytes, SimTime::ZERO);
+            }
+            self.finish_partial_tail(rows, packed_row, SimTime::ZERO);
+        }
+
+        /// Everything the two bookings must agree on.
+        #[allow(clippy::type_complexity)]
+        fn booking_state(
+            &self,
+        ) -> (
+            RmeStats,
+            Vec<(u64, u32, SimTime)>,
+            Vec<u8>,
+            Vec<(Vec<SimTime>, usize, SimTime, SimTime)>,
+            Option<(u64, usize, SimTime)>,
+        ) {
+            let buffer = self.monitor.buffer();
+            (
+                self.stats(),
+                buffer.metadata(),
+                buffer.read_bytes(0, buffer.capacity_bytes()).to_vec(),
+                self.fetch_units.iter().map(FetchUnit::state).collect(),
+                self.progress
+                    .as_ref()
+                    .map(|p| (p.frame, p.cursor.taken(), p.latest)),
+            )
+        }
+    }
 
     struct Fixture {
         mem: PhysicalMemory,
@@ -1133,5 +1460,150 @@ mod tests {
         let _ = f
             .engine
             .serve_line(0x10, SimTime::ZERO, &f.mem, &mut f.dram);
+    }
+
+    /// A source row rewritten between two bookings of one frame: each
+    /// packed row holds the bytes in memory when its descriptors were
+    /// booked, so the row booked before the write keeps its old bytes and
+    /// the row booked after it has the new ones.
+    #[test]
+    fn packing_takes_the_bytes_present_at_booking() {
+        let mut f = fixture(200, HwRevision::Mlp, MvccConfig::Disabled);
+        configure(&mut f, vec![1, 3], None);
+        let packed_row = 8u64;
+        let row_addr = |f: &Fixture, row: u64| f.table.field_addr(row, 1).unwrap();
+        let old_first = f.mem.read(row_addr(&f, 0), 4).to_vec();
+        // Demand line 0: packed rows 0..8 are booked.
+        let _ = f
+            .engine
+            .serve_line(f.ephemeral_base, SimTime::ZERO, &f.mem, &mut f.dram);
+        let late_row = 20; // on line 2, not booked yet
+        for row in [0, late_row] {
+            let addr = row_addr(&f, row);
+            f.mem.write(addr, &[0xAB; 4]);
+        }
+        let late = f.ephemeral_base + late_row * packed_row;
+        let _ = f
+            .engine
+            .serve_line(late / 64 * 64, SimTime::ZERO, &f.mem, &mut f.dram);
+        assert_eq!(f.engine.resident_frame(), Some(0));
+        assert_eq!(f.engine.read_packed(f.ephemeral_base, 4, &f.mem), old_first);
+        assert_eq!(f.engine.read_packed(late, 4, &f.mem), [0xAB; 4]);
+    }
+
+    /// A synthetic table for the booking proptest: `rows` rows of
+    /// `row_bytes` pseudo-random bytes starting `offset` bytes past a
+    /// line-aligned base.
+    fn synthetic_memory(
+        rows: u64,
+        row_bytes: usize,
+        offset: u64,
+        seed: u64,
+    ) -> (PhysicalMemory, u64) {
+        let bytes = rows as usize * row_bytes;
+        let mut mem = PhysicalMemory::new(bytes + 4096);
+        let base = mem.alloc(bytes + 256, 64) + offset;
+        let mut x = seed | 1;
+        let data: Vec<u8> = (0..bytes)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x as u8
+            })
+            .collect();
+        mem.write(base, &data);
+        (mem, base)
+    }
+
+    proptest! {
+        /// Booking a run of descriptors per call leaves exactly the state
+        /// booking them one at a time leaves — every serve time, per-line
+        /// completion, Data SPM byte, counter, fetch-unit slot and DRAM
+        /// statistic — over random geometries (1–8 B columns, beat-straddling
+        /// offsets, packed rows that do not divide a line), MVCC
+        /// visible-row frames, hardware revisions, both DRAM models, an
+        /// optional prewarm, and demand orders with skips, backward
+        /// requests, frame turnovers and settled fetches.
+        #[test]
+        fn bulk_booking_equals_per_descriptor_booking(
+            specs in proptest::collection::vec((1usize..=8, 0usize..24), 1..5),
+            slack in 0usize..20,
+            offset in 0u64..64,
+            rows in 1u64..300,
+            spm_lines in 1usize..24,
+            mvcc in any::<bool>(),
+            keep in proptest::collection::vec(any::<bool>(), 300),
+            revision in 0usize..3,
+            units in 1usize..=4,
+            cycle_accurate in any::<bool>(),
+            prewarm in any::<bool>(),
+            seed in any::<u64>(),
+            ops in proptest::collection::vec((0u8..8, any::<u64>(), 0u64..400), 1..60),
+        ) {
+            let header = if mvcc { 8 } else { 0 };
+            let mut columns: Vec<ColumnSpec> = specs
+                .iter()
+                .map(|&(width, oa_delta)| ColumnSpec { width, oa_delta })
+                .collect();
+            columns[0].oa_delta += header;
+            let reach: usize = specs.iter().map(|&(_, oa)| oa).sum::<usize>()
+                + header
+                + specs.last().map(|&(w, _)| w).unwrap_or(0);
+            let row_bytes = reach + slack;
+            let (mem, source_base) = synthetic_memory(rows, row_bytes, offset, seed);
+            let geometry = TableGeometry {
+                row_bytes,
+                row_count: rows,
+                columns,
+                source_base,
+                ephemeral_base: 1 << 30,
+                mvcc_header_bytes: header,
+                snapshot: mvcc.then(|| Snapshot::at(1)),
+            };
+            let visible = mvcc.then(|| (0..rows).filter(|&r| keep[r as usize]).collect::<Vec<_>>());
+
+            let mut cfg = PlatformConfig::zcu102();
+            if cycle_accurate {
+                cfg.dram.model = MemoryModel::CycleAccurate;
+            }
+            let packed_row = geometry.packed_row_bytes();
+            let hw = RmeHwConfig {
+                data_spm_bytes: 64 * spm_lines.max(packed_row),
+                fetch_units: units,
+                ..cfg.rme
+            };
+            let revision = [HwRevision::Bsl, HwRevision::Pck, HwRevision::Mlp][revision];
+            let mut bulk = RmeEngine::new(hw, cfg.cdc, revision, cfg.dram.bus_bytes, 64);
+            bulk.configure(geometry, visible).unwrap();
+            let mut reference = bulk.clone();
+            let (mut dram_bulk, mut dram_reference) = (DramModel::new(cfg.dram), DramModel::new(cfg.dram));
+            if prewarm {
+                bulk.prewarm_frame(0, &mem);
+                reference.prewarm_frame_per_descriptor(0, &mem);
+                prop_assert_eq!(bulk.booking_state(), reference.booking_state());
+            }
+
+            let lines = bulk.packed_total_bytes().div_ceil(64).max(1);
+            let mut ready = SimTime::ZERO;
+            for &(kind, pick, gap) in &ops {
+                if kind == 0 {
+                    bulk.finish_pending_fetch(&mem, &mut dram_bulk);
+                    reference.book_per_descriptor(None, &mem, &mut dram_reference);
+                } else {
+                    ready += SimTime::from_nanos(gap);
+                    let addr = (1 << 30) + (pick % lines) * 64;
+                    let got = bulk.serve_line(addr, ready, &mem, &mut dram_bulk);
+                    let want = reference.serve_line_per_descriptor(addr, ready, &mem, &mut dram_reference);
+                    prop_assert_eq!(got, want);
+                }
+                prop_assert_eq!(bulk.booking_state(), reference.booking_state());
+                prop_assert_eq!(dram_bulk.stats(), dram_reference.stats());
+            }
+            bulk.finish_pending_fetch(&mem, &mut dram_bulk);
+            reference.book_per_descriptor(None, &mem, &mut dram_reference);
+            prop_assert_eq!(bulk.booking_state(), reference.booking_state());
+            prop_assert_eq!(dram_bulk.stats(), dram_reference.stats());
+        }
     }
 }

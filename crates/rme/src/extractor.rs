@@ -3,38 +3,67 @@
 //! Inside each Fetch Unit, the Column Extractor receives the raw bus beats
 //! returned by the Reader and cuts out the bytes that belong to the column
 //! of interest, shifting them so they can be packed contiguously (Section 5,
-//! "Fetch Unit"). Functionally this is a slice-and-shift; the value of
-//! modelling it explicitly is that it can be property-tested against the
-//! software reference projection and that its per-beat cost shows up in the
-//! timing model.
+//! "Fetch Unit"). The bytes it cuts out of a burst are the field's bytes at
+//! its source address, so the simulation packs straight from the row in
+//! physical memory: [`pack_row`] is the extractor and packer of one source
+//! row, and the burst's beats are charged by the timing model
+//! ([`crate::fetch_unit::FetchUnit::book`]). It is property-tested against
+//! cutting each field out of its burst.
 
-use crate::descriptor::Descriptor;
+use crate::requestor::ColumnPlan;
 
-/// Extracts the useful bytes described by `descriptor` from the raw burst
-/// payload returned by main memory, as a slice of that payload.
-///
-/// `payload` must contain exactly the burst (`rburst × bus_bytes` bytes)
-/// starting at the descriptor's aligned `raddr`.
+/// Packs `columns` of one source row: copies each column's bytes from
+/// `source_row` (the row's bytes from its first, at offset 0) to the
+/// column's packed offset in `packed_row` (the packed row's bytes from its
+/// first).
 ///
 /// # Panics
-/// Panics if the payload is shorter than the burst the descriptor describes.
-pub fn extract<'p>(descriptor: &Descriptor, payload: &'p [u8], bus_bytes: usize) -> &'p [u8] {
-    let burst = descriptor.burst_bytes(bus_bytes);
-    assert!(
-        payload.len() >= burst,
-        "payload of {} bytes is shorter than the {}-byte burst",
-        payload.len(),
-        burst
-    );
-    &payload[descriptor.es..descriptor.es + descriptor.len]
+/// Panics if a column lies outside either row.
+#[inline]
+pub fn pack_row(columns: &[ColumnPlan], source_row: &[u8], packed_row: &mut [u8]) {
+    for c in columns {
+        let from = c.source_offset as usize;
+        let src = &source_row[from..from + c.width];
+        let dst = &mut packed_row[c.packed_offset..c.packed_offset + c.width];
+        // Fixed-size copies of the common widths compile to one load and
+        // one store instead of a call to `memcpy`.
+        match c.width {
+            4 => dst[..4].copy_from_slice(&src[..4]),
+            8 => dst[..8].copy_from_slice(&src[..8]),
+            _ => dst.copy_from_slice(src),
+        }
+    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::descriptor::descriptor_for;
+    use crate::descriptor::{descriptor_for, Descriptor};
     use crate::geometry::{ColumnSpec, TableGeometry};
+    use crate::requestor::ProjectionPlan;
     use proptest::prelude::*;
+
+    /// Cuts the useful bytes described by `descriptor` out of the raw burst
+    /// `payload` returned by main memory (`rburst × bus_bytes` bytes from
+    /// the descriptor's aligned `raddr`): what the hardware extractor does
+    /// per descriptor, and the reference [`pack_row`] is held to.
+    ///
+    /// # Panics
+    /// Panics if the payload is shorter than the burst.
+    pub(crate) fn extract<'p>(
+        descriptor: &Descriptor,
+        payload: &'p [u8],
+        bus_bytes: usize,
+    ) -> &'p [u8] {
+        let burst = descriptor.burst_bytes(bus_bytes);
+        assert!(
+            payload.len() >= burst,
+            "payload of {} bytes is shorter than the {}-byte burst",
+            payload.len(),
+            burst
+        );
+        &payload[descriptor.es..descriptor.es + descriptor.len]
+    }
 
     #[test]
     fn extracts_the_middle_of_a_beat() {
@@ -52,62 +81,75 @@ mod tests {
     }
 
     #[test]
-    fn extracts_across_a_beat_boundary() {
-        let d = Descriptor {
-            row: 0,
-            column: 0,
-            raddr: 0,
-            rburst: 2,
-            waddr: 0,
-            es: 14,
-            len: 6,
-        };
-        let payload: Vec<u8> = (0..32).collect();
-        assert_eq!(extract(&d, &payload, 16), &[14, 15, 16, 17, 18, 19]);
-    }
-
-    #[test]
-    #[should_panic(expected = "shorter than")]
-    fn short_payload_panics() {
-        let d = Descriptor {
-            row: 0,
-            column: 0,
-            raddr: 0,
-            rburst: 2,
-            waddr: 0,
-            es: 0,
-            len: 20,
-        };
-        let _ = extract(&d, &[0u8; 16], 16);
+    fn packs_columns_across_a_beat_boundary() {
+        let plan = ProjectionPlan::new(
+            &TableGeometry {
+                row_bytes: 32,
+                row_count: 1,
+                columns: vec![
+                    ColumnSpec {
+                        width: 6,
+                        oa_delta: 14,
+                    },
+                    ColumnSpec {
+                        width: 2,
+                        oa_delta: 10,
+                    },
+                ],
+                source_base: 0,
+                ephemeral_base: 0,
+                mvcc_header_bytes: 0,
+                snapshot: None,
+            },
+            16,
+        );
+        let row: Vec<u8> = (0..32).collect();
+        let mut packed = [0u8; 8];
+        pack_row(plan.columns(), &row, &mut packed);
+        assert_eq!(packed, [14, 15, 16, 17, 18, 19, 24, 25]);
+        // A run that starts at the second column packs only that one.
+        let mut packed = [0u8; 8];
+        pack_row(&plan.columns()[1..], &row, &mut packed);
+        assert_eq!(packed, [0, 0, 0, 0, 0, 0, 24, 25]);
     }
 
     proptest! {
-        /// Extraction over a synthetic "memory" equals reading the field
-        /// directly at its absolute address — the hardware and software
-        /// views of projection agree byte for byte.
+        /// Packing a row equals cutting every field out of its burst over a
+        /// synthetic "memory" — the hardware and software views of
+        /// projection agree byte for byte.
         #[test]
-        fn extraction_matches_direct_read(
-            offset in 0usize..60,
-            width in 1usize..=16,
+        fn packing_matches_extraction_from_bursts(
+            specs in proptest::collection::vec((1usize..=16, 0usize..20), 1..6),
             i in 0u64..200,
+            bus_pow in 2u32..6,
         ) {
-            prop_assume!(offset + width <= 64);
+            let columns: Vec<ColumnSpec> = specs
+                .iter()
+                .map(|&(width, oa_delta)| ColumnSpec { width, oa_delta })
+                .collect();
             let g = TableGeometry {
-                row_bytes: 64,
+                row_bytes: 256,
                 row_count: 500,
-                columns: vec![ColumnSpec { width, oa_delta: offset }],
+                columns,
                 source_base: 0,
                 ephemeral_base: 0,
                 mvcc_header_bytes: 0,
                 snapshot: None,
             };
+            let bus = 1usize << bus_pow;
             // Synthetic memory where byte at address a has value a & 0xff.
-            let mem: Vec<u8> = (0..64 * 500).map(|a| (a & 0xff) as u8).collect();
-            let d = descriptor_for(&g, i, i, 0, 16);
-            let payload = &mem[d.raddr as usize..d.raddr as usize + d.burst_bytes(16)];
-            let extracted = extract(&d, payload, 16);
-            let p = g.p(i, 0) as usize;
-            prop_assert_eq!(extracted, &mem[p..p + width]);
+            let mem: Vec<u8> = (0..256 * 501).map(|a| (a & 0xff) as u8).collect();
+            let plan = ProjectionPlan::new(&g, bus);
+            let base = (i * 256) as usize;
+            let mut packed = vec![0u8; g.packed_row_bytes()];
+            pack_row(plan.columns(), &mem[base..base + 256], &mut packed);
+            let mut want = Vec::new();
+            for j in 0..g.num_columns() {
+                let d = descriptor_for(&g, i, 0, j, bus);
+                let payload = &mem[d.raddr as usize..d.raddr as usize + d.burst_bytes(bus)];
+                want.extend_from_slice(extract(&d, payload, bus));
+            }
+            prop_assert_eq!(packed, want);
         }
     }
 }

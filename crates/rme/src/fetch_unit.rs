@@ -8,26 +8,26 @@
 //! BSL/PCK, 16 for MLP); the extractor and writer are shared per unit, so
 //! chunk post-processing serialises within a unit even when many reads are
 //! in flight.
+//!
+//! A unit here holds the timing half of that pipeline:
+//! [`FetchUnit::book`] takes one descriptor through the Reader slot, the
+//! DRAM controller, the ingest port and the pipeline. The bytes are the
+//! functional half, and the engine packs them a source row at a time
+//! ([`crate::extractor::pack_row`]) in the call that books their
+//! descriptors.
 
-use relmem_dram::{DramModel, MemRequest, PhysicalMemory};
-use relmem_sim::shift::extrapolate;
-use relmem_sim::{ClockDomain, Resource, RmeHwConfig, Shift, SimTime};
+use relmem_dram::{DramModel, MemRequest};
+use relmem_sim::{ClockDomain, RmeHwConfig, Shift, SimTime};
 
-use crate::descriptor::Descriptor;
-use crate::extractor::extract;
 use crate::revision::HwRevision;
 
-/// The outcome of processing one descriptor.
+/// Port and pipeline occupancy of one burst length.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChunkResult<'m> {
-    /// The extracted, packed bytes (length = descriptor `len`), borrowed
-    /// from physical memory.
-    pub data: &'m [u8],
-    /// Time at which the chunk has been written to the Reorganization
-    /// Buffer.
-    pub written_at: SimTime,
-    /// Bus beats fetched from DRAM for this chunk.
-    pub beats: usize,
+pub struct BurstTimes {
+    /// Time the beats occupy the unit's PL-side ingest port.
+    pub port: SimTime,
+    /// Time the chunk occupies the extract/pack/write pipeline.
+    pub pipeline: SimTime,
 }
 
 /// One Fetch Unit.
@@ -39,22 +39,22 @@ pub struct FetchUnit {
     /// pipeline's end time, which never decreases, so the slots fill in
     /// ring order and the oldest write is always the next one to free.
     next_slot: usize,
-    /// The unit's extract/pack/write pipeline (serial within the unit).
-    pipeline: Resource,
-    /// PL-side ingest port of this unit (beats cross at one per PL cycle).
-    port: Resource,
+    /// `slots[next_slot]`, kept beside the ring so that picking a unit
+    /// reads no slot vector.
+    earliest: SimTime,
+    /// When the unit's extract/pack/write pipeline (serial within the
+    /// unit) is next free.
+    pipeline_free: SimTime,
+    /// When the PL-side ingest port (beats cross at one per PL cycle) is
+    /// next free.
+    port_free: SimTime,
     /// PL cycle length in picoseconds, resolved once.
     cycle_ps: u64,
-    /// Port and pipeline occupancy indexed by burst length, filled on
-    /// first use of each length.
-    burst_times: Vec<(SimTime, SimTime)>,
     revision: HwRevision,
     cfg: RmeHwConfig,
-    bus_bytes: usize,
     /// Round-trip latency of a PL-originated read through the PS
     /// interconnect and DDR controller (hidden by outstanding reads).
     read_latency: SimTime,
-    processed: u64,
 }
 
 impl FetchUnit {
@@ -63,68 +63,56 @@ impl FetchUnit {
         cfg: RmeHwConfig,
         revision: HwRevision,
         pl: ClockDomain,
-        bus_bytes: usize,
         read_latency: SimTime,
     ) -> Self {
         FetchUnit {
             slots: vec![SimTime::ZERO; revision.outstanding_reads()],
             next_slot: 0,
-            pipeline: Resource::new("fetch-unit-pipeline"),
-            port: Resource::new("fetch-unit-port"),
+            earliest: SimTime::ZERO,
+            pipeline_free: SimTime::ZERO,
+            port_free: SimTime::ZERO,
             cycle_ps: pl.cycle().as_picos(),
-            burst_times: Vec::new(),
             revision,
             cfg,
-            bus_bytes,
             read_latency,
-            processed: 0,
         }
-    }
-
-    /// Number of descriptors processed.
-    pub fn processed(&self) -> u64 {
-        self.processed
     }
 
     /// The earliest time this unit could accept another descriptor (used by
     /// the engine to pick the least-loaded unit).
     pub fn earliest_slot(&self) -> SimTime {
-        self.slots[self.next_slot]
+        self.earliest
     }
 
-    /// Processes a descriptor dispatched at `dispatch_at`.
-    ///
-    /// Functional effect: reads the burst from `mem` and extracts the useful
-    /// bytes. Timing effect: books a Reader slot, the DRAM controller, the
-    /// unit's ingest port and its extract/write pipeline.
-    pub fn process<'m>(
+    /// Books one descriptor dispatched at `dispatch_at` whose burst reads
+    /// `burst_bytes` at `raddr` and costs `times`: a Reader slot, the DRAM
+    /// controller, the unit's ingest port and its extract/write pipeline.
+    /// Returns the time the chunk is written to the Reorganization Buffer.
+    #[inline]
+    pub fn book(
         &mut self,
-        descriptor: &Descriptor,
         dispatch_at: SimTime,
-        mem: &'m PhysicalMemory,
+        raddr: u64,
+        burst_bytes: usize,
+        times: BurstTimes,
         dram: &mut DramModel,
-    ) -> ChunkResult<'m> {
-        self.processed += 1;
-        let burst_bytes = descriptor.burst_bytes(self.bus_bytes);
-
+    ) -> SimTime {
         // 1. Reader: wait for a free outstanding-transaction slot.
-        let issue = dispatch_at.max(self.earliest_slot());
+        let issue = dispatch_at.max(self.earliest);
 
-        // 2. Main-memory burst (timing) + payload (functional). A read
-        //    launched from the PL additionally pays the PS-interconnect
-        //    round-trip latency; with many outstanding reads it is hidden.
+        // 2. Main-memory burst. A read launched from the PL additionally
+        //    pays the PS-interconnect round-trip latency; with many
+        //    outstanding reads it is hidden.
         let completion = dram.access(
-            MemRequest::new(descriptor.raddr, burst_bytes, issue)
-                .with_requestor(relmem_dram::Requestor::Rme),
+            MemRequest::new(raddr, burst_bytes, issue).with_requestor(relmem_dram::Requestor::Rme),
         );
         let data_at_unit = completion.finish + self.read_latency;
-        let payload = mem.read(descriptor.raddr, burst_bytes);
 
         // 3. The beats cross the unit's PL-side read-data port, then the
         //    Column Extractor + Writer occupy the unit's pipeline.
-        let (port_time, pipeline_time) = self.burst_times(descriptor.rburst);
-        let (_, port_done) = self.port.acquire(data_at_unit, port_time);
-        let (_, written_at) = self.pipeline.acquire(port_done, pipeline_time);
+        self.port_free = data_at_unit.max(self.port_free) + times.port;
+        let written_at = self.port_free.max(self.pipeline_free) + times.pipeline;
+        self.pipeline_free = written_at;
 
         // 4. The Reader slot stays occupied until the whole chunk has
         //    retired (this is what serialises BSL/PCK).
@@ -138,12 +126,8 @@ impl FetchUnit {
         } else {
             self.next_slot + 1
         };
-
-        ChunkResult {
-            data: extract(descriptor, payload, self.bus_bytes),
-            written_at,
-            beats: descriptor.rburst,
-        }
+        self.earliest = self.slots[self.next_slot];
+        written_at
     }
 
     /// Port and pipeline occupancy of a `rburst`-beat chunk. The landing
@@ -153,37 +137,34 @@ impl FetchUnit {
     /// sustains one beat of throughput per cycle. Without it (BSL) every
     /// chunk performs its own SPM write and the pipeline stalls for the
     /// write turnaround.
-    fn burst_times(&mut self, rburst: usize) -> (SimTime, SimTime) {
-        while self.burst_times.len() <= rburst {
-            let beats = self.burst_times.len() as u64;
-            let port = self.cycle_ps * beats / self.cfg.port_beats_per_cycle.max(1);
-            let mut pipeline_cycles = self.cfg.extract_cycles_per_beat * beats;
-            if !self.revision.has_packer() {
-                pipeline_cycles += self.cfg.spm_access_cycles * beats + 2;
-            }
-            let pipeline = self.cycle_ps * pipeline_cycles;
-            self.burst_times
-                .push((SimTime::from_picos(port), SimTime::from_picos(pipeline)));
+    pub fn burst_times(&self, rburst: usize) -> BurstTimes {
+        let beats = rburst as u64;
+        let port = self.cycle_ps * beats / self.cfg.port_beats_per_cycle.max(1);
+        let mut pipeline_cycles = self.cfg.extract_cycles_per_beat * beats;
+        if !self.revision.has_packer() {
+            pipeline_cycles += self.cfg.spm_access_cycles * beats + 2;
         }
-        self.burst_times[rburst]
+        BurstTimes {
+            port: SimTime::from_picos(port),
+            pipeline: SimTime::from_picos(self.cycle_ps * pipeline_cycles),
+        }
     }
 
     /// Clears all timing state (between measured runs).
     pub fn reset(&mut self) {
         self.slots.fill(SimTime::ZERO);
         self.next_slot = 0;
-        self.pipeline.reset();
-        self.port.reset();
-        self.processed = 0;
+        self.earliest = SimTime::ZERO;
+        self.pipeline_free = SimTime::ZERO;
+        self.port_free = SimTime::ZERO;
     }
 
-    /// Moves the timing state forward by `periods` periods and advances the
-    /// counters by their increment since `earlier`.
-    pub fn shift(&mut self, earlier: &FetchUnit, shift: &Shift, periods: u64) {
+    /// Moves the timing state forward by `periods` periods.
+    pub fn shift(&mut self, shift: &Shift, periods: u64) {
         shift.shift_times(&mut self.slots, periods);
-        self.pipeline.shift(&earlier.pipeline, shift, periods);
-        self.port.shift(&earlier.port, shift, periods);
-        self.processed = extrapolate(self.processed, earlier.processed, periods);
+        self.earliest = self.slots[self.next_slot];
+        self.pipeline_free = shift.time_after(self.pipeline_free, periods);
+        self.port_free = shift.time_after(self.port_free, periods);
     }
 }
 
@@ -206,8 +187,8 @@ pub(crate) fn same_units_up_to_shift(
     now.len() == earlier.len()
         && now.iter().zip(earlier).all(|(u, e)| {
             u.next_slot == e.next_slot
-                && u.pipeline.same_up_to_shift(&e.pipeline, shift)
-                && u.port.same_up_to_shift(&e.port, shift)
+                && shift.same_free_time(u.pipeline_free, e.pipeline_free)
+                && shift.same_free_time(u.port_free, e.port_free)
                 && u.slots.len() == e.slots.len()
                 && u.slots
                     .iter()
@@ -253,12 +234,75 @@ pub(crate) fn least_loaded(units: &[FetchUnit]) -> usize {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::descriptor::descriptor_for;
+    use crate::descriptor::{descriptor_for, Descriptor};
+    use crate::extractor::tests::extract;
     use crate::geometry::{ColumnSpec, TableGeometry};
     use proptest::prelude::*;
+    use relmem_dram::PhysicalMemory;
     use relmem_sim::DramConfig;
+
+    /// The outcome of taking one descriptor through a unit with
+    /// [`FetchUnit::process`].
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub(crate) struct ChunkResult<'m> {
+        /// The extracted bytes (length = descriptor `len`), borrowed from
+        /// physical memory.
+        pub(crate) data: &'m [u8],
+        /// Time at which the chunk has been written to the buffer.
+        pub(crate) written_at: SimTime,
+        /// Bus beats fetched from DRAM for this chunk.
+        pub(crate) beats: usize,
+    }
+
+    impl FetchUnit {
+        /// One descriptor at a time, functional and timing parts together:
+        /// the burst's payload is read and cut by the extractor, and the
+        /// burst length, DRAM request, port and pipeline are resolved per
+        /// descriptor. The reference the engine's run booking is held to.
+        pub(crate) fn process<'m>(
+            &mut self,
+            descriptor: &Descriptor,
+            dispatch_at: SimTime,
+            mem: &'m PhysicalMemory,
+            dram: &mut DramModel,
+            bus_bytes: usize,
+        ) -> ChunkResult<'m> {
+            let burst_bytes = descriptor.burst_bytes(bus_bytes);
+            let issue = dispatch_at.max(self.slots[self.next_slot]);
+            let completion = dram.access(
+                MemRequest::new(descriptor.raddr, burst_bytes, issue)
+                    .with_requestor(relmem_dram::Requestor::Rme),
+            );
+            let payload = mem.read(descriptor.raddr, burst_bytes);
+            let times = self.burst_times(descriptor.rburst);
+            let port_start = (completion.finish + self.read_latency).max(self.port_free);
+            self.port_free = port_start + times.port;
+            let pipeline_start = self.port_free.max(self.pipeline_free);
+            self.pipeline_free = pipeline_start + times.pipeline;
+            let written_at = self.pipeline_free;
+            self.slots[self.next_slot] = written_at;
+            self.next_slot = (self.next_slot + 1) % self.slots.len();
+            self.earliest = self.slots[self.next_slot];
+            ChunkResult {
+                data: extract(descriptor, payload, bus_bytes),
+                written_at,
+                beats: descriptor.rburst,
+            }
+        }
+
+        /// The unit's timing state: reader slots, ring position, port and
+        /// pipeline free times.
+        pub(crate) fn state(&self) -> (Vec<SimTime>, usize, SimTime, SimTime) {
+            (
+                self.slots.clone(),
+                self.next_slot,
+                self.port_free,
+                self.pipeline_free,
+            )
+        }
+    }
 
     fn setup(rows: u64) -> (PhysicalMemory, DramModel, TableGeometry) {
         let mut mem = PhysicalMemory::new(1 << 20);
@@ -288,9 +332,14 @@ mod tests {
             RmeHwConfig::default(),
             revision,
             ClockDomain::new("pl", 100.0),
-            16,
             SimTime::from_nanos(200),
         )
+    }
+
+    /// Books `d` through `fu` the way the engine does.
+    fn book(fu: &mut FetchUnit, d: &Descriptor, at: SimTime, dram: &mut DramModel) -> SimTime {
+        let times = fu.burst_times(d.rburst);
+        fu.book(at, d.raddr, d.burst_bytes(16), times, dram)
     }
 
     #[test]
@@ -298,16 +347,15 @@ mod tests {
         let (mem, mut dram, g) = setup(16);
         let mut fu = unit(HwRevision::Mlp);
         let d = descriptor_for(&g, 2, 2, 0, 16);
-        let chunk = fu.process(&d, SimTime::ZERO, &mem, &mut dram);
+        let chunk = fu.process(&d, SimTime::ZERO, &mem, &mut dram, 16);
         // Row 2, offset 8: source bytes (2*64 + 8 ..) & 0xff.
         assert_eq!(chunk.data, &[136, 137, 138, 139]);
         assert_eq!(chunk.beats, 1);
-        assert_eq!(fu.processed(), 1);
     }
 
     #[test]
     fn mlp_overlaps_where_bsl_serialises() {
-        let (mem, _, g) = setup(256);
+        let (_, _, g) = setup(256);
         let descriptors: Vec<_> = (0..64u64)
             .map(|i| descriptor_for(&g, i, i, 0, 16))
             .collect();
@@ -317,8 +365,7 @@ mod tests {
             let mut fu = unit(rev);
             let mut last = SimTime::ZERO;
             for d in &descriptors {
-                let c = fu.process(d, SimTime::ZERO, &mem, &mut dram);
-                last = last.max(c.written_at);
+                last = last.max(book(&mut fu, d, SimTime::ZERO, &mut dram));
             }
             last
         };
@@ -335,14 +382,17 @@ mod tests {
 
     #[test]
     fn reset_restores_idle_state() {
-        let (mem, mut dram, g) = setup(4);
+        let (_, mut dram, g) = setup(4);
         let mut fu = unit(HwRevision::Bsl);
         let d = descriptor_for(&g, 0, 0, 0, 16);
-        fu.process(&d, SimTime::ZERO, &mem, &mut dram);
+        book(&mut fu, &d, SimTime::ZERO, &mut dram);
         assert!(fu.earliest_slot() > SimTime::ZERO);
         fu.reset();
         assert_eq!(fu.earliest_slot(), SimTime::ZERO);
-        assert_eq!(fu.processed(), 0);
+        assert_eq!(
+            (fu.port_free, fu.pipeline_free),
+            (SimTime::ZERO, SimTime::ZERO)
+        );
     }
 
     /// The first minimum of `times` in index order, with its index: the
@@ -364,9 +414,10 @@ mod tests {
 
     proptest! {
         /// The `(unit, slot)` choice of the ring equals a first-minimum scan
-        /// over every slot of every unit, and the chunks and slot times
-        /// equal those of units whose slot comes from that scan, over random
-        /// hardware configurations, descriptor streams and dispatch times.
+        /// over every slot of every unit, and the write times and slot
+        /// times equal those of units whose slot comes from that scan, over
+        /// random hardware configurations, descriptor streams and dispatch
+        /// times.
         #[test]
         fn cached_dispatch_matches_a_full_scan(
             revision in 0usize..3,
@@ -391,8 +442,8 @@ mod tests {
             // time, so only which of them is written can differ.
             let occupied = extract_cycles_per_beat > 0 || !revision.has_packer();
             let pl = ClockDomain::new("pl", 100.0);
-            let fresh = || FetchUnit::new(cfg, revision, pl, 16, SimTime::from_nanos(200));
-            let (mem, _, g) = setup(256);
+            let fresh = || FetchUnit::new(cfg, revision, pl, SimTime::from_nanos(200));
+            let (_, _, g) = setup(256);
             let mut ring: Vec<FetchUnit> = (0..units).map(|_| fresh()).collect();
             let mut scanned = ring.clone();
             let mut dram_ring = DramModel::new(DramConfig::default());
@@ -416,8 +467,8 @@ mod tests {
                 }
 
                 scanned[u_ref].next_slot = s_ref;
-                let want = scanned[u_ref].process(&d, at, &mem, &mut dram_scanned);
-                let got = ring[u].process(&d, at, &mem, &mut dram_ring);
+                let want = book(&mut scanned[u_ref], &d, at, &mut dram_scanned);
+                let got = book(&mut ring[u], &d, at, &mut dram_ring);
                 prop_assert_eq!(got, want);
                 for (r, s) in ring.iter().zip(&scanned) {
                     prop_assert_eq!(r.earliest_slot(), first_min(&s.slots).1);

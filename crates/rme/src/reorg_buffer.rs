@@ -2,26 +2,28 @@
 //!
 //! Extracted column chunks are written into the Data SPM at the packed
 //! offset the Requestor computed; the Metadata SPM keeps, for every cache
-//! line of packed data, the tuple `{P, K, ID}`: the epoch the line belongs
-//! to, the number of valid bytes accumulated so far, and the ID of a stalled
-//! CPU transaction waiting for it (if any). A line is complete when its
+//! line of packed data, the epoch the line belongs to (`P`) and the number
+//! of valid bytes accumulated so far (`K`). A line is complete when its
 //! valid-byte count reaches the line size *and* its epoch matches the
 //! engine's current epoch; bumping the epoch therefore invalidates the whole
 //! buffer in a single cycle — the lightweight reset used when moving to the
 //! next frame of a table larger than the SPM.
+//!
+//! The hardware entry also holds the ID of a CPU transaction stalled on
+//! the line, to answer it when the line completes. That field is not
+//! modelled: the engine computes a stalled request's response time in the
+//! same call that books the line's data, from the line's completion time.
 
 use relmem_sim::shift::extrapolate;
 use relmem_sim::{Shift, SimTime};
 
-/// Per-line metadata (the Metadata SPM entry `{P, K, ID}`).
+/// Per-line metadata (the Metadata SPM entry's `{P, K}`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 struct LineMeta {
     /// Epoch the line's data belongs to (`P`).
     epoch: u64,
     /// Valid bytes accumulated (`K`).
     valid_bytes: u32,
-    /// Stalled transaction ID, if a CPU request is waiting on this line.
-    pending_id: Option<u16>,
     /// Time at which the line became complete (timing-model companion of
     /// the completion bit).
     complete_at: SimTime,
@@ -36,8 +38,7 @@ pub struct ReorganizationBuffer {
     data: Vec<u8>,
     meta: Vec<LineMeta>,
     epoch: u64,
-    /// Statistics: completed lines and epoch resets.
-    lines_completed: u64,
+    /// Epoch resets performed.
     resets: u64,
 }
 
@@ -55,7 +56,6 @@ impl ReorganizationBuffer {
             meta: vec![LineMeta::default(); lines],
             // Start at epoch 1 so that the all-zero metadata is "stale".
             epoch: 1,
-            lines_completed: 0,
             resets: 0,
         }
     }
@@ -70,11 +70,6 @@ impl ReorganizationBuffer {
         self.epoch
     }
 
-    /// Number of lines that reached completion since construction.
-    pub fn lines_completed(&self) -> u64 {
-        self.lines_completed
-    }
-
     /// Number of epoch resets performed.
     pub fn resets(&self) -> u64 {
         self.resets
@@ -87,40 +82,16 @@ impl ReorganizationBuffer {
         self.resets += 1;
     }
 
-    /// Writes an extracted chunk at `offset` bytes within the buffer,
-    /// arriving at `when`. Returns how many lines became complete as a
-    /// result.
-    ///
-    /// # Panics
-    /// Panics if the chunk does not fit in the buffer.
-    pub fn write_chunk(&mut self, offset: usize, bytes: &[u8], when: SimTime) -> usize {
-        assert!(
-            offset + bytes.len() <= self.data.len(),
-            "chunk [{offset}, {}) exceeds SPM capacity {}",
-            offset + bytes.len(),
-            self.data.len()
-        );
-        let end = offset + bytes.len();
-        self.data[offset..end].copy_from_slice(bytes);
-
-        let first_line = offset >> self.line_shift;
-        let last_line = (end - 1) >> self.line_shift;
-        if first_line == last_line {
-            // The common case: a column chunk inside one line.
-            return self.credit(first_line, bytes.len(), when);
-        }
-        let mut completed = 0;
-        for line in first_line..=last_line {
-            let line_start = line << self.line_shift;
-            let overlap = end.min(line_start + self.line_bytes) - offset.max(line_start);
-            completed += self.credit(line, overlap, when);
-        }
-        completed
+    /// The Data SPM, for the engine's pack kernel to write packed rows
+    /// into. Writing bytes credits no line: see [`credit`](Self::credit).
+    pub(crate) fn data_mut(&mut self) -> &mut [u8] {
+        &mut self.data
     }
 
-    /// Adds `bytes` valid bytes, written at `when`, to `line`. Returns 1 if
-    /// that completes the line, else 0.
-    fn credit(&mut self, line: usize, bytes: usize, when: SimTime) -> usize {
+    /// Adds `bytes` valid bytes to `line`, the last of them written at
+    /// `when`: the Metadata SPM update of one or more chunks written into
+    /// the line. Returns whether the line is complete afterwards.
+    pub(crate) fn credit(&mut self, line: usize, bytes: usize, when: SimTime) -> bool {
         let meta = &mut self.meta[line];
         if meta.epoch != self.epoch {
             // First write of this epoch: start counting from zero.
@@ -134,9 +105,28 @@ impl ReorganizationBuffer {
             meta.valid_bytes as usize <= self.line_bytes,
             "line {line} overfilled"
         );
-        let complete = meta.valid_bytes as usize == self.line_bytes;
-        self.lines_completed += complete as u64;
-        complete as usize
+        meta.valid_bytes as usize == self.line_bytes
+    }
+
+    /// Credits every line that `len` bytes written at `offset` overlap with
+    /// its share of them, all written at `when`.
+    ///
+    /// # Panics
+    /// Panics if the bytes do not fit in the buffer.
+    pub(crate) fn credit_bytes(&mut self, offset: usize, len: usize, when: SimTime) {
+        let end = offset + len;
+        assert!(
+            end <= self.data.len(),
+            "bytes [{offset}, {end}) exceed SPM capacity {}",
+            self.data.len()
+        );
+        let mut from = offset;
+        while from < end {
+            let line = from >> self.line_shift;
+            let to = end.min((line + 1) << self.line_shift);
+            self.credit(line, to - from, when);
+            from = to;
+        }
     }
 
     /// Marks a line complete without data movement (used when a line is
@@ -145,9 +135,6 @@ impl ReorganizationBuffer {
     pub fn force_complete(&mut self, line: usize, when: SimTime) {
         let line_bytes = self.line_bytes as u32;
         let meta = &mut self.meta[line];
-        if meta.epoch != self.epoch || meta.valid_bytes != line_bytes {
-            self.lines_completed += 1;
-        }
         meta.epoch = self.epoch;
         meta.valid_bytes = line_bytes;
         meta.complete_at = meta.complete_at.max(when);
@@ -165,19 +152,6 @@ impl ReorganizationBuffer {
         self.is_complete(line).then(|| self.meta[line].complete_at)
     }
 
-    /// Records that a CPU transaction with `id` is stalled on `line`
-    /// (Reorganization Buffer miss). Returns the previously stalled ID, if
-    /// the hardware would have had to chain them.
-    pub fn stall(&mut self, line: usize, id: u16) -> Option<u16> {
-        self.meta[line].pending_id.replace(id)
-    }
-
-    /// Takes the stalled transaction ID of a line, if any (called when the
-    /// line completes so the Trapper can answer it).
-    pub fn take_stalled(&mut self, line: usize) -> Option<u16> {
-        self.meta[line].pending_id.take()
-    }
-
     /// Reads a full line of packed data.
     pub fn read_line(&self, line: usize) -> &[u8] {
         let start = line * self.line_bytes;
@@ -192,12 +166,11 @@ impl ReorganizationBuffer {
 
     /// Whether the Metadata SPM is `earlier`'s moved by one period (see
     /// [`relmem_sim::shift`]): the same lines belong to the current epoch,
-    /// and each such line has the same valid-byte count and stalled id and
-    /// completed one period later (or both before their period started:
-    /// a completion time only ever enters `max(completion, request)`).
-    /// Lines of older epochs are dead — the
-    /// next write resets them — and the Data SPM bytes are not timing
-    /// state, so neither is compared.
+    /// and each such line has the same valid-byte count and completed one
+    /// period later (or both before their period started: a completion
+    /// time only ever enters `max(completion, request)`). Lines of older
+    /// epochs are dead — the next write resets them — and the Data SPM
+    /// bytes are not timing state, so neither is compared.
     pub fn same_up_to_shift(&self, earlier: &ReorganizationBuffer, shift: &Shift) -> bool {
         self.meta.len() == earlier.meta.len()
             && self.meta.iter().zip(&earlier.meta).all(|(m, e)| {
@@ -205,15 +178,14 @@ impl ReorganizationBuffer {
                 live == (e.epoch == earlier.epoch)
                     && (!live
                         || (m.valid_bytes == e.valid_bytes
-                            && m.pending_id == e.pending_id
                             && shift.same_free_time(m.complete_at, e.complete_at)))
             })
     }
 
     /// Moves the current epoch's lines forward by `periods` periods (their
     /// completion times, and their epoch along with the current one) and
-    /// advances the counters by their increment since `earlier`. The data
-    /// bytes stay as they are: they belong to whichever frame was last
+    /// advances the reset counter by its increment since `earlier`. The
+    /// data bytes stay as they are: they belong to whichever frame was last
     /// really fetched, and the next fetch overwrites them.
     pub fn shift(&mut self, earlier: &ReorganizationBuffer, shift: &Shift, periods: u64) {
         let epochs = (self.epoch - earlier.epoch) * periods;
@@ -224,14 +196,50 @@ impl ReorganizationBuffer {
             }
         }
         self.epoch += epochs;
-        self.lines_completed = extrapolate(self.lines_completed, earlier.lines_completed, periods);
         self.resets = extrapolate(self.resets, earlier.resets, periods);
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    impl ReorganizationBuffer {
+        /// Writes one extracted chunk at `offset` bytes within the buffer,
+        /// arriving at `when`, and credits the lines it touches: the
+        /// per-descriptor write the engine's run booking is held to.
+        /// Returns how many lines became complete.
+        ///
+        /// # Panics
+        /// Panics if the chunk does not fit in the buffer.
+        pub(crate) fn write_chunk(&mut self, offset: usize, bytes: &[u8], when: SimTime) -> usize {
+            assert!(
+                offset + bytes.len() <= self.data.len(),
+                "chunk [{offset}, {}) exceeds SPM capacity {}",
+                offset + bytes.len(),
+                self.data.len()
+            );
+            let end = offset + bytes.len();
+            self.data[offset..end].copy_from_slice(bytes);
+            let first_line = offset >> self.line_shift;
+            let last_line = (end - 1) >> self.line_shift;
+            let mut completed = 0;
+            for line in first_line..=last_line {
+                let line_start = line << self.line_shift;
+                let overlap = end.min(line_start + self.line_bytes) - offset.max(line_start);
+                completed += self.credit(line, overlap, when) as usize;
+            }
+            completed
+        }
+
+        /// Every line's `(epoch, valid bytes, completion time)`.
+        pub(crate) fn metadata(&self) -> Vec<(u64, u32, SimTime)> {
+            self.meta
+                .iter()
+                .map(|m| (m.epoch, m.valid_bytes, m.complete_at))
+                .collect()
+        }
+    }
 
     fn ns(n: u64) -> SimTime {
         SimTime::from_nanos(n)
@@ -250,7 +258,7 @@ mod tests {
         assert_eq!(buf.completion_time(0), Some(ns(25)));
         assert_eq!(&buf.read_line(0)[..2], &[1, 1]);
         assert_eq!(&buf.read_line(0)[32..34], &[2, 2]);
-        assert_eq!(buf.lines_completed(), 1);
+        assert!(!buf.is_complete(1));
     }
 
     #[test]
@@ -262,6 +270,38 @@ mod tests {
         let done = buf.write_chunk(60, &[9u8; 40], ns(3));
         assert_eq!(done, 2);
         assert_eq!(buf.completion_time(1), Some(ns(3)));
+    }
+
+    /// Crediting a line once with the sum of its chunks' bytes and the
+    /// latest of their times leaves the metadata one credit per chunk
+    /// leaves, across a line split between two credits.
+    #[test]
+    fn one_credit_per_line_equals_one_per_chunk() {
+        let mut per_chunk = ReorganizationBuffer::new(256, 64);
+        for (k, at) in [(0, 9), (1, 4), (2, 7), (3, 2), (4, 8), (5, 1)] {
+            per_chunk.write_chunk(k * 12, &[0u8; 12], ns(at));
+        }
+        let mut per_line = ReorganizationBuffer::new(256, 64);
+        assert!(per_line.credit(0, 64, ns(9)));
+        assert!(!per_line.credit(1, 8, ns(1)));
+        assert_eq!(per_line.meta, per_chunk.meta);
+        per_chunk.write_chunk(72, &[0u8; 56], ns(3));
+        assert!(per_line.credit(1, 56, ns(3)));
+        assert_eq!(per_line.meta, per_chunk.meta);
+        assert_eq!(per_line.completion_time(1), Some(ns(3)));
+    }
+
+    #[test]
+    fn credited_bytes_feed_every_line_they_overlap() {
+        let mut buf = ReorganizationBuffer::new(256, 64);
+        buf.credit_bytes(40, 100, ns(5));
+        assert!(!buf.is_complete(0));
+        assert_eq!(buf.completion_time(1), Some(ns(5)));
+        assert!(!buf.is_complete(2));
+        buf.credit_bytes(0, 40, ns(2));
+        buf.credit_bytes(140, 52, ns(6));
+        assert_eq!(buf.completion_time(0), Some(ns(5)));
+        assert_eq!(buf.completion_time(2), Some(ns(6)));
     }
 
     #[test]
@@ -280,26 +320,6 @@ mod tests {
     }
 
     #[test]
-    fn stalled_ids_are_tracked_per_line() {
-        let mut buf = ReorganizationBuffer::new(128, 64);
-        assert_eq!(buf.stall(1, 7), None);
-        assert_eq!(buf.stall(1, 9), Some(7));
-        assert_eq!(buf.take_stalled(1), Some(9));
-        assert_eq!(buf.take_stalled(1), None);
-    }
-
-    #[test]
-    fn a_stalled_id_survives_an_epoch_reset_and_the_next_write() {
-        let mut buf = ReorganizationBuffer::new(128, 64);
-        buf.write_chunk(0, &[1u8; 16], ns(1));
-        assert_eq!(buf.stall(0, 5), None);
-        buf.reset_epoch();
-        buf.write_chunk(0, &[2u8; 16], ns(2));
-        assert_eq!(buf.take_stalled(0), Some(5));
-        assert_eq!(buf.take_stalled(0), None);
-    }
-
-    #[test]
     fn force_complete_marks_partial_tail_lines() {
         let mut buf = ReorganizationBuffer::new(128, 64);
         buf.write_chunk(64, &[3u8; 10], ns(4));
@@ -307,16 +327,16 @@ mod tests {
         buf.force_complete(1, ns(6));
         assert!(buf.is_complete(1));
         assert_eq!(buf.completion_time(1), Some(ns(6)));
-        // Forcing an already complete line does not double count.
-        let completed_before = buf.lines_completed();
-        buf.force_complete(1, ns(7));
-        assert_eq!(buf.lines_completed(), completed_before);
+        // Forcing an already complete line keeps its earlier completion
+        // unless the new time is later.
+        buf.force_complete(1, ns(5));
+        assert_eq!(buf.completion_time(1), Some(ns(6)));
     }
 
     #[test]
-    #[should_panic(expected = "exceeds SPM capacity")]
-    fn overflowing_chunk_panics() {
+    #[should_panic(expected = "exceed SPM capacity")]
+    fn overflowing_bytes_panic() {
         let mut buf = ReorganizationBuffer::new(128, 64);
-        buf.write_chunk(100, &[0u8; 64], SimTime::ZERO);
+        buf.credit_bytes(100, 64, SimTime::ZERO);
     }
 }

@@ -11,25 +11,16 @@
 //!
 //! Those registers are the [`ProjectionPlan`]: per-column offsets resolved
 //! once at configuration. A frame's descriptor stream is a
-//! [`DescriptorCursor`] that computes descriptor *k* only when it is taken,
-//! so no frame's stream is ever materialised.
+//! [`DescriptorCursor`]: its position and dispatch anchors. The engine
+//! takes a run of descriptors from it per call and evaluates their fields a
+//! row at a time, so no frame's stream is ever materialised.
 
 use std::sync::Arc;
 
 use relmem_sim::shift::extrapolate;
 use relmem_sim::SimTime;
 
-use crate::descriptor::Descriptor;
 use crate::geometry::TableGeometry;
-
-/// A descriptor together with the earliest time it may be dispatched.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DispatchedDescriptor {
-    /// The descriptor itself.
-    pub descriptor: Descriptor,
-    /// Earliest dispatch time (Requestor issue-rate bound).
-    pub dispatch_at: SimTime,
-}
 
 /// One column of interest with the prefix sums of equations (1) and (4)
 /// already taken.
@@ -51,6 +42,8 @@ pub struct ProjectionPlan {
     source_base: u64,
     row_bytes: u64,
     packed_row_bytes: usize,
+    /// Source bytes a row's columns span from the row's start.
+    reach: usize,
     bus_bytes: u64,
     columns: Arc<[ColumnPlan]>,
 }
@@ -61,6 +54,7 @@ impl ProjectionPlan {
     pub fn new(geometry: &TableGeometry, bus_bytes: usize) -> Self {
         let mut source_offset = 0u64;
         let mut packed_offset = 0usize;
+        let mut reach = 0usize;
         let columns = geometry
             .columns
             .iter()
@@ -72,6 +66,7 @@ impl ProjectionPlan {
                     packed_offset,
                 };
                 packed_offset += c.width;
+                reach = reach.max(source_offset as usize + c.width);
                 plan
             })
             .collect();
@@ -79,6 +74,7 @@ impl ProjectionPlan {
             source_base: geometry.source_base,
             row_bytes: geometry.row_bytes as u64,
             packed_row_bytes: packed_offset,
+            reach,
             bus_bytes: bus_bytes as u64,
             columns,
         }
@@ -96,7 +92,28 @@ impl ProjectionPlan {
 
     /// Source address of `column` in source row `row` (`P_{i,j}`).
     pub fn source_address(&self, row: u64, column: &ColumnPlan) -> u64 {
-        self.source_base + self.row_bytes * row + column.source_offset
+        self.row_base(row) + column.source_offset
+    }
+
+    /// Address of source row `row`'s first byte.
+    pub fn row_base(&self, row: u64) -> u64 {
+        self.source_base + self.row_bytes * row
+    }
+
+    /// Source bytes the columns of interest span from a row's first byte:
+    /// the slice of a source row the pack kernel reads.
+    pub fn reach(&self) -> usize {
+        self.reach
+    }
+
+    /// Width of one source row in bytes.
+    pub fn row_bytes(&self) -> u64 {
+        self.row_bytes
+    }
+
+    /// Width of the main-memory bus in bytes.
+    pub fn bus_bytes(&self) -> u64 {
+        self.bus_bytes
     }
 }
 
@@ -151,24 +168,18 @@ impl FrameRows {
 }
 
 /// The descriptor stream of one frame, in row-major order: packed row 0's
-/// columns, then packed row 1's, and so on. Descriptor *k* is computed when
-/// it is taken, with its dispatch anchor frozen at
-/// `activated + period · (k / q)` for `q` columns of interest.
+/// columns, then packed row 1's, and so on, with descriptor *k*'s dispatch
+/// anchor frozen at `activated + period · (k / q)` for `q` columns of
+/// interest. The cursor holds how far the stream has been taken; the
+/// descriptors themselves are evaluated by whoever takes them.
 #[derive(Debug, Clone)]
 pub struct DescriptorCursor {
     plan: ProjectionPlan,
     rows: FrameRows,
     activated: SimTime,
     period: SimTime,
-    /// Packed index within the frame of the row being emitted.
-    row_idx: usize,
-    /// Column of that row emitted next.
-    column: usize,
-    /// Per-row values, refreshed when `column` wraps to 0.
-    row: u64,
-    row_base: u64,
-    waddr_base: u64,
-    dispatch_at: SimTime,
+    /// Descriptors taken so far: descriptor `taken` is the next one.
+    taken: usize,
 }
 
 impl DescriptorCursor {
@@ -179,12 +190,7 @@ impl DescriptorCursor {
             rows,
             activated,
             period,
-            row_idx: 0,
-            column: 0,
-            row: 0,
-            row_base: 0,
-            waddr_base: 0,
-            dispatch_at: activated,
+            taken: 0,
         }
     }
 
@@ -203,58 +209,34 @@ impl DescriptorCursor {
         self.activated
     }
 
+    /// Dispatch anchor of every descriptor of the frame's packed row
+    /// `row_idx`: one PL cycle per source row, as all of a row's column
+    /// descriptors are produced by parallel adders in that cycle.
+    pub fn dispatch_at(&self, row_idx: usize) -> SimTime {
+        self.activated + self.period * row_idx as u64
+    }
+
+    /// Number of descriptors in the frame's stream.
+    pub fn descriptors(&self) -> usize {
+        self.rows.len() * self.plan.columns.len()
+    }
+
+    /// Descriptors taken so far (the row-major index of the next one).
+    pub fn taken(&self) -> usize {
+        self.taken
+    }
+
+    /// Marks the descriptors before `end` taken.
+    pub fn take_until(&mut self, end: usize) {
+        debug_assert!(end >= self.taken && end <= self.descriptors());
+        self.taken = end;
+    }
+
     /// Whether every descriptor has been taken.
     pub fn is_done(&self) -> bool {
-        self.row_idx >= self.rows.len()
+        self.taken >= self.descriptors()
     }
 }
-
-impl Iterator for DescriptorCursor {
-    type Item = DispatchedDescriptor;
-
-    fn next(&mut self) -> Option<DispatchedDescriptor> {
-        if self.column == 0 {
-            if self.is_done() {
-                return None;
-            }
-            // One PL cycle per source row: all of the row's column
-            // descriptors are produced by parallel adders in that cycle.
-            self.row = self.rows.get(self.row_idx);
-            self.row_base = self.plan.source_base + self.plan.row_bytes * self.row;
-            self.waddr_base = self.row_idx as u64 * self.plan.packed_row_bytes as u64;
-            self.dispatch_at = self.activated + self.period * self.row_idx as u64;
-        }
-        let column = self.column;
-        let c = self.plan.columns[column];
-        let p = self.row_base + c.source_offset;
-        let es = (p % self.plan.bus_bytes) as usize;
-        let descriptor = Descriptor {
-            row: self.row,
-            column,
-            raddr: p - es as u64,
-            rburst: (es + c.width).div_ceil(self.plan.bus_bytes as usize),
-            waddr: self.waddr_base + c.packed_offset as u64,
-            es,
-            len: c.width,
-        };
-        self.column += 1;
-        if self.column == self.plan.columns.len() {
-            self.column = 0;
-            self.row_idx += 1;
-        }
-        Some(DispatchedDescriptor {
-            descriptor,
-            dispatch_at: self.dispatch_at,
-        })
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = (self.rows.len() - self.row_idx) * self.plan.columns.len() - self.column;
-        (left, Some(left))
-    }
-}
-
-impl ExactSizeIterator for DescriptorCursor {}
 
 /// The Requestor module.
 #[derive(Debug, Clone)]
@@ -301,17 +283,57 @@ impl Requestor {
         start: SimTime,
     ) -> DescriptorCursor {
         let cursor = DescriptorCursor::new(plan.clone(), rows, start, self.descriptor_period);
-        self.generated += cursor.len() as u64;
+        self.generated += cursor.descriptors() as u64;
         cursor
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::descriptor::descriptor_for;
+    use crate::descriptor::{descriptor_for, Descriptor};
     use crate::geometry::ColumnSpec;
     use proptest::prelude::*;
+
+    /// A descriptor together with the earliest time it may be dispatched.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct DispatchedDescriptor {
+        /// The descriptor itself.
+        pub descriptor: Descriptor,
+        /// Earliest dispatch time (Requestor issue-rate bound).
+        pub dispatch_at: SimTime,
+    }
+
+    /// One descriptor at a time, with every field evaluated from scratch:
+    /// the per-descriptor stream the engine's run booking is held to.
+    impl Iterator for DescriptorCursor {
+        type Item = DispatchedDescriptor;
+
+        fn next(&mut self) -> Option<DispatchedDescriptor> {
+            if self.is_done() {
+                return None;
+            }
+            let q = self.plan.columns.len();
+            let (row_idx, column) = (self.taken / q, self.taken % q);
+            let row = self.rows.get(row_idx);
+            let c = self.plan.columns[column];
+            let p = self.plan.source_address(row, &c);
+            let es = (p % self.plan.bus_bytes) as usize;
+            self.taken += 1;
+            Some(DispatchedDescriptor {
+                descriptor: Descriptor {
+                    row,
+                    column,
+                    raddr: p - es as u64,
+                    rburst: (es + c.width).div_ceil(self.plan.bus_bytes as usize),
+                    waddr: (row_idx * self.plan.packed_row_bytes + c.packed_offset) as u64,
+                    es,
+                    len: c.width,
+                },
+                dispatch_at: self.dispatch_at(row_idx),
+            })
+        }
+    }
 
     fn geometry(rows: u64) -> TableGeometry {
         TableGeometry {
@@ -351,7 +373,7 @@ mod tests {
         let cursor = r.activate(&plan, rows, SimTime::from_nanos(100));
         // The whole frame counts as generated at activation.
         assert_eq!(r.generated(), 6);
-        assert_eq!(cursor.len(), 6);
+        assert_eq!(cursor.descriptors(), 6);
         let ds: Vec<_> = cursor.collect();
         assert_eq!(ds.len(), 6);
         // Dispatch times are spaced by one descriptor period per *row*; both
@@ -456,7 +478,7 @@ mod tests {
             let cursor = r.activate(&ProjectionPlan::new(&g, bus), rows, start);
             let q = g.num_columns();
             prop_assert_eq!(r.generated(), (frame.len() * q) as u64);
-            prop_assert_eq!(cursor.len(), frame.len() * q);
+            prop_assert_eq!(cursor.descriptors(), frame.len() * q);
             let got: Vec<_> = cursor.collect();
             let want: Vec<_> = frame
                 .iter()

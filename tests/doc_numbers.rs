@@ -1,8 +1,8 @@
 //! The figures README.md, docs/ARCHITECTURE.md and docs/FIGURES.md quote
 //! from the committed `BENCH_scan_throughput*.json`, `BENCH_fig13.json`,
 //! `BENCH_columnar_ff.json`, `BENCH_htap_memory_path.json`,
-//! `BENCH_hash_queries.json` and `BENCH_setup.json` records must match
-//! those records.
+//! `BENCH_hash_queries.json`, `BENCH_setup.json` and `BENCH_rme_fetch.json`
+//! records must match those records.
 //!
 //! Each check names the record field, the document, and the text that
 //! follows the quoted number there. A quoted figure passes when it is
@@ -235,5 +235,52 @@ fn architecture_quotes_the_hash_queries_record() {
         ),
     ] {
         check("docs/ARCHITECTURE.md", follows, record, key, 1.0);
+    }
+}
+
+#[test]
+fn architecture_quotes_the_rme_fetch_record() {
+    for (follows, key) in [
+        (
+            " s at the parent commit of run booking",
+            "rme_scale_run_s_parent_median",
+        ),
+        (
+            " s with it, and the change won",
+            "rme_scale_run_s_change_median",
+        ),
+        (" of 10 pairs", "rme_scale_run_s_change_wins"),
+        (
+            " ns per descriptor before",
+            "traced_rme_host_ns_per_descriptor_parent_median",
+        ),
+        (
+            " ns per descriptor after",
+            "traced_rme_host_ns_per_descriptor_change_median",
+        ),
+        (
+            " s of RME-cold scan before",
+            "traced_core_scan_rme_cold_s_parent_median",
+        ),
+        (
+            " s of RME-cold scan after",
+            "traced_core_scan_rme_cold_s_change_median",
+        ),
+        (
+            " s of `figures fig13` on the parent",
+            "fig13_wall_s_parent_median",
+        ),
+        (
+            " s of `figures fig13` on the change",
+            "fig13_wall_s_change_median",
+        ),
+    ] {
+        check(
+            "docs/ARCHITECTURE.md",
+            follows,
+            "BENCH_rme_fetch.json",
+            key,
+            1.0,
+        );
     }
 }
