@@ -426,22 +426,38 @@ impl CoreFrontend {
         debug_assert_eq!(line_addr & (self.line_bytes - 1), 0);
         let extra = u64::from(fields) - 1;
         if line_addr == self.mru_line {
-            self.stats.l1.requests += extra + 1;
-            self.stats.l1.hits += extra + 1;
             return AccessOutcome {
-                completion: now + self.l1_hit * (extra + 1),
+                completion: self.replay_l1_hits(extra + 1, now),
                 level: HitLevel::L1,
             };
         }
         let first = self.access_line(line_addr, now, l2, backend);
         // access_line left the line at L1 rank 0, so fields 2..n are L1
         // hits: replay their counters and latency.
-        self.stats.l1.requests += extra;
-        self.stats.l1.hits += extra;
         AccessOutcome {
-            completion: first.completion + self.l1_hit * extra,
+            completion: self.replay_l1_hits(extra, first.completion),
             level: first.level,
         }
+    }
+
+    /// Replays `fields` back-to-back L1 hits issued at `now` and returns
+    /// when the last one's data is available: one L1 request, one hit and
+    /// one L1-hit latency each, the arithmetic of the line-resident fast
+    /// path.
+    ///
+    /// The caller guarantees the touches it stands for are hits that change
+    /// no cache state: they repeat, line for line and in the same order, a
+    /// sequence of touches that were all L1 hits (or were themselves
+    /// replayed) with no other access to this core since. Such a sequence
+    /// finds every line resident and re-promotes the lines in the order
+    /// that left them as they are, so each L1 set's recency order is
+    /// unchanged; L1 hits train no prefetcher and reach no L2, backend or
+    /// tracer.
+    #[inline]
+    pub fn replay_l1_hits(&mut self, fields: u64, now: SimTime) -> SimTime {
+        self.stats.l1.requests += fields;
+        self.stats.l1.hits += fields;
+        now + self.l1_hit * fields
     }
 
     /// Performs a CPU write; with a write-allocate, write-back cache the

@@ -379,15 +379,11 @@ impl Benchmark {
             // One charge per probe row: `SimTime` saturates, so the product
             // equals one `+= out_cost` per match, and the checksum is a
             // wrapping sum, so the row's terms can be added at once.
-            let partners = hash.get(v[0]);
-            let mut terms = 0u64;
-            for &s_a1 in partners {
-                terms = checksum_accumulate(terms, &[s_a1, v[1]]);
-            }
+            let (partners, terms) = hash.probe(v[0], v[1]);
             checksum = checksum.wrapping_add(terms);
-            matches += partners.len() as u64;
+            matches += partners;
             RowEffect {
-                cpu: probe_cost + out_cost * partners.len() as u64,
+                cpu: probe_cost + out_cost * partners,
                 touch: None,
             }
         });

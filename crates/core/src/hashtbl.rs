@@ -17,6 +17,11 @@ pub(crate) type MixMap<V> = HashMap<u64, V, BuildHasherDefault<MixHasher>>;
 
 /// Multimap from join key to the payloads stored under it. It starts empty
 /// and grows as keys arrive.
+///
+/// A payload `a` is stored prehashed, as the first round of the output
+/// pair's checksum term, `X_a = (basis ^ a) * prime`, since that round does
+/// not depend on the probe row: [`probe`](Self::probe) then sums a row's
+/// terms with one xor-add per pair.
 #[derive(Debug, Clone, Default)]
 pub struct SimHashTable {
     map: MixMap<Vec<u64>>,
@@ -25,12 +30,25 @@ pub struct SimHashTable {
 impl SimHashTable {
     /// Inserts a `(key, value)` pair.
     pub fn insert(&mut self, key: u64, value: u64) {
-        self.map.entry(key).or_default().push(value);
+        self.map
+            .entry(key)
+            .or_default()
+            .push((FNV_BASIS ^ value).wrapping_mul(FNV_PRIME));
     }
 
-    /// Values stored under `key`.
-    pub fn get(&self, key: u64) -> &[u64] {
-        self.map.get(&key).map(Vec::as_slice).unwrap_or(&[])
+    /// Joins the probe value `b` with every payload `a` stored under `key`
+    /// and returns the pair count `n` and the wrapping sum of the pairs'
+    /// checksum terms, `checksum_accumulate(0, &[a, b])` each. The sum is
+    /// `prime * Σ (X_a ^ b)`: multiplication distributes over wrapping
+    /// addition, so one multiply serves the whole row.
+    pub fn probe(&self, key: u64, b: u64) -> (u64, u64) {
+        let Some(prehashed) = self.map.get(&key) else {
+            return (0, 0);
+        };
+        let sum = prehashed
+            .iter()
+            .fold(0u64, |acc, &x| acc.wrapping_add(x ^ b));
+        (prehashed.len() as u64, sum.wrapping_mul(FNV_PRIME))
     }
 }
 
@@ -63,13 +81,17 @@ fn mix(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
+/// The FNV-1a offset basis and prime the row checksum rounds use.
+const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x1000_0000_01b3;
+
 /// Order-insensitive checksum helper used to validate row-set results
 /// across access paths.
 pub fn checksum_accumulate(acc: u64, values: &[u64]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut h = FNV_BASIS;
     for &v in values {
         h ^= v;
-        h = h.wrapping_mul(0x1000_0000_01b3);
+        h = h.wrapping_mul(FNV_PRIME);
     }
     acc.wrapping_add(h)
 }
@@ -77,6 +99,16 @@ pub fn checksum_accumulate(acc: u64, values: &[u64]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Per-pair reference for [`SimHashTable::probe`]: the pair count and
+    /// the sum of `checksum_accumulate` over every stored payload.
+    fn probe_by_pairs(payloads: &[u64], b: u64) -> (u64, u64) {
+        let sum = payloads
+            .iter()
+            .fold(0, |acc, &a| checksum_accumulate(acc, &[a, b]));
+        (payloads.len() as u64, sum)
+    }
 
     #[test]
     fn functional_map_behaviour() {
@@ -84,9 +116,35 @@ mod tests {
         t.insert(1, 10);
         t.insert(1, 11);
         t.insert(2, 20);
-        assert_eq!(t.get(1), &[10, 11]);
-        assert_eq!(t.get(2), &[20]);
-        assert_eq!(t.get(3), &[] as &[u64]);
+        assert_eq!(t.probe(1, 7), probe_by_pairs(&[10, 11], 7));
+        assert_eq!(t.probe(2, 7), probe_by_pairs(&[20], 7));
+        assert_eq!(t.probe(3, 7), (0, 0));
+        assert_ne!(t.probe(1, 7), t.probe(1, 8), "the probe value counts");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The prehashed probe equals the per-pair `checksum_accumulate`
+        /// loop over the payloads stored under the key, for random keys
+        /// (a few, so keys repeat), payloads and probe values, 0 and
+        /// `u64::MAX` included, and keys never inserted.
+        #[test]
+        fn probe_equals_the_per_pair_checksum_loop(
+            pairs in proptest::collection::vec((0u64..8, any::<u64>()), 0..64),
+            probes in proptest::collection::vec((0u64..10, 0u8..4, any::<u64>()), 1..16),
+        ) {
+            let mut t = SimHashTable::default();
+            for &(key, a) in &pairs {
+                t.insert(key, a);
+            }
+            for (key, pick, random) in probes {
+                let b = [0, u64::MAX].get(usize::from(pick)).copied().unwrap_or(random);
+                let payloads: Vec<u64> =
+                    pairs.iter().filter(|p| p.0 == key).map(|p| p.1).collect();
+                prop_assert_eq!(t.probe(key, b), probe_by_pairs(&payloads, b));
+            }
+        }
     }
 
     #[test]

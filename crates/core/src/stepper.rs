@@ -9,8 +9,13 @@
 //! row). Row and ephemeral layouts share one field walk (`walk_fields`),
 //! generic over the memory backend and the value reader, and the reference
 //! stepping mode is a line plan of per-field steps, not a separate walk.
-//! The cross-path equivalence proptests hold the optimized stepping to the
-//! reference stepping mode on every entry point.
+//! Columnar scans step one line block at a time: the rows up to the first
+//! row where some column's cursor crosses a line boundary. Once a row of
+//! the block was all L1 hits, its later rows re-touch the same resident
+//! lines in the same order and are booked as L1 hits
+//! ([`CoreFrontend::replay_l1_hits`]) until the block ends or a row's
+//! effect touches memory. The cross-path equivalence proptests hold the
+//! optimized stepping to the reference stepping mode on every entry point.
 //!
 //! [`Parts`] is the split-borrow view of the [`System`] a step works on:
 //! the per-core frontends, the shared L2, the DRAM controller, physical
@@ -18,7 +23,7 @@
 
 use std::ops::Range;
 
-use relmem_cache::{CoreFrontend, MemoryBackend, SharedL2};
+use relmem_cache::{CoreFrontend, HitLevel, MemoryBackend, SharedL2};
 use relmem_dram::{DramModel, PhysicalMemory};
 use relmem_rme::RmeEngine;
 use relmem_sim::{PlatformConfig, SimTime};
@@ -88,6 +93,9 @@ enum JobKind<'a> {
     Columnar {
         /// (column array base, width) per projected column.
         cursors: Vec<(u64, usize)>,
+        /// Whether rows replay line blocks (off in the reference stepping
+        /// mode, which walks every field).
+        batched: bool,
     },
     Ephemeral {
         /// (offset within the packed row, width) per packed column.
@@ -198,7 +206,8 @@ impl<'a> ScanJob<'a> {
     /// source's tables — not the system — so a job can outlive any number
     /// of [`Parts`] borrows. Row-layout sources precompute [`LinePlan`]s;
     /// with `batched` set, [`step_rows`](Self::step_rows) advances
-    /// whole-line runs of fields, and without it every field steps through
+    /// whole-line runs of fields of a row layout and replays the line
+    /// blocks of a columnar scan, and without it every field steps through
     /// the hierarchy individually (the reference stepping mode,
     /// [`System::set_reference_stepping`]).
     pub(crate) fn new(
@@ -259,7 +268,7 @@ impl<'a> ScanJob<'a> {
                         + cost.fields(columns.len())
                         + cost.tuple_reconstruction(columns.len()),
                     num_columns: columns.len(),
-                    kind: JobKind::Columnar { cursors },
+                    kind: JobKind::Columnar { cursors, batched },
                 }
             }
             ScanSource::Ephemeral { var } => {
@@ -366,26 +375,45 @@ impl<'a> ScanJob<'a> {
                         now,
                         values,
                     );
-                    now = self.finish_row(
-                        front,
-                        l2,
-                        &mut backend,
-                        row,
-                        now,
-                        &mut cpu,
-                        values,
-                        per_row,
-                    );
+                    now = self
+                        .finish_row(front, l2, &mut backend, row, now, &mut cpu, values, per_row)
+                        .0;
                 }
             }
-            JobKind::Columnar { cursors } => {
+            JobKind::Columnar { cursors, batched } => {
+                // Line-block replay (batched mode only): every row of a
+                // block reads the same line per cursor, so once one row of
+                // the block was all L1 hits, the later rows re-touch
+                // resident lines in the same order — hits that leave every
+                // L1 set's recency order as it was, train no prefetcher
+                // and reach no L2, DRAM or tracer. They replay as k L1
+                // hits. A memory touch by the row's effect ends the
+                // replay until a walked row hits again.
+                let fields = cursors.len() as u64;
+                let (mut block_end, mut warm) = (rows.start, false);
                 for row in rows {
-                    for (slot, &(col_base, width)) in cursors.iter().enumerate() {
-                        let addr = col_base + row * width as u64;
-                        now = front.access(addr, width, now, l2, &mut backend).completion;
-                        values[slot] = mem.read_uint(addr, width.min(8));
+                    if *batched && row == block_end {
+                        block_end = row + line_block(cursors, row, p.line_bytes as u64);
+                        warm = false;
                     }
-                    now = self.finish_row(
+                    if warm {
+                        now = front.replay_l1_hits(fields, now);
+                        for (slot, &(col_base, width)) in cursors.iter().enumerate() {
+                            values[slot] =
+                                mem.read_uint(col_base + row * width as u64, width.min(8));
+                        }
+                    } else {
+                        let mut hits = *batched;
+                        for (slot, &(col_base, width)) in cursors.iter().enumerate() {
+                            let addr = col_base + row * width as u64;
+                            let out = front.access(addr, width, now, l2, &mut backend);
+                            now = out.completion;
+                            hits &= out.level == HitLevel::L1;
+                            values[slot] = mem.read_uint(addr, width.min(8));
+                        }
+                        warm = hits;
+                    }
+                    let (end, touched) = self.finish_row(
                         front,
                         l2,
                         &mut backend,
@@ -395,6 +423,8 @@ impl<'a> ScanJob<'a> {
                         values,
                         per_row,
                     );
+                    now = end;
+                    warm &= !touched;
                 }
             }
             JobKind::Ephemeral {
@@ -422,16 +452,18 @@ impl<'a> ScanJob<'a> {
                         values,
                     );
                     // The closure's extra touch is an ordinary DRAM access.
-                    now = self.finish_row(
-                        front,
-                        l2,
-                        &mut rme.dram,
-                        row,
-                        now,
-                        &mut cpu,
-                        values,
-                        per_row,
-                    );
+                    now = self
+                        .finish_row(
+                            front,
+                            l2,
+                            &mut rme.dram,
+                            row,
+                            now,
+                            &mut cpu,
+                            values,
+                            per_row,
+                        )
+                        .0;
                 }
             }
         }
@@ -441,7 +473,8 @@ impl<'a> ScanJob<'a> {
     /// Runs the per-row closure over a row's values, charges the row's CPU
     /// work to `cpu`, applies the closure's extra memory touch and
     /// schedules the DRAM writes buffered by the row's end, the horizon a
-    /// scheduler pick after this row would set. Returns the advanced clock.
+    /// scheduler pick after this row would set. Returns the advanced clock
+    /// and whether the closure touched memory.
     #[allow(clippy::too_many_arguments)] // the split-borrowed platform
     #[inline(always)]
     fn finish_row<F>(
@@ -454,7 +487,7 @@ impl<'a> ScanJob<'a> {
         cpu: &mut SimTime,
         values: &[u64],
         per_row: &mut F,
-    ) -> SimTime
+    ) -> (SimTime, bool)
     where
         F: FnMut(u64, &[u64]) -> RowEffect,
     {
@@ -466,7 +499,7 @@ impl<'a> ScanJob<'a> {
             now = front.access(addr, bytes, now, l2, backend).completion;
         }
         backend.dram.advance(now);
-        now
+        (now, effect.touch.is_some())
     }
 
     /// The scan's steady-state period, if it has one the timing models can
@@ -523,7 +556,7 @@ impl<'a> ScanJob<'a> {
                     .collect(),
                 *stride,
             )),
-            JobKind::Columnar { cursors } => {
+            JobKind::Columnar { cursors, .. } => {
                 let width = cursors.first()?.1;
                 cursors
                     .iter()
@@ -602,6 +635,23 @@ impl ScanPeriod {
 
 fn lcm(a: u64, b: u64) -> u64 {
     a / gcd(a, b) * b
+}
+
+/// The line block of a columnar scan starting at `row`: the rows from `row`
+/// on whose field of every cursor lies within the line that cursor's field
+/// of `row` starts in. At least one row; exactly one when a field of `row`
+/// straddles a line boundary. `line_bytes` is a power of two.
+fn line_block(cursors: &[(u64, usize)], row: u64, line_bytes: u64) -> u64 {
+    cursors
+        .iter()
+        .map(|&(col_base, width)| {
+            let addr = col_base + row * width as u64;
+            let line_end = (addr | (line_bytes - 1)) + 1;
+            (line_end - addr) / width.max(1) as u64
+        })
+        .min()
+        .unwrap_or(1)
+        .max(1)
 }
 
 /// The line plan for `row`.
@@ -689,7 +739,7 @@ mod tests {
                     .chain(cursors.iter().map(|&(offset, w)| (row_base + offset, w)))
                     .collect()
             }
-            JobKind::Columnar { cursors } => cursors
+            JobKind::Columnar { cursors, .. } => cursors
                 .iter()
                 .map(|&(col_base, w)| (col_base + row * w as u64, w))
                 .collect(),

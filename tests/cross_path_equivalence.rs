@@ -1241,3 +1241,200 @@ mod skip_vs_step {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// Columnar line-block replay ≡ per-field walk
+// ---------------------------------------------------------------------------
+
+mod line_blocks {
+    use super::*;
+    use relational_memory::cache::{HierarchyStats, SharedL2Stats};
+    use relational_memory::core::workload::{QueryStream, Workload, WorkloadOp};
+    use relational_memory::dram::DramStats;
+    use relational_memory::rme::RmeStats;
+
+    /// Which entry point runs the columnar scan.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Entry {
+        /// `System::scan`.
+        Scan,
+        /// `System::run_workload`, one stream on one core.
+        OneCore,
+        /// `System::run_workload` on two cores, beside a shorter row scan
+        /// on core 1: one row per pick while the rival lives, then the
+        /// rest of the columnar scan in one step.
+        TwoCores,
+    }
+
+    /// Everything observable about one run.
+    #[derive(Debug, Clone, PartialEq)]
+    struct Outcome {
+        end: SimTime,
+        cpu: SimTime,
+        rows: u64,
+        /// (core, row, values) per row, in observation order.
+        values: Vec<(usize, u64, Vec<u64>)>,
+        cache: HierarchyStats,
+        per_core: Vec<HierarchyStats>,
+        l2: SharedL2Stats,
+        dram: DramStats,
+        rme: RmeStats,
+    }
+
+    /// A 4 KB 4-way L1 (16 sets, a 1 KB set span) and a 16 KB L2.
+    fn platform() -> PlatformConfig {
+        let mut cfg = PlatformConfig::tiny_for_tests();
+        cfg.l1.size_bytes = 4 * 1024;
+        cfg.l2.size_bytes = 16 * 1024;
+        cfg
+    }
+
+    /// Which per-row effects the closure returns.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Effects {
+        /// 3 ns on every row.
+        Constant,
+        /// 1–3 ns by the row's first value.
+        Varying,
+        /// 3 ns, and a touch of a scratch line on every fifth row (which
+        /// may evict or demote a line the scan reads).
+        Touching,
+    }
+
+    /// Scans `columns` of a `rows`-row columnar table through `entry`,
+    /// optimized or in the reference stepping mode.
+    fn run(
+        widths: &[usize],
+        columns: &[usize],
+        rows: u64,
+        effects: Effects,
+        entry: Entry,
+        reference: bool,
+        seed: u64,
+    ) -> Outcome {
+        let cores = if entry == Entry::TwoCores { 2 } else { 1 };
+        let mut sys = System::with_config(SystemConfig {
+            platform: platform(),
+            revision: HwRevision::Mlp,
+            mem_bytes: 16 << 20,
+            cores,
+            ..SystemConfig::default()
+        });
+        let schema = schema_from_widths(widths);
+        let mut table = sys
+            .create_table(schema.clone(), rows, MvccConfig::Disabled)
+            .unwrap();
+        DataGen::new(seed)
+            .fill_table(sys.mem_mut(), &mut table, rows)
+            .unwrap();
+        let rival_rows = rows / 3;
+        let mut rival = sys
+            .create_table(schema, rival_rows, MvccConfig::Disabled)
+            .unwrap();
+        DataGen::new(seed + 1)
+            .fill_table(sys.mem_mut(), &mut rival, rival_rows)
+            .unwrap();
+        let columnar = sys.materialize_columnar(&table).unwrap();
+        let scratch = sys.mem_mut().alloc(4096, 64);
+        let source = ScanSource::Columnar {
+            table: &columnar,
+            columns,
+        };
+        sys.set_reference_stepping(reference);
+        sys.begin_measurement(AccessPath::DirectColumnar);
+        let mut values = Vec::new();
+        let effect = |row: u64, vals: &[u64]| RowEffect {
+            cpu: SimTime::from_nanos(if effects == Effects::Varying {
+                1 + vals[0] % 3
+            } else {
+                3
+            }),
+            touch: (effects == Effects::Touching && row.is_multiple_of(5))
+                .then(|| (scratch + (row % 64) * 64, 8)),
+        };
+        let (end, cpu, rows) = match entry {
+            Entry::Scan => sys.scan(&source, SimTime::ZERO, |row, vals| {
+                values.push((0, row, vals.to_vec()));
+                effect(row, vals)
+            }),
+            Entry::OneCore | Entry::TwoCores => {
+                let mut streams = vec![QueryStream::new(vec![WorkloadOp::olap(source)])];
+                if entry == Entry::TwoCores {
+                    streams.push(QueryStream::new(vec![WorkloadOp::olap(ScanSource::Rows {
+                        table: &rival,
+                        columns: &[0],
+                        snapshot: None,
+                    })]));
+                }
+                let run = sys
+                    .run_workload(
+                        &Workload::new(streams),
+                        SimTime::ZERO,
+                        |core, _, row, vals| {
+                            values.push((core, row, vals.to_vec()));
+                            effect(row, vals)
+                        },
+                    )
+                    .expect("valid workload");
+                (run.end, run.cpu, run.rows)
+            }
+        };
+        let m = sys.finish_measurement(end, cpu, AccessPath::DirectColumnar);
+        Outcome {
+            end,
+            cpu,
+            rows,
+            values,
+            cache: m.cache,
+            per_core: (0..cores).map(|c| *sys.core_stats(c)).collect(),
+            l2: *sys.l2_stats(),
+            dram: m.dram,
+            rme: m.rme,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// A columnar scan that replays line blocks — a row whose fields
+        /// each re-read the line the previous row read for that column,
+        /// after a row of all L1 hits, is booked as that many L1 hits —
+        /// equals the reference stepping mode's per-field walk in end
+        /// time, CPU time, rows, values and every cache, L2, DRAM and RME
+        /// counter. Effects that never touch memory let replay engage for
+        /// whole blocks: constant and varying CPU charges; an effect that
+        /// touches memory every fifth row ends the replay. 1–8 columns of
+        /// 1–12 B (random, or all one width, 3 B and 12 B straddling
+        /// lines), at least three blocks of rows, and tables of 1,024 rows
+        /// whose column arrays all map to one L1 set (more than four
+        /// columns thrash its four ways), through `System::scan`, a
+        /// one-core workload and a two-core workload with a live rival.
+        #[test]
+        fn columnar_line_blocks_equal_per_field(
+            random_widths in proptest::collection::vec(1usize..=12, 8),
+            uniform in 0usize..=12,
+            pick in proptest::collection::vec(any::<bool>(), 8),
+            same_set in any::<bool>(),
+            rows in 192u64..1_200,
+            seed in 0u64..1_000,
+        ) {
+            let widths = if uniform == 0 { random_widths } else { vec![uniform; 8] };
+            let columns: Vec<usize> = (0..8).filter(|&i| pick[i]).collect();
+            prop_assume!(!columns.is_empty());
+            let rows = if same_set { 1_024 } else { rows };
+            for effects in [Effects::Constant, Effects::Varying, Effects::Touching] {
+                for entry in [Entry::Scan, Entry::OneCore, Entry::TwoCores] {
+                    let reference = run(&widths, &columns, rows, effects, entry, true, seed);
+                    let optimized = run(&widths, &columns, rows, effects, entry, false, seed);
+                    prop_assert_eq!(
+                        &optimized,
+                        &reference,
+                        "diverged via {:?} with {:?} effects",
+                        entry,
+                        effects
+                    );
+                }
+            }
+        }
+    }
+}

@@ -1,8 +1,8 @@
 //! The figures README.md, docs/ARCHITECTURE.md and docs/FIGURES.md quote
 //! from the committed `BENCH_scan_throughput*.json`, `BENCH_fig13.json`,
 //! `BENCH_columnar_ff.json`, `BENCH_htap_memory_path.json`,
-//! `BENCH_hash_queries.json`, `BENCH_setup.json` and `BENCH_rme_fetch.json`
-//! records must match those records.
+//! `BENCH_hash_queries.json`, `BENCH_setup.json`, `BENCH_rme_fetch.json`
+//! and `BENCH_direct_step.json` records must match those records.
 //!
 //! Each check names the record field, the document, and the text that
 //! follows the quoted number there. A quoted figure passes when it is
@@ -101,6 +101,46 @@ fn readme_quotes_the_scan_throughput_record() {
         "speedup_vs_baseline",
         1.0,
     );
+}
+
+#[test]
+fn readme_quotes_the_fig13_record() {
+    let record = "BENCH_fig13.json";
+    check(
+        "README.md",
+        " s of wall time before the fast-forward",
+        record,
+        "parent_median_s",
+        1.0,
+    );
+    check(
+        "README.md",
+        " s after it (medians of 7",
+        record,
+        "change_median_s",
+        1.0,
+    );
+}
+
+#[test]
+fn readme_quotes_the_rme_fetch_record() {
+    for (follows, key) in [
+        (
+            " ns to about 22 ns",
+            "traced_rme_host_ns_per_descriptor_parent_median",
+        ),
+        (
+            " ns, and `rme_scale` `run_s` from",
+            "traced_rme_host_ns_per_descriptor_change_median",
+        ),
+        (" s to 0.148 s", "rme_scale_run_s_parent_median"),
+        (
+            " s (`BENCH_rme_fetch.json`, same VM)",
+            "rme_scale_run_s_change_median",
+        ),
+    ] {
+        check("README.md", follows, "BENCH_rme_fetch.json", key, 1.0);
+    }
 }
 
 #[test]
@@ -279,6 +319,77 @@ fn architecture_quotes_the_rme_fetch_record() {
             "docs/ARCHITECTURE.md",
             follows,
             "BENCH_rme_fetch.json",
+            key,
+            1.0,
+        );
+    }
+}
+
+#[test]
+fn readme_quotes_the_direct_step_record() {
+    for (follows, key) in [
+        (
+            " s to 0.369 s (seed 4242",
+            "scan_direct_run_s_parent_median",
+        ),
+        (
+            " s (seed 4242, 10 alternating pairs on a shared 2-vCPU VM, `BENCH_direct_step.json`)",
+            "scan_direct_run_s_change_median",
+        ),
+    ] {
+        check("README.md", follows, "BENCH_direct_step.json", key, 1.0);
+    }
+}
+
+#[test]
+fn architecture_quotes_the_direct_step_record() {
+    for (follows, key) in [
+        (
+            " s at the parent commit of line blocks",
+            "scan_direct_run_s_parent_median",
+        ),
+        (
+            " s with them, and the change won",
+            "scan_direct_run_s_change_median",
+        ),
+        (" pairs out of 10", "scan_direct_run_s_change_wins"),
+        (
+            " s of columnar scan before",
+            "traced_core_scan_columnar_s_parent_median",
+        ),
+        (
+            " s of columnar scan after",
+            "traced_core_scan_columnar_s_change_median",
+        ),
+        (
+            " ns per columnar field before",
+            "traced_core_host_ns_per_field_columnar_parent_median",
+        ),
+        (
+            " ns per columnar field after",
+            "traced_core_host_ns_per_field_columnar_change_median",
+        ),
+        (
+            " ms before and 27.9 ms",
+            "traced_span_fastest_ms_q4_columnar_parent",
+        ),
+        (
+            " ms after, and the Q5 row scan",
+            "traced_span_fastest_ms_q4_columnar_change",
+        ),
+        (
+            " ms before and 37.6 ms",
+            "traced_span_fastest_ms_q5_row_parent",
+        ),
+        (
+            " ms after; the Q0–Q4 row scans",
+            "traced_span_fastest_ms_q5_row_change",
+        ),
+    ] {
+        check(
+            "docs/ARCHITECTURE.md",
+            follows,
+            "BENCH_direct_step.json",
             key,
             1.0,
         );
