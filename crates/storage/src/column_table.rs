@@ -11,6 +11,7 @@ use std::cell::Cell;
 
 use relmem_dram::PhysicalMemory;
 
+use crate::chunks::{drain, helpers, CHUNK_ROWS};
 use crate::error::StorageError;
 use crate::schema::Schema;
 use crate::table::RowTable;
@@ -19,6 +20,8 @@ use crate::types::Value;
 /// Rows per tile of the columnar transpose: a tile of 64-byte rows (32 KB)
 /// and the arrays' share of it stay in cache while every column is copied.
 const TILE_ROWS: usize = 512;
+// Chunks hold whole tiles, so the chunked copy tiles as one pass would.
+const _: () = assert!(CHUNK_ROWS.is_multiple_of(TILE_ROWS));
 
 /// Copies the `width`-byte field at `at` of each `row_bytes`-byte row of
 /// `rows` into consecutive entries of `dst`. Always inlined, so the calls
@@ -31,6 +34,57 @@ fn copy_field(dst: &mut [u8], rows: &[u8], row_bytes: usize, at: usize, width: u
     {
         entry.copy_from_slice(&row[at..at + width]);
     }
+}
+
+/// Copies the fields of the `row_bytes`-byte rows of `source` into the
+/// column arrays inside `arrays`, one per `(start, at, width)` of `fields`:
+/// the array at `start` takes the `width`-byte field at `at` of each row.
+///
+/// The rows and every array are cut at the same `chunk_rows` boundaries,
+/// and the calling thread and up to `helpers` more drain the chunks. Within
+/// a chunk the rows are transposed in tiles of `TILE_ROWS`: each tile is
+/// copied into every column's array before the next is read, so the tile
+/// stays in cache across the columns.
+fn transpose(
+    source: &[u8],
+    arrays: &mut [u8],
+    fields: &[(usize, usize, usize)],
+    row_bytes: usize,
+    chunk_rows: usize,
+    helpers: usize,
+) {
+    let rows = source.len() / row_bytes;
+    // Each column's array, cut into chunks; the arrays ascend.
+    let mut columns = Vec::with_capacity(fields.len());
+    let (mut rest, mut at) = (arrays, 0);
+    for &(start, _, width) in fields {
+        let (_, tail) = rest.split_at_mut(start - at);
+        let (array, tail) = tail.split_at_mut(rows * width);
+        columns.push(array.chunks_mut(chunk_rows * width));
+        (rest, at) = (tail, start + rows * width);
+    }
+    let work: Vec<(&[u8], Vec<&mut [u8]>)> = source
+        .chunks(chunk_rows * row_bytes)
+        .map(|chunk| {
+            let dsts = columns
+                .iter_mut()
+                .map(|c| c.next().expect("a chunk per column"));
+            (chunk, dsts.collect())
+        })
+        .collect();
+    drain(work.into_iter(), helpers, |(chunk, mut dsts)| {
+        for (tile, src) in chunk.chunks(TILE_ROWS * row_bytes).enumerate() {
+            let first = tile * TILE_ROWS;
+            for (dst, &(_, at, width)) in dsts.iter_mut().zip(fields) {
+                let dst = &mut dst[first * width..][..src.len() / row_bytes * width];
+                match width {
+                    4 => copy_field(dst, src, row_bytes, at, 4),
+                    8 => copy_field(dst, src, row_bytes, at, 8),
+                    _ => copy_field(dst, src, row_bytes, at, width),
+                }
+            }
+        }
+    });
 }
 
 /// A column-major copy of a table.
@@ -60,13 +114,25 @@ impl ColumnarTable {
     /// The arrays are laid out one after another, each 64-byte aligned, and
     /// allocated together, so a copy that does not fit allocates nothing.
     /// The copy then reads the source rows in place (the arrays sit above
-    /// the table) and transposes them in tiles of `TILE_ROWS` (512) rows: each
-    /// tile is copied into every column's array before the next is read,
-    /// so the tile stays in cache across the columns.
+    /// the table) and transposes them in chunks of 65,536 rows on a shared
+    /// work queue, each in tiles of `TILE_ROWS` (512) rows.
     pub fn materialize_with_capacity(
         mem: &mut PhysicalMemory,
         table: &RowTable,
         capacity_rows: u64,
+    ) -> Result<Self, StorageError> {
+        Self::materialize_chunked(mem, table, capacity_rows, CHUNK_ROWS, helpers())
+    }
+
+    /// [`materialize_with_capacity`](Self::materialize_with_capacity) with
+    /// the copy in chunks of `chunk_rows` rows drained by the calling
+    /// thread and up to `helpers` more.
+    fn materialize_chunked(
+        mem: &mut PhysicalMemory,
+        table: &RowTable,
+        capacity_rows: u64,
+        chunk_rows: usize,
+        helpers: usize,
     ) -> Result<Self, StorageError> {
         let schema = table.schema().clone();
         let rows = table.num_rows() as usize;
@@ -96,17 +162,7 @@ impl ColumnarTable {
         let row_bytes = table.physical_row_bytes();
         let (below, arrays) = mem.split_at_mut(base);
         let source = &below[table.base_addr() as usize..][..rows * row_bytes];
-        for (tile, src) in source.chunks(TILE_ROWS * row_bytes).enumerate() {
-            let first = tile * TILE_ROWS;
-            for &(start, at, width) in &fields {
-                let dst = &mut arrays[start + first * width..][..src.len() / row_bytes * width];
-                match width {
-                    4 => copy_field(dst, src, row_bytes, at, 4),
-                    8 => copy_field(dst, src, row_bytes, at, 8),
-                    _ => copy_field(dst, src, row_bytes, at, width),
-                }
-            }
-        }
+        transpose(source, arrays, &fields, row_bytes, chunk_rows, helpers);
 
         Ok(ColumnarTable {
             schema,
@@ -310,8 +366,9 @@ mod tests {
     }
 
     #[test]
-    fn tiled_copy_equals_the_row_fields_across_tiles() {
-        // Three whole tiles and a partial one, mixed widths, MVCC headers.
+    fn tiled_copy_equals_the_row_fields_across_tiles_and_chunks() {
+        // Three whole tiles and a partial one, mixed widths, MVCC headers;
+        // one chunk, chunks of whole tiles, and chunks ending inside tiles.
         let schema = schema_of(
             &[(true, 1), (false, 3), (true, 4), (true, 8), (false, 13)],
             0,
@@ -322,14 +379,18 @@ mod tests {
         DataGen::new(11)
             .fill_table(&mut mem, &mut table, rows)
             .unwrap();
-        let columnar = ColumnarTable::materialize(&mut mem, &table).unwrap();
-        for row in 0..rows {
-            for col in 0..5 {
-                assert_eq!(
-                    columnar.read_field(&mem, row, col).unwrap(),
-                    table.read_field(&mem, row, col).unwrap(),
-                    "row {row} col {col}"
-                );
+        for (chunk_rows, helpers) in [(CHUNK_ROWS, 0), (TILE_ROWS, 1), (700, 2), (7, 3)] {
+            let columnar =
+                ColumnarTable::materialize_chunked(&mut mem, &table, rows, chunk_rows, helpers)
+                    .unwrap();
+            for row in 0..rows {
+                for col in 0..5 {
+                    assert_eq!(
+                        columnar.read_field(&mem, row, col).unwrap(),
+                        table.read_field(&mem, row, col).unwrap(),
+                        "row {row} col {col}, chunks of {chunk_rows}"
+                    );
+                }
             }
         }
     }
@@ -375,13 +436,18 @@ mod tests {
             headroom in 1u64..4,
             rows in 0u64..40,
             seed in any::<u64>(),
+            chunk_rows in 1usize..=7,
+            helpers in 0usize..=3,
         ) {
             let mut mem = PhysicalMemory::new(1 << 16);
             let schema = schema_of(&cols, fill);
             let mut table = RowTable::create(&mut mem, schema.clone(), rows, mvcc_of(mvcc)).unwrap();
             DataGen::new(seed).fill_table(&mut mem, &mut table, rows).unwrap();
-            let columnar =
-                ColumnarTable::materialize_with_capacity(&mut mem, &table, rows + headroom).unwrap();
+            let capacity = rows + headroom;
+            let columnar = ColumnarTable::materialize_chunked(
+                &mut mem, &table, capacity, chunk_rows, helpers,
+            )
+            .unwrap();
             // Values every column type accepts: below 256 fits a 1-byte UInt.
             let appended: Vec<Value> = (0..schema.num_columns() as u64)
                 .map(|c| Value::UInt((c * 37 + seed % 256) % 256))

@@ -6,12 +6,16 @@
 //! generator is fully deterministic given its seed so that experiments and
 //! property tests are reproducible.
 
-use rand::rngs::StdRng;
+use std::convert::Infallible;
+
+use rand::rngs::{Jump, StdRng};
 use rand::{RngExt, SeedableRng};
 use relmem_dram::PhysicalMemory;
 
+use crate::chunks::{drain, helpers, CHUNK_ROWS};
 use crate::error::StorageError;
-use crate::table::RowTable;
+use crate::schema::Schema;
+use crate::table::{RowTable, SlotFormat};
 use crate::types::ColumnType;
 
 /// Upper bound (exclusive) of generated numeric values. Predicates can then
@@ -42,7 +46,9 @@ impl DataGen {
         table: &mut RowTable,
         rows: u64,
     ) -> Result<(), StorageError> {
-        self.fill_rows(mem, table, rows, |_, _| {})
+        let plan = Plan::new(table.schema(), None)?;
+        self.fill_chunked(mem, table, rows, &plan, CHUNK_ROWS, helpers())
+            .map(drop)
     }
 
     /// Fills a join *inner* relation `r` such that a target `match_fraction`
@@ -58,7 +64,48 @@ impl DataGen {
         join_col: usize,
         match_fraction: f64,
     ) -> Result<(), StorageError> {
-        let schema = inner.schema();
+        let key = JoinKey::new(inner.schema(), join_col, match_fraction)?;
+        let plan = Plan::new(inner.schema(), Some(key))?;
+        self.fill_chunked(mem, inner, rows, &plan, CHUNK_ROWS, helpers())
+            .map(drop)
+    }
+
+    /// The row kernel behind both fills, over chunks of `chunk_rows` rows
+    /// drained by the calling thread and up to `helpers` more (see
+    /// [`Plan::fill_chunks`]). Returns the first chunk it had to regenerate.
+    fn fill_chunked(
+        &mut self,
+        mem: &mut PhysicalMemory,
+        table: &RowTable,
+        rows: u64,
+        plan: &Plan,
+        chunk_rows: usize,
+        helpers: usize,
+    ) -> Result<Option<usize>, StorageError> {
+        let rng = &mut self.rng;
+        let mut regenerated = None;
+        table.append_encoded(mem, rows, 1, |slots, format| {
+            regenerated = plan.fill_chunks(slots, format, rng, chunk_rows, helpers);
+            Ok(())
+        })?;
+        Ok(regenerated)
+    }
+}
+
+/// The key a join inner relation's row draws after its columns: a match
+/// below `split` with probability `match_fraction`, else a miss in
+/// `[split, upper)`, written over the low `bytes` of the column at `at`.
+#[derive(Debug, Clone, Copy)]
+struct JoinKey {
+    at: usize,
+    bytes: usize,
+    split: u64,
+    upper: u64,
+    match_fraction: f64,
+}
+
+impl JoinKey {
+    fn new(schema: &Schema, join_col: usize, match_fraction: f64) -> Result<Self, StorageError> {
         // Clamp the key ranges to what the join column can physically hold:
         // narrow key columns (1 byte) cannot represent a disjoint
         // "non-matching" range, in which case every inner key may match.
@@ -67,42 +114,55 @@ impl DataGen {
             _ => u64::MAX,
         };
         let upper = (2 * VALUE_RANGE).min(capacity);
-        let split = VALUE_RANGE.min(upper / 2).max(1);
-        let key_at = schema.offset(join_col)?;
-        let key_bytes = schema.width(join_col)?.min(8);
-        self.fill_rows(mem, inner, rows, |rng, row| {
-            let key = if rng.random_bool(match_fraction) {
-                rng.random_range(0..split)
-            } else {
-                rng.random_range(split..upper)
-            };
-            row[key_at..key_at + key_bytes].copy_from_slice(&key.to_le_bytes()[..key_bytes]);
+        Ok(JoinKey {
+            at: schema.offset(join_col)?,
+            bytes: schema.width(join_col)?.min(8),
+            split: VALUE_RANGE.min(upper / 2).max(1),
+            upper,
+            match_fraction,
         })
     }
 
-    /// The row kernel behind both fills. Per row it draws one value per
-    /// column, in column order, and writes its low bytes at the column's
-    /// offset, straight into the row's slot; then `finish` may draw more
-    /// and overwrite fields.
-    ///
-    /// The per-schema plan is resolved once. Every column with at least 8
-    /// bytes of room before the row's end takes one 8-byte little-endian
-    /// store; offsets ascend, so these columns are a prefix. A store may
-    /// spill past its column, but only into the columns after it (rows are
-    /// packed), whose stores come later and overwrite the spill; bytes of a
-    /// wide `Bytes` column beyond its first 8 stay as `append_encoded`
-    /// zeroed them. The suffix columns, narrower than 8 bytes, take an
-    /// exact-width store, so nothing is written past the row's end.
-    fn fill_rows(
-        &mut self,
-        mem: &mut PhysicalMemory,
-        table: &RowTable,
-        rows: u64,
-        mut finish: impl FnMut(&mut StdRng, &mut [u8]),
-    ) -> Result<(), StorageError> {
-        let schema = table.schema();
-        // (offset, exclusive bound of the drawn value) per prefix column,
-        // and (offset, width, bound) per suffix column.
+    /// Draws per key without rejections: `random_bool` draws unless its
+    /// probability is 0 or 1.
+    fn draws(&self) -> u64 {
+        1 + u64::from(self.match_fraction > 0.0 && self.match_fraction < 1.0)
+    }
+
+    fn write(&self, rng: &mut StdRng, row: &mut [u8]) {
+        let key = if rng.random_bool(self.match_fraction) {
+            rng.random_range(0..self.split)
+        } else {
+            rng.random_range(self.split..self.upper)
+        };
+        row[self.at..self.at + self.bytes].copy_from_slice(&key.to_le_bytes()[..self.bytes]);
+    }
+}
+
+/// What each generated row draws, resolved once per fill. Per row the
+/// kernel draws one value per column, in column order, and writes its low
+/// bytes at the column's offset, straight into the row's slot; then a join
+/// key may draw more and overwrite its column.
+///
+/// Every column with at least 8 bytes of room before the row's end takes
+/// one 8-byte little-endian store; offsets ascend, so these columns are a
+/// prefix. A store may spill past its column, but only into the columns
+/// after it (rows are packed), whose stores come later and overwrite the
+/// spill; bytes of a wide `Bytes` column beyond its first 8 stay as
+/// [`SlotFormat::encode_each`] zeroed them. The suffix columns, narrower
+/// than 8 bytes, take an exact-width store, so nothing is written past the
+/// row's end.
+#[derive(Debug)]
+struct Plan {
+    /// (offset, exclusive bound of the drawn value) per prefix column.
+    prefix: Vec<(usize, u64)>,
+    /// (offset, width, bound) per suffix column.
+    suffix: Vec<(usize, usize, u64)>,
+    join: Option<JoinKey>,
+}
+
+impl Plan {
+    fn new(schema: &Schema, join: Option<JoinKey>) -> Result<Self, StorageError> {
         let (mut prefix, mut suffix) = (Vec::new(), Vec::new());
         for (idx, col) in schema.columns().iter().enumerate() {
             let at = schema.offset(idx)?;
@@ -116,19 +176,83 @@ impl DataGen {
                 suffix.push((at, col.ty.width(), bound));
             }
         }
-        let rng = &mut self.rng;
-        table.append_encoded(mem, rows, 1, |row| {
-            for &(at, bound) in &prefix {
+        Ok(Plan {
+            prefix,
+            suffix,
+            join,
+        })
+    }
+
+    /// Draws per row when no draw takes a rejection in `bounded`.
+    fn draws_per_row(&self) -> u64 {
+        (self.prefix.len() + self.suffix.len()) as u64 + self.join.map_or(0, |key| key.draws())
+    }
+
+    /// Writes the rows of `slots` in order, drawing from `rng`.
+    fn fill(&self, slots: &mut [u8], format: SlotFormat, rng: &mut StdRng) {
+        let Ok(()) = format.encode_each(slots, |row| {
+            for &(at, bound) in &self.prefix {
                 let v = rng.random_range(0..bound);
                 row[at..at + 8].copy_from_slice(&v.to_le_bytes());
             }
-            for &(at, bytes, bound) in &suffix {
+            for &(at, bytes, bound) in &self.suffix {
                 let v = rng.random_range(0..bound);
                 row[at..at + bytes].copy_from_slice(&v.to_le_bytes()[..bytes]);
             }
-            finish(rng, row);
-            Ok(())
-        })
+            if let Some(key) = &self.join {
+                key.write(rng, row);
+            }
+            Ok::<(), Infallible>(())
+        });
+    }
+
+    /// Writes the rows of `slots` as [`fill`](Self::fill) would from `rng`,
+    /// in chunks of `chunk_rows` rows drained by the calling thread and up
+    /// to `helpers` more, and leaves `rng` where the sequential fill would.
+    ///
+    /// Chunk `k` starts at the state `k` chunks' draws ahead, one
+    /// precomputed [`Jump`] past chunk `k - 1`'s start. A row draws
+    /// [`draws_per_row`](Self::draws_per_row) values unless a draw is
+    /// rejected in `bounded` (616 in 2^64 per draw for bound 1000, never
+    /// for a power of two), so after the chunks each one's end state is
+    /// checked against the next one's start: at the first mismatch, every
+    /// later chunk is regenerated sequentially from the real end state.
+    /// Returns the first chunk regenerated.
+    fn fill_chunks(
+        &self,
+        slots: &mut [u8],
+        format: SlotFormat,
+        rng: &mut StdRng,
+        chunk_rows: usize,
+        helpers: usize,
+    ) -> Option<usize> {
+        let chunk_bytes = chunk_rows * format.row_bytes();
+        let chunks = slots.chunks_mut(chunk_bytes);
+        let mut starts = vec![rng.clone()];
+        if chunks.len() > 1 {
+            let jump = Jump::new(chunk_rows as u64 * self.draws_per_row());
+            while starts.len() < chunks.len() {
+                let mut next = starts[starts.len() - 1].clone();
+                next.jump(&jump);
+                starts.push(next);
+            }
+        }
+        let mut ends = starts.clone();
+        drain(chunks.zip(&mut ends), helpers, |(chunk, end)| {
+            // Draw from a copy on this thread's stack: neighbouring chunks'
+            // states share a cache line.
+            let mut rng = end.clone();
+            self.fill(chunk, format, &mut rng);
+            *end = rng;
+        });
+        let mut end = ends.pop().expect("one state per chunk, and at least one");
+        let regenerate = (1..starts.len()).find(|&k| ends[k - 1] != starts[k]);
+        if let Some(k) = regenerate {
+            end = ends[k - 1].clone();
+            self.fill(&mut slots[k * chunk_bytes..], format, &mut end);
+        }
+        *rng = end;
+        regenerate
     }
 }
 
@@ -140,7 +264,6 @@ pub(crate) mod tests {
     use crate::schema::{ColumnDef, Schema};
     use crate::types::Value;
     use proptest::prelude::*;
-    use rand::RngCore;
 
     /// The per-row reference the bulk kernel must match: every row is built
     /// as `Value`s and stored through `RowTable::append`.
@@ -241,8 +364,11 @@ pub(crate) mod tests {
     }
 
     /// Everything a fill leaves behind: the table's whole allocation, its
-    /// row count, the result, and the generator's next draw.
-    type Filled = (Vec<u8>, u64, Result<(), StorageError>, u64);
+    /// row count, the result, and the generator.
+    type Filled = (Vec<u8>, u64, Result<(), StorageError>, StdRng);
+
+    /// Chunk rows that put every test table in one chunk.
+    const ONE_CHUNK: usize = 1 << 12;
 
     /// A fill scenario: `pre` reference rows from another seed, then `rows`
     /// rows from `seed`, into a table of `capacity` rows; a join fill when
@@ -258,8 +384,16 @@ pub(crate) mod tests {
     }
 
     impl Fill {
-        /// Runs the scenario through the library (`bulk`) or the reference.
-        fn run(self, schema: &Schema, bulk: bool) -> Filled {
+        /// Runs the scenario through `fill`.
+        fn run_with(
+            self,
+            schema: &Schema,
+            fill: impl FnOnce(
+                &mut DataGen,
+                &mut PhysicalMemory,
+                &mut RowTable,
+            ) -> Result<(), StorageError>,
+        ) -> Filled {
             let mut mem = PhysicalMemory::new(1 << 16);
             let mut table =
                 RowTable::create(&mut mem, schema.clone(), self.capacity, mvcc_of(self.mvcc))
@@ -267,29 +401,74 @@ pub(crate) mod tests {
             DataGen::new(!self.seed)
                 .reference_fill(&mut mem, &table, self.pre)
                 .unwrap();
-            let (mut gen, rows) = (DataGen::new(self.seed), self.rows);
-            let result = match (self.join, bulk) {
-                (None, true) => gen.fill_table(&mut mem, &mut table, rows),
-                (None, false) => gen.reference_fill(&mut mem, &table, rows),
-                (Some((col, frac)), true) => {
-                    gen.fill_join_inner(&mut mem, &mut table, rows, col, frac)
-                }
-                (Some((col, frac)), false) => gen.reference_join(&mut mem, &table, rows, col, frac),
-            };
+            let mut gen = DataGen::new(self.seed);
+            let result = fill(&mut gen, &mut mem, &mut table);
             // `append` writes headers through the kernel's own
-            // `append_encoded`, so check them against their value rather
-            // than the reference.
+            // `SlotFormat`, so check them against their value rather than
+            // the reference.
             let begin = u64::from(self.mvcc);
             for row in 0..table.num_rows() {
                 assert_eq!(table.version(&mem, row).unwrap(), (begin, 0));
             }
             let bytes = table.physical_row_bytes() * self.capacity as usize;
             let bytes = mem.read(table.base_addr(), bytes).to_vec();
-            (bytes, table.num_rows(), result, gen.rng.next_u64())
+            (bytes, table.num_rows(), result, gen.rng)
         }
 
-        fn matches_reference(self, schema: &Schema) -> bool {
-            self.run(schema, true) == self.run(schema, false)
+        /// Runs the scenario through the per-row reference.
+        fn reference(self, schema: &Schema) -> Filled {
+            self.run_with(schema, |gen, mem, table| match self.join {
+                None => gen.reference_fill(mem, table, self.rows),
+                Some((col, frac)) => gen.reference_join(mem, table, self.rows, col, frac),
+            })
+        }
+
+        /// Runs the scenario through the public fills.
+        fn library(self, schema: &Schema) -> Filled {
+            self.run_with(schema, |gen, mem, table| match self.join {
+                None => gen.fill_table(mem, table, self.rows),
+                Some((col, frac)) => gen.fill_join_inner(mem, table, self.rows, col, frac),
+            })
+        }
+
+        /// Runs the scenario through the kernel under `plan`, in chunks of
+        /// `chunk_rows` rows with `helpers` helper threads; also returns the
+        /// first chunk the kernel regenerated.
+        fn chunked(
+            self,
+            schema: &Schema,
+            plan: &Plan,
+            chunk_rows: usize,
+            helpers: usize,
+        ) -> (Filled, Option<usize>) {
+            let mut regenerated = None;
+            let filled = self.run_with(schema, |gen, mem, table| {
+                regenerated = gen.fill_chunked(mem, table, self.rows, plan, chunk_rows, helpers)?;
+                Ok(())
+            });
+            (filled, regenerated)
+        }
+
+        /// The scenario's own plan, as the public fills build it.
+        fn plan(self, schema: &Schema) -> Plan {
+            let key = self
+                .join
+                .map(|(col, frac)| JoinKey::new(schema, col, frac).unwrap());
+            Plan::new(schema, key).unwrap()
+        }
+
+        /// Whether the public fill, the one-chunk kernel and the kernel in
+        /// chunks of `chunk_rows` rows with `helpers` helpers all leave the
+        /// reference's bytes, row count, result and generator, with no
+        /// chunk regenerated (no bound the fills draw from rejects).
+        fn matches_reference(self, schema: &Schema, chunk_rows: usize, helpers: usize) -> bool {
+            let reference = self.reference(schema);
+            let plan = self.plan(schema);
+            let one = self.chunked(schema, &plan, ONE_CHUNK, 0);
+            let chunked = self.chunked(schema, &plan, chunk_rows, helpers);
+            self.library(schema) == reference
+                && one == (reference.clone(), None)
+                && chunked == (reference, None)
         }
     }
 
@@ -303,10 +482,12 @@ pub(crate) mod tests {
             pre in 0u64..4,
             rows in 0u64..40,
             seed in any::<u64>(),
+            chunk_rows in 1usize..=7,
+            helpers in 0usize..=3,
         ) {
             let capacity = pre + rows + 2;
             let run = Fill { mvcc, capacity, pre, rows, seed, join: None };
-            prop_assert!(run.matches_reference(&schema_of(&cols, fill)));
+            prop_assert!(run.matches_reference(&schema_of(&cols, fill), chunk_rows, helpers));
         }
 
         #[test]
@@ -318,10 +499,92 @@ pub(crate) mod tests {
             pre in 0u64..4,
             rows in 0u64..40,
             seed in any::<u64>(),
+            chunk_rows in 1usize..=7,
+            helpers in 0usize..=3,
         ) {
             let join = Some((join % cols.len(), quarters as f64 / 4.0));
             let run = Fill { mvcc, capacity: pre + rows, pre, rows, seed, join };
-            prop_assert!(run.matches_reference(&schema_of(&cols, 0)));
+            prop_assert!(run.matches_reference(&schema_of(&cols, 0), chunk_rows, helpers));
+        }
+
+        #[test]
+        fn rejected_draws_leave_the_one_chunk_bytes(
+            cols in proptest::collection::vec((any::<bool>(), 1usize..=40), 0..6),
+            mvcc in any::<bool>(),
+            pre in 0u64..4,
+            rows in 0u64..40,
+            seed in any::<u64>(),
+            chunk_rows in 1usize..=7,
+            helpers in 0usize..=3,
+        ) {
+            let mut cols = cols;
+            cols.insert(0, (true, 8));
+            let schema = schema_of(&cols, 0);
+            let plan = rejecting_plan(&schema);
+            let run = Fill { mvcc, capacity: pre + rows + 1, pre, rows, seed, join: None };
+            prop_assert_eq!(
+                run.chunked(&schema, &plan, chunk_rows, helpers).0,
+                run.chunked(&schema, &plan, ONE_CHUNK, 0).0
+            );
+        }
+    }
+
+    /// `schema`'s plan with the first column drawn below 2^63 + 1, where
+    /// about half the draws are rejected at least once.
+    fn rejecting_plan(schema: &Schema) -> Plan {
+        let mut plan = Plan::new(schema, None).unwrap();
+        plan.prefix[0].1 = (1 << 63) + 1;
+        plan
+    }
+
+    /// The `chunk_rows`-row chunks in which a sequential fill of `rows`
+    /// rows under `plan` from `seed` takes a rejection.
+    fn rejecting_chunks(plan: &Plan, seed: u64, rows: u64, chunk_rows: u64) -> Vec<u64> {
+        let bounds: Vec<u64> = plan.prefix.iter().map(|p| p.1).collect();
+        assert!(plan.suffix.is_empty() && plan.join.is_none());
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut chunks = Vec::new();
+        for row in 0..rows {
+            let mut unrejected = rng.clone();
+            unrejected.advance(plan.draws_per_row());
+            for &bound in &bounds {
+                rng.random_range(0..bound);
+            }
+            if rng != unrejected && chunks.last() != Some(&(row / chunk_rows)) {
+                chunks.push(row / chunk_rows);
+            }
+        }
+        chunks
+    }
+
+    #[test]
+    fn a_rejection_in_the_first_a_middle_or_the_last_chunk_is_caught() {
+        // Seven rows in chunks of two: chunks 0-2 of two rows, chunk 3 of one.
+        let schema = Schema::benchmark(3, 8, 24);
+        let plan = rejecting_plan(&schema);
+        for only in [0, 2, 3] {
+            let seed = (0..)
+                .find(|&seed| rejecting_chunks(&plan, seed, 7, 2) == [only])
+                .unwrap();
+            for mvcc in [false, true] {
+                let run = Fill {
+                    mvcc,
+                    capacity: 9,
+                    pre: 1,
+                    rows: 7,
+                    seed,
+                    join: None,
+                };
+                let (one, _) = run.chunked(&schema, &plan, ONE_CHUNK, 0);
+                for helpers in 0..=3 {
+                    let (filled, regenerated) = run.chunked(&schema, &plan, 2, helpers);
+                    assert_eq!(filled, one, "rejection in chunk {only}, {helpers} helpers");
+                    // The chunk after the rejecting one started too early;
+                    // the last chunk has no chunk after it.
+                    let after = only as usize + 1;
+                    assert_eq!(regenerated, (after < 4).then_some(after));
+                }
+            }
         }
     }
 
@@ -339,7 +602,12 @@ pub(crate) mod tests {
                 seed: 7,
                 join,
             };
-            assert!(run.matches_reference(&schema), "match fraction {frac}");
+            for helpers in 0..=3 {
+                assert!(
+                    run.matches_reference(&schema, 7, helpers),
+                    "match fraction {frac}"
+                );
+            }
         }
     }
 
@@ -358,11 +626,14 @@ pub(crate) mod tests {
             let over = Fill {
                 rows: 12 + 5,
                 ..exact
+            };
+            let whole = exact.library(&schema).0;
+            let plan = over.plan(&schema);
+            for filled in [over.library(&schema), over.chunked(&schema, &plan, 5, 2).0] {
+                assert!(matches!(filled.2, Err(StorageError::OutOfMemory { .. })));
+                assert_eq!(filled.1, 12);
+                assert_eq!(filled.0, whole);
             }
-            .run(&schema, true);
-            assert!(matches!(over.2, Err(StorageError::OutOfMemory { .. })));
-            assert_eq!(over.1, 12);
-            assert_eq!(over.0, exact.run(&schema, true).0);
         }
     }
 
@@ -377,11 +648,11 @@ pub(crate) mod tests {
             seed: 42,
             join: None,
         };
-        assert_eq!(a.run(&schema, true), a.run(&schema, true));
+        assert_eq!(a.library(&schema), a.library(&schema));
         let c = Fill { seed: 43, ..a };
         assert_ne!(
-            a.run(&schema, true).0,
-            c.run(&schema, true).0,
+            a.library(&schema).0,
+            c.library(&schema).0,
             "different seeds should produce different data"
         );
     }

@@ -16,6 +16,7 @@
 //! * seeded synthetic [`datagen`] for the Relational Memory Benchmark,
 //! * [`mvcc`] — the two-timestamp row versioning scheme of Section 4.
 
+mod chunks;
 pub mod column_table;
 pub mod datagen;
 pub mod error;

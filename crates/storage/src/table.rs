@@ -15,6 +15,43 @@ use crate::row::Row;
 use crate::schema::Schema;
 use crate::types::Value;
 
+/// How a table's rows sit in their slots: the MVCC header, if any, then
+/// the data bytes. Owns no table state, so bulk builders hand it to other
+/// threads with disjoint runs of slots.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SlotFormat {
+    row_bytes: usize,
+    header: usize,
+    version: [u8; 16],
+}
+
+impl SlotFormat {
+    /// Bytes per slot (header and data).
+    pub(crate) fn row_bytes(&self) -> usize {
+        self.row_bytes
+    }
+
+    /// Encodes the slots of `slots` in order, each in place: its data bytes
+    /// are zeroed, so bytes `encode` never writes read as zero, then
+    /// `encode` fills them, then the header is written. `encode` must
+    /// validate before it writes: the first row it rejects gets no header
+    /// and ends the walk.
+    #[inline(always)]
+    pub(crate) fn encode_each<E>(
+        &self,
+        slots: &mut [u8],
+        mut encode: impl FnMut(&mut [u8]) -> Result<(), E>,
+    ) -> Result<(), E> {
+        for slot in slots.chunks_exact_mut(self.row_bytes) {
+            let (head, data) = slot.split_at_mut(self.header);
+            data.fill(0);
+            encode(data)?;
+            head.copy_from_slice(&self.version[..self.header]);
+        }
+        Ok(())
+    }
+}
+
 /// A row-major table stored in physical memory.
 #[derive(Debug, Clone)]
 pub struct RowTable {
@@ -109,40 +146,37 @@ impl RowTable {
         begin_ts: Timestamp,
     ) -> Result<u64, StorageError> {
         let idx = self.rows.get();
-        self.append_encoded(mem, 1, begin_ts, |data| row.encode_into(&self.schema, data))?;
+        self.append_encoded(mem, 1, begin_ts, |slot, format| {
+            format.encode_each(slot, |data| row.encode_into(&self.schema, data))
+        })?;
         Ok(idx)
     }
 
-    /// Appends up to `rows` rows visible from `begin_ts`, each encoded
-    /// straight into its slot of the table's memory: the slot's data bytes
-    /// are zeroed, so bytes `encode` never writes read as zero, then
-    /// `encode` fills them, then the row's MVCC header is written. `encode`
-    /// must validate before it writes: a row it rejects gets no header and
-    /// is not counted. When the table fills up, the rows that fit stay and
-    /// the call fails with `OutOfMemory`.
+    /// Appends up to `rows` rows visible from `begin_ts`. `fill` gets the
+    /// slots of the rows that fit, back to back, and the format that
+    /// encodes each one in place; when it returns `Ok` they are counted, and
+    /// when it fails none is. When the table fills up, the rows that fit
+    /// stay and the call fails with `OutOfMemory`.
     pub(crate) fn append_encoded(
         &self,
         mem: &mut PhysicalMemory,
         rows: u64,
         begin_ts: Timestamp,
-        mut encode: impl FnMut(&mut [u8]) -> Result<(), StorageError>,
+        fill: impl FnOnce(&mut [u8], SlotFormat) -> Result<(), StorageError>,
     ) -> Result<(), StorageError> {
-        let header = self.mvcc.header_bytes();
-        let version = encode_header(begin_ts, 0);
-        let row_bytes = self.physical_row_bytes();
+        let format = SlotFormat {
+            row_bytes: self.physical_row_bytes(),
+            header: self.mvcc.header_bytes(),
+            version: encode_header(begin_ts, 0),
+        };
         let start = self.rows.get();
-        let room = self.capacity_rows - start;
-        let slots = mem.slice_mut(self.row_addr(start), rows.min(room) as usize * row_bytes);
-        for slot in slots.chunks_exact_mut(row_bytes) {
-            let (head, data) = slot.split_at_mut(header);
-            data.fill(0);
-            encode(data)?;
-            head.copy_from_slice(&version[..header]);
-            self.rows.set(self.rows.get() + 1);
-        }
-        if rows > room {
+        let fits = rows.min(self.capacity_rows - start);
+        let slots = mem.slice_mut(self.row_addr(start), fits as usize * format.row_bytes);
+        fill(slots, format)?;
+        self.rows.set(start + fits);
+        if rows > fits {
             return Err(StorageError::OutOfMemory {
-                requested: row_bytes,
+                requested: format.row_bytes,
                 available: 0,
             });
         }

@@ -1,8 +1,9 @@
 //! The figures README.md, docs/ARCHITECTURE.md and docs/FIGURES.md quote
 //! from the committed `BENCH_scan_throughput*.json`, `BENCH_fig13.json`,
 //! `BENCH_columnar_ff.json`, `BENCH_htap_memory_path.json`,
-//! `BENCH_hash_queries.json`, `BENCH_setup.json`, `BENCH_rme_fetch.json`
-//! and `BENCH_direct_step.json` records must match those records.
+//! `BENCH_hash_queries.json`, `BENCH_setup.json`, `BENCH_rme_fetch.json`,
+//! `BENCH_direct_step.json` and `BENCH_parallel_setup.json` records must
+//! match those records.
 //!
 //! Each check names the record field, the document, and the text that
 //! follows the quoted number there. A quoted figure passes when it is
@@ -203,6 +204,68 @@ fn architecture_quotes_the_setup_record() {
             key,
             1.0,
         );
+    }
+}
+
+#[test]
+fn architecture_quotes_the_parallel_setup_record() {
+    for (follows, key) in [
+        (
+            " s with one set-up thread to",
+            "rme_scale_setup_s_parent_median",
+        ),
+        (
+            " s on the shared queue, winning",
+            "rme_scale_setup_s_change_median",
+        ),
+        (" of the 10 pairs", "rme_scale_setup_s_change_wins"),
+        (
+            " s for the pinned parent",
+            "pinned_rme_scale_setup_s_parent_median",
+        ),
+        (
+            " s for the pinned change",
+            "pinned_rme_scale_setup_s_change_median",
+        ),
+        (
+            " s for the busy parent",
+            "busy_rme_scale_setup_s_parent_median",
+        ),
+        (
+            " s for the busy change",
+            "busy_rme_scale_setup_s_change_median",
+        ),
+        (" s of fill time before", "traced_fill_s_parent_median"),
+        (" s of fill time after", "traced_fill_s_change_median"),
+        (" s of copy time before", "traced_columnar_s_parent_median"),
+        (" s of copy time after", "traced_columnar_s_change_median"),
+        (" s with one thread and", "fig13_parent_median_s"),
+        (" s with the queue (medians", "fig13_change_median_s"),
+    ] {
+        check(
+            "docs/ARCHITECTURE.md",
+            follows,
+            "BENCH_parallel_setup.json",
+            key,
+            1.0,
+        );
+    }
+}
+
+#[test]
+fn readme_quotes_the_parallel_setup_record() {
+    for (follows, key) in [
+        (
+            " s with one set-up thread to",
+            "rme_scale_setup_s_parent_median",
+        ),
+        (
+            " s with the queue (seed 4242",
+            "rme_scale_setup_s_change_median",
+        ),
+        (" alternating 30 s pairs", "rme_scale_reps"),
+    ] {
+        check("README.md", follows, "BENCH_parallel_setup.json", key, 1.0);
     }
 }
 
