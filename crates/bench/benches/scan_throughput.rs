@@ -1,14 +1,20 @@
 //! Simulator-throughput micro-benchmark: simulated field accesses per
-//! wall-clock second through `System::scan`, optimized hot path vs. the
-//! pre-optimization baseline (`relmem_bench::baseline`: the seed's scan loop
-//! over the seed's cache data structures), with bit-identical simulated
-//! output asserted between the two.
+//! wall-clock second through `System::scan`, optimized stepping vs. the
+//! reference stepping mode (`System::set_reference_stepping`: per-field
+//! accesses, the full cache walk, no fast-forward) on the same system and
+//! table, with identical simulated output and counters asserted between
+//! the two.
 //!
 //! This measures the *simulator*, not the modelled hardware: the number is
 //! how fast experiments run, and it gates how large the scaling sweeps
 //! (Figure 13 and beyond) can grow. Results are printed and written to
-//! `BENCH_scan_throughput.json` in the current directory so successive PRs
-//! can track the trajectory.
+//! `BENCH_scan_throughput.json` at the workspace root so successive PRs
+//! can track the trajectory. The single-core record also carries the
+//! simulated end time and the number of scan periods one optimized pass
+//! fast-forwarded over: both depend on the simulator alone, and the bench
+//! asserts the fast-forward engaged. So the single-core table must span
+//! five scan periods (40,960 rows on the default platform), as the
+//! `--quick` one does.
 //!
 //! ```text
 //! cargo bench -p relmem-bench --bench scan_throughput \
@@ -37,46 +43,86 @@
 
 use std::time::Instant;
 
+use relmem_cache::HierarchyStats;
 use relmem_core::system::{RowEffect, ScanSource, SystemConfig};
 use relmem_core::{AccessPath, System};
-use relmem_rme::HwRevision;
-use relmem_sim::SimTime;
+use relmem_dram::DramStats;
+use relmem_sim::{MemoryModel, SimTime};
 use relmem_storage::{DataGen, MvccConfig, RowTable, Schema};
 
-/// One timed scan pass. Returns (wall seconds, simulated end, cpu, rows,
-/// checksum) so the caller can both rate it and check equivalence.
-fn timed_scan(sys: &mut System, source: &ScanSource<'_>) -> (f64, SimTime, SimTime, u64, u64) {
-    sys.begin_measurement(AccessPath::DirectRowWise);
-    let mut checksum = 0u64;
-    let started = Instant::now();
-    let per_row = |_row: u64, values: &[u64]| {
-        checksum = checksum.wrapping_add(values.iter().fold(0u64, |a, &v| a.wrapping_add(v)));
-        RowEffect::default()
-    };
-    let (end, cpu, rows) = sys.scan(source, SimTime::ZERO, per_row);
-    (started.elapsed().as_secs_f64(), end, cpu, rows, checksum)
+/// Everything one scan pass simulated, apart from its wall time: two
+/// passes over the same input must compare equal.
+#[derive(Debug, PartialEq)]
+struct Simulated {
+    end: SimTime,
+    cpu: SimTime,
+    rows: u64,
+    checksum: u64,
+    cache: HierarchyStats,
+    dram: DramStats,
 }
 
-/// Runs `f` `reps` times, asserting the simulated outputs are identical
-/// across repetitions, and returns `(wall_secs_per_rep, end, cpu, rows,
-/// checksum)`. Rates should use the best (minimum) repetition; the full
-/// sample vector feeds the spread statistics in the emitted JSON.
-fn run_reps<F: FnMut() -> (f64, SimTime, SimTime, u64, u64)>(
+/// One timed pass from a fresh measurement. `scan` runs the scan and
+/// returns `(end, cpu, rows, checksum)`. Returns the wall seconds, what
+/// the pass simulated and how many scan periods it fast-forwarded over.
+fn timed_pass<F>(sys: &mut System, scan: F) -> (f64, Simulated, u64)
+where
+    F: FnOnce(&mut System) -> (SimTime, SimTime, u64, u64),
+{
+    sys.begin_measurement(AccessPath::DirectRowWise);
+    let periods = sys.fast_forwarded_periods();
+    let started = Instant::now();
+    let (end, cpu, rows, checksum) = scan(sys);
+    let secs = started.elapsed().as_secs_f64();
+    let m = sys.finish_measurement(end, cpu, AccessPath::DirectRowWise);
+    let simulated = Simulated {
+        end,
+        cpu,
+        rows,
+        checksum,
+        cache: m.cache,
+        dram: m.dram,
+    };
+    (secs, simulated, sys.fast_forwarded_periods() - periods)
+}
+
+/// Adds one row's projected values to a running checksum.
+fn add_row(checksum: u64, values: &[u64]) -> u64 {
+    values.iter().fold(checksum, |a, &v| a.wrapping_add(v))
+}
+
+/// One timed `System::scan` pass over `source`.
+fn timed_scan(sys: &mut System, source: &ScanSource<'_>) -> (f64, Simulated, u64) {
+    timed_pass(sys, |sys| {
+        let mut checksum = 0u64;
+        let (end, cpu, rows) = sys.scan(source, SimTime::ZERO, |_row, values: &[u64]| {
+            checksum = add_row(checksum, values);
+            RowEffect::default()
+        });
+        (end, cpu, rows, checksum)
+    })
+}
+
+/// Runs `f` `reps` times, asserting every repetition simulates the same
+/// thing, and returns `(wall_secs_per_rep, simulated, fast_forwarded)`.
+/// Rates should use the best (minimum) repetition; the full sample vector
+/// feeds the spread statistics in the emitted JSON.
+fn run_reps<F: FnMut() -> (f64, Simulated, u64)>(
     reps: usize,
     mut f: F,
-) -> (Vec<f64>, SimTime, SimTime, u64, u64) {
-    let first = f();
-    let mut secs = vec![first.0];
+) -> (Vec<f64>, Simulated, u64) {
+    let (secs, first, periods) = f();
+    let mut samples = vec![secs];
     for _ in 1..reps {
-        let run = f();
+        let (secs, run, run_periods) = f();
         assert_eq!(
-            (run.1, run.2, run.3, run.4),
-            (first.1, first.2, first.3, first.4),
+            (&run, run_periods),
+            (&first, periods),
             "repeated simulation of identical input diverged"
         );
-        secs.push(run.0);
+        samples.push(secs);
     }
-    (secs, first.1, first.2, first.3, first.4)
+    (samples, first, periods)
 }
 
 /// Minimum of a non-empty wall-time sample vector.
@@ -134,8 +180,10 @@ fn wall_stats_json(secs: &[f64]) -> String {
 }
 
 /// Builds an N-core system holding the benchmark table, deterministically,
-/// on the requested DRAM timing model.
-fn build_system(cores: usize, rows: u64, model: relmem_sim::MemoryModel) -> (System, RowTable) {
+/// on the requested DRAM timing model. The default platform is the paper's
+/// (zcu102, MLP revision); the table is its default relation shape: 64-byte
+/// rows of 4-byte columns.
+fn build_system(cores: usize, rows: u64, model: MemoryModel) -> (System, RowTable) {
     let schema = Schema::benchmark(4, 4, 64);
     let table_bytes = rows * 64;
     let mem_bytes = (table_bytes + (64 << 20)).next_power_of_two() as usize;
@@ -155,7 +203,88 @@ fn build_system(cores: usize, rows: u64, model: relmem_sim::MemoryModel) -> (Sys
     (sys, table)
 }
 
+/// The scanned columns: the first four.
 const COLUMNS: [usize; 4] = [0, 1, 2, 3];
+
+/// The row scan of `table` every variant times.
+fn row_scan(table: &RowTable) -> ScanSource<'_> {
+    ScanSource::Rows {
+        table,
+        columns: &COLUMNS,
+        snapshot: None,
+    }
+}
+
+/// `BENCH_scan_throughput<variant>[.quick].json` at the workspace root
+/// (`cargo bench` runs with the package as cwd).
+fn report_path(variant: &str, quick: bool) -> String {
+    let suffix = if quick { ".quick" } else { "" };
+    format!(
+        "{}/../../BENCH_scan_throughput{variant}{suffix}.json",
+        env!("CARGO_MANIFEST_DIR")
+    )
+}
+
+/// The single-core variant: optimized stepping (line plans, the
+/// line-resident fast path, the periodic fast-forward) against the
+/// reference stepping mode of the same system, on the same table.
+fn run_single_core(rows: u64, reps: usize, quick: bool) {
+    let fields = rows * COLUMNS.len() as u64;
+    println!(
+        "scan_throughput: {rows} rows x {} columns = {fields} simulated field accesses",
+        COLUMNS.len()
+    );
+    let (mut sys, table) = build_system(1, rows, MemoryModel::Occupancy);
+    let source = row_scan(&table);
+
+    let (opt_samples, optimized, fast_forwarded) = run_reps(reps, || timed_scan(&mut sys, &source));
+    assert!(
+        fast_forwarded > 0,
+        "the optimized scan of {rows} rows fast-forwarded no period"
+    );
+    let opt_secs = best(&opt_samples);
+    let opt_rate = fields as f64 / opt_secs;
+    println!(
+        "  optimized:  {opt_secs:.3} s wall  ({opt_rate:.3e} fields/s), \
+         {fast_forwarded} periods fast-forwarded"
+    );
+
+    sys.set_reference_stepping(true);
+    let (ref_samples, reference, _) = run_reps(reps, || timed_scan(&mut sys, &source));
+    let ref_secs = best(&ref_samples);
+    let ref_rate = fields as f64 / ref_secs;
+    println!("  reference:  {ref_secs:.3} s wall  ({ref_rate:.3e} fields/s)");
+
+    // Same end, CPU time, rows, values, cache and DRAM counters.
+    assert_eq!(
+        optimized, reference,
+        "optimized stepping diverged from the reference stepping"
+    );
+    let speedup = ref_secs / opt_secs;
+    println!("  speedup vs reference: {speedup:.2}x  (simulated output and counters identical)");
+
+    let json = format!(
+        "{{\n  \"bench\": \"scan_throughput\",\n  \"rows\": {rows},\n  \"columns\": {},\n  \
+         \"quick\": {quick},\n  \"reps\": {reps},\n  \
+         \"simulated_field_accesses\": {fields},\n  \
+         \"simulated_end_ns\": {:.1},\n  \
+         \"fast_forwarded_periods\": {fast_forwarded},\n  \
+         \"optimized_fields_per_sec\": {opt_rate:.1},\n  \
+         \"reference_fields_per_sec\": {ref_rate:.1},\n  \
+         \"speedup_vs_reference\": {speedup:.3},\n  \
+         \"optimized_wall_secs\": {},\n  \
+         \"reference_wall_secs\": {},\n  \
+         \"outputs_identical\": true\n}}\n",
+        COLUMNS.len(),
+        optimized.end.as_nanos_f64(),
+        wall_stats_json(&opt_samples),
+        wall_stats_json(&ref_samples)
+    );
+    // The tracked BENCH_scan_throughput.json records the canonical
+    // full-scale (1M-row) measurement only; `--quick` smoke runs (e.g. CI)
+    // write the .quick.json sibling so they never clobber it.
+    write_report(&report_path("", quick), &json, quick, rows);
+}
 
 /// The multi-core sharded variant: aggregate simulated throughput scaling
 /// of `scan_sharded` on `cores` cores over the single-core `scan`.
@@ -166,44 +295,35 @@ fn run_multicore(rows: u64, reps: usize, quick: bool, cores: usize) {
         COLUMNS.len()
     );
 
-    // Single-core reference (simulated time baseline).
-    let (mut solo, solo_table) = build_system(1, rows, relmem_sim::MemoryModel::Occupancy);
-    let solo_src = ScanSource::Rows {
-        table: &solo_table,
-        columns: &COLUMNS,
-        snapshot: None,
-    };
-    let (_, solo_end, _, _, solo_sum) = run_reps(reps, || timed_scan(&mut solo, &solo_src));
+    // Single-core scan: the simulated-time yardstick.
+    let (mut solo, solo_table) = build_system(1, rows, MemoryModel::Occupancy);
+    let solo_src = row_scan(&solo_table);
+    let (_, solo_run, _) = run_reps(reps, || timed_scan(&mut solo, &solo_src));
+    let solo_end = solo_run.end;
 
     // Sharded run on N cores.
-    let (mut sys, table) = build_system(cores, rows, relmem_sim::MemoryModel::Occupancy);
-    let src = ScanSource::Rows {
-        table: &table,
-        columns: &COLUMNS,
-        snapshot: None,
-    };
+    let (mut sys, table) = build_system(cores, rows, MemoryModel::Occupancy);
+    let src = row_scan(&table);
     // Per-core results are identical across reps (the run is deterministic,
     // asserted by run_reps), so keep the last rep's instead of re-scanning.
     let mut per_core = Vec::new();
-    let (wall_secs, end, _cpu, rows_scanned, sum) = run_reps(reps, || {
-        sys.begin_measurement(AccessPath::DirectRowWise);
-        let mut checksum = 0u64;
-        let started = Instant::now();
-        let run = sys.scan_sharded(&src, SimTime::ZERO, |_core, _row, values: &[u64]| {
-            checksum = checksum.wrapping_add(values.iter().fold(0u64, |a, &v| a.wrapping_add(v)));
-            RowEffect::default()
-        });
-        per_core = run.per_core;
-        (
-            started.elapsed().as_secs_f64(),
-            run.end,
-            run.cpu,
-            run.rows,
-            checksum,
-        )
+    let (wall_secs, run, _) = run_reps(reps, || {
+        timed_pass(&mut sys, |sys| {
+            let mut checksum = 0u64;
+            let run = sys.scan_sharded(&src, SimTime::ZERO, |_core, _row, values: &[u64]| {
+                checksum = add_row(checksum, values);
+                RowEffect::default()
+            });
+            per_core = run.per_core;
+            (run.end, run.cpu, run.rows, checksum)
+        })
     });
-    assert_eq!(rows_scanned, rows);
-    assert_eq!(sum, solo_sum, "sharded scan changed the scanned values");
+    let end = run.end;
+    assert_eq!(run.rows, rows);
+    assert_eq!(
+        run.checksum, solo_run.checksum,
+        "sharded scan changed the scanned values"
+    );
 
     let scaling = solo_end.as_nanos_f64() / end.as_nanos_f64();
     let sim_rate_1 = fields as f64 / solo_end.as_nanos_f64() * 1e9;
@@ -252,11 +372,7 @@ fn run_multicore(rows: u64, reps: usize, quick: bool, cores: usize) {
         wall_stats_json(&wall_secs),
         per_core_json.join(", ")
     );
-    let suffix = if quick { ".quick" } else { "" };
-    let out = format!(
-        "{}/../../BENCH_scan_throughput.cores{cores}{suffix}.json",
-        env!("CARGO_MANIFEST_DIR")
-    );
+    let out = report_path(&format!(".cores{cores}"), quick);
     write_report(&out, &json, quick, rows);
 }
 
@@ -267,8 +383,6 @@ fn run_multicore(rows: u64, reps: usize, quick: bool, cores: usize) {
 /// what it changes in simulated time, plus the command-level counters only
 /// the cycle-accurate model produces.
 fn run_model_comparison(rows: u64, reps: usize, quick: bool) {
-    use relmem_sim::MemoryModel;
-
     let fields = rows * COLUMNS.len() as u64;
     println!(
         "scan_throughput (model fidelity): {rows} rows x {} columns, occupancy vs cycle-accurate",
@@ -277,19 +391,19 @@ fn run_model_comparison(rows: u64, reps: usize, quick: bool) {
 
     let run_model = |model: MemoryModel| {
         let (mut sys, table) = build_system(1, rows, model);
-        let source = ScanSource::Rows {
-            table: &table,
-            columns: &COLUMNS,
-            snapshot: None,
-        };
-        let (samples, end, _, scanned, sum) = run_reps(reps, || timed_scan(&mut sys, &source));
-        assert_eq!(scanned, rows);
-        (samples, end, sum, sys.dram_stats().clone())
+        let source = row_scan(&table);
+        let (samples, run, _) = run_reps(reps, || timed_scan(&mut sys, &source));
+        assert_eq!(run.rows, rows);
+        (samples, run)
     };
 
-    let (occ_samples, occ_end, occ_sum, occ_stats) = run_model(MemoryModel::Occupancy);
-    let (ca_samples, ca_end, ca_sum, ca_stats) = run_model(MemoryModel::CycleAccurate);
-    assert_eq!(occ_sum, ca_sum, "the timing model must not change the data");
+    let (occ_samples, occ) = run_model(MemoryModel::Occupancy);
+    let (ca_samples, ca) = run_model(MemoryModel::CycleAccurate);
+    assert_eq!(
+        occ.checksum, ca.checksum,
+        "the timing model must not change the data"
+    );
+    let (occ_end, ca_end, ca_stats) = (occ.end, ca.end, &ca.dram);
 
     let occ_rate = fields as f64 / best(&occ_samples);
     let ca_rate = fields as f64 / best(&ca_samples);
@@ -330,7 +444,7 @@ fn run_model_comparison(rows: u64, reps: usize, quick: bool) {
          \"cycle_accurate_wall_secs\": {},\n  \
          \"outputs_identical\": true\n}}\n",
         COLUMNS.len(),
-        occ_stats.row_hit_rate(),
+        occ.dram.row_hit_rate(),
         ca_stats.row_hit_rate(),
         ca_stats.refreshes,
         ca_stats.tfaw_stalls,
@@ -339,12 +453,7 @@ fn run_model_comparison(rows: u64, reps: usize, quick: bool) {
         wall_stats_json(&occ_samples),
         wall_stats_json(&ca_samples)
     );
-    let suffix = if quick { ".quick" } else { "" };
-    let out = format!(
-        "{}/../../BENCH_scan_throughput.ca{suffix}.json",
-        env!("CARGO_MANIFEST_DIR")
-    );
-    write_report(&out, &json, quick, rows);
+    write_report(&report_path(".ca", quick), &json, quick, rows);
 }
 
 const USAGE: &str =
@@ -368,7 +477,7 @@ fn number_arg<T: std::str::FromStr>(flag: &str, value: Option<String>) -> T {
 }
 
 fn main() {
-    let mut rows: u64 = 1_000_000;
+    let mut rows: u64 = FULL_ROWS;
     let mut reps = 3usize;
     let mut quick = false;
     let mut cores = 1usize;
@@ -395,135 +504,20 @@ fn main() {
             _ => {}
         }
     }
+    if rows == 0 {
+        usage_error("--rows must be at least 1");
+    }
+    if cores == 0 {
+        usage_error("--cores must be at least 1");
+    }
+    if model_ca && cores > 1 {
+        usage_error("--model ca runs the single-core scan; it takes no --cores above 1");
+    }
     if model_ca {
-        assert_eq!(cores, 1, "--model ca currently runs the single-core scan");
         run_model_comparison(rows, reps, quick);
-        return;
-    }
-    if cores > 1 {
+    } else if cores > 1 {
         run_multicore(rows, reps, quick, cores);
-        return;
-    }
-    // The paper's default relation shape: 64-byte rows, 4-byte columns; we
-    // scan the first four columns.
-    let schema = Schema::benchmark(4, 4, 64);
-    let table_bytes = rows * 64;
-    let mem_bytes = (table_bytes + (64 << 20)).next_power_of_two() as usize;
-    let mut sys = System::with_revision(HwRevision::Mlp, mem_bytes);
-    let mut table = sys
-        .create_table(schema, rows, MvccConfig::Disabled)
-        .expect("table fits");
-    DataGen::new(1)
-        .fill_table(sys.mem_mut(), &mut table, rows)
-        .expect("fill");
-    let source = ScanSource::Rows {
-        table: &table,
-        columns: &COLUMNS,
-        snapshot: None,
-    };
-    let fields = rows * COLUMNS.len() as u64;
-    println!(
-        "scan_throughput: {rows} rows x {} columns = {fields} simulated field accesses",
-        COLUMNS.len()
-    );
-
-    // Optimized hot path (line plans, line-resident fast path, periodic
-    // fast-forward).
-    let (opt_samples, opt_end, opt_cpu, opt_rows, opt_sum) =
-        run_reps(reps, || timed_scan(&mut sys, &source));
-    let opt_secs = best(&opt_samples);
-    let opt_rate = fields as f64 / opt_secs;
-    println!("  optimized:  {opt_secs:.3} s wall  ({opt_rate:.3e} fields/s)");
-
-    // Pre-optimization baseline: the seed's scan loop over the seed's data
-    // structures (Vec<Vec> tag stores, HashMap pending map, Vec MSHRs,
-    // allocating prefetch decisions and DRAM chunk splits).
-    let (base_samples, base_end, base_cpu, base_rows, base_sum) = run_reps(reps, || {
-        let mut hierarchy = relmem_bench::baseline::BaselineHierarchy::new(sys.config());
-        let mut checksum = 0u64;
-        let started = Instant::now();
-        let (end, cpu, rows_scanned) = relmem_bench::baseline::scan_rows_baseline(
-            &mut hierarchy,
-            sys.mem(),
-            &table,
-            &COLUMNS,
-            SimTime::ZERO,
-            |_row, values: &[u64]| {
-                checksum =
-                    checksum.wrapping_add(values.iter().fold(0u64, |a, &v| a.wrapping_add(v)));
-                RowEffect::default()
-            },
-        );
-        (
-            started.elapsed().as_secs_f64(),
-            end,
-            cpu,
-            rows_scanned,
-            checksum,
-        )
-    });
-    let base_secs = best(&base_samples);
-    let base_rate = fields as f64 / base_secs;
-    println!("  baseline:   {base_secs:.3} s wall  ({base_rate:.3e} fields/s)");
-
-    // Both must agree on simulated results exactly.
-    assert_eq!(
-        (opt_end, opt_cpu, opt_rows, opt_sum),
-        (base_end, base_cpu, base_rows, base_sum),
-        "optimized scan diverged from the pre-optimization baseline"
-    );
-
-    // …including every hierarchy counter (one verification pass each).
-    sys.begin_measurement(AccessPath::DirectRowWise);
-    let (end, cpu, _) = sys.scan(&source, SimTime::ZERO, |_, _| RowEffect::default());
-    let optimized_stats = sys
-        .finish_measurement(end, cpu, AccessPath::DirectRowWise)
-        .cache;
-    let mut hierarchy = relmem_bench::baseline::BaselineHierarchy::new(sys.config());
-    relmem_bench::baseline::scan_rows_baseline(
-        &mut hierarchy,
-        sys.mem(),
-        &table,
-        &COLUMNS,
-        SimTime::ZERO,
-        |_, _| RowEffect::default(),
-    );
-    assert_eq!(
-        optimized_stats,
-        hierarchy.stats(),
-        "optimized hierarchy counters diverged from the baseline"
-    );
-    let speedup = base_secs / opt_secs;
-    println!("  speedup vs baseline: {speedup:.2}x  (simulated output bit-identical)");
-
-    let json = format!(
-        "{{\n  \"bench\": \"scan_throughput\",\n  \"rows\": {rows},\n  \"columns\": {},\n  \
-         \"quick\": {quick},\n  \"reps\": {reps},\n  \
-         \"simulated_field_accesses\": {fields},\n  \
-         \"optimized_fields_per_sec\": {opt_rate:.1},\n  \
-         \"baseline_fields_per_sec\": {base_rate:.1},\n  \
-         \"speedup_vs_baseline\": {speedup:.3},\n  \
-         \"optimized_wall_secs\": {},\n  \
-         \"baseline_wall_secs\": {},\n  \
-         \"outputs_identical\": true\n}}\n",
-        COLUMNS.len(),
-        wall_stats_json(&opt_samples),
-        wall_stats_json(&base_samples)
-    );
-    // `cargo bench` runs with the package as cwd; anchor the report at the
-    // workspace root. The tracked BENCH_scan_throughput.json records the
-    // canonical full-scale (1M-row) measurement only; `--quick` smoke runs
-    // (e.g. CI) write to an untracked sibling so they never clobber it.
-    let out = if quick {
-        concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../BENCH_scan_throughput.quick.json"
-        )
     } else {
-        concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../BENCH_scan_throughput.json"
-        )
-    };
-    write_report(out, &json, quick, rows);
+        run_single_core(rows, reps, quick);
+    }
 }

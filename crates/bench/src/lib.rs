@@ -10,7 +10,6 @@
 //! Absolute numbers are simulated nanoseconds, not wall-clock on a ZCU102 —
 //! only orderings, ratios and crossover points are meaningful.
 
-pub mod baseline;
 pub mod figures;
 
 pub use figures::{

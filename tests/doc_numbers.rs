@@ -90,16 +90,16 @@ fn readme_quotes_the_scan_throughput_record() {
     );
     check(
         "README.md",
-        "×10⁷ for the baseline",
+        "×10⁷ for the reference stepping",
         record,
-        "baseline_fields_per_sec",
+        "reference_fields_per_sec",
         1e7,
     );
     check(
         "README.md",
         "×), with all simulated outputs",
         record,
-        "speedup_vs_baseline",
+        "speedup_vs_reference",
         1.0,
     );
 }
