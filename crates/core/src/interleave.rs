@@ -16,13 +16,25 @@
 //! Ties go to the lowest core index, so every run is reproducible bit for
 //! bit.
 //!
-//! A lane with no live rival runs its active scan's remaining rows in one
-//! step: nothing else can be scheduled before they end, so this is the
-//! unbounded case of conservative lookahead (Chandy & Misra). When those
-//! rows are the whole scan it may fast-forward over the scan's periodic
-//! steady state (`crate::periodic`). `ScanJob::step_rows` advances the DRAM
-//! model after every row, so the batch schedules buffered writes at the
-//! same horizons as row-by-row picks.
+//! # Runner-up lookahead
+//!
+//! A step changes only the stepped lane's key, so while at most one live
+//! lane is ephemeral (below) the rule picks that lane again for as long as
+//! its `(key, core)` stays below the runner-up's. `pick` returns that bound
+//! with the lane, and the lane keeps the pick until it reaches the bound:
+//! conservative lookahead (Chandy & Misra, IEEE TSE 1979) bounded by the
+//! runner-up's clock. A scan runs the rows up to the bound in one
+//! `ScanJob::step_rows` call, and other units re-step without a new pick;
+//! an open-loop lane's run of rows also stops before its own next arrival
+//! or retry, which the next unit would admit first. A lane with no live
+//! rival has no bound: it runs its active scan's remaining rows in one
+//! step, and when those rows are the whole scan it may fast-forward over
+//! the scan's periodic steady state (`crate::periodic`). With two or more
+//! live ephemeral lanes every lane steps one unit per pick, and so does
+//! any lane beside a live rival in the reference stepping mode, which
+//! keeps the rule itself as the oracle. `ScanJob::step_rows` advances the
+//! DRAM model after every row, so a run of rows schedules buffered writes
+//! at the same horizons as row-by-row picks.
 //!
 //! Lanes whose next unit is a row of an ephemeral (RME) scan are
 //! arbitrated frame-aware among themselves. The cores share one
@@ -71,56 +83,111 @@ pub(crate) struct Totals {
     pub(crate) rows: u64,
 }
 
-/// The lane to step next under the pick rule (see the module docs), and
-/// whether it is the only live lane; `None` once every lane has drained.
-/// `resident` is the RME's resident frame.
-fn pick<L: Lane>(lanes: &[L], resident: Option<u64>) -> Option<(usize, bool)> {
+/// A picked lane and how long it keeps the pick.
+struct Pick {
+    core: usize,
+    /// `None` when no other lane is live; otherwise the lane keeps the pick
+    /// while its key is before this time.
+    bound: Option<SimTime>,
+    /// Whether another live lane is ephemeral: the picked lane then loses
+    /// the pick once its next unit is ephemeral too.
+    ephemeral_rival: bool,
+}
+
+impl Pick {
+    /// Whether `lane`, just stepped, would be picked again.
+    fn kept_by<L: Lane>(&self, lane: &L) -> bool {
+        lane.ready_at()
+            .is_some_and(|key| self.bound.is_none_or(|bound| key < bound))
+            && !(self.ephemeral_rival && lane.stream().next_frame().is_some())
+    }
+}
+
+/// The lane to step next under the pick rule (see the module docs) and how
+/// long it keeps the pick; `None` once every lane has drained. `resident`
+/// is the RME's resident frame; without `lookahead` a lane beside a live
+/// rival keeps the pick for one unit.
+fn pick<L: Lane>(lanes: &[L], resident: Option<u64>, lookahead: bool) -> Option<Pick> {
     // The smallest key of each class: plain lanes, ephemeral lanes in the
-    // resident frame, other ephemeral lanes. A strict comparison keeps the
+    // resident frame, other ephemeral lanes; and the two smallest
+    // `(key, index)` over all live lanes. Strict comparisons keep the
     // lowest index on ties.
     let mut best: [Option<(SimTime, usize)>; 3] = [None; 3];
-    let mut live = 0usize;
+    let (mut first, mut second): (Option<(SimTime, usize)>, _) = (None, None);
+    let mut ephemeral = 0usize;
     for (i, lane) in lanes.iter().enumerate() {
         let Some(key) = lane.ready_at() else {
             continue;
         };
-        live += 1;
         let class = match lane.stream().next_frame() {
             None => 0,
             Some(frame) if resident == Some(frame) => 1,
             Some(_) => 2,
         };
+        ephemeral += usize::from(class != 0);
         if best[class].is_none_or(|(k, _)| key < k) {
             best[class] = Some((key, i));
         }
+        if first.is_none_or(|f| (key, i) < f) {
+            second = first;
+            first = Some((key, i));
+        } else if second.is_none_or(|s| (key, i) < s) {
+            second = Some((key, i));
+        }
     }
     let [plain, in_frame, turnover] = best;
-    let picked = match (plain, in_frame.or(turnover)) {
-        (Some(a), Some(b)) => a.min(b).1,
-        (a, b) => a.or(b)?.1,
+    let (core, picked_ephemeral) = match (plain, in_frame.or(turnover)) {
+        (Some(a), Some(b)) => (a.min(b).1, b < a),
+        (a, None) => (a?.1, false),
+        (None, Some(b)) => (b.1, true),
     };
-    Some((picked, live == 1))
+    // With at most one ephemeral lane the rule picks the smallest
+    // `(key, index)`, so `second` is the runner-up, and
+    // `(clock, core) < (key, rival)` holds exactly while the clock is
+    // before `key`, or `key` plus one picosecond when `core < rival`.
+    let bound = second.map(|(key, rival)| {
+        if !lookahead || ephemeral > 1 {
+            SimTime::ZERO
+        } else if core < rival {
+            key + SimTime::from_picos(1)
+        } else {
+            key
+        }
+    });
+    Some(Pick {
+        core,
+        bound,
+        ephemeral_rival: ephemeral > usize::from(picked_ephemeral),
+    })
 }
 
 impl System {
     /// Runs `lanes` to completion: picks a lane, advances it with
-    /// `step(system, core, lane, alone)`, schedules the buffered DRAM
-    /// writes that are ready by its clock, and repeats until every lane has
-    /// drained; then settles the memory system so run totals include
-    /// deferred traffic. `alone` tells the step that no other lane is live,
-    /// so nothing can be scheduled between its units and it may run a scan
-    /// to its end in one call.
+    /// `step(system, core, lane, bound)`, schedules the buffered DRAM
+    /// writes that are ready by its clock, re-steps it while it keeps the
+    /// pick, and repeats until every lane has drained; then settles the
+    /// memory system so run totals include deferred traffic. `bound` is
+    /// `None` when no other lane is live, so the step may run a scan to its
+    /// end in one call; otherwise the step may run a scan's rows while the
+    /// lane's clock is before `bound` (see the module docs), and always
+    /// runs at least one unit.
     pub(crate) fn interleave<L: Lane>(
         &mut self,
         lanes: &mut [L],
-        mut step: impl FnMut(&mut System, usize, &mut L, bool),
+        mut step: impl FnMut(&mut System, usize, &mut L, Option<SimTime>),
     ) -> Totals {
-        while let Some((core, alone)) = pick(lanes, self.engine.resident_frame()) {
-            step(self, core, &mut lanes[core], alone);
-            // The stepped lane's clock is the event horizon: buffered writes
-            // ready by then are scheduled now.
-            let horizon = lanes[core].stream().now;
-            self.dram.advance(horizon);
+        let lookahead = !self.reference_stepping;
+        while let Some(pick) = pick(lanes, self.engine.resident_frame(), lookahead) {
+            let lane = &mut lanes[pick.core];
+            loop {
+                step(self, pick.core, lane, pick.bound);
+                // The stepped lane's clock is the event horizon: buffered
+                // writes ready by then are scheduled now.
+                self.dram.advance(lane.stream().now);
+                if !pick.kept_by(lane) {
+                    break;
+                }
+            }
         }
         self.settle_memory();
         let mut totals = Totals {
@@ -174,9 +241,10 @@ mod tests {
     /// On a two-core cycle-accurate system, dirties every L2 line with
     /// point updates, then scans a table four times the L2 as one lane on
     /// core 0 — alone, or beside a lane on core 1 that stays live until
-    /// long after the scan ends and touches no memory. The scan evicts the
-    /// dirty lines, so its writebacks are buffered and scheduled at the
-    /// DRAM horizons the run sets.
+    /// long after the scan ends and touches no memory, in the reference
+    /// stepping mode, which steps the scan one row per pick beside it. The
+    /// scan evicts the dirty lines, so its writebacks are buffered and
+    /// scheduled at the DRAM horizons the run sets.
     fn scan_after_updates(rival: bool) -> ScanRecord {
         let mut config = SystemConfig {
             platform: PlatformConfig::tiny_for_tests(),
@@ -211,6 +279,7 @@ mod tests {
             .unwrap()
             .end;
 
+        sys.set_reference_stepping(rival);
         let source = ScanSource::Rows {
             table: &table,
             columns: &[0, 2],
@@ -222,12 +291,12 @@ mod tests {
         let idle = StreamState::fresh(&idle_ops, start + SimTime::from_nanos(1_000_000_000));
         let mut lanes = if rival { vec![scan, idle] } else { vec![scan] };
         let mut values = Vec::new();
-        sys.interleave(&mut lanes, |sys, core, st, alone| {
+        sys.interleave(&mut lanes, |sys, core, st, bound| {
             let mut observe = |_, _, _, v: &[u64]| {
                 values.push(v.to_vec());
                 RowEffect::default()
             };
-            if !sys.step_scan(core, st, alone, &mut observe) {
+            if !sys.step_scan(core, st, bound, &mut observe) {
                 // The idle lane drains without running its op.
                 st.next_op += 1;
             }
@@ -243,9 +312,9 @@ mod tests {
     }
 
     /// A lone lane runs its whole scan in one step, and a lane with a live
-    /// rival steps it one row per pick; both must schedule the buffered
-    /// writebacks at the same horizons, so the scan's end, CPU time, rows,
-    /// values and every DRAM counter agree.
+    /// rival in the reference stepping mode steps it one row per pick; both
+    /// must schedule the buffered writebacks at the same horizons, so the
+    /// scan's end, CPU time, rows, values and every DRAM counter agree.
     #[test]
     fn a_lone_lane_batch_equals_per_row_picks() {
         let alone = scan_after_updates(false);

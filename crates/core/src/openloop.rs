@@ -572,11 +572,11 @@ impl System {
         let mut stats = OverloadStats::default();
         let mut degrade = DegradeState::new(cfg.degrade);
 
-        let totals = self.interleave(&mut lanes, |sys, core, cs, alone| {
+        let totals = self.interleave(&mut lanes, |sys, core, cs, bound| {
             sys.step_open_core(
                 core,
                 cs,
-                alone,
+                bound,
                 cfg,
                 &mut stats,
                 &mut degrade,
@@ -610,20 +610,22 @@ impl System {
         })
     }
 
-    /// Advances one core by one unit: a row of its active scan (all its
-    /// rows when the core is `alone`), a unit of its active transaction, or
-    /// one dequeue decision (shed / timeout / start an op). An idle core
-    /// first advances its clock to the next arrival. Admissions are drained
-    /// lazily — every event at or before the core's clock is admitted (or
-    /// rejected) before the unit runs; a scan never dequeues, so draining
-    /// the arrivals of a whole-scan unit after it decides each of them as
-    /// row-by-row draining would.
+    /// Advances one core by one unit: rows of its active scan up to
+    /// `bound` (all its rows when `bound` is `None`, the core being alone),
+    /// a unit of its active transaction, or one dequeue decision (shed /
+    /// timeout / start an op). An idle core first advances its clock to the
+    /// next arrival. Admissions are drained lazily — every event at or
+    /// before the core's clock is admitted (or rejected) before the unit
+    /// runs. Beside a live rival a run of rows therefore also stops before
+    /// the core's next arrival or retry; alone, a scan never dequeues, so
+    /// draining the arrivals of a whole-scan unit after it decides each of
+    /// them as row-by-row draining would.
     #[allow(clippy::too_many_arguments)] // private scheduler helper
     fn step_open_core<'a, F>(
         &mut self,
         core: usize,
         cs: &mut CoreState<'a, '_>,
-        alone: bool,
+        bound: Option<SimTime>,
         cfg: &AdmissionConfig,
         stats: &mut OverloadStats,
         degrade: &mut DegradeState,
@@ -651,7 +653,8 @@ impl System {
         // transaction, if any; otherwise dequeue until something runs:
         // sheds and abandoned timeouts are pure bookkeeping and consume no
         // simulated time.
-        let stepped = self.step_scan(core, &mut cs.st, alone, observer)
+        let bound = bound.map(|b| cs.next_event_time().map_or(b, |t| b.min(t)));
+        let stepped = self.step_scan(core, &mut cs.st, bound, observer)
             || self.step_txn_unit(core, &mut cs.st, observer);
         if !stepped {
             while let Some(p) = cs.queue.pop_front() {

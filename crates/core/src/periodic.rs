@@ -207,8 +207,15 @@ impl System {
                             i if i == d.matched => d.effect,
                             _ => per_row(row, values),
                         };
-                        let (n, c, s) =
-                            job.step_rows(self.parts(), core, bounds(p), now, values, &mut replay);
+                        let (n, c, s, _) = job.step_rows(
+                            self.parts(),
+                            core,
+                            bounds(p),
+                            None,
+                            now,
+                            values,
+                            &mut replay,
+                        );
                         (now, cpu, scanned) = (n, cpu + c, scanned + s);
                         p += 1;
                         failures += 1;
@@ -233,7 +240,8 @@ impl System {
                     }
                     effect
                 };
-                let (n, c, s) = job.step_rows(self.parts(), core, range, now, values, &mut record);
+                let (n, c, s, _) =
+                    job.step_rows(self.parts(), core, range, None, now, values, &mut record);
                 (now, cpu, scanned) = (n, cpu + c, scanned + s);
                 if touched {
                     // Extra memory touches land outside the scanned range, so
@@ -243,7 +251,8 @@ impl System {
                     reference = Some(snap);
                 }
             } else {
-                let (n, c, s) = job.step_rows(self.parts(), core, range, now, values, per_row);
+                let (n, c, s, _) =
+                    job.step_rows(self.parts(), core, range, None, now, values, per_row);
                 (now, cpu, scanned) = (n, cpu + c, scanned + s);
             }
             p += 1;

@@ -3,11 +3,13 @@
 //! [`ScanJob`] is the body of every scan: it captures the per-scan
 //! precomputation (column cursors, MVCC snapshot, per-row CPU charge, line
 //! plans) once, and [`ScanJob::step_rows`] then steps any range of rows on
-//! any core. The crate's interleaver calls it with one row per pick while
-//! a scan's lane has live rivals, and with all the remaining rows once the
-//! lane is alone ([`System::scan`] is a lane that is alone from its first
-//! row). Row and ephemeral layouts share one field walk (`walk_fields`),
-//! generic over the memory backend and the value reader, and the reference
+//! any core. The crate's interleaver calls it with the rows a lane runs
+//! while it keeps the pick: up to the runner-up lane's clock beside live
+//! rivals (one row per pick beside a second ephemeral lane, or in the
+//! reference stepping mode), and all the remaining rows once the lane is
+//! alone ([`System::scan`] is a lane that is alone from its first row).
+//! Row and ephemeral layouts share one field walk (`walk_fields`), generic
+//! over the memory backend and the value reader, and the reference
 //! stepping mode is a line plan of per-field steps, not a separate walk.
 //! Columnar scans step one line block at a time: the rows up to the first
 //! row where some column's cursor crosses a line boundary. Once a row of
@@ -314,23 +316,52 @@ impl<'a> ScanJob<'a> {
         }
     }
 
-    /// Steps rows `rows` on `core` in order, starting at local time `now`,
-    /// and returns `(end, cpu, rows_scanned)`: per row, its access chain,
-    /// the per-row closure and its [`RowEffect`], then a DRAM `advance` to
-    /// the row's end, so a range steps the DRAM model exactly as one
-    /// scheduler pick per row would. The layout is matched
-    /// once per call and its per-row invariants (frontend borrow, backend,
-    /// value reader) are hoisted out of the row loop. `values` must hold
-    /// [`num_columns`](Self::num_columns) slots.
+    /// Steps the first of `rows` on `core`, starting at local time `now`,
+    /// then each next row while the clock is before `bound` (all of them
+    /// when `bound` is `None`), and returns `(end, cpu, rows_scanned,
+    /// next_row)`: per row, its access chain, the per-row closure and its
+    /// [`RowEffect`], then a DRAM `advance` to the row's end, so a range
+    /// steps the DRAM model exactly as one scheduler pick per row would.
+    /// `values` must hold [`num_columns`](Self::num_columns) slots.
+    #[allow(clippy::too_many_arguments)] // the split-borrowed platform
     pub(crate) fn step_rows<F>(
         &self,
         p: Parts<'_>,
         core: usize,
         rows: Range<u64>,
+        bound: Option<SimTime>,
         now: SimTime,
         values: &mut [u64],
         per_row: &mut F,
-    ) -> (SimTime, SimTime, u64)
+    ) -> (SimTime, SimTime, u64, u64)
+    where
+        F: FnMut(u64, &[u64]) -> RowEffect,
+    {
+        // Two instances, so a lone lane's rows pay no bound check.
+        match bound {
+            None => self.step_rows_until(p, core, rows, |_| false, now, values, per_row),
+            Some(bound) => {
+                self.step_rows_until(p, core, rows, |now| now >= bound, now, values, per_row)
+            }
+        }
+    }
+
+    /// [`step_rows`](Self::step_rows), stopping before the first row after
+    /// `rows.start` at whose start `stop` accepts the clock. The layout is
+    /// matched once per call and its per-row invariants (frontend borrow,
+    /// backend, value reader) are hoisted out of the row loop.
+    #[allow(clippy::too_many_arguments)] // the split-borrowed platform
+    #[inline(always)]
+    fn step_rows_until<F>(
+        &self,
+        p: Parts<'_>,
+        core: usize,
+        rows: Range<u64>,
+        stop: impl Fn(SimTime) -> bool,
+        now: SimTime,
+        values: &mut [u64],
+        per_row: &mut F,
+    ) -> (SimTime, SimTime, u64, u64)
     where
         F: FnMut(u64, &[u64]) -> RowEffect,
     {
@@ -341,7 +372,7 @@ impl<'a> ScanJob<'a> {
             core,
         };
         let (mut now, mut cpu) = (now, SimTime::ZERO);
-        let mut scanned = rows.end - rows.start;
+        let (first, mut next, mut invisible) = (rows.start, rows.end, 0u64);
         match &self.kind {
             JobKind::Rows {
                 table,
@@ -353,13 +384,17 @@ impl<'a> ScanJob<'a> {
                 plans,
             } => {
                 for row in rows {
+                    if row > first && stop(now) {
+                        next = row;
+                        break;
+                    }
                     let row_base = base + row * stride;
                     if let Some(snap) = *snapshot {
                         let out = front.access(row_base, 16, now, l2, &mut backend);
                         now = out.completion + *visibility_cpu;
                         cpu += *visibility_cpu;
                         if !table.visible(mem, row, snap).unwrap_or(false) {
-                            scanned -= 1;
+                            invisible += 1;
                             backend.dram.advance(now);
                             continue;
                         }
@@ -392,6 +427,10 @@ impl<'a> ScanJob<'a> {
                 let fields = cursors.len() as u64;
                 let (mut block_end, mut warm) = (rows.start, false);
                 for row in rows {
+                    if row > first && stop(now) {
+                        next = row;
+                        break;
+                    }
                     if *batched && row == block_end {
                         block_end = row + line_block(cursors, row, p.line_bytes as u64);
                         warm = false;
@@ -440,6 +479,10 @@ impl<'a> ScanJob<'a> {
                     dram: backend,
                 };
                 for row in rows {
+                    if row > first && stop(now) {
+                        next = row;
+                        break;
+                    }
                     now = walk_fields(
                         front,
                         l2,
@@ -467,7 +510,7 @@ impl<'a> ScanJob<'a> {
                 }
             }
         }
-        (now, cpu, scanned)
+        (now, cpu, next - first - invisible, next)
     }
 
     /// Runs the per-row closure over a row's values, charges the row's CPU

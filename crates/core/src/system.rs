@@ -598,8 +598,8 @@ impl System {
                 st
             })
             .collect();
-        let totals = self.interleave(&mut lanes, |sys, core, st, alone| {
-            sys.step_scan(core, st, alone, &mut |core, _op, row, values| {
+        let totals = self.interleave(&mut lanes, |sys, core, st, bound| {
+            sys.step_scan(core, st, bound, &mut |core, _op, row, values| {
                 per_row(core, row, values)
             });
         });

@@ -28,8 +28,8 @@
 //! counter-identical to [`System::scan`]** — same timestamps, values and
 //! every cache/DRAM/RME counter — which `tests/cross_path_equivalence.rs`
 //! asserts by proptest. The scan body is literally the same code: the
-//! crate-private `stepper::ScanJob::step_rows`, here called one row at a
-//! time.
+//! crate-private `stepper::ScanJob::step_rows`, here called for the rows a
+//! stream runs before the interleaver's next pick could go elsewhere.
 //!
 //! # Open-loop traffic
 //!
@@ -728,8 +728,8 @@ impl System {
             .iter()
             .map(|stream| StreamState::fresh(&stream.ops, start))
             .collect();
-        let totals = self.interleave(&mut lanes, |sys, core, st, alone| {
-            sys.step_stream(core, st, alone, &mut observer)
+        let totals = self.interleave(&mut lanes, |sys, core, st, bound| {
+            sys.step_stream(core, st, bound, &mut observer)
         });
         let streams = lanes
             .into_iter()
@@ -754,21 +754,21 @@ impl System {
         })
     }
 
-    /// Advances one stream by one unit: a row of the active scan (all its
-    /// rows when the stream is `alone`), a unit of the active transaction,
-    /// or one whole point op. Zero-time units (scan start, empty scan,
-    /// `TakeSnapshot`) leave the clock untouched.
+    /// Advances one stream by one unit: rows of the active scan up to
+    /// `bound` (see [`step_scan`](Self::step_scan)), a unit of the active
+    /// transaction, or one whole point op. Zero-time units (scan start,
+    /// empty scan, `TakeSnapshot`) leave the clock untouched.
     fn step_stream<F>(
         &mut self,
         core: usize,
         st: &mut StreamState<'_, '_>,
-        alone: bool,
+        bound: Option<SimTime>,
         observer: &mut F,
     ) where
         F: FnMut(usize, usize, u64, &[u64]) -> RowEffect,
     {
         // The in-progress scan, if any.
-        if self.step_scan(core, st, alone, observer) {
+        if self.step_scan(core, st, bound, observer) {
             return;
         }
         // One unit of the in-progress transaction, if any.
@@ -805,15 +805,16 @@ impl System {
     }
 
     /// Advances the stream's active scan, recording the [`OpOutcome`] when
-    /// the scan completes: by one row, or — when the stream's lane is
-    /// `alone` — by all its remaining rows, fast-forwarding a whole scan
-    /// over its periodic steady state where it has one. Returns `false` —
-    /// and does nothing — if no scan is active.
+    /// the scan completes: by its next row and the rows after it that
+    /// start before `bound`, or — when `bound` is `None`, the stream's lane
+    /// being alone — by all its remaining rows, fast-forwarding a whole
+    /// scan over its periodic steady state where it has one. Returns
+    /// `false` — and does nothing — if no scan is active.
     pub(crate) fn step_scan<F>(
         &mut self,
         core: usize,
         st: &mut StreamState<'_, '_>,
-        alone: bool,
+        bound: Option<SimTime>,
         observer: &mut F,
     ) -> bool
     where
@@ -822,23 +823,31 @@ impl System {
         let Some(active) = &mut st.active else {
             return false;
         };
-        let end = if alone {
-            active.end_row
-        } else {
-            active.next_row + 1
-        };
-        let rows = active.next_row..end;
-        active.next_row = end;
+        let rows = active.next_row..active.end_row;
         let op = active.op;
         let per_row = &mut |r, v: &[u64]| observer(core, op, r, v);
         let job = &active.job;
-        let period = (rows == (0..job.rows()))
+        let period = (bound.is_none() && rows == (0..job.rows()))
             .then(|| self.steady_state_period(job))
             .flatten();
-        let (now, cpu, scanned) = match period {
-            Some(period) => self.scan_periodic(job, &period, core, st.now, &mut st.values, per_row),
-            None => job.step_rows(self.parts(), core, rows, st.now, &mut st.values, per_row),
+        let (now, cpu, scanned, next) = match period {
+            Some(period) => {
+                let end = rows.end;
+                let (now, cpu, scanned) =
+                    self.scan_periodic(job, &period, core, st.now, &mut st.values, per_row);
+                (now, cpu, scanned, end)
+            }
+            None => job.step_rows(
+                self.parts(),
+                core,
+                rows,
+                bound,
+                st.now,
+                &mut st.values,
+                per_row,
+            ),
         };
+        active.next_row = next;
         st.now = now;
         st.cpu += cpu;
         active.rows_scanned += scanned;

@@ -196,17 +196,10 @@ pub struct DramController {
     open_rows: Vec<Option<u64>>,
     banks: Vec<PriorityResource>,
     bus: PriorityResource,
-    /// Sequential same-row streak cache (see [`Streak`]).
+    /// Sequential same-row streak cache (see [`Streak`]). Timing and
+    /// statistics are identical with and without it (the differential
+    /// tests below hold it to the full decode path).
     streak: Streak,
-    /// Whether the streak fast path is used. Timing and statistics are
-    /// identical either way (the differential tests below pin this);
-    /// disabling exists so tests can hold the full decode path as oracle.
-    coalesce: bool,
-    /// Host-side count of chunks booked through the streak fast path.
-    /// Deliberately *not* part of [`DramStats`]: it measures simulator
-    /// implementation behaviour, not simulated hardware behaviour, and the
-    /// coalesced/uncoalesced differential asserts `DramStats` equality.
-    coalesced_chunks: u64,
     /// `log2(bus_bytes)` when the bus width is a power of two (always, in
     /// practice): turns the per-access beat count into a shift.
     bus_shift: Option<u32>,
@@ -226,8 +219,6 @@ impl DramController {
                 .collect(),
             bus: PriorityResource::new("dram-bus"),
             streak: Streak::broken(),
-            coalesce: true,
-            coalesced_chunks: 0,
             bus_shift: cfg
                 .bus_bytes
                 .is_power_of_two()
@@ -279,12 +270,10 @@ impl DramController {
         let Some(rows) = self.rows_per_period(shift) else {
             return false;
         };
-        self.coalesce == earlier.coalesce
-            && self
-                .open_rows
-                .iter()
-                .zip(&earlier.open_rows)
-                .all(|(&now, &was)| now == was.map(|r| r + rows))
+        self.open_rows
+            .iter()
+            .zip(&earlier.open_rows)
+            .all(|(&now, &was)| now == was.map(|r| r + rows))
             && self
                 .banks
                 .iter()
@@ -319,24 +308,6 @@ impl DramController {
             .then(|| shift.source / (self.cfg.banks * self.cfg.row_bytes) as u64)
     }
 
-    /// Enables or disables the sequential-streak fast path in
-    /// [`access`](Self::access). Completions and statistics are identical
-    /// either way; the switch exists so the coalescing tests can hold the
-    /// uncoalesced decode path as oracle.
-    pub fn set_coalescing(&mut self, on: bool) {
-        self.coalesce = on;
-        if !on {
-            self.streak = Streak::broken();
-        }
-    }
-
-    /// Chunks booked through the streak fast path so far (a simulator
-    /// implementation counter — see the field docs; not part of
-    /// [`stats`](Self::stats)).
-    pub fn coalesced_chunks(&self) -> u64 {
-        self.coalesced_chunks
-    }
-
     /// Services a read (or write — timing is symmetric at this level) and
     /// returns its completion. The data itself is read from
     /// [`PhysicalMemory`](crate::PhysicalMemory) by the caller; the
@@ -355,15 +326,21 @@ impl DramController {
         // address. Anything else (a bank conflict that opened a different
         // row, a requestor switch, a row-boundary crossing) falls through
         // to the full path, which replaces the streak with its own tail.
-        if self.coalesce
-            && req.kind == ReqKind::Read
-            && req.addr == self.streak.next_addr
-            && req.addr + bytes as u64 <= self.streak.row_end
-            && req.requestor == self.streak.requestor
-        {
+        if self.continues_streak(&req, bytes) {
             return self.access_coalesced(req, bytes, demand);
         }
         self.access_full(req, bytes, demand)
+    }
+
+    /// Whether `req` (of `bytes` bytes) continues the streak: a read of the
+    /// next sequential address, inside the same open DRAM row, by the same
+    /// requestor.
+    #[inline(always)]
+    fn continues_streak(&self, req: &MemRequest, bytes: usize) -> bool {
+        req.kind == ReqKind::Read
+            && req.addr == self.streak.next_addr
+            && req.addr + bytes as u64 <= self.streak.row_end
+            && req.requestor == self.streak.requestor
     }
 
     /// The full decode path: split by DRAM row, decode each chunk, book
@@ -503,7 +480,6 @@ impl DramController {
     /// full path's row-hit branch, bit for bit.
     #[inline(always)]
     fn access_coalesced(&mut self, req: MemRequest, len: usize, demand: bool) -> Completion {
-        self.coalesced_chunks += 1;
         self.stats.row_hits += 1;
         let (bank_start, _) = if demand {
             self.banks[self.streak.bank].acquire_demand(req.ready, self.cfg.t_ccd)
@@ -717,6 +693,20 @@ mod tests {
         assert!(done.finish > ns(1_000));
     }
 
+    /// Services `req` down the full decode path, never through the streak
+    /// fast path: the oracle the coalescing tests hold `access` to.
+    fn access_uncoalesced(c: &mut DramController, req: MemRequest) -> Completion {
+        let demand = matches!(req.requestor, Requestor::Core(_));
+        c.access_full(req, req.bytes.max(1), demand)
+    }
+
+    /// Services `req` through `access` and reports whether it took the
+    /// streak fast path.
+    fn access_counting(c: &mut DramController, req: MemRequest) -> (Completion, bool) {
+        let coalesced = c.continues_streak(&req, req.bytes.max(1));
+        (c.access(req), coalesced)
+    }
+
     /// Runs the same request sequence through a coalescing controller and
     /// one forced down the full decode path, asserting bit-identical
     /// completions, statistics, and bus occupancy. Returns the number of
@@ -724,17 +714,17 @@ mod tests {
     fn assert_coalescing_identical(reqs: &[MemRequest]) -> u64 {
         let mut fast = ctl();
         let mut slow = ctl();
-        slow.set_coalescing(false);
+        let mut coalesced = 0;
         for (i, &req) in reqs.iter().enumerate() {
-            let f = fast.access(req);
-            let s = slow.access(req);
+            let (f, streak) = access_counting(&mut fast, req);
+            coalesced += u64::from(streak);
+            let s = access_uncoalesced(&mut slow, req);
             assert_eq!(f, s, "completion diverged at request {i} ({req:?})");
         }
         assert_eq!(fast.stats(), slow.stats(), "DramStats diverged");
         assert_eq!(fast.bus_busy(), slow.bus_busy());
         assert_eq!(fast.bus_free_at(), slow.bus_free_at());
-        assert_eq!(slow.coalesced_chunks(), 0, "oracle must not coalesce");
-        fast.coalesced_chunks()
+        coalesced
     }
 
     /// A sequential line stream (the scan fill pattern): every in-row
@@ -799,9 +789,8 @@ mod tests {
         // 192 starts a fresh streak off 128's full-path tail.
         assert_eq!(coalesced, 2);
         let mut full = ctl();
-        full.set_coalescing(false);
         for &req in &reqs {
-            full.access(req);
+            access_uncoalesced(&mut full, req);
         }
         assert_eq!(full.stats().row_misses, 3, "conflict re-opens the row");
     }
@@ -858,15 +847,15 @@ mod tests {
     fn reset_breaks_streak() {
         let mut c = ctl();
         c.access(MemRequest::new(0, 64, ns(0)));
-        c.access(MemRequest::new(64, 64, ns(1)));
-        assert_eq!(c.coalesced_chunks(), 1);
+        let (_, streak) = access_counting(&mut c, MemRequest::new(64, 64, ns(1)));
+        assert!(streak, "the continuation rides the streak");
         c.reset();
-        let post = c.access(MemRequest::new(128, 64, ns(0)));
+        let (post, streak) = access_counting(&mut c, MemRequest::new(128, 64, ns(0)));
+        assert!(!streak, "reset breaks the streak");
         assert!(
             !post.row_hit,
             "post-reset access must observe the precharge"
         );
-        assert_eq!(c.coalesced_chunks(), 1);
     }
 
     /// One request pattern driven period after period, each time a

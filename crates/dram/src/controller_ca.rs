@@ -21,6 +21,10 @@
 //! * **Bounded transaction queue** — at most `queue_depth` requests are in
 //!   flight; a request arriving at a full queue waits for the earliest
 //!   completion (admission stall, counted in [`DramStats::queue_stalls`]).
+//!   The queue is a FIFO because the data bus is one: every request
+//!   completes at the end of its last beat on that bus, whose free time
+//!   never decreases, so completions come in admission order and the
+//!   earliest is always the front.
 //!
 //! Within one multi-row request the chunks are scheduled row-hits first
 //! (FR-FCFS order). Across requests, [`access`](CycleAccurateDram::access)
@@ -39,8 +43,7 @@
 //! RME's fetch units — runs unchanged on either model via
 //! [`DramModel`](crate::DramModel).
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 
 use relmem_sim::{DramConfig, Resource, SimTime, TraceEvent, TraceEventKind, Tracer, Track};
 
@@ -151,9 +154,10 @@ pub struct CycleAccurateDram {
     /// Earliest next *read* command on the rank (tWTR after a write burst).
     wtr_ready: SimTime,
     bus: Resource,
-    /// Completion times of in-flight transactions (bounded admission), a
-    /// min-heap so admission pops only the transactions that finished.
-    inflight: BinaryHeap<Reverse<SimTime>>,
+    /// Completion times of in-flight transactions (bounded admission), in
+    /// completion order, so the front is the earliest (see the module
+    /// docs).
+    inflight: VecDeque<SimTime>,
     /// Posted writes not yet scheduled, in posting order: the
     /// cross-request FR-FCFS window.
     pending_writes: Vec<MemRequest>,
@@ -171,7 +175,7 @@ impl CycleAccurateDram {
             faw: FawWindow::default(),
             wtr_ready: SimTime::ZERO,
             bus: Resource::new("dram-bus-ca"),
-            inflight: BinaryHeap::with_capacity(cfg.queue_depth.max(1)),
+            inflight: VecDeque::with_capacity(cfg.queue_depth.max(1)),
             pending_writes: Vec::new(),
             mapping,
             cfg,
@@ -276,7 +280,7 @@ impl CycleAccurateDram {
                 0,
             )
         });
-        let Reverse(earliest) = self.inflight.pop().expect("full queue is non-empty");
+        let earliest = self.inflight.pop_front().expect("full queue is non-empty");
         let admitted = ready.max(earliest);
         self.retire_until(admitted);
         // Occupancy is sampled at the actual admission time: the stall
@@ -288,8 +292,8 @@ impl CycleAccurateDram {
 
     /// Drops the in-flight transactions that finished at or before `t`.
     fn retire_until(&mut self, t: SimTime) {
-        while self.inflight.peek().is_some_and(|&Reverse(f)| f <= t) {
-            self.inflight.pop();
+        while self.inflight.front().is_some_and(|&f| f <= t) {
+            self.inflight.pop_front();
         }
     }
 
@@ -495,7 +499,11 @@ impl CycleAccurateDram {
         // One occupancy sample per chunk, so `avg_queue_occupancy` (which
         // divides by per-chunk `accesses`) is an exact mean-at-admission.
         self.stats.queue_occupancy_sum += outstanding * n_chunks;
-        self.inflight.push(Reverse(finish));
+        debug_assert!(
+            self.inflight.back().is_none_or(|&last| last <= finish),
+            "completions follow the data bus in order"
+        );
+        self.inflight.push_back(finish);
 
         Completion {
             start: start.expect("a request schedules at least one chunk"),
@@ -910,14 +918,15 @@ mod tests {
         assert_eq!(c.stats(), &DramStats::default());
     }
 
-    /// The bounded-admission rule as it was before the in-flight min-heap:
-    /// a `Vec` of completion times, filtered and min-scanned per request.
-    /// The reference for [`CycleAccurateDram::admit`].
+    /// The bounded-admission rule as a `Vec` of completion times, filtered
+    /// and min-scanned per request: the reference for the FIFO
+    /// [`CycleAccurateDram::admit`].
     struct VecAdmission {
         inflight: Vec<SimTime>,
         depth: usize,
         stalls: u64,
         occupancy_max: u64,
+        occupancy_sum: u64,
     }
 
     impl VecAdmission {
@@ -943,35 +952,122 @@ mod tests {
             self.occupancy_max = self.occupancy_max.max(after_drain + 1);
             (admitted, after_drain)
         }
+
+        /// Admits one request of `chunks` chunks that completes at
+        /// `finish`.
+        fn book(&mut self, ready: SimTime, chunks: u64, finish: SimTime) {
+            let (_, outstanding) = self.admit(ready);
+            self.occupancy_sum += outstanding * chunks;
+            self.inflight.push(finish);
+        }
     }
 
+    /// Bytes of address space each posted write owns, so every chunk of
+    /// a flushed write names its request.
+    const REGION: u64 = 1 << 12;
+
     proptest! {
-        /// Admission through the in-flight min-heap returns the same
-        /// admission time and occupancy, and counts the same stalls and
-        /// maximum occupancy, as the reference `Vec` admission for any
-        /// stream of ready times (in or out of order, with ties), service
-        /// times and queue depth.
+        /// FIFO admission counts the same stalls, the same maximum and the
+        /// same summed occupancy as the reference `Vec` admission, and
+        /// every request completes at or after the previous one, over
+        /// random streams of reads, posted writes and multi-row bursts with
+        /// out-of-order ready times across refresh windows, interleaved
+        /// with `advance` and `drain_all`, at queue depths 1 to 8. The
+        /// requests and their completions are read back from the
+        /// controller's trace: a read is the chunks its `access` emits, and
+        /// a flushed write the consecutive chunks inside its region.
         #[test]
-        fn heap_admission_matches_the_vec_reference(
+        fn fifo_admission_matches_the_vec_reference(
             depth in 1usize..=8,
-            ops in proptest::collection::vec((0u64..2_000, 0u64..400), 1..200),
+            xor_bank_hash in any::<bool>(),
+            // (kind, address, bytes, time): ready times span four refresh
+            // windows, and bursts cross up to five 512 B rows.
+            ops in proptest::collection::vec(
+                (0u64..10, 0u64..64 * REGION, 1usize..=2_048, 0u64..4 * 7_800),
+                1..160,
+            ),
         ) {
-            let mut c = CycleAccurateDram::new(DramConfig { queue_depth: depth, ..cfg() });
+            let d = DramConfig { queue_depth: depth, row_bytes: 512, xor_bank_hash, ..cfg() };
+            let mut c = CycleAccurateDram::new(d);
+            c.tracer_mut().set_enabled(true);
             let mut reference = VecAdmission {
                 inflight: Vec::new(),
                 depth,
                 stalls: 0,
                 occupancy_max: 0,
+                occupancy_sum: 0,
             };
-            for (ready_ns, service_ns) in ops {
-                let ready = SimTime::from_nanos(ready_ns);
-                let got = c.admit(ready);
-                prop_assert_eq!(got, reference.admit(ready));
-                let finish = got.0 + SimTime::from_nanos(service_ns);
-                c.inflight.push(Reverse(finish));
-                reference.inflight.push(finish);
+            // Ready time of each posted write, by region; writes own the
+            // regions above the reads' 64.
+            let mut write_ready: Vec<SimTime> = Vec::new();
+            let mut last_finish = SimTime::ZERO;
+            for (kind, addr, bytes, ns) in ops {
+                let t = SimTime::from_nanos(ns);
+                let read = match kind {
+                    // A read anywhere below the write regions.
+                    0..=3 => {
+                        let done = c.access(MemRequest::new(addr, bytes, t));
+                        Some((t, done.finish))
+                    }
+                    // A posted write into the next unused region.
+                    4..=6 => {
+                        let region = 64 + write_ready.len() as u64;
+                        write_ready.push(t);
+                        let offset = addr % (REGION / 2);
+                        let req = MemRequest::new(region * REGION + offset, bytes, t);
+                        c.post_write(req.as_write());
+                        None
+                    }
+                    7 | 8 => {
+                        c.advance(t);
+                        None
+                    }
+                    _ => {
+                        c.drain_all();
+                        None
+                    }
+                };
+                // (ready, chunks, finish) of every request the call
+                // scheduled, in scheduling order.
+                let chunks: Vec<TraceEvent> = c
+                    .tracer_mut()
+                    .take()
+                    .into_iter()
+                    .filter(|e| matches!(e.kind, TraceEventKind::DramRead | TraceEventKind::DramWrite))
+                    .collect();
+                let mut requests: Vec<(SimTime, u64, SimTime)> = Vec::new();
+                match read {
+                    Some((ready, finish)) => {
+                        prop_assert!(chunks.iter().all(|e| e.kind == TraceEventKind::DramRead));
+                        prop_assert_eq!(chunks.iter().map(|e| e.end()).max(), Some(finish));
+                        requests.push((ready, chunks.len() as u64, finish));
+                    }
+                    None => {
+                        let mut current: Option<u64> = None;
+                        for e in &chunks {
+                            prop_assert_eq!(e.kind, TraceEventKind::DramWrite);
+                            let region = e.arg0 / REGION;
+                            if current != Some(region) {
+                                current = Some(region);
+                                requests.push((write_ready[(region - 64) as usize], 0, e.end()));
+                            }
+                            let last = requests.last_mut().expect("pushed above");
+                            last.1 += 1;
+                            last.2 = last.2.max(e.end());
+                        }
+                    }
+                }
+                for (ready, n, finish) in requests {
+                    prop_assert!(
+                        finish >= last_finish,
+                        "completion {} before the previous one {}", finish, last_finish
+                    );
+                    last_finish = finish;
+                    reference.book(ready, n, finish);
+                }
                 prop_assert_eq!(c.stats.queue_stalls, reference.stalls);
                 prop_assert_eq!(c.stats.queue_occupancy_max, reference.occupancy_max);
+                prop_assert_eq!(c.stats.queue_occupancy_sum, reference.occupancy_sum);
             }
         }
 

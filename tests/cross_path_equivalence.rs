@@ -1261,8 +1261,9 @@ mod line_blocks {
         /// `System::run_workload`, one stream on one core.
         OneCore,
         /// `System::run_workload` on two cores, beside a shorter row scan
-        /// on core 1: one row per pick while the rival lives, then the
-        /// rest of the columnar scan in one step.
+        /// on core 1: runs of rows up to the rival's clock while the rival
+        /// lives (one row per pick in the reference stepping mode), then
+        /// the rest of the columnar scan in one step.
         TwoCores,
     }
 
@@ -1432,6 +1433,356 @@ mod line_blocks {
                         "diverged via {:?} with {:?} effects",
                         entry,
                         effects
+                    );
+                }
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Runner-up lookahead ≡ one unit per pick, on several lanes
+// ---------------------------------------------------------------------------
+
+mod lookahead {
+    use super::*;
+    use relational_memory::cache::{HierarchyStats, SharedL2Stats};
+    use relational_memory::core::workload::{OpKind, QueryStream, Workload, WorkloadOp};
+    use relational_memory::core::{TxnAbort, TxnOp, TxnSpec};
+    use relational_memory::dram::DramStats;
+    use relational_memory::rme::RmeStats;
+    use relational_memory::sim::{MemoryModel, OverloadStats, TxnStats};
+    use relational_memory::storage::ColumnarTable;
+
+    /// Everything observable about one multi-lane run.
+    #[derive(Debug, Clone, PartialEq)]
+    struct Record {
+        end: SimTime,
+        cpu: SimTime,
+        rows: u64,
+        /// (core, op or template, row, values) per observed row, in order.
+        values: Vec<(usize, usize, u64, Vec<u64>)>,
+        /// Per stream: (op or template, kind, arrival, start, end, rows,
+        /// attempt, degraded) per finished op; closed-loop ops carry their
+        /// start as arrival, attempt 0 and no degradation.
+        #[allow(clippy::type_complexity)]
+        outcomes: Vec<Vec<(usize, OpKind, SimTime, SimTime, SimTime, u64, u32, bool)>>,
+        txn: TxnStats,
+        aborts: Vec<TxnAbort>,
+        overload: Option<OverloadStats>,
+        per_core: Vec<HierarchyStats>,
+        l2: SharedL2Stats,
+        dram: DramStats,
+        rme: RmeStats,
+    }
+
+    /// What one core runs, by `mix` value.
+    ///
+    /// * 0: a direct row scan, a snapshot, an MVCC snapshot scan, lookups;
+    /// * 1: a columnar scan between point updates;
+    /// * 2 and 3: an ephemeral scan of the multi-frame variable between a
+    ///   lookup and an update, so two such cores give two ephemeral lanes;
+    /// * 4: point lookups, updates, a delete and hot-row transactions.
+    #[allow(clippy::too_many_arguments)] // the world the ops borrow
+    fn stream_ops<'a>(
+        mix: u64,
+        core: usize,
+        seed: u64,
+        table: &'a RowTable,
+        columnar: &'a ColumnarTable,
+        var: &'a EphemeralVariable,
+        columns: &'a [usize],
+        txns: &'a [TxnSpec<'a>],
+    ) -> Vec<WorkloadOp<'a>> {
+        let rows = table.num_rows();
+        let row = |i: u64| (seed ^ (core as u64) << 16 ^ i).wrapping_mul(2654435761) % rows;
+        let lookup = |i| WorkloadOp::PointLookup {
+            table,
+            columns,
+            row: row(i),
+        };
+        let update = |i: u64| WorkloadOp::PointUpdate {
+            table,
+            row: row(i),
+            column: 0,
+            value: i,
+        };
+        let rows_scan = WorkloadOp::olap(ScanSource::Rows {
+            table,
+            columns,
+            snapshot: None,
+        });
+        let ephemeral = WorkloadOp::olap(ScanSource::Ephemeral { var });
+        match mix {
+            0 => vec![
+                rows_scan,
+                lookup(1),
+                WorkloadOp::TakeSnapshot { ts: 7 },
+                WorkloadOp::OlapScan {
+                    source: ScanSource::Rows {
+                        table,
+                        columns,
+                        snapshot: None,
+                    },
+                    stream_snapshot: true,
+                },
+                lookup(2),
+            ],
+            1 => vec![
+                update(1),
+                WorkloadOp::olap(ScanSource::Columnar {
+                    table: columnar,
+                    columns,
+                }),
+                update(2),
+            ],
+            2 | 3 => vec![lookup(1), ephemeral, update(2), ephemeral],
+            _ => {
+                let mut ops = Vec::new();
+                for (i, spec) in txns.iter().enumerate() {
+                    let i = i as u64;
+                    ops.push(lookup(3 * i));
+                    ops.push(WorkloadOp::Txn { spec });
+                    ops.push(update(3 * i + 1));
+                }
+                ops.push(WorkloadOp::PointDelete {
+                    table,
+                    row: row(99),
+                    ts: 9,
+                });
+                ops
+            }
+        }
+    }
+
+    /// Builds one world per call and runs `mix[i]`'s ops on core `i`,
+    /// closed loop or open loop, on either DRAM model, optimized or in the
+    /// reference stepping mode.
+    fn run(mix: &[u64], seed: u64, rows: u64, open: bool, ca: bool, reference: bool) -> Record {
+        let cores = mix.len();
+        // A 4 KB L1 and a 16 KB L2 (the tiny L1's tags cannot reach the
+        // ephemeral region), and a 4 KB RME frame.
+        let mut platform = PlatformConfig::tiny_for_tests();
+        platform.l1.size_bytes = 4 * 1024;
+        platform.l2.size_bytes = 16 * 1024;
+        if ca {
+            platform.dram.model = MemoryModel::CycleAccurate;
+        }
+        let mut sys = System::with_config(SystemConfig {
+            platform,
+            revision: HwRevision::Mlp,
+            mem_bytes: 16 << 20,
+            cores,
+            ..SystemConfig::default()
+        });
+        let mut table = sys
+            .create_table(schema_from_widths(&[8, 4, 8, 4]), rows, MvccConfig::Enabled)
+            .unwrap();
+        DataGen::new(seed)
+            .fill_table(sys.mem_mut(), &mut table, rows)
+            .unwrap();
+        for row in (0..rows).step_by(5) {
+            table.mark_deleted(sys.mem_mut(), row, 5).unwrap();
+        }
+        let columnar = sys.materialize_columnar(&table).unwrap();
+        // 16 B packed rows: 256 rows per 4 KB frame, so two or more frames.
+        let var = sys
+            .register_ephemeral(&table, ColumnGroup::new(vec![0, 2]).unwrap(), None)
+            .unwrap();
+        let scratch = sys.mem_mut().alloc(4096, 64);
+        let columns = [0usize, 3];
+        let read_columns = [1usize];
+        // Hot-row transactions: every OLTP core reads and updates rows 0-3.
+        let txns: Vec<TxnSpec> = (0..3u64)
+            .map(|i| {
+                TxnSpec::new(vec![
+                    TxnOp::Read {
+                        table: &table,
+                        columns: &read_columns,
+                        row: i % 4,
+                    },
+                    TxnOp::Update {
+                        table: &table,
+                        row: (i + seed) % 4,
+                        column: 2,
+                        value: seed + i,
+                    },
+                ])
+                .with_retries(1)
+            })
+            .collect();
+        let ops: Vec<Vec<WorkloadOp>> = mix
+            .iter()
+            .enumerate()
+            .map(|(core, &m)| stream_ops(m, core, seed, &table, &columnar, &var, &columns, &txns))
+            .collect();
+
+        sys.set_reference_stepping(reference);
+        sys.begin_measurement(AccessPath::RmeCold);
+        let mut values = Vec::new();
+        let mut observer = |core: usize, op: usize, row: u64, vals: &[u64]| {
+            values.push((core, op, row, vals.to_vec()));
+            RowEffect {
+                cpu: SimTime::from_nanos(1 + vals[0] % 3),
+                touch: row
+                    .is_multiple_of(7)
+                    .then(|| (scratch + (row % 64) * 64, 8)),
+            }
+        };
+        let (end, cpu, rows_done, outcomes, txn, aborts, overload) = if open {
+            let streams = ops
+                .into_iter()
+                .enumerate()
+                .map(|(core, ops)| {
+                    let template: Vec<OpenLoopOp> = ops
+                        .into_iter()
+                        .map(|op| match op {
+                            // Under pressure a direct scan runs through the
+                            // RME and a lookup reads one column.
+                            WorkloadOp::OlapScan {
+                                source: ScanSource::Rows { .. },
+                                ..
+                            } => OpenLoopOp::with_degraded(
+                                op,
+                                WorkloadOp::olap(ScanSource::Ephemeral { var: &var }),
+                            ),
+                            WorkloadOp::PointLookup { table, row, .. } => {
+                                OpenLoopOp::with_degraded(
+                                    op,
+                                    WorkloadOp::PointLookup {
+                                        table,
+                                        columns: &read_columns,
+                                        row,
+                                    },
+                                )
+                            }
+                            _ => OpenLoopOp::new(op),
+                        })
+                        .collect();
+                    let arrivals = 2 * template.len() as u64;
+                    OpenLoopStream::new(template, 2e6 * (1 + core) as f64, arrivals)
+                })
+                .collect();
+            let cfg = AdmissionConfig {
+                seed,
+                queue_capacity: 3,
+                delay_budget: Some(SimTime::from_micros(40)),
+                timeout: Some(SimTime::from_micros(20)),
+                max_retries: 1,
+                retry_backoff: SimTime::from_micros(1),
+                degrade: Some(DegradePolicy {
+                    high_watermark: 2,
+                    low_watermark: 0,
+                    trigger_after: 1,
+                    clear_after: 2,
+                }),
+            };
+            let run = sys
+                .run_open_loop(
+                    &OpenLoopWorkload::new(streams),
+                    &cfg,
+                    SimTime::ZERO,
+                    &mut observer,
+                )
+                .expect("valid open-loop workload");
+            let outcomes = run
+                .streams
+                .iter()
+                .map(|s| {
+                    s.outcomes
+                        .iter()
+                        .map(|o| {
+                            let (arrival, attempt, degraded) = (o.arrival, o.attempt, o.degraded);
+                            (
+                                o.template, o.kind, arrival, o.start, o.end, o.rows, attempt,
+                                degraded,
+                            )
+                        })
+                        .collect()
+                })
+                .collect();
+            (
+                run.end,
+                run.cpu,
+                run.rows,
+                outcomes,
+                run.txn,
+                run.txn_aborts,
+                Some(run.overload),
+            )
+        } else {
+            let workload = Workload::new(ops.into_iter().map(QueryStream::new).collect());
+            let run = sys
+                .run_workload(&workload, SimTime::ZERO, &mut observer)
+                .expect("valid workload");
+            let outcomes = run
+                .streams
+                .iter()
+                .map(|s| {
+                    s.ops
+                        .iter()
+                        .map(|o| (o.op, o.kind, o.start, o.start, o.end, o.rows, 0, false))
+                        .collect()
+                })
+                .collect();
+            (
+                run.end,
+                run.cpu,
+                run.rows,
+                outcomes,
+                run.txn,
+                run.txn_aborts,
+                None,
+            )
+        };
+        let m = sys.finish_measurement(end, cpu, AccessPath::RmeCold);
+        Record {
+            end,
+            cpu,
+            rows: rows_done,
+            values,
+            outcomes,
+            txn,
+            aborts,
+            overload,
+            per_core: (0..cores).map(|c| *sys.core_stats(c)).collect(),
+            l2: *sys.l2_stats(),
+            dram: m.dram,
+            rme: m.rme,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        /// Runner-up lookahead — a picked lane keeps the pick, running a
+        /// scan's rows in one call, while its clock stays below the
+        /// runner-up's — equals the reference stepping mode, which steps
+        /// every lane one unit per pick beside a live rival: the same
+        /// per-stream outcomes and observed values, transaction stats and
+        /// aborts, overload stats, and every core, L2, DRAM and RME counter.
+        /// 2–4 cores mix direct, columnar and ephemeral scans (two
+        /// ephemeral lanes over a multi-frame variable when two cores draw
+        /// one), point lookups, updates and a delete, and hot-row
+        /// transactions; closed loop and open loop past the point where
+        /// queues shed and the run degrades; on both DRAM models.
+        #[test]
+        fn lookahead_equals_one_unit_per_pick(
+            mix in proptest::collection::vec(0u64..5, 2..=4),
+            rows in 512u64..1_200,
+            seed in 0u64..1_000,
+        ) {
+            for open in [false, true] {
+                for ca in [false, true] {
+                    let reference = run(&mix, seed, rows, open, ca, true);
+                    let optimized = run(&mix, seed, rows, open, ca, false);
+                    prop_assert_eq!(
+                        &optimized,
+                        &reference,
+                        "diverged for mix {:?}, open loop {}, cycle-accurate {}",
+                        &mix,
+                        open,
+                        ca
                     );
                 }
             }

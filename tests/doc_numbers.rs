@@ -2,8 +2,8 @@
 //! from the committed `BENCH_scan_throughput*.json`, `BENCH_fig13.json`,
 //! `BENCH_columnar_ff.json`, `BENCH_htap_memory_path.json`,
 //! `BENCH_hash_queries.json`, `BENCH_setup.json`, `BENCH_rme_fetch.json`,
-//! `BENCH_direct_step.json` and `BENCH_parallel_setup.json` records must
-//! match those records.
+//! `BENCH_direct_step.json`, `BENCH_parallel_setup.json` and
+//! `BENCH_htap_lookahead.json` records must match those records.
 //!
 //! Each check names the record field, the document, and the text that
 //! follows the quoted number there. A quoted figure passes when it is
@@ -456,5 +456,93 @@ fn architecture_quotes_the_direct_step_record() {
             key,
             1.0,
         );
+    }
+}
+
+#[test]
+fn readme_quotes_the_htap_lookahead_record() {
+    let record = "BENCH_htap_lookahead.json";
+    for (follows, key) in [
+        (
+            "M scheduler picks instead of",
+            "htap_txn_picks_per_pass_change",
+        ),
+        (
+            "M, and perfbench `htap_txn`",
+            "htap_txn_picks_per_pass_parent",
+        ),
+    ] {
+        check("README.md", follows, record, key, 1e6);
+    }
+    for (follows, key) in [
+        (
+            " s to 1.047 s (seed 4242, 20 alternating pairs",
+            "htap_txn_run_s_parent_median",
+        ),
+        (
+            " s (seed 4242, 20 alternating pairs on a shared 2-vCPU VM, `BENCH_htap_lookahead.json`)",
+            "htap_txn_run_s_change_median",
+        ),
+    ] {
+        check("README.md", follows, record, key, 1.0);
+    }
+}
+
+#[test]
+fn architecture_quotes_the_htap_lookahead_record() {
+    let record = "BENCH_htap_lookahead.json";
+    for (follows, key) in [
+        (
+            " picks at the parent commit",
+            "htap_txn_picks_per_pass_parent",
+        ),
+        (" picks with lookahead", "htap_txn_picks_per_pass_change"),
+    ] {
+        check("docs/ARCHITECTURE.md", follows, record, key, 1.0);
+    }
+    for (follows, key) in [
+        (
+            " rows per closed-loop scan-lane step before",
+            "htap_txn_rows_per_scan_lane_step_closed_loop_parent",
+        ),
+        (
+            " after (open loop",
+            "htap_txn_rows_per_scan_lane_step_closed_loop_change",
+        ),
+        (
+            " s at the parent commit of lookahead",
+            "htap_txn_run_s_parent_median",
+        ),
+        (
+            " s with lookahead, and the change won",
+            "htap_txn_run_s_change_median",
+        ),
+        (" pairs out of 20", "htap_txn_run_s_change_wins"),
+        (
+            " s of closed loop before",
+            "traced_core_closed_loop_s_parent_median",
+        ),
+        (
+            " s of closed loop after",
+            "traced_core_closed_loop_s_change_median",
+        ),
+        (
+            " s of open loop before",
+            "traced_core_open_loop_s_parent_median",
+        ),
+        (
+            " s of open loop after",
+            "traced_core_open_loop_s_change_median",
+        ),
+        (
+            " ns per cycle-accurate request before",
+            "traced_dram_cycle_accurate_host_ns_per_req_parent_median",
+        ),
+        (
+            " ns per cycle-accurate request after",
+            "traced_dram_cycle_accurate_host_ns_per_req_change_median",
+        ),
+    ] {
+        check("docs/ARCHITECTURE.md", follows, record, key, 1.0);
     }
 }
